@@ -104,15 +104,9 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
 
     # Hessian H_{ab} = sum_s c^s_{ab} d theta_{g,m} / dv^s
     grad_prev = [cal.grad(g, m, b) for b in range(1, n + 1)]
-    hess = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            s = ClosedForm.zero()
-            for sig in range(n):
-                s = s + t.c_mixed[sig][a][b] * grad_prev[sig]
-            row.append(_filtered(s, keep))
-        hess.append(row)
+    hess = [[ClosedForm.sum_of_products(((1, t.c_mixed[sig][a][b], grad_prev[sig])
+                                         for sig in range(n)), keep)
+             for b in range(n)] for a in range(n)]
 
     grad = [potential_from_gradient([hess[a][b] for a in range(n)], names, keep)
             for b in range(n)]
@@ -202,24 +196,22 @@ class TwoPointTable:
 
 
 def _omega_entry(cal: Calibration, alpha: int, m1: int, beta: int, m2: int) -> ClosedForm:
-    spec = cal.spec
-    t = cal.tensors
-    n = spec.n
     if m1 + m2 + 1 > cal.m_max:
         raise OrderExceededError(
             f"need calibration level {m1 + m2 + 1} > m_max {cal.m_max}")
-    keep = spec.exp_filter()
-    total = ClosedForm.zero()
-    for j in range(m2 + 1):
-        part = ClosedForm.zero()
-        for rho in range(n):
-            for sig in range(n):
-                e = t.eta_inv[rho][sig]
-                if e:
-                    part = part + (cal.grad(alpha, m1 + j + 1, rho + 1)
-                                   * cal.grad(beta, m2 - j, sig + 1)) * e
-        total = total + part * F((-1) ** j)
-    return _filtered(total, keep)
+    return _grad_pairing(cal, alpha, beta, (((-1) ** j, m1 + j + 1, m2 - j)
+                                            for j in range(m2 + 1)), cal.spec.exp_filter())
+
+
+def _grad_pairing(cal: Calibration, alpha: int, beta: int, levels, keep) -> ClosedForm:
+    """Sum of sign * <grad theta_{alpha,l1}, grad theta_{beta,l2}> (paired with
+    eta^{-1}) over (sign, l1, l2) in levels, in one fused product loop."""
+    eta_inv = cal.tensors.eta_inv
+    n = cal.spec.n
+    return ClosedForm.sum_of_products(
+        ((eta_inv[rho][sig] * sign, cal.grad(alpha, l1, rho + 1), cal.grad(beta, l2, sig + 1))
+         for sign, l1, l2 in levels for rho in range(n) for sig in range(n)
+         if eta_inv[rho][sig]), keep)
 
 
 def two_point_table(cal: Calibration, order: int) -> TwoPointTable:
@@ -297,19 +289,10 @@ def check_orthogonality(cal: Calibration) -> dict:
     for k in range(cal.m_max + 1):
         for a in range(1, n + 1):
             for b in range(1, n + 1):
-                s = ClosedForm.zero()
-                for j in range(k + 1):
-                    part = ClosedForm.zero()
-                    for rho in range(n):
-                        for sig in range(n):
-                            e = t.eta_inv[rho][sig]
-                            if e:
-                                part = part + (cal.grad(a, j, rho + 1)
-                                               * cal.grad(b, k - j, sig + 1)) * e
-                    s = s + part * F((-1) ** (k - j))
+                s = _grad_pairing(cal, a, b, (((-1) ** (k - j), j, k - j)
+                                              for j in range(k + 1)), keep)
                 if k == 0:
                     s = s - ClosedForm.const(t.eta[a - 1][b - 1])
-                s = _filtered(s, keep)
                 if not s.is_zero():
                     failures.append((k, a, b))
     return {"pass": not failures, "failures": failures}

@@ -16,13 +16,6 @@ from fractions import Fraction
 SCHEMA = "frobwdvv/1"
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FROBWDVV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _emit(report: dict, path: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=1, sort_keys=True, default=_jsonable) + "\n"
@@ -192,7 +185,10 @@ def cmd_verify_omega(args) -> int:
 def cmd_recursion(args) -> int:
     from . import solver
     name = args.name
-    max_n = args.max
+    max_n = args.max if args.max is not None else {"ckl": 8, "a21": 19}.get(name, 6)
+    if max_n < 1:
+        print(f"--max must be at least 1, got {max_n}", file=sys.stderr)
+        return 2
     if name == "nd":
         out = solver.recursion_nd(max_n)
         dual = solver.nd_via_ode_route(min(max_n, 6))
@@ -218,8 +214,7 @@ def cmd_recursion(args) -> int:
         out = solver.recursion_nkl(max_n)
         checks = [{"name": "symmetry", "pass": out.audits["symmetric"]}]
     elif name in ("ckl", "a21"):
-        both = solver.solve_ckl_and_a()
-        out = both["ckl" if name == "ckl" else "a"]
+        out = solver.solve_ckl(max_n) if name == "ckl" else solver.solve_a21(max_n)
         checks = [{"name": "pattern-audit", "pass": out.audits["pattern_as_expected"]}]
     else:
         print(f"unknown recursion {name!r}", file=sys.stderr)
@@ -368,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("recursion", help="coefficient tables (exact)")
     sp.add_argument("name", choices=["nd", "ck", "mk", "qk", "wk", "nkl", "ckl", "a21"])
-    sp.add_argument("--max", type=int, default=6)
+    sp.add_argument("--max", type=int, default=None,
+                    help="table bound (default 6; ckl: k+l <= 8; a21: m1+4*m2 <= 19)")
     common(sp)
     sp.set_defaults(fn=cmd_recursion)
 

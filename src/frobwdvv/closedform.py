@@ -11,7 +11,6 @@ times log^k, polynomial times exponential).
 from __future__ import annotations
 
 import cmath
-import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, NamedTuple
@@ -37,9 +36,12 @@ class NeedsFloatError(ArithmeticError):
 
 
 class Mono(NamedTuple):
-    powers: tuple[tuple[str, Fraction], ...]
+    """Sorted (variable, exponent) tuples.  Integral exponents are stored as
+    int, so hashing and merging them stays in C; only proper rationals such as
+    3/2 stay Fraction (equal values hash alike, so keys and text are the same)."""
+    powers: tuple[tuple[str, int | Fraction], ...]
     logs: tuple[tuple[str, int], ...]
-    exps: tuple[tuple[str, Fraction], ...]
+    exps: tuple[tuple[str, int | Fraction], ...]
 
     @staticmethod
     def make(powers=None, logs=None, exps=None) -> "Mono":
@@ -48,13 +50,13 @@ class Mono(NamedTuple):
                 return ()
             items = [(v, cast(e)) for v, e in d.items() if e]
             return tuple(sorted(items))
-        return Mono(clean(powers, Fraction), clean(logs, int), clean(exps, Fraction))
+        return Mono(clean(powers, _exponent), clean(logs, int), clean(exps, _exponent))
 
-    def pow_of(self, var: str) -> Fraction:
+    def pow_of(self, var: str) -> int | Fraction:
         for v, e in self.powers:
             if v == var:
                 return e
-        return Fraction(0)
+        return 0
 
     def log_of(self, var: str) -> int:
         for v, e in self.logs:
@@ -62,26 +64,14 @@ class Mono(NamedTuple):
                 return e
         return 0
 
-    def exp_of(self, var: str) -> Fraction:
+    def exp_of(self, var: str) -> int | Fraction:
         for v, e in self.exps:
             if v == var:
                 return e
-        return Fraction(0)
+        return 0
 
     def variables(self) -> set[str]:
         return {v for v, _ in self.powers} | {v for v, _ in self.logs} | {v for v, _ in self.exps}
-
-    def mul(self, other: "Mono") -> "Mono":
-        p = dict(self.powers)
-        for v, e in other.powers:
-            p[v] = p.get(v, Fraction(0)) + e
-        l = dict(self.logs)
-        for v, e in other.logs:
-            l[v] = l.get(v, 0) + e
-        x = dict(self.exps)
-        for v, e in other.exps:
-            x[v] = x.get(v, Fraction(0)) + e
-        return Mono.make(p, l, x)
 
     def with_pow(self, var: str, e: Fraction) -> "Mono":
         p = dict(self.powers)
@@ -104,6 +94,43 @@ class Mono(NamedTuple):
 
 
 _ONE = Mono((), (), ())
+
+
+def _exponent(e) -> int | Fraction:
+    """An exponent in normal form: int when integral, else Fraction."""
+    if type(e) is int:
+        return e
+    e = Fraction(e)
+    return e.numerator if e.denominator == 1 else e
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Linear merge of two sorted (variable, exponent) tuples, adding the
+    exponents of shared variables and dropping those that cancel."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, vb = a[i][0], b[j][0]
+        if va == vb:
+            e = a[i][1] + b[j][1]
+            if e:
+                out.append((va, e if type(e) is int or e.denominator != 1 else e.numerator))
+            i += 1
+            j += 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def _scalar_add(a, b):
@@ -192,15 +219,41 @@ class ClosedForm:
             return ClosedForm({m: _scalar_mul(c, other) for m, c in self.terms.items()}, _clean=True)
         if not isinstance(other, ClosedForm):
             return NotImplemented
+        return ClosedForm.sum_of_products(((1, self, other),))
+
+    @staticmethod
+    def sum_of_products(triples: Iterable[tuple], keep: Callable[[Mono], bool] | None = None
+                        ) -> "ClosedForm":
+        """The sum of scale * f * g over (scale, f, g) triples, built in one dict.
+
+        `keep` (e.g. a spec's exp cutoff) is applied to each product monomial
+        before it is stored.  A filter is a projection onto a set of monomials,
+        so this equals filtering the finished sum, without building the terms
+        the filter would throw away."""
         out: dict[Mono, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1.mul(m2)
-                s = _scalar_add(out.get(m, Fraction(0)), _scalar_mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+        for scale, f, g in triples:
+            if not scale or not f.terms or not g.terms:
+                continue
+            left = f.terms.items() if scale == 1 else \
+                [(m, _scalar_mul(c, scale)) for m, c in f.terms.items()]
+            right = g.terms.items()
+            rational = all(type(c) is Fraction for _, c in left) and \
+                all(type(c) is Fraction for _, c in right)
+            for (p1, l1, x1), c1 in left:
+                for (p2, l2, x2), c2 in right:
+                    m = Mono(_merge(p1, p2), _merge(l1, l2), _merge(x1, x2))
+                    c = c1 * c2 if rational else _scalar_mul(c1, c2)
+                    s = out.get(m)
+                    if s is None:
+                        if keep is not None and not keep(m):
+                            continue
+                        s = c
+                    else:
+                        s = s + c if rational and type(s) is Fraction else _scalar_add(s, c)
+                    if s:
+                        out[m] = s
+                    else:
+                        out.pop(m, None)
         return ClosedForm(out, _clean=True)
 
     __rmul__ = __mul__
@@ -418,9 +471,6 @@ class ClosedForm:
             out = out + ClosedForm({m: coeff})
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -497,9 +547,9 @@ def cf_mono(coeff, powers=None, logs=None, exps=None) -> ClosedForm:
     return ClosedForm({Mono.make(powers, logs, exps): coeff})
 
 
-def mono_exp_degree(m: Mono) -> Fraction:
+def mono_exp_degree(m: Mono) -> int | Fraction:
     """Sum of exponential multipliers of a monomial (grading for truncated specs)."""
-    return sum((e for _, e in m.exps), Fraction(0))
+    return sum(e for _, e in m.exps)
 
 
 def equal_mod_quadratic(f: ClosedForm, g: ClosedForm, variables: Iterable[str],

@@ -67,10 +67,9 @@ class FrobeniusSpec:
         return out
 
     def euler_apply(self, f: ClosedForm) -> ClosedForm:
-        out = ClosedForm.zero()
-        for beta in range(1, self.n + 1):
-            out = out + self.euler_component(beta) * f.diff(self.varnames[beta - 1])
-        return out
+        return ClosedForm.sum_of_products(
+            (1, self.euler_component(beta), f.diff(self.varnames[beta - 1]))
+            for beta in range(1, self.n + 1))
 
     def r_entry(self, s: int, alpha: int, beta: int) -> Fraction:
         mat = self.rmats.get(s)
@@ -201,13 +200,12 @@ class WDVVReport:
                 "first_failure": list(self.first_failure) if self.first_failure else None}
 
 
-def wdvv_pairing(tensors: Tensors, x: int, y: int, z: int, w: int) -> ClosedForm:
+def wdvv_pairing(tensors: Tensors, x: int, y: int, z: int, w: int,
+                 keep: Callable[[Mono], bool] | None = None) -> ClosedForm:
     """A(xy|zw) = sum_{rho sigma} c_{xy rho} eta^{rho sigma} c_{sigma zw}."""
-    n = len(tensors.eta)
-    s = ClosedForm.zero()
-    for rho in range(n):
-        s = s + tensors.c_mixed[rho][x][y] * tensors.c_low[rho][z][w]
-    return s
+    return ClosedForm.sum_of_products(
+        ((1, tensors.c_mixed[rho][x][y], tensors.c_low[rho][z][w])
+         for rho in range(len(tensors.eta))), keep)
 
 
 def wdvv_residual(tensors: Tensors, a: int, b: int, g: int, d: int) -> ClosedForm:
@@ -225,13 +223,11 @@ def check_wdvv(spec: FrobeniusSpec, tensors: Tensors | None = None) -> WDVVRepor
     checked = 0
     for quad in combinations_with_replacement(range(n), 4):
         a, b, g, d = quad
-        p1 = wdvv_pairing(t, a, b, g, d)
-        p2 = wdvv_pairing(t, a, g, b, d)
-        p3 = wdvv_pairing(t, a, d, b, g)
+        p1 = wdvv_pairing(t, a, b, g, d, keep)
+        p2 = wdvv_pairing(t, a, g, b, d, keep)
+        p3 = wdvv_pairing(t, a, d, b, g, keep)
         for other in (p2, p3):
             res = p1 - other
-            if keep is not None:
-                res = res.filter(keep)
             checked += 1
             if not res.is_zero():
                 return WDVVReport(spec.name, False, checked, tuple(i + 1 for i in quad))
@@ -259,14 +255,12 @@ def u_matrix(spec: FrobeniusSpec, tensors: Tensors | None = None):
     t = tensors or build_tensors(spec)
     n = spec.n
     comps = [spec.euler_component(beta) for beta in range(1, n + 1)]
+    keep = spec.exp_filter()
     out = []
     for a in range(n):
         row = []
         for b in range(n):
-            s = ClosedForm.zero()
-            for rho in range(n):
-                s = s + comps[rho] * t.c_mixed[a][rho][b]
-            keep = spec.exp_filter()
-            row.append(s.filter(keep) if keep else s)
+            row.append(ClosedForm.sum_of_products(
+                ((1, comps[rho], t.c_mixed[a][rho][b]) for rho in range(n)), keep))
         out.append(tuple(row))
     return tuple(out)

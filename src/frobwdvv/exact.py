@@ -7,6 +7,7 @@ square-free positive.  Products normalize via square-free factorization
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = ["Exact", "ExactZeroDivision", "sqrt_fraction", "as_exact_scalar", "scalar_is_exact"]
@@ -32,6 +33,20 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, m * n
 
 
+def _iroot(n: int, d: int) -> int:
+    """Floor of the d-th root of an integer n >= 0, in integer arithmetic."""
+    if n < 2:
+        return n
+    if d == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // d)    # 2^ceil(bits/d) is above the root
+    while True:                         # Newton steps fall monotonically to the floor
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
+
+
 def nth_root_fraction(q: Fraction, d: int) -> Fraction | None:
     """Exact rational d-th root of a rational, or None if it is irrational."""
     if d <= 0:
@@ -43,17 +58,9 @@ def nth_root_fraction(q: Fraction, d: int) -> Fraction | None:
         if d % 2 == 0:
             return None
         sign, q = -1, -q
-
-    def iroot(n: int) -> int | None:
-        r = round(n ** (1.0 / d))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** d == n:
-                return c
-        return None
-
-    a = iroot(q.numerator)
-    b = iroot(q.denominator)
-    if a is None or b is None:
+    a = _iroot(q.numerator, d)
+    b = _iroot(q.denominator, d)
+    if a ** d != q.numerator or b ** d != q.denominator:
         return None
     return Fraction(sign * a, b)
 

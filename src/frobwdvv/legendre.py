@@ -19,11 +19,16 @@ __all__ = [
     "LegendreResult", "transform", "transform_series", "transport_calibration",
     "verify_omega_transport", "verify_euler_hat", "round_trip", "verify_pointwise",
     "series_equal_mod_quadratic", "hat_tensors_series", "check_metric_transport",
-    "check_gradient_identity", "check_unity_rule", "localize_hat", "pullback",
+    "check_gradient_identity", "check_unity_rule", "pullback", "InconsistentHessianError",
     "hat_omega_from_thetas", "check_structure_transport", "check_product_identity",
 ]
 
 F = Fraction
+
+
+class InconsistentHessianError(ArithmeticError):
+    """Transported second derivatives disagree: the series data are not yet
+    accurate enough (the accuracy gate of truncated specs)."""
 
 
 @dataclass
@@ -101,7 +106,7 @@ def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
                     d = val - cand
                     bad = (abs(complex(d)) > 1e-9) if isinstance(d, (float, complex)) else bool(d)
                     if bad:
-                        raise ArithmeticError(
+                        raise InconsistentHessianError(
                             f"inconsistent Hessian data at {idx}: {val} vs {cand}")
         coeffs[idx] = val
     coeffs = {i: c for i, c in coeffs.items() if c}
@@ -139,18 +144,17 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
 
     Generator-backed truncated specs are re-materialized deep enough for the
     requested series order; the Hessian cross-consistency check acts as the
-    accuracy gate, and failing it triggers a deeper retry."""
+    accuracy gate, and failing it (only it) triggers a deeper retry."""
     if spec.exp_cutoff is not None and spec.generator is not None:
         from .specs import deepen_spec
         depth = _needed_depth(spec, center, order, m_max)
-        last_exc = None
         for attempt in range(3):
             deeper = deepen_spec(spec, depth + 6 * attempt)
             try:
                 return _transform_impl(deeper, kappa, center, order, None, m_max, None)
-            except ArithmeticError as exc:
-                last_exc = exc
-        raise last_exc
+            except InconsistentHessianError:
+                if attempt == 2:
+                    raise
     return _transform_impl(spec, kappa, center, order, cal, m_max, tensors)
 
 
@@ -238,11 +242,6 @@ def _vanishes(s: TruncSeries, tol: float = 1e-8) -> bool:
     if s.is_exact():
         return False
     return s.max_abs_coeff() < tol
-
-
-def localize_hat(result: LegendreResult, f: ClosedForm) -> TruncSeries:
-    """Expand a closed form written in hat variables at the hat center."""
-    return localize(f, result.hat_vars, result.hat_center, result.hat_potential.grading)
 
 
 def pullback(result: LegendreResult, f: ClosedForm) -> TruncSeries:
@@ -474,13 +473,9 @@ def round_trip(result: LegendreResult) -> dict:
 
 def verify_pointwise(spec: FrobeniusSpec, kappa: int, hat_potential: ClosedForm,
                      points: list, tol: float = 1e-8,
-                     hessian_offset=None, tensors: Tensors | None = None,
-                     workers: int | None = None) -> dict:
+                     hessian_offset=None, tensors: Tensors | None = None) -> dict:
     """Numeric check of the defining Hessian identity at sample points: the hat
-    Hessian of a closed-form candidate equals the straight Hessian of F.
-
-    Points are independent; `workers` (default: FROBWDVV_THREADS) caps how many
-    are verified concurrently.  Results merge in input order."""
+    Hessian of a closed-form candidate equals the straight Hessian of F."""
     t = tensors or build_tensors(spec)
     n = spec.n
     names = spec.varnames
@@ -512,18 +507,7 @@ def verify_pointwise(spec: FrobeniusSpec, kappa: int, hat_potential: ClosedForm,
                     fails.append((pt, a + 1, b + 1, err))
         return worst_pt, fails
 
-    if workers is None:
-        import os
-        try:
-            workers = max(1, int(os.environ.get("FROBWDVV_THREADS", "1")))
-        except ValueError:
-            workers = 1
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(check_point, points))
-    else:
-        results = [check_point(pt) for pt in points]
+    results = [check_point(pt) for pt in points]
     worst = max((w for w, _ in results), default=0.0)
     failures = [f for _, fs in results for f in fs]
     return {"pass": not failures, "max_residual": worst, "failures": failures[:5],

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .exact import Exact, as_exact_scalar
 
-__all__ = ["sdiv", "mat_mul", "mat_vec", "mat_inv", "mat_identity", "SingularMatrixError", "kron"]
+__all__ = ["sdiv", "mat_inv", "mat_identity", "SingularMatrixError", "kron"]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -25,30 +25,6 @@ def sdiv(a, b):
 
 def mat_identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for l in range(1, k):
-                s = s + a[i][l] * b[l][j]
-            row.append(as_exact_scalar(s))
-        out.append(row)
-    return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        s = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            s = s + x * y
-        out.append(as_exact_scalar(s))
-    return out
 
 
 def mat_inv(a):

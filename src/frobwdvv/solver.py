@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
-from .closedform import ClosedForm, Mono, cf_exp, cf_mono
+from .closedform import ClosedForm, Mono, cf_exp, cf_mono, mono_exp_degree
 from .exact import Exact, as_exact_scalar
 from .linalg import sdiv
 
@@ -29,7 +29,7 @@ __all__ = [
     "recursion_qk", "recursion_wk", "divisor_sigma", "chazy_residual_orders",
     "SlotFamily", "SlotSolution", "solve_slot_family",
     "p1xp1_family", "recursion_nkl", "p2_family", "p2_s2_hat_family",
-    "s22_family", "s21_family", "solve_ckl_and_a",
+    "s22_family", "s21_family", "solve_ckl_and_a", "solve_ckl", "solve_a21",
 ]
 
 F = Fraction
@@ -389,16 +389,14 @@ def _pair_residual(cf1, cf2, eta_inv, n, depth, depth_cap):
     Returns dict[(quad, pairing_slot, mono)] -> scalar."""
     out = {}
 
+    def keep(m):
+        return depth(m) <= depth_cap
+
     def pairing(x, y, z, w):
-        total = ClosedForm.zero()
-        for rho in range(n):
-            for sig in range(n):
-                e = eta_inv[rho][sig]
-                if not e:
-                    continue
-                total = total + (_c_get(cf1, rho, x, y) * _c_get(cf2, sig, z, w)
-                                 + _c_get(cf2, rho, x, y) * _c_get(cf1, sig, z, w)) * e
-        return total
+        return ClosedForm.sum_of_products(
+            ((e, _c_get(f1, rho, x, y), _c_get(f2, sig, z, w))
+             for rho in range(n) for sig in range(n) if (e := eta_inv[rho][sig])
+             for f1, f2 in ((cf1, cf2), (cf2, cf1))), keep)
 
     for quad in combinations_with_replacement(range(n), 4):
         a, b, g, d_ = quad
@@ -408,8 +406,6 @@ def _pair_residual(cf1, cf2, eta_inv, n, depth, depth_cap):
         for slot_id, other in ((0, p2), (1, p3)):
             res = p1 - other
             for m, c in res.terms.items():
-                if depth(m) > depth_cap:
-                    continue
                 key = (quad, slot_id, m)
                 s = out.get(key)
                 out[key] = c if s is None else s + c
@@ -618,10 +614,6 @@ def _antidiag_eta(n: int):
     return tuple(tuple(F(int(i + j == n - 1)) for j in range(n)) for i in range(n))
 
 
-def _exp_depth(m: Mono) -> Fraction:
-    return sum((e for _, e in m.exps), F(0))
-
-
 def p1xp1_family(max_level: int) -> SlotFamily:
     """Quadric-surface curve counts: cubic part plus one slot per bidegree."""
     v1, v2, v3, v4 = "v1", "v2", "v3", "v4"
@@ -644,7 +636,7 @@ def p1xp1_family(max_level: int) -> SlotFamily:
         eta=_antidiag_eta(4),
         fixed=fixed,
         slot_gen=gen,
-        depth=_exp_depth,
+        depth=mono_exp_degree,
         excluded_min_depth=lambda L: F(L + 1),
         seeds={("N", 0, 1): F(1), ("N", 1, 0): F(1)},
     )
@@ -676,7 +668,7 @@ def p2_family(max_level: int) -> SlotFamily:
         eta=_antidiag_eta(3),
         fixed=fixed,
         slot_gen=gen,
-        depth=_exp_depth,
+        depth=mono_exp_degree,
         excluded_min_depth=lambda L: F(L + 1),
         seeds={("N", 1): F(1)},
     )
@@ -783,17 +775,19 @@ def s21_family() -> SlotFamily:
 def solve_ckl_and_a(max_ckl_level: int = 8, max_a_level: int = 19) -> dict:
     """Solve both hat-ansatz coefficient families and audit the conjectured
     vanishing/positivity patterns (reported, never enforced)."""
-    out: dict = {}
+    return {"ckl": solve_ckl(max_ckl_level), "a": solve_a21(max_a_level)}
 
-    incl = max_ckl_level + 2
-    sol = solve_slot_family(s22_family(), incl, max_ckl_level)
+
+def solve_ckl(max_level: int = 8) -> RecursionOutput:
+    """c_{k,l} of the (2,2)-direction hat ansatz for k + l <= max_level."""
+    sol = solve_slot_family(s22_family(), max_level + 2, max_level)
     ckl = {}
     pattern_ok = True
     for key, v in sol.values.items():
         if key[0] != "C" or key in sol.undetermined:
             continue
         _, k, l = key
-        if k + l > max_ckl_level:
+        if k + l > max_level:
             continue
         s = k + l
         expected_zero = (s % 3 != 2) or (2 * k < l + 1) or (2 * l < k + 1)
@@ -807,11 +801,18 @@ def solve_ckl_and_a(max_ckl_level: int = 8, max_a_level: int = 19) -> dict:
         elif v != 0:
             ckl[(k, l)] = v
             pattern_ok = False
-    out["ckl"] = RecursionOutput("ckl", sorted(ckl.items()),
-                                 {"pattern_as_expected": pattern_ok})
+    return RecursionOutput("ckl", sorted(ckl.items()), {"pattern_as_expected": pattern_ok})
 
-    sol_a = solve_slot_family(s21_family(), max_a_level, max_a_level)
-    avals = {(key[1], key[2]): v for key, v in sol_a.values.items() if key[0] == "a"}
+
+def solve_a21(max_level: int = 19) -> RecursionOutput:
+    """a_{m1,m2} of the (2,1)-direction hat ansatz for m1 + 4 m2 <= max_level.
+
+    Slots are included up to the next level that is 3 mod 4: a bound such as 9
+    leaves a_{1,2} undetermined until level 11 is in the ansatz (checked
+    against a level-22 solve for every bound up to 19)."""
+    sol_a = solve_slot_family(s21_family(), max_level + (3 - max_level) % 4, max_level)
+    avals = {(key[1], key[2]): v for key, v in sol_a.values.items()
+             if key[0] == "a" and key[1] + 4 * key[2] <= max_level}
     exceptions = []
     for (m1, m2), v in avals.items():
         if m1 % 2 == 0 and v != 0:
@@ -824,7 +825,6 @@ def solve_ckl_and_a(max_ckl_level: int = 8, max_a_level: int = 19) -> dict:
             if 1 <= m2 <= k and (scaled.denominator != 1 or scaled <= 0):
                 exceptions.append((m1, m2))
     # the seed term lies outside the conjectured window; report it, don't fail it
-    out["a"] = RecursionOutput("a21", sorted(avals.items()),
-                               {"pattern_as_expected": exceptions in ([], [(1, 1)]),
-                                "pattern_exceptions": sorted(exceptions)})
-    return out
+    return RecursionOutput("a21", sorted(avals.items()),
+                           {"pattern_as_expected": exceptions in ([], [(1, 1)]),
+                            "pattern_exceptions": sorted(exceptions)})

@@ -109,3 +109,22 @@ def test_csv_quotes_tuple_indices(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[1].startswith('"(0, 1)",')
+
+
+def test_recursion_max_bounds_ckl_and_a21(capsys):
+    code, out = run(capsys, "recursion", "ckl", "--max", "4")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["max"] == 4
+    keys = [tuple(int(x) for x in k.strip("()").split(",")) for k, _ in rep["table"]]
+    assert keys and all(k + l <= 4 for k, l in keys)
+    assert ["(1, 1)", "1"] in rep["table"] and ["(2, 3)", "2"] not in rep["table"]
+
+    code, out = run(capsys, "recursion", "a21", "--max", "9")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["max"] == 9
+    keys = [tuple(int(x) for x in k.strip("()").split(",")) for k, _ in rep["table"]]
+    assert sorted(keys) == [(1, 1), (1, 2), (2, 1), (3, 1), (4, 1), (5, 1)]
+    assert ["(5, 1)", "1/120"] in rep["table"]
+    assert main(["recursion", "ckl", "--max", "0"]) == 2

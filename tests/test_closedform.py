@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobwdvv.closedform import (
-    BranchPointError, ClosedForm, NotIntegrableError,
-    cf_const, cf_exp, cf_log, cf_mono, cf_var, equal_mod_quadratic,
+    BranchPointError, ClosedForm, Mono, NotIntegrableError,
+    cf_const, cf_exp, cf_log, cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
 )
 from frobwdvv.exact import Exact
 
@@ -137,3 +137,89 @@ def test_derivative_matches_finite_difference(f):
         fd = (f.evaluate(up) - f.evaluate(dn)) / (2 * h)
         ex = f.diff(var).evaluate(pt)
         assert abs(fd - ex) <= 1e-6 * (1 + abs(ex))
+
+
+# -- the fused product kernel -------------------------------------------------
+
+radicals = st.sampled_from([Exact.sqrt(2), Exact.sqrt(3) + 1, Exact.rational(F(1, 3))])
+
+
+@st.composite
+def coeffs(draw):
+    q = draw(small_rats.filter(bool))
+    return q * draw(radicals) if draw(st.booleans()) else q
+
+
+@st.composite
+def kernel_forms(draw):
+    """Forms with Fraction and Exact coefficients, integral and rational
+    exponents, logs and exponentials."""
+    f = ClosedForm.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        powers = {draw(names): draw(st.fractions(min_value=-2, max_value=3, max_denominator=2))}
+        logs = {draw(names): draw(st.integers(0, 2))}
+        exps = {draw(names): draw(st.fractions(min_value=-1, max_value=3, max_denominator=2))}
+        f = f + cf_mono(draw(coeffs()), powers, logs, exps)
+    return f
+
+
+def reference_product(f, g):
+    """Term-by-term product through dicts and Mono.make, independent of the kernel."""
+    def add(a, b):
+        out = dict(a)
+        for v, e in b:
+            out[v] = out.get(v, 0) + e
+        return out
+
+    out = ClosedForm.zero()
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = Mono.make(add(m1.powers, m2.powers), add(m1.logs, m2.logs),
+                          add(m1.exps, m2.exps))
+            out = out + ClosedForm({m: c1 * c2})
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(small_rats, kernel_forms(), kernel_forms()), max_size=4),
+       st.sampled_from([None, F(0), F(1), F(3, 2)]))
+def test_sum_of_products_equals_filtered_sum(triples, cut):
+    keep = None if cut is None else (lambda m: mono_exp_degree(m) <= cut)
+    want = ClosedForm.zero()
+    for scale, f, g in triples:
+        want = want + reference_product(f, g) * scale
+    if keep is not None:
+        want = want.filter(keep)
+    got = ClosedForm.sum_of_products(triples, keep)
+    assert got.terms == want.terms
+    assert {m: type(c) for m, c in got.terms.items()} == \
+        {m: type(c) for m, c in want.terms.items()}
+    # cancelling terms leave no zero coefficients behind
+    assert not ClosedForm.sum_of_products(triples + [(-s, f, g) for s, f, g in triples],
+                                          keep).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(names, st.integers(-4, 4)), st.dictionaries(names, st.integers(0, 3)),
+       st.dictionaries(names, st.integers(-3, 3)))
+def test_mono_integral_fraction_exponents_are_ints(powers, logs, exps):
+    m_int = Mono.make(powers, logs, exps)
+    m_frac = Mono.make({v: F(e) for v, e in powers.items()}, logs,
+                       {v: F(e) for v, e in exps.items()})
+    assert m_int == m_frac and hash(m_int) == hash(m_frac)
+    assert all(type(e) is int for _, e in m_frac.powers + m_frac.exps)
+    f_int, f_frac = ClosedForm({m_int: F(2, 3)}), ClosedForm({m_frac: F(2, 3)})
+    assert f_int.to_json_obj() == f_frac.to_json_obj() and repr(f_int) == repr(f_frac)
+    # products normalise exponents that sum to an integer as well
+    half = ClosedForm({Mono.make({v: F(1, 2) for v in powers}, None,
+                                 {v: F(1, 2) for v in exps}): F(1)})
+    (square,) = (half * half).terms
+    assert all(type(e) is int for _, e in square.powers + square.exps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_forms(), kernel_forms())
+def test_product_evaluates_to_product_of_values(f, g):
+    pt = {"x": 0.7 + 0.31j, "y": 1.3 - 0.2j}
+    want = f.evaluate(pt) * g.evaluate(pt)
+    assert abs((f * g).evaluate(pt) - want) <= 1e-9 * (1 + abs(want))

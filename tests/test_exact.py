@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from frobwdvv.exact import Exact, ExactZeroDivision, sqrt_fraction, as_exact_scalar
+from frobwdvv.exact import (
+    Exact, ExactZeroDivision, as_exact_scalar, nth_root_fraction, sqrt_fraction,
+)
 
 
 def test_sqrt_normalizes_square_free():
@@ -64,3 +66,23 @@ def test_ring_laws(a, b, c):
 def test_field_inverse(a):
     if a:
         assert a * a.inverse() == Exact.rational(1)
+
+
+def test_nth_root_of_huge_perfect_powers():
+    assert nth_root_fraction(Fraction((10**20 + 1) ** 3), 3) == 10**20 + 1
+    assert nth_root_fraction(Fraction(10**400), 2) == 10**200
+    assert nth_root_fraction(Fraction(10**400 + 1), 2) is None
+    assert nth_root_fraction(Fraction(3**90, 7**60), 30) == Fraction(27, 49)
+
+
+def test_nth_root_of_negatives():
+    assert nth_root_fraction(Fraction(-27, 8), 3) == Fraction(-3, 2)
+    assert nth_root_fraction(Fraction(-(10**20 + 1) ** 5), 5) == -(10**20 + 1)
+    assert nth_root_fraction(Fraction(-4), 2) is None
+    assert nth_root_fraction(Fraction(-2), 3) is None
+
+
+@given(st.fractions(max_denominator=10**30).filter(lambda q: abs(q) < 10**30),
+       st.integers(1, 9))
+def test_nth_root_inverts_power(q, d):
+    assert nth_root_fraction(q ** d, d) == (abs(q) if d % 2 == 0 else q)

@@ -1,0 +1,18 @@
+"""Byte identity of the exact CLI reports against the stored golden files."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regen", pathlib.Path(__file__).parent / "golden" / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+
+@pytest.mark.parametrize("argv", regen.COMMANDS, ids=regen.golden_name)
+def test_golden_report(argv):
+    code, text = regen.render(argv)
+    assert code == 0
+    assert text == (regen.GOLDEN_DIR / regen.golden_name(argv)).read_text()

@@ -134,6 +134,23 @@ def test_singular_direction_raises():
         transform(spec, 2, (F(0), F(0)), 4, m_max=3)
 
 
+def test_singular_jacobian_is_not_retried(monkeypatch):
+    # only the Hessian accuracy gate earns a deeper retry; a singular Jacobian
+    # is deterministic and must surface after one materialization
+    import frobwdvv.specs as specs
+    calls = []
+    deepen = specs.deepen_spec
+
+    def counting(spec, degree):
+        calls.append(degree)
+        return deepen(spec, degree)
+
+    monkeypatch.setattr(specs, "deepen_spec", counting)
+    with pytest.raises(SingularJacobianError):
+        transform(load_spec("ccc_a111"), 2, (F(0), F(0), F(0)), 4, m_max=2)
+    assert len(calls) == 1
+
+
 def test_pointwise_p1():
     spec = load_spec("p1")
     cand = (cf_mono(F(1, 2), {"h1": 1, "h2": 2}) + cf_mono(F(1, 2), {"h1": 2}, {"h1": 1})
