@@ -53,16 +53,20 @@ class LegendreResult:
         return [self.table.entry(a, 0, self.kappa, 0) for a in range(1, self.spec.n + 1)]
 
     def hat_upper_forms(self) -> list[ClosedForm]:
-        low = self.hat_lower_forms()
-        t = self.tensors
-        out = []
-        for a in range(self.spec.n):
-            s = ClosedForm.zero()
-            for b in range(self.spec.n):
-                if t.eta_inv[a][b]:
-                    s = s + low[b] * t.eta_inv[a][b]
-            out.append(s)
-        return out
+        return _raise_index(self.hat_lower_forms(), self.tensors.eta_inv)
+
+
+def _raise_index(low: list, eta_inv) -> list:
+    """Upper components eta^{ab} low_b of lowered ones; the entries are
+    ClosedForms or TruncSeries."""
+    out = []
+    for row in eta_inv:
+        s = low[0] * 0      # zero in the entries' own type and frame
+        for b, e in enumerate(row):
+            if e:
+                s = s + low[b] * e
+        out.append(s)
+    return out
 
 
 def _hessian_series(f: TruncSeries, varnames) -> list:
@@ -74,7 +78,6 @@ def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
     mixed-derivative consistency of the input."""
     n = len(vars)
     coeffs = {}
-    degree_cap = grading.order
     # collect candidate indices from all entries
     for a in range(n):
         for b in range(n):
@@ -82,7 +85,7 @@ def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
                 target = list(idx)
                 target[a] += 1
                 target[b] += 1
-                if grading.wdeg(tuple(target)) > degree_cap:
+                if grading.degree(target) > grading.cutoff:
                     continue
                 coeffs.setdefault(tuple(target), None)
     for idx in list(coeffs):
@@ -119,15 +122,7 @@ def transform_series(fhat_source: TruncSeries, eta, eta_inv, kappa: int):
     vars = fhat_source.vars
     n = len(vars)
     w = _hessian_series(fhat_source, vars)
-    low = [w[kappa - 1][a] for a in range(n)]
-    upper = []
-    for a in range(n):
-        s = TruncSeries(vars, fhat_source.center, {}, fhat_source.grading, _clean=True)
-        for b in range(n):
-            if eta_inv[a][b]:
-                s = s + low[b] * eta_inv[a][b]
-        upper.append(s)
-    hat_map = SeriesMap(tuple(upper))
+    hat_map = SeriesMap(tuple(_raise_index(w[kappa - 1], eta_inv)))
     inv = invert_map(hat_map)
     hat_vars = inv.components[0].vars
     hat_center = hat_map.target_center()
@@ -202,14 +197,7 @@ def _transform_impl(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
     grading = Grading.total_degree(n, order)
 
     low_forms = [table.entry(a, 0, kappa, 0) for a in range(1, n + 1)]
-    upper_forms = []
-    for a in range(n):
-        s = ClosedForm.zero()
-        for b in range(n):
-            if t.eta_inv[a][b]:
-                s = s + low_forms[b] * t.eta_inv[a][b]
-        upper_forms.append(s)
-
+    upper_forms = _raise_index(low_forms, t.eta_inv)
     comps = tuple(localize(f, spec.varnames, center, grading) for f in upper_forms)
     hat_map = SeriesMap(comps)
     inverse = invert_map(hat_map)   # raises SingularJacobianError if not invertible

@@ -2,14 +2,18 @@
 
 Coefficients are exact (Fraction/Exact) or numeric (float/complex); a series
 is stored in the local offsets x_i = v_i - center_i.  Truncation is by
-weighted degree, and arithmetic treats the cutoff as an ideal.
+weighted degree, and arithmetic treats the cutoff as an ideal.  Every degree
+test runs on integers: weights and cutoff are scaled once per grading to the
+weights' common denominator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import add, mul
 
 from .closedform import ClosedForm, NeedsFloatError
 from .exact import Exact, as_exact_scalar, scalar_is_exact, sqrt_fraction
@@ -43,15 +47,32 @@ class Grading:
     def total_degree(nvars: int, order) -> "Grading":
         return Grading(tuple([Fraction(1)] * nvars), Fraction(order))
 
-    def wdeg(self, idx: tuple[int, ...]) -> Fraction:
-        return sum((w * k for w, k in zip(self.weights, idx)), Fraction(0))
+    @cached_property
+    def scale(self) -> int:
+        """Common denominator of the weights: every weighted degree is an
+        integer multiple of 1/scale."""
+        return math.lcm(*(w.denominator for w in self.weights))
+
+    @cached_property
+    def int_weights(self) -> tuple[int, ...]:
+        return tuple(int(w * self.scale) for w in self.weights)
+
+    @cached_property
+    def cutoff(self) -> int:
+        """Largest kept integer degree: floor(order * scale)."""
+        return math.floor(Fraction(self.order) * self.scale)
+
+    def degree(self, idx) -> int:
+        """Weighted degree of an exponent tuple, times scale."""
+        return sum(map(mul, self.int_weights, idx))
 
     def is_uniform(self) -> bool:
         return all(w == self.weights[0] for w in self.weights)
 
 
 class TruncSeries:
-    """Series sum_idx c_idx * prod (v_i - center_i)^{idx_i}, wdeg(idx) <= order."""
+    """Series sum_idx c_idx * prod (v_i - center_i)^{idx_i} over idx of weighted
+    degree <= order."""
 
     __slots__ = ("vars", "center", "coeffs", "grading")
 
@@ -64,8 +85,9 @@ class TruncSeries:
             object.__setattr__(self, "coeffs", coeffs)
             return
         clean = {}
+        iw, cut = grading.int_weights, grading.cutoff
         for idx, c in coeffs.items():
-            if grading.wdeg(idx) <= grading.order:
+            if sum(map(mul, iw, idx)) <= cut:
                 c = as_exact_scalar(c)
                 if c:
                     clean[idx] = c
@@ -108,13 +130,7 @@ class TruncSeries:
         if not self.same_frame(other):
             raise CenterMismatchError("series frames differ")
         out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            s = out.get(idx, Fraction(0)) + c
-            s = as_exact_scalar(s) if not isinstance(s, (float, complex)) else s
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
+        _add_into(out, other.coeffs)
         return TruncSeries(self.vars, self.center, out, self.grading, _clean=True)
 
     __radd__ = __add__
@@ -144,21 +160,29 @@ class TruncSeries:
             return NotImplemented
         if not self.same_frame(other):
             raise CenterMismatchError("series frames differ")
-        g = self.grading
+        iw, cut = self.grading.int_weights, self.grading.cutoff
+        # right factor's terms by degree: a left term of degree d pairs only
+        # with the buckets of degree <= cut - d
+        buckets: dict[int, list] = {}
+        for i2, c2 in other.coeffs.items():
+            buckets.setdefault(sum(map(mul, iw, i2)), []).append((i2, c2))
+        degrees = sorted(buckets)
         out: dict = {}
         for i1, c1 in self.coeffs.items():
-            w1 = g.wdeg(i1)
-            for i2, c2 in other.coeffs.items():
-                if w1 + g.wdeg(i2) > g.order:
-                    continue
-                idx = tuple(a + b for a, b in zip(i1, i2))
-                s = out.get(idx, Fraction(0)) + c1 * c2
-                if isinstance(s, Exact):
-                    s = as_exact_scalar(s)
-                if s:
-                    out[idx] = s
-                else:
-                    out.pop(idx, None)
+            room = cut - sum(map(mul, iw, i1))
+            for d in degrees:
+                if d > room:
+                    break
+                for i2, c2 in buckets[d]:
+                    idx = tuple(map(add, i1, i2))
+                    prev = out.get(idx)
+                    s = c1 * c2 if prev is None else prev + c1 * c2
+                    if isinstance(s, Exact):
+                        s = as_exact_scalar(s)
+                    if s:
+                        out[idx] = s
+                    elif prev is not None:
+                        del out[idx]
         return TruncSeries(self.vars, self.center, out, self.grading, _clean=True)
 
     __rmul__ = __mul__
@@ -194,12 +218,15 @@ class TruncSeries:
 
     def drop_low_degree(self, below) -> "TruncSeries":
         """Remove terms of weighted degree < below (e.g. modulo-quadratic compares)."""
-        out = {i: c for i, c in self.coeffs.items() if self.grading.wdeg(i) >= below}
+        g = self.grading
+        lo = math.ceil(Fraction(below) * g.scale)
+        out = {i: c for i, c in self.coeffs.items() if g.degree(i) >= lo}
         return TruncSeries(self.vars, self.center, out, self.grading, _clean=True)
 
     def homogeneous_part(self, deg) -> "TruncSeries":
-        deg = Fraction(deg)
-        out = {i: c for i, c in self.coeffs.items() if self.grading.wdeg(i) == deg}
+        g = self.grading
+        k = Fraction(deg) * g.scale
+        out = {i: c for i, c in self.coeffs.items() if g.degree(i) == k}
         return TruncSeries(self.vars, self.center, out, self.grading, _clean=True)
 
     def max_abs_coeff(self) -> float:
@@ -237,10 +264,25 @@ class TruncSeries:
         return " + ".join(parts) if parts else "0"
 
 
+def _add_into(out: dict, coeffs: dict) -> None:
+    """Add a coefficient dict into `out` in place, dropping zeros."""
+    for idx, c in coeffs.items():
+        s = out.get(idx, Fraction(0)) + c
+        s = as_exact_scalar(s) if not isinstance(s, (float, complex)) else s
+        if s:
+            out[idx] = s
+        else:
+            out.pop(idx, None)
+
+
 @dataclass(frozen=True)
 class SeriesMap:
-    """Component series share source frame; constant terms are the target center."""
+    """Component series share source frame; constant terms are the target center.
+
+    Powers of the offsets (component minus constant term) are kept in a table
+    that lives as long as the map, so every `compose` against it reuses them."""
     components: tuple[TruncSeries, ...]
+    _powers: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def source_vars(self):
@@ -262,6 +304,15 @@ class SeriesMap:
             jac.append(row)
         return jac
 
+    def offset_power(self, i: int, k: int) -> TruncSeries:
+        """(component_i - its constant term)^k for k >= 1."""
+        if not self._powers:
+            self._powers.extend([c - c.constant_term()] for c in self.components)
+        row = self._powers[i]
+        while len(row) < k:
+            row.append(row[-1] * row[0])
+        return row[k - 1]
+
 
 def compose(f: TruncSeries, m: SeriesMap) -> TruncSeries:
     """f after m; m's constant terms must match f's center."""
@@ -275,26 +326,17 @@ def compose(f: TruncSeries, m: SeriesMap) -> TruncSeries:
         elif d:
             raise CenterMismatchError("map constant terms do not hit f's center")
     frame = m.components[0]
-    offsets = [comp - comp.constant_term() for comp in m.components]
-    zero = tuple([0] * f.nvars)
-    # cache powers of each offset
-    pow_cache: list[dict[int, TruncSeries]] = [dict() for _ in offsets]
-
-    def offset_pow(i: int, k: int) -> TruncSeries:
-        if k == 0:
-            return TruncSeries.constant(Fraction(1), frame.vars, frame.center, frame.grading)
-        if k not in pow_cache[i]:
-            pow_cache[i][k] = offset_pow(i, k - 1) * offsets[i]
-        return pow_cache[i][k]
-
-    total = TruncSeries(frame.vars, frame.center, {}, frame.grading, _clean=True)
+    out: dict = {}
     for idx, c in sorted(f.coeffs.items()):
-        term = TruncSeries.constant(c, frame.vars, frame.center, frame.grading)
+        term = None
         for i, k in enumerate(idx):
             if k:
-                term = term * offset_pow(i, k)
-        total = total + term
-    return total
+                p = m.offset_power(i, k)
+                term = p * c if term is None else term * p
+        if term is None:
+            term = TruncSeries.constant(c, frame.vars, frame.center, frame.grading)
+        _add_into(out, term.coeffs)
+    return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
 
 
 def invert_map(m: SeriesMap) -> SeriesMap:
@@ -328,17 +370,19 @@ def invert_map(m: SeriesMap) -> SeriesMap:
     def y_offset(i):
         return TruncSeries.coordinate(i, tgt_vars, tgt_center, tgt_grading)
 
-    # linear seed: x = center_x + Jinv (y - y0)
-    comps = []
+    # linear seed x = center_x + Jinv (y - y0); each degree's correction is
+    # composed against it too
+    lin_comps = []
     for i in range(n):
         s = TruncSeries.constant(frame.center[i], tgt_vars, tgt_center, tgt_grading)
         for j in range(n):
             if jinv[i][j]:
                 s = s + y_offset(j) * jinv[i][j]
-        comps.append(s)
+        lin_comps.append(s)
+    lin_map = SeriesMap(tuple(lin_comps))
+    comps = list(lin_comps)
 
-    # strip of m: m~ = m - center as series, for composition into candidate inverse
-    max_deg = int(math.floor(float(g.order / g.weights[0])))
+    max_deg = g.cutoff // g.int_weights[0]
     for deg in range(2, max_deg + 1):
         # e = (inv o m) - id, in source frame
         err = []
@@ -350,14 +394,6 @@ def invert_map(m: SeriesMap) -> SeriesMap:
         if all(e.is_zero() for e in err):
             continue
         # correction: P_deg(y) = -err_deg composed with Jinv*(y - y0)
-        lin_comps = []
-        for i in range(n):
-            s = TruncSeries.constant(frame.center[i], tgt_vars, tgt_center, tgt_grading)
-            for j in range(n):
-                if jinv[i][j]:
-                    s = s + y_offset(j) * jinv[i][j]
-            lin_comps.append(s)
-        lin_map = SeriesMap(tuple(lin_comps))
         for i in range(n):
             if not err[i].is_zero():
                 comps[i] = comps[i] - compose(err[i], lin_map)
@@ -372,7 +408,7 @@ def series_reciprocal(f: TruncSeries) -> TruncSeries:
     g = f * inv0 - 1
     out = TruncSeries.constant(Fraction(1), f.vars, f.center, f.grading)
     term = TruncSeries.constant(Fraction(1), f.vars, f.center, f.grading)
-    max_pow = int(math.floor(float(f.grading.order / min(f.grading.weights)))) + 1
+    max_pow = f.grading.cutoff // min(f.grading.int_weights) + 1
     for _ in range(max_pow):
         term = term * g * Fraction(-1)
         if term.is_zero():
@@ -413,7 +449,7 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple, grading: Gradi
     """
     import cmath
     cmap = dict(zip(vars, center))
-    nmax = {v: int(math.floor(float(grading.order / w))) for v, w in zip(vars, grading.weights)}
+    nmax = {v: grading.cutoff // w for v, w in zip(vars, grading.int_weights)}
     total = TruncSeries(vars, center, {}, grading, _clean=True)
 
     def const_series(value):

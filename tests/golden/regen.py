@@ -1,9 +1,11 @@
-"""Golden reports of the exact CLI commands.
+"""Golden reports of the exact CLI commands and of exact series outputs.
 
 Each entry of COMMANDS is one `frobwdvv` invocation whose JSON report is
 deterministic byte for byte; `tests/test_golden.py` re-runs it and compares
-the bytes with the stored file.  Regenerate the files (only when a report is
-meant to change) with
+the bytes with the stored file.  The CLI's `legendre` report carries only
+pass flags, so each entry of SERIES is one Legendre transform whose hat
+potential and inverse-map components are stored coefficient by coefficient.
+Regenerate the files (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -12,8 +14,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
+from fractions import Fraction
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
@@ -38,6 +42,20 @@ COMMANDS = [
 ]
 
 
+# (spec, spec parameters, kappa, center, order): the fractional order
+# exercises the floor of the cutoff; the a2 series are rational (the sqrt(6)
+# of its printed hat potential cancels at h1 = 3/2), and twodim m = 7/2 at
+# v2 = 2 carries sqrt(2) coefficients
+SERIES = [
+    ("p1", None, 2, ("0", "0"), "8"),
+    ("p1", None, 2, ("0", "0"), "15/2"),
+    ("a2", None, 2, ("0", "3"), "10"),
+    ("nls", None, 1, ("1", "0"), "8"),
+    ("p1orb", None, 2, ("0", "0", "0"), "6"),
+    ("twodim", {"m": "7/2", "c": "1"}, 2, ("0", "2"), "8"),
+]
+
+
 def golden_name(argv: list[str]) -> str:
     return "_".join(a.lstrip("-") for a in argv) + ".json"
 
@@ -51,6 +69,25 @@ def render(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def series_name(entry: tuple) -> str:
+    spec, params, kappa, center, order = entry
+    tag = "".join(f"_{k}_{v}" for k, v in sorted((params or {}).items()))
+    return (f"series_{spec}{tag}_kappa_{kappa}_at_{'_'.join(center)}"
+            f"_order_{order}.json").replace("/", "over")
+
+
+def render_series(entry: tuple) -> str:
+    """Hat potential and inverse map of one transform, as series JSON."""
+    from frobwdvv.legendre import transform
+    from frobwdvv.specs import load_spec
+    spec, params, kappa, center, order = entry
+    res = transform(load_spec(spec, params), kappa, tuple(Fraction(c) for c in center),
+                    Fraction(order))
+    obj = {"hat_potential": res.hat_potential.to_json_obj(),
+           "inverse_map": [c.to_json_obj() for c in res.inverse_map.components]}
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
 def main() -> int:
     for argv in COMMANDS:
         code, text = render(argv)
@@ -59,6 +96,9 @@ def main() -> int:
             return 1
         (GOLDEN_DIR / golden_name(argv)).write_text(text)
         print(f"wrote {golden_name(argv)}")
+    for entry in SERIES:
+        (GOLDEN_DIR / series_name(entry)).write_text(render_series(entry))
+        print(f"wrote {series_name(entry)}")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Byte identity of the exact CLI reports against the stored golden files."""
+"""Byte identity of the exact CLI reports and series outputs against the stored
+golden files."""
 
 import importlib.util
 import pathlib
@@ -16,3 +17,8 @@ def test_golden_report(argv):
     code, text = regen.render(argv)
     assert code == 0
     assert text == (regen.GOLDEN_DIR / regen.golden_name(argv)).read_text()
+
+
+@pytest.mark.parametrize("entry", regen.SERIES, ids=regen.series_name)
+def test_golden_series(entry):
+    assert regen.render_series(entry) == (regen.GOLDEN_DIR / regen.series_name(entry)).read_text()

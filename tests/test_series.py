@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobwdvv.closedform import cf_exp, cf_log, cf_mono, cf_var
+from frobwdvv.exact import Exact, as_exact_scalar
 from frobwdvv.series import (
     CenterMismatchError, Grading, SeriesMap, SingularCenterError, SingularJacobianError,
     TruncSeries, compose, invert_map, localize, series_reciprocal,
@@ -132,7 +134,7 @@ def test_truncation_is_an_ideal():
     f = 1 + x + x ** 5
     h = x ** 3 + x ** 2
     full = f * h
-    assert all(gr.wdeg(i) <= 5 for i in full.coeffs)
+    assert all(sum(i) <= 5 for i in full.coeffs)  # unit weights: degree = sum
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,3 +184,153 @@ def test_series_json_emission():
     assert obj["center"] == ["0", "1"]
     assert obj["grading"]["order"] == "3"
     assert [[1, 0], "2"] in obj["coeffs"] and [[0, 2], "-1/3"] in obj["coeffs"]
+
+
+# -- the integer-graded product kernel against a term-by-term reference -------
+
+def _fdeg(gr, idx):
+    return sum((w * k for w, k in zip(gr.weights, idx)), F(0))
+
+
+def _reference_product(a, b):
+    """Every pair formed, summed, then cut with Fraction weighted degrees."""
+    out = {}
+    for i1, c1 in a.coeffs.items():
+        for i2, c2 in b.coeffs.items():
+            idx = tuple(x + y for x, y in zip(i1, i2))
+            out[idx] = out.get(idx, 0) + c1 * c2
+    return {i: as_exact_scalar(c) for i, c in out.items()
+            if c and _fdeg(a.grading, i) <= a.grading.order}
+
+
+def _typed(coeffs):
+    return {i: (type(c), c) for i, c in coeffs.items()}
+
+
+weights = st.sampled_from([F(1), F(1, 2), F(3, 2), F(1, 3), F(2, 3), F(2)])
+small_ints = st.sampled_from([1, -1, 2, -2, 3])
+
+
+@st.composite
+def scalars(draw, kind):
+    if kind == "fraction":
+        return draw(st.one_of(small_ints.map(F),
+                              st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+    if kind == "exact":
+        q = [draw(st.fractions(min_value=-2, max_value=2, max_denominator=3)) for _ in range(3)]
+        return as_exact_scalar(q[0] + Exact.sqrt(2) * q[1] + Exact.sqrt(6) * q[2])
+    # small integer parts make float cancellations happen too
+    return complex(draw(small_ints), draw(st.sampled_from([0, 1, -1, 0.5])))
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 3))
+    gr = Grading(tuple(draw(weights) for _ in range(n)),
+                 draw(st.fractions(min_value=0, max_value=4, max_denominator=3)))
+    kind = draw(st.sampled_from(["fraction", "exact", "complex"]))
+    vars, center = tuple("xyz"[:n]), tuple([F(0)] * n)
+    idx = st.tuples(*[st.integers(0, 4)] * n)
+    raw = [draw(st.dictionaries(idx, scalars(kind), max_size=7)) for _ in range(2)]
+    return [(TruncSeries(vars, center, r, gr), r) for r in raw]
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs())
+def test_product_matches_pairwise_reference(pair):
+    (a, raw_a), (b, _) = pair
+    gr = a.grading
+    kept = {i: as_exact_scalar(c) for i, c in raw_a.items() if c and _fdeg(gr, i) <= gr.order}
+    assert _typed(a.coeffs) == _typed(kept)
+    assert _typed((a * b).coeffs) == _typed(_reference_product(a, b))
+    # cancellation: a*b - b*a is zero, and (a + b)(a - b) = a^2 - b^2
+    assert (a * b - b * a).is_zero()
+    if a.is_exact():
+        assert _typed(((a + b) * (a - b)).coeffs) == _typed((a * a - b * b).coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pairs(), st.fractions(min_value=0, max_value=4, max_denominator=3))
+def test_degree_filters_match_fraction_degrees(pair, deg):
+    (a, _), _ = pair
+    gr = a.grading
+    assert a.drop_low_degree(deg).coeffs == {
+        i: c for i, c in a.coeffs.items() if _fdeg(gr, i) >= deg}
+    assert a.homogeneous_part(deg).coeffs == {
+        i: c for i, c in a.coeffs.items() if _fdeg(gr, i) == deg}
+    assert a.truncate(deg).coeffs == {i: c for i, c in a.coeffs.items() if _fdeg(gr, i) <= deg}
+
+
+def test_integer_grading_floors_a_fractional_cutoff():
+    gr = Grading((F(1, 2), F(3, 2)), F(7, 3))
+    assert (gr.scale, gr.int_weights, gr.cutoff) == (2, (1, 3), 4)
+    x = TruncSeries.coordinate(0, ("x", "y"), (F(0), F(0)), gr)
+    y = TruncSeries.coordinate(1, ("x", "y"), (F(0), F(0)), gr)
+    # x^4 (degree 2) and x y (degree 2) stay, x^5 and y^2 (degree 5/2, 3) go
+    assert (x ** 5 + x ** 4 + x * y + y * y).coeffs == {(4, 0): F(1), (1, 1): F(1)}
+    # (sqrt2 x + y)(sqrt2 x - y) = 2 x^2 - y^2: the x y terms cancel, y^2 is
+    # past the cutoff, and sqrt2 * sqrt2 comes back as a Fraction
+    r2 = Exact.sqrt(2)
+    assert _typed(((x * r2 + y) * (x * r2 - y)).coeffs) == {(2, 0): (F, F(2))}
+
+
+# -- inversion and the per-map power table -----------------------------------
+
+@st.composite
+def invertible_maps(draw):
+    n = draw(st.integers(2, 3))
+    w = draw(st.sampled_from([F(1), F(1, 2)]))
+    gr = Grading(tuple([w] * n), draw(st.sampled_from([F(3), F(4), F(7, 2)])) * w)
+    src = tuple(draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+                for _ in range(n))
+    tgt = [draw(st.fractions(min_value=-2, max_value=2, max_denominator=3)) for _ in range(n)]
+    jac = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    assume(round(np.linalg.det(np.array(jac, dtype=float))) != 0)
+    vars = tuple("abc"[:n])
+    x = [TruncSeries.coordinate(i, vars, src, gr) for i in range(n)]
+    comps = []
+    for i in range(n):
+        s = TruncSeries.constant(tgt[i], vars, src, gr)
+        for j in range(n):
+            s = s + x[j] * jac[i][j]
+        for _ in range(draw(st.integers(0, 3))):
+            mono = TruncSeries.constant(draw(st.fractions(min_value=-1, max_value=1,
+                                                          max_denominator=3)), vars, src, gr)
+            for _ in range(draw(st.integers(2, 3))):
+                mono = mono * x[draw(st.integers(0, n - 1))]
+            s = s + mono
+        comps.append(s)
+    return SeriesMap(tuple(comps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(invertible_maps())
+def test_inverse_composes_to_identity(m):
+    inv = invert_map(m)
+    frame = m.components[0]
+    for i in range(len(m.components)):
+        want = TruncSeries.coordinate(i, frame.vars, frame.center, frame.grading) \
+            + frame.center[i]
+        assert compose(inv.components[i], m) == want
+
+
+def test_second_compose_forms_no_offset_powers(monkeypatch):
+    gr = g(2, 8)
+    x = TruncSeries.coordinate(0, ("a", "b"), (F(0), F(0)), gr)
+    y = TruncSeries.coordinate(1, ("a", "b"), (F(0), F(0)), gr)
+    m = SeriesMap((x + x * y + 1, y - x * x * F(1, 2)))
+    f = TruncSeries(("u", "v"), (F(1), F(0)), {(3, 2): F(1), (4, 0): F(2), (0, 5): F(-1)}, gr)
+    calls = []
+    mul = TruncSeries.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    first = compose(f, m)
+    n_first = len(calls)
+    del calls[:]
+    assert compose(f, m) == first
+    # one multiplication per variable factor of each monomial, none for the powers
+    assert len(calls) == sum(1 for idx in f.coeffs for k in idx if k) < n_first
