@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .closedform import ClosedForm, Mono, cf_var
 from .core import FrobeniusSpec, Tensors, build_tensors
+from .linalg import raise_index
 
 __all__ = [
     "Calibration", "TwoPointTable", "ObstructionError", "OrderExceededError",
@@ -264,18 +265,9 @@ def theta_matrix_coefficients(cal: Calibration, m_max: int | None = None) -> lis
     m_top = cal.m_max if m_max is None else m_max
     out = []
     for m in range(m_top + 1):
-        mat = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                s = ClosedForm.zero()
-                for rho in range(n):
-                    e = t.eta_inv[a][rho]
-                    if e:
-                        s = s + cal.grad(b + 1, m, rho + 1) * e
-                row.append(s)
-            mat.append(row)
-        out.append(mat)
+        cols = [raise_index([cal.grad(b + 1, m, rho + 1) for rho in range(n)], t.eta_inv)
+                for b in range(n)]
+        out.append([[cols[b][a] for b in range(n)] for a in range(n)])
     return out
 
 

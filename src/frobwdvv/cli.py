@@ -270,6 +270,7 @@ def cmd_monodromy(args) -> int:
         "central": [[md.central[i, j] for j in range(spec.n)] for i in range(spec.n)],
         "conventions": md.conventions,
         "residuals": md.residuals,
+        "work": md.work,
         "checks": [
             {"name": "internal-residuals", "pass": bool(ok_res)},
             {"name": "monodromy-identity", "pass": ids["monodromy_residual"] < 1e-8,

@@ -12,7 +12,7 @@ from typing import Sequence
 from .calibration import Calibration, TwoPointTable, solve_calibration, two_point_table
 from .closedform import ClosedForm
 from .core import FrobeniusSpec, Tensors, build_tensors
-from .linalg import sdiv
+from .linalg import raise_index, sdiv
 from .series import Grading, SeriesMap, TruncSeries, compose, invert_map, localize
 
 __all__ = [
@@ -53,20 +53,7 @@ class LegendreResult:
         return [self.table.entry(a, 0, self.kappa, 0) for a in range(1, self.spec.n + 1)]
 
     def hat_upper_forms(self) -> list[ClosedForm]:
-        return _raise_index(self.hat_lower_forms(), self.tensors.eta_inv)
-
-
-def _raise_index(low: list, eta_inv) -> list:
-    """Upper components eta^{ab} low_b of lowered ones; the entries are
-    ClosedForms or TruncSeries."""
-    out = []
-    for row in eta_inv:
-        s = low[0] * 0      # zero in the entries' own type and frame
-        for b, e in enumerate(row):
-            if e:
-                s = s + low[b] * e
-        out.append(s)
-    return out
+        return raise_index(self.hat_lower_forms(), self.tensors.eta_inv)
 
 
 def _hessian_series(f: TruncSeries, varnames) -> list:
@@ -122,7 +109,7 @@ def transform_series(fhat_source: TruncSeries, eta, eta_inv, kappa: int):
     vars = fhat_source.vars
     n = len(vars)
     w = _hessian_series(fhat_source, vars)
-    hat_map = SeriesMap(tuple(_raise_index(w[kappa - 1], eta_inv)))
+    hat_map = SeriesMap(tuple(raise_index(w[kappa - 1], eta_inv)))
     inv = invert_map(hat_map)
     hat_vars = inv.components[0].vars
     hat_center = hat_map.target_center()
@@ -197,7 +184,7 @@ def _transform_impl(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
     grading = Grading.total_degree(n, order)
 
     low_forms = [table.entry(a, 0, kappa, 0) for a in range(1, n + 1)]
-    upper_forms = _raise_index(low_forms, t.eta_inv)
+    upper_forms = raise_index(low_forms, t.eta_inv)
     comps = tuple(localize(f, spec.varnames, center, grading) for f in upper_forms)
     hat_map = SeriesMap(comps)
     inverse = invert_map(hat_map)   # raises SingularJacobianError if not invertible

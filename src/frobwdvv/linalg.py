@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .exact import Exact, as_exact_scalar
 
-__all__ = ["sdiv", "mat_inv", "mat_identity", "SingularMatrixError", "kron"]
+__all__ = ["sdiv", "mat_inv", "mat_identity", "SingularMatrixError", "kron", "raise_index"]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -59,4 +59,17 @@ def kron(a, b):
             for k in range(nb):
                 for l in range(mb):
                     out[i * nb + k][j * mb + l] = as_exact_scalar(a[i][j] * b[k][l])
+    return out
+
+
+def raise_index(low: list, eta_inv) -> list:
+    """Upper components eta^{ab} low_b of lowered ones; the entries are
+    ClosedForms or TruncSeries."""
+    out = []
+    for row in eta_inv:
+        s = low[0] * 0      # zero in the entries' own type and frame
+        for b, e in enumerate(row):
+            if e:
+                s = s + low[b] * e
+        out.append(s)
     return out

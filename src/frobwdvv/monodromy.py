@@ -61,6 +61,9 @@ class MonodromyData:
     marked_index: int
     conventions: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
+    # integration work: right-hand-side evaluations per sector and column,
+    # their total, and the numbers of radial and arc segments
+    work: dict = field(default_factory=dict)
 
 
 def _u_numeric(spec: FrobeniusSpec, tensors: Tensors, point) -> np.ndarray:
@@ -180,7 +183,8 @@ def _integrate_column(umat, vmat, y0, z_from, z_to, rtol=1e-11, atol=1e-14,
 
     With shift = u_l this propagates the slowly-varying part of the l-th
     sectorial column; the exponential e^{z u_l} is carried analytically, which
-    keeps every state O(1) and the error control meaningful."""
+    keeps every state O(1) and the error control meaningful.  Returns the end
+    state and the number of right-hand-side evaluations."""
     shifted = umat - shift * np.eye(len(y0))
     if arc is None:
         dz = z_to - z_from
@@ -200,7 +204,7 @@ def _integrate_column(umat, vmat, y0, z_from, z_to, rtol=1e-11, atol=1e-14,
     sol = solve_ivp(f, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(sol.message)
-    return sol.y[:, -1]
+    return sol.y[:, -1], sol.nfev
 
 
 def _recessive_angle(u, lo: float, hi: float, col: int) -> float:
@@ -220,27 +224,45 @@ def _recessive_angle(u, lo: float, hi: float, col: int) -> float:
     return best
 
 
-def _sector_solution(ss, phis, lo, hi, z_far, r_target, th_target, rtol):
-    """Fundamental solution on the sector (lo, hi), assembled column by column
-    at r_target * e^{i th_target}.  Each column is seeded from the truncated
-    asymptotics on the ray where it is recessive, propagated inward with its
-    own exponential factored out, and finally rotated to the target angle."""
+def _sector_solutions(ss, phis, lo, hi, z_far, targets, rtol):
+    """Fundamental solutions on the sector (lo, hi) at every r * e^{i th} of
+    `targets`, assembled column by column.  Each column is seeded once from the
+    truncated asymptotics on the ray where it is recessive and carried inward
+    along that ray by one chain of radial segments whose endpoints are the
+    distinct target radii in decreasing order; from the state at each radius
+    only the arcs to that radius' target angles remain.  Every radius is a
+    segment endpoint, so no match reads the dense-output interpolant.
+
+    Returns the solutions keyed by (r, th) and the work: summed right-hand-side
+    evaluations per column and the numbers of radial and arc segments."""
     n = len(ss.u)
     umat = np.diag(ss.u)
-    cols = []
+    radii = sorted({r for r, _ in targets}, reverse=True)
+    cols = {tgt: [] for tgt in targets}
+    work = {"rhs_evals": [], "radial_segments": 0, "arc_segments": 0}
     for l in range(n):
         th = _recessive_angle(ss.u, lo, hi, l)
-        z_seed = z_far * cmath.exp(1j * th)
-        phi_z = sum(phis[k] / z_seed ** k for k in range(len(phis)))
+        z = z_far * cmath.exp(1j * th)
+        phi_z = sum(phis[k] / z ** k for k in range(len(phis)))
         w = phi_z[:, l]
-        w = _integrate_column(umat, ss.v_mat, w, z_seed,
-                              r_target * cmath.exp(1j * th), rtol=rtol,
-                              shift=ss.u[l])
-        w = _integrate_column(umat, ss.v_mat, w, None, None, rtol=rtol,
-                              arc=(r_target, th, th_target), shift=ss.u[l])
-        z_end = r_target * cmath.exp(1j * th_target)
-        cols.append(w * cmath.exp(z_end * ss.u[l]))
-    return np.column_stack(cols)
+        evals = 0
+        for r in radii:
+            z_next = r * cmath.exp(1j * th)
+            w, nfev = _integrate_column(umat, ss.v_mat, w, z, z_next, rtol=rtol,
+                                        shift=ss.u[l])
+            z = z_next
+            evals += nfev
+            work["radial_segments"] += 1
+            for r_t, th_t in cols:
+                if r_t != r:
+                    continue
+                w_t, nfev = _integrate_column(umat, ss.v_mat, w, None, None, rtol=rtol,
+                                              arc=(r, th, th_t), shift=ss.u[l])
+                evals += nfev
+                work["arc_segments"] += 1
+                cols[r_t, th_t].append(w_t * cmath.exp(r * cmath.exp(1j * th_t) * ss.u[l]))
+        work["rhs_evals"].append(evals)
+    return {tgt: np.column_stack(c) for tgt, c in cols.items()}, work
 
 
 def _z_powers(mu_diag, rmat, z, theta_branch) -> np.ndarray:
@@ -270,26 +292,32 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
     n = spec.n
     eps = 0.02
 
-    y_right = lambda r, th: _sector_solution(ss, phis, phi_angle - math.pi + eps,
-                                             phi_angle - eps, z_far, r, th, rtol)
-    y_left = lambda r, th: _sector_solution(ss, phis, phi_angle + eps,
-                                            phi_angle + math.pi - eps, z_far, r, th, rtol)
+    # every radius and angle matched below, so each column ray is integrated once
+    yr, work_r = _sector_solutions(
+        ss, phis, phi_angle - math.pi + eps, phi_angle - eps, z_far,
+        [(r_match, phi_angle), (2 * r_match, phi_angle), (r_match, phi_angle - math.pi),
+         (r_small, phi_angle), (r_small * 1.6, phi_angle)], rtol)
+    yl, work_l = _sector_solutions(
+        ss, phis, phi_angle + eps, phi_angle + math.pi - eps, z_far,
+        [(r_match, phi_angle), (2 * r_match, phi_angle), (r_match, phi_angle + math.pi)], rtol)
+    work = {
+        "rhs_evals": {"right": work_r["rhs_evals"], "left": work_l["rhs_evals"]},
+        "rhs_evals_total": sum(work_r["rhs_evals"]) + sum(work_l["rhs_evals"]),
+        "radial_segments": work_r["radial_segments"] + work_l["radial_segments"],
+        "arc_segments": work_r["arc_segments"] + work_l["arc_segments"],
+    }
 
-    yr = y_right(r_match, phi_angle)
-    yl = y_left(r_match, phi_angle)
-    stokes = np.linalg.solve(yr, yl)
+    stokes = np.linalg.solve(yr[r_match, phi_angle], yl[r_match, phi_angle])
     # repeat at twice the radius; the mismatch estimates the numerical error
-    yr2 = y_right(2 * r_match, phi_angle)
-    yl2 = y_left(2 * r_match, phi_angle)
-    stokes2 = np.linalg.solve(yr2, yl2)
+    stokes2 = np.linalg.solve(yr[2 * r_match, phi_angle], yl[2 * r_match, phi_angle])
     s_resid = np.abs(stokes - stokes2).max()
     if s_resid > tol:
         raise MatchingError(f"Stokes matrix unstable across radii: {s_resid}")
 
     # transposed relation on the opposite narrow sector: the same geometric ray
     # is reached from below by the right solution and from above by the left one
-    yr_m = y_right(r_match, phi_angle - math.pi)
-    yl_m = y_left(r_match, phi_angle + math.pi)
+    yr_m = yr[r_match, phi_angle - math.pi]
+    yl_m = yl[r_match, phi_angle + math.pi]
     st_resid = np.abs(yl_m - yr_m @ stokes.T).max() / max(1.0, np.abs(yl_m).max())
 
     # Fuchsian-point solution from the calibration
@@ -309,8 +337,7 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
         return ss.psi @ theta_z @ _z_powers(mu_diag, rnum, z, phi_angle)
 
     def c_at(r):
-        yr_small = y_right(r, phi_angle)
-        return np.linalg.solve(y0_at(r), yr_small)
+        return np.linalg.solve(y0_at(r), yr[r, phi_angle])
 
     central = c_at(r_small)
     central2 = c_at(r_small * 1.6)
@@ -339,7 +366,8 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
     }
     return MonodromyData(
         mu=np.diag(mu_diag), rmat=rnum, stokes=stokes, central=central,
-        marked_index=spec.unity, conventions=conventions, residuals=residuals)
+        marked_index=spec.unity, conventions=conventions, residuals=residuals,
+        work=work)
 
 
 def monodromy_identities(md: MonodromyData, eta) -> dict:

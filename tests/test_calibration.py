@@ -113,6 +113,24 @@ def test_theta_matrix_conditions(p1_cal):
                 assert s.is_zero(), (k, a, b)
 
 
+def test_theta_matrices_match_explicit_index_raising(p1_cal, a2_cal):
+    # reference: the eta^{a rho} sum written out entry by entry
+    for cal in (p1_cal, a2_cal):
+        t, n = cal.tensors, cal.spec.n
+        mats = theta_matrix_coefficients(cal, 4)
+        for m in range(5):
+            for a in range(n):
+                for b in range(n):
+                    s = ClosedForm.zero()
+                    for rho in range(n):
+                        e = t.eta_inv[a][rho]
+                        if e:
+                            s = s + cal.grad(b + 1, m, rho + 1) * e
+                    got = mats[m][a][b]
+                    assert list(got.terms.items()) == list(s.terms.items())
+                    assert got.to_json_obj() == s.to_json_obj()
+
+
 def test_order_exceeded(p1_cal):
     tab = two_point_table(p1_cal, 0)
     with pytest.raises(OrderExceededError):

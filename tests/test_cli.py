@@ -69,6 +69,9 @@ def test_monodromy_command(capsys):
     s = rep["stokes"]
     assert abs(s[0][0][0] - 1) < 1e-6 and abs(s[1][0][0] + 1) < 1e-6
     assert "conventions" in rep and "sign_choices" in rep["conventions"]
+    work = rep["work"]
+    assert work["rhs_evals_total"] == sum(map(sum, work["rhs_evals"].values())) > 0
+    assert not set(work) & set(rep["residuals"])
 
 
 def test_tensor_monodromy_command(capsys):

@@ -1,10 +1,12 @@
 import cmath
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from frobwdvv import monodromy
 from frobwdvv.closedform import cf_mono
 from frobwdvv.core import FrobeniusSpec, build_tensors
 from frobwdvv.exact import Exact
@@ -111,6 +113,93 @@ def test_a2_residual_quality(a2_md):
     assert r["central_stability"] < 1e-8
     assert r["stokes_transpose_relation"] < 1e-8
     assert r["unipotent"] < 1e-10
+
+
+def test_a2_matrices_against_mpmath_gamma(a2_md):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        g13, g23 = mpmath.gamma(mpmath.mpf(1) / 3), mpmath.gamma(mpmath.mpf(2) / 3)
+        pref = -1j / mpmath.sqrt(2 * mpmath.pi)
+        want = [[pref * g23, pref * g23 * mpmath.expjpi(mpmath.mpf(5) / 3)],
+                [pref * g13 * mpmath.expjpi(1), pref * g13 * mpmath.expjpi(mpmath.mpf(4) / 3)]]
+        want = np.array([[complex(x) for x in row] for row in want])
+    assert np.abs(a2_md.central - want).max() < 1e-10
+    assert np.abs(a2_md.stokes - np.array([[1.0, 0.0], [-1.0, 1.0]])).max() < 1e-10
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rtol": 1e-6}, "Stokes matrix unstable"),
+    ({"r_small": 0.9}, "central connection matrix unstable"),
+])
+def test_stability_checks_raise(a2, kwargs, message):
+    spec, t = a2
+    with pytest.raises(MatchingError, match=message):
+        stokes_and_connection(spec, (F(0), F(3)), 3 * math.pi / 4, tensors=t, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def a2_ivp_calls(a2):
+    """One a2 call at (0,3) with every solve_ivp call recorded as (rhs, nfev)."""
+    spec, t = a2
+    calls = []
+    solve_ivp = monodromy.solve_ivp
+
+    def recording(fun, *args, **kwargs):
+        sol = solve_ivp(fun, *args, **kwargs)
+        calls.append((fun, sol.nfev))
+        return sol
+
+    monodromy.solve_ivp = recording
+    try:
+        md = stokes_and_connection(spec, (F(0), F(3)), 3 * math.pi / 4, tensors=t)
+    finally:
+        monodromy.solve_ivp = solve_ivp
+    return md, calls
+
+
+def _radial_segment(fun):
+    """(z_from, dz, shifted U) of a radial right-hand side; None for an arc."""
+    cells = dict(zip(fun.__code__.co_freevars, (c.cell_contents for c in fun.__closure__)))
+    if "dz" not in cells:
+        return None
+    return cells["z_from"], cells["dz"], cells["shifted"]
+
+
+def test_work_counts_every_rhs_evaluation(a2_ivp_calls):
+    md, calls = a2_ivp_calls
+    work = md.work
+    assert work["rhs_evals_total"] == sum(nfev for _, nfev in calls)
+    assert work["rhs_evals_total"] == sum(map(sum, work["rhs_evals"].values()))
+    assert [len(work["rhs_evals"][side]) for side in ("right", "left")] == [2, 2]
+    radial = sum(_radial_segment(fun) is not None for fun, _ in calls)
+    assert work["radial_segments"] == radial
+    assert work["arc_segments"] == len(calls) - radial
+    assert not set(work) & set(md.residuals)
+
+
+def test_each_column_ray_is_integrated_once(a2_ivp_calls):
+    _, calls = a2_ivp_calls
+    z_far = 30.0
+    rays = defaultdict(list)
+    for fun, _ in calls:
+        seg = _radial_segment(fun)
+        if seg is not None:
+            z_from, dz, shifted = seg
+            key = (round(cmath.phase(z_from), 9), tuple(np.round(np.diag(shifted), 9)))
+            rays[key].append((abs(z_from), abs(z_from + dz), abs(dz)))
+    # two columns on each of the two sectors
+    assert len(rays) == 4
+    ends = []
+    for segs in rays.values():
+        segs.sort(reverse=True)
+        assert segs[0][0] == pytest.approx(z_far)
+        for (_, r_to, _), (r_from, _, _) in zip(segs, segs[1:]):
+            assert r_from == pytest.approx(r_to)
+        r_min = segs[-1][1]
+        assert sum(length for _, _, length in segs) == pytest.approx(z_far - r_min)
+        ends.append(r_min)
+    # right sector down to r_small = 0.35, left sector down to r_match = 1.5
+    assert sorted(ends) == pytest.approx([0.35, 0.35, 1.5, 1.5])
 
 
 def test_sign_flip_conjugates_everything(a2):
