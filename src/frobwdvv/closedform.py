@@ -73,22 +73,6 @@ class Mono(NamedTuple):
     def variables(self) -> set[str]:
         return {v for v, _ in self.powers} | {v for v, _ in self.logs} | {v for v, _ in self.exps}
 
-    def with_pow(self, var: str, e: Fraction) -> "Mono":
-        p = dict(self.powers)
-        if e:
-            p[var] = e
-        else:
-            p.pop(var, None)
-        return Mono.make(p, dict(self.logs), dict(self.exps))
-
-    def with_log(self, var: str, k: int) -> "Mono":
-        l = dict(self.logs)
-        if k:
-            l[var] = k
-        else:
-            l.pop(var, None)
-        return Mono.make(dict(self.powers), l, dict(self.exps))
-
     def sort_key(self):
         return (self.powers, self.logs, self.exps)
 
@@ -334,14 +318,17 @@ class ClosedForm:
                 else:
                     out.pop(m, None)
 
+        down = ((var, -1),)
         for m, c in self.terms.items():
             q = m.pow_of(var)
             k = m.log_of(var)
             e = m.exp_of(var)
-            if q:
-                acc(m.with_pow(var, q - 1), _scalar_mul(c, q))
-            if k:
-                acc(m.with_pow(var, q - 1).with_log(var, k - 1), _scalar_mul(c, k))
+            if q or k:
+                shifted = _merge(m.powers, down)
+                if q:
+                    acc(Mono(shifted, m.logs, m.exps), _scalar_mul(c, q))
+                if k:
+                    acc(Mono(shifted, _merge(m.logs, down), m.exps), _scalar_mul(c, k))
             if e:
                 acc(m, _scalar_mul(c, e))
         return ClosedForm(out, _clean=True)

@@ -1,4 +1,4 @@
-"""Small dense linear algebra over exact scalars (Fraction or Exact)."""
+"""Small linear algebra over exact scalars (Fraction or Exact)."""
 
 from __future__ import annotations
 
@@ -6,11 +6,16 @@ from fractions import Fraction
 
 from .exact import Exact, as_exact_scalar
 
-__all__ = ["sdiv", "mat_inv", "mat_identity", "SingularMatrixError", "kron", "raise_index"]
+__all__ = ["sdiv", "mat_inv", "solve_affine", "SingularMatrixError", "InconsistentSystemError",
+           "kron", "raise_index"]
 
 
 class SingularMatrixError(ArithmeticError):
     pass
+
+
+class InconsistentSystemError(ArithmeticError):
+    """A system of exact equations has no solution."""
 
 
 def sdiv(a, b):
@@ -23,30 +28,66 @@ def sdiv(a, b):
     return Fraction(a) / Fraction(b)
 
 
-def mat_identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def _eliminate(rows, is_unknown) -> dict:
+    """Sparse Gauss-Jordan elimination over an exact field.
+
+    Each row is a dict {key: nonzero scalar}.  Keys for which `is_unknown`
+    holds are unknowns; the others (constants, right-hand sides) are carried
+    along.  Returns {pivot: row}, each row scaled to 1 at its pivot and free
+    of every other pivot, i.e. the reduced row echelon form.  A row that
+    reduces to carried keys alone raises InconsistentSystemError."""
+    reduced: dict = {}
+    for row in rows:
+        row = dict(row)
+        for p in [k for k in row if k in reduced]:
+            _sub_multiple(row, row.pop(p), reduced[p], p)
+        pivot = next((k for k in row if is_unknown(k)), None)
+        if pivot is None:
+            if row:
+                raise InconsistentSystemError("inconsistent linear system")
+            continue
+        inv = sdiv(Fraction(1), row.pop(pivot))
+        row = {k: as_exact_scalar(v * inv) for k, v in row.items()}
+        for other in reduced.values():
+            if pivot in other:
+                _sub_multiple(other, other.pop(pivot), row, None)
+        row[pivot] = Fraction(1)
+        reduced[pivot] = row
+    return reduced
+
+
+def _sub_multiple(row: dict, f, other: dict, skip) -> None:
+    """row -= f * other in place, over the keys of `other` except `skip`."""
+    for k, v in other.items():
+        if k != skip:
+            s = as_exact_scalar(row.get(k, Fraction(0)) - f * v)
+            if s:
+                row[k] = s
+            else:
+                row.pop(k, None)
+
+
+def solve_affine(rows: list) -> dict:
+    """Unknowns pinned by affine rows {(): const, (u,): coef} (each row = 0);
+    an underdetermined system yields only the unknowns it fixes."""
+    out = {}
+    for (u,), row in _eliminate(rows, bool).items():
+        if len(row) == 1 + (() in row):
+            out[u] = as_exact_scalar(-row.get((), Fraction(0)))
+    return out
 
 
 def mat_inv(a):
-    """Gauss-Jordan inverse over an exact field; raises SingularMatrixError."""
+    """Inverse over an exact field, by elimination of [a | 1];
+    raises SingularMatrixError."""
     n = len(a)
-    m = [list(map(as_exact_scalar, row)) + ident for row, ident in zip(a, mat_identity(n))]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv_p = sdiv(Fraction(1), m[col][col])
-        m[col] = [as_exact_scalar(x * inv_p) for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [as_exact_scalar(x - f * y) for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    rows = [{**{j: x for j, x in enumerate(map(as_exact_scalar, row)) if x}, n + i: Fraction(1)}
+            for i, row in enumerate(a)]
+    try:
+        reduced = _eliminate(rows, lambda k: k < n)
+    except InconsistentSystemError:
+        raise SingularMatrixError("matrix is singular") from None
+    return [[reduced[j].get(n + k, Fraction(0)) for k in range(n)] for j in range(n)]
 
 
 def kron(a, b):

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 from .closedform import ClosedForm, Mono, cf_exp, cf_mono, mono_exp_degree
-from .exact import Exact, as_exact_scalar
-from .linalg import sdiv
+from .exact import Exact
+from .linalg import InconsistentSystemError, mat_inv, solve_affine
 
 __all__ = [
     "RecursionOutput", "InconsistentSystemError", "UnderdeterminedError",
@@ -33,10 +34,6 @@ __all__ = [
 ]
 
 F = Fraction
-
-
-class InconsistentSystemError(ArithmeticError):
-    """An overdetermined associativity equation fails (wrong ansatz)."""
 
 
 class UnderdeterminedError(ArithmeticError):
@@ -357,8 +354,10 @@ class SlotSolution:
     audits: dict = field(default_factory=dict)
 
 
-def _c_tensor(f: ClosedForm, varnames, prefactors):
-    """c[a<=b<=g] third 'flat' derivatives with optional derivation prefactors."""
+def _c_rows(f: ClosedForm, varnames, prefactors) -> dict:
+    """Nonzero rows of the third 'flat' derivatives c_{rho x y} (with optional
+    derivation prefactors): {(x, y) with x <= y: {rho: c_{rho x y}}}, holding
+    only the nonzero entries and the nonempty rows."""
     n = len(varnames)
 
     def d(i, g):
@@ -368,52 +367,72 @@ def _c_tensor(f: ClosedForm, varnames, prefactors):
         return out
 
     firsts = [d(i, f) for i in range(n)]
-    out = {}
+    c = {}
     for a in range(n):
         seconds = [d(b, firsts[a]) for b in range(a, n)]
         for bi, b in enumerate(range(a, n)):
             for g in range(b, n):
-                out[(a, b, g)] = d(g, seconds[bi])
-    return out
+                c[(a, b, g)] = d(g, seconds[bi])
+    rows = {}
+    for x in range(n):
+        for y in range(x, n):
+            row = {rho: v for rho in range(n) if (v := c[tuple(sorted((rho, x, y)))])}
+            if row:
+                rows[(x, y)] = row
+    return rows
 
 
-def _c_get(c, a, b, g):
-    return c[tuple(sorted((a, b, g)))]
+@lru_cache(maxsize=None)
+def _quad_pairings(n: int) -> tuple:
+    """For every index multiset (a, b, g, d), the keys of its three pairings
+    (ab|gd), (ag|bd), (ad|bg); a key is the sorted pair of sorted index pairs."""
+    def key(x, y, z, w):
+        return tuple(sorted((tuple(sorted((x, y))), tuple(sorted((z, w))))))
+    return tuple((q, (key(*q), key(q[0], q[2], q[1], q[3]), key(q[0], q[3], q[1], q[2])))
+                 for q in combinations_with_replacement(range(n), 4))
 
 
-def _pair_residual(cf1, cf2, eta_inv, n, depth, depth_cap):
+def _pair_residual(rows1, rows2, eta_nz, n, depth, depth_cap):
     """Polynomial-free residual contribution D(f,g): for every index multiset the
     three pairing differences of A(xy|zw) = c1^s_{xy} c2_{s zw} + (1 <-> 2),
     restricted to monomials with depth <= depth_cap.
 
-    Returns dict[(quad, pairing_slot, mono)] -> scalar."""
-    out = {}
+    `rows1`, `rows2` are the `_c_rows` tables of f and g; `eta_nz[rho]` lists
+    the nonzero (sigma, eta^{rho sigma}).  With eta symmetric, A is symmetric
+    under x <-> y, z <-> w and (xy) <-> (zw), so each unordered pair of index
+    pairs is summed once, from the products of nonempty rows only.
 
+    Returns dict[(quad, pairing_slot, mono)] -> scalar."""
     def keep(m):
         return depth(m) <= depth_cap
 
-    def pairing(x, y, z, w):
-        return ClosedForm.sum_of_products(
-            ((e, _c_get(f1, rho, x, y), _c_get(f2, sig, z, w))
-             for rho in range(n) for sig in range(n) if (e := eta_inv[rho][sig])
-             for f1, f2 in ((cf1, cf2), (cf2, cf1))), keep)
+    triples: dict = {}
+    for p, r1 in rows1.items():
+        for q, r2 in rows2.items():
+            prods = [(e, f, g) for rho, f in r1.items() for sig, e in eta_nz[rho]
+                     if (g := r2.get(sig)) is not None]
+            if prods:
+                # the (1 <-> 2) half c2_p c1_q of the pairing at {p, q} is the
+                # sum met at (q, p); at p = q both halves are this one sum
+                triples.setdefault((p, q) if p <= q else (q, p), []).extend(
+                    prods * 2 if p == q else prods)
+    pairs = {key: ClosedForm.sum_of_products(t, keep) for key, t in triples.items()}
 
-    for quad in combinations_with_replacement(range(n), 4):
-        a, b, g, d_ = quad
-        p1 = pairing(a, b, g, d_)
-        p2 = pairing(a, g, b, d_)
-        p3 = pairing(a, d_, b, g)
-        for slot_id, other in ((0, p2), (1, p3)):
-            res = p1 - other
-            for m, c in res.terms.items():
-                key = (quad, slot_id, m)
-                s = out.get(key)
-                out[key] = c if s is None else s + c
+    out = {}
+    zero = ClosedForm.zero()
+    for quad, (k1, k2, k3) in _quad_pairings(n):
+        p1 = pairs.get(k1, zero)
+        for slot_id, k in ((0, k2), (1, k3)):
+            other = pairs.get(k, zero)
+            if k == k1 or not (p1 or other):
+                continue
+            for m, c in (p1 - other).terms.items():
+                out[(quad, slot_id, m)] = c
     return out
 
 
-def _min_c_depth(cf, depth):
-    vals = [depth(m) for form in cf.values() for m in form.terms]
+def _min_c_depth(rows, depth):
+    vals = [depth(m) for row in rows.values() for form in row.values() for m in form.terms]
     return min(vals) if vals else None
 
 
@@ -422,8 +441,8 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
     equations provably unaffected by discarded slots, and solve for all slot
     coefficients at levels <= target_levels."""
     n = len(fam.varnames)
-    from .linalg import mat_inv
     eta_inv = mat_inv([list(r) for r in fam.eta])
+    eta_nz = [[(sig, e) for sig, e in enumerate(row) if e] for row in eta_inv]
 
     slots = []
     level_of = {}
@@ -432,8 +451,8 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
             slots.append((key, mono))
             level_of[key] = lv
 
-    c_fixed = _c_tensor(fam.fixed, fam.varnames, fam.prefactors)
-    c_slots = {key: _c_tensor(m, fam.varnames, fam.prefactors) for key, m in slots}
+    c_fixed = _c_rows(fam.fixed, fam.varnames, fam.prefactors)
+    c_slots = {key: _c_rows(m, fam.varnames, fam.prefactors) for key, m in slots}
 
     depth_cap = fam.excluded_min_depth(max_level) - F(1, 1000)
     # rigorous per-contribution lower bounds used to prune pair computations
@@ -446,38 +465,29 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
     # equations: dict[(quad, pairing, mono)] -> {(sorted key tuple): scalar}
     equations: dict = {}
 
-    def add(contrib: dict, ukeys: tuple):
+    def add(contrib: dict, ukeys: tuple, factor: Fraction):
         for ekey, c in contrib.items():
             poly = equations.setdefault(ekey, {})
-            s = poly.get(ukeys, F(0)) + (c if ukeys else c * F(1, 2))
-            # fixed-fixed contributions are doubled by the symmetrization
+            s = poly.get(ukeys, F(0)) + c * factor
             if s:
                 poly[ukeys] = s
             else:
                 poly.pop(ukeys, None)
 
-    add(_pair_residual(c_fixed, c_fixed, eta_inv, n, fam.depth, depth_cap), ())
+    # fixed-fixed and slot-slot (i == j) contributions are doubled by the
+    # symmetrization
+    add(_pair_residual(c_fixed, c_fixed, eta_nz, n, fam.depth, depth_cap), (), F(1, 2))
     for key, c in c_slots.items():
         if d_fixed is not None and d_fixed + d_slot[key] > depth_cap:
             continue
-        add(_pair_residual(c_fixed, c, eta_inv, n, fam.depth, depth_cap), (key,))
-    for i in range(len(slots)):
-        ki, _ = slots[i]
+        add(_pair_residual(c_fixed, c, eta_nz, n, fam.depth, depth_cap), (key,), F(1))
+    for i, (ki, _) in enumerate(slots):
         for j in range(i, len(slots)):
             kj, _ = slots[j]
             if d_slot[ki] + d_slot[kj] > depth_cap:
                 continue
-            contrib = _pair_residual(c_slots[ki], c_slots[kj], eta_inv, n,
-                                     fam.depth, depth_cap)
-            factor = F(1, 2) if i == j else F(1)
-            for ekey, c in contrib.items():
-                poly = equations.setdefault(ekey, {})
-                ukeys = tuple(sorted((ki, kj)))
-                s = poly.get(ukeys, F(0)) + c * factor
-                if s:
-                    poly[ukeys] = s
-                else:
-                    poly.pop(ukeys, None)
+            add(_pair_residual(c_slots[ki], c_slots[kj], eta_nz, n, fam.depth, depth_cap),
+                tuple(sorted((ki, kj))), F(1, 2) if i == j else F(1))
 
     eq_list = [poly for poly in equations.values() if poly]
     solution = dict(fam.seeds)
@@ -538,7 +548,10 @@ def _solve_polynomial_equations(name: str, eq_list: list, unknown_keys: list,
                     known[ukeys[0]] = F(0)
                     progressed = True
         if rows:
-            new = _gauss_solve(name, rows)
+            try:
+                new = solve_affine(rows)
+            except InconsistentSystemError as err:
+                raise InconsistentSystemError(f"{name}: {err}") from None
             for k, v in new.items():
                 if k in known:
                     if known[k] != v:
@@ -554,56 +567,6 @@ def _solve_polynomial_equations(name: str, eq_list: list, unknown_keys: list,
         if sub and max(len(k) for k in sub) == 0:
             raise InconsistentSystemError(f"{name}: unsatisfied equation, residual {sub[()]}")
     return known
-
-
-def _gauss_solve(name: str, rows: list) -> dict:
-    """Reduce affine rows {(): const, (u,): coef}; return uniquely pinned values."""
-    # collect variables
-    vars_ = sorted({k[0] for row in rows for k in row if k}, key=repr)
-    index = {v: i for i, v in enumerate(vars_)}
-    mat = []
-    for row in rows:
-        vec = [F(0)] * len(vars_)
-        for k, c in row.items():
-            if k:
-                vec[index[k[0]]] = vec[index[k[0]]] + c
-        const = row.get((), F(0))
-        mat.append((vec, const))
-    # gaussian elimination
-    pivots = []
-    r = 0
-    for col in range(len(vars_)):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][0][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        vec, const = mat[r]
-        inv = sdiv(F(1), vec[col])
-        vec = [as_exact_scalar(x * inv) for x in vec]
-        const = as_exact_scalar(const * inv)
-        mat[r] = (vec, const)
-        for i in range(len(mat)):
-            if i != r and mat[i][0][col]:
-                f_ = mat[i][0][col]
-                nv = [as_exact_scalar(x - f_ * y) for x, y in zip(mat[i][0], vec)]
-                nc = as_exact_scalar(mat[i][1] - f_ * const)
-                mat[i] = (nv, nc)
-        pivots.append((r, col))
-        r += 1
-    out = {}
-    for i, (vec, const) in enumerate(mat):
-        nz = [j for j, x in enumerate(vec) if x]
-        if not nz:
-            if const:
-                raise InconsistentSystemError(f"{name}: inconsistent linear system")
-            continue
-        if len(nz) == 1:
-            out[vars_[nz[0]]] = as_exact_scalar(-const)
-    return out
 
 
 # ---------------------------------------------------------------------------

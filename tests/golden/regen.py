@@ -37,6 +37,8 @@ COMMANDS = [
     ["recursion", "nd", "--max", "6"],
     ["recursion", "ck", "--max", "4"],
     ["recursion", "nkl", "--max", "4"],
+    ["recursion", "ckl", "--max", "8"],
+    ["recursion", "a21", "--max", "19"],
     ["legendre", "p1", "--kappa", "2", "--order", "8"],
     ["verify-omega", "p1", "--kappa", "2", "--order", "6"],
 ]

@@ -223,3 +223,43 @@ def test_product_evaluates_to_product_of_values(f, g):
     pt = {"x": 0.7 + 0.31j, "y": 1.3 - 0.2j}
     want = f.evaluate(pt) * g.evaluate(pt)
     assert abs((f * g).evaluate(pt) - want) <= 1e-9 * (1 + abs(want))
+
+
+# -- sympy as an independent oracle for the calculus --------------------------
+
+def to_sympy(f, sympy, symbols):
+    """A closed form as a sympy expression, term by term."""
+    def scalar(c):
+        if isinstance(c, Exact):
+            return sum(sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(m)
+                       for m, q in c.terms.items())
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def exponent(e):
+        e = F(e)
+        return sympy.Rational(e.numerator, e.denominator)
+
+    out = sympy.Integer(0)
+    for m, c in f.terms.items():
+        term = scalar(c)
+        for v, q in m.powers:
+            term *= symbols[v] ** exponent(q)
+        for v, k in m.logs:
+            term *= sympy.log(symbols[v]) ** k
+        for v, e in m.exps:
+            term *= sympy.exp(exponent(e) * symbols[v])
+        out += term
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_forms(), names)
+def test_diff_matches_sympy(f, var):
+    sympy = pytest.importorskip("sympy")
+    symbols = {v: sympy.Symbol(v, positive=True) for v in ("x", "y")}
+    want = sympy.diff(to_sympy(f, sympy, symbols), symbols[var])
+    got = to_sympy(f.diff(var), sympy, symbols)
+    assert sympy.expand(sympy.powsimp(want - got)) == 0
+    # the output keeps the kernel's normal form: int for integral exponents
+    assert all(type(e) is int or e.denominator != 1
+               for m in f.diff(var).terms for _, e in m.powers + m.exps)

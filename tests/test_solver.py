@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from frobwdvv.closedform import ClosedForm
+from frobwdvv.linalg import mat_inv
 from frobwdvv.solver import (
-    InconsistentSystemError, chazy_residual_orders, divisor_sigma, nd_via_ode_route,
-    p2_family, p2_s2_hat_family, recursion_ck, recursion_mk, recursion_nd,
-    recursion_nkl, recursion_qk, recursion_wk, solve_ckl_and_a, solve_slot_family,
+    InconsistentSystemError, _c_rows, _pair_residual, chazy_residual_orders, divisor_sigma,
+    nd_via_ode_route, p1xp1_family, p2_family, p2_s2_hat_family, recursion_ck, recursion_mk,
+    recursion_nd, recursion_nkl, recursion_qk, recursion_wk, s21_family, s22_family,
+    solve_ckl_and_a, solve_slot_family,
 )
 
 F = Fraction
@@ -139,3 +143,101 @@ def test_qk_deeper_printed_tail():
     t = recursion_qk(6).table()
     assert [t[k] for k in range(1, 7)] == [
         F(-1), F(7, 2), F(-23), F(201), F(-10368, 5), F(23871)]
+
+
+# -- the sparse pairing kernel against the dense loop -------------------------
+
+def dense_c(f, fam):
+    """Every c_{abg} (a <= b <= g) of f, zero entries included."""
+    def d(i, g):
+        out = g.diff(fam.varnames[i])
+        pre = (fam.prefactors or {}).get(fam.varnames[i])
+        return out if pre is None else pre * out
+
+    n = len(fam.varnames)
+    return {(a, b, g): d(g, d(b, d(a, f)))
+            for a, b, g in combinations_with_replacement(range(n), 3)}
+
+
+def dense_pair_residual(f1, f2, fam, depth_cap):
+    """The pairing differences over every rho, sigma, quad and all three
+    pairings, with sorted index lookups and plain ClosedForm arithmetic."""
+    n = len(fam.varnames)
+    eta_inv = mat_inv([list(r) for r in fam.eta])
+    c1, c2 = dense_c(f1, fam), dense_c(f2, fam)
+
+    def get(c, a, b, g):
+        return c[tuple(sorted((a, b, g)))]
+
+    def pairing(x, y, z, w):
+        total = ClosedForm.zero()
+        for rho in range(n):
+            for sig in range(n):
+                if eta_inv[rho][sig]:
+                    for g1, g2 in ((c1, c2), (c2, c1)):
+                        total = total + get(g1, rho, x, y) * get(g2, sig, z, w) * eta_inv[rho][sig]
+        return total.filter(lambda m: fam.depth(m) <= depth_cap)
+
+    out = {}
+    for quad in combinations_with_replacement(range(n), 4):
+        a, b, g, d_ = quad
+        p1 = pairing(a, b, g, d_)
+        for slot_id, other in ((0, pairing(a, g, b, d_)), (1, pairing(a, d_, b, g))):
+            for m, c in (p1 - other).terms.items():
+                out[(quad, slot_id, m)] = c
+    return out
+
+
+def sparse_pair_residual(f1, f2, fam, depth_cap):
+    n = len(fam.varnames)
+    eta_inv = mat_inv([list(r) for r in fam.eta])
+    eta_nz = [[(s, e) for s, e in enumerate(row) if e] for row in eta_inv]
+    rows = [_c_rows(f, fam.varnames, fam.prefactors) for f in (f1, f2)]
+    return _pair_residual(*rows, eta_nz, n, fam.depth, depth_cap)
+
+
+# (family, ansatz level, a slot, two slots): p1xp1 and p2 are polynomial times
+# exp, s22 has derivation prefactors and logs, s21 exponentials and negative
+# powers; the slots are chosen so that no residual below is empty
+PAIRING_CASES = [
+    (p1xp1_family(3), 3, ("N", 1, 1), (("N", 0, 1), ("N", 1, 0))),
+    (p2_family(3), 3, ("N", 2), (("N", 1), ("N", 1))),
+    (s22_family(), 8, ("C", 0, 0), (("C", 0, 1), ("C", 1, 0))),
+    (s21_family(), 11, ("a", 1, 1), (("a", 1, 1), ("a", 2, 1))),
+]
+
+
+def pairing_case(fam, level, one, two):
+    """Depth cap and the fixed-fixed, fixed-slot, slot-fixed and slot-slot pairs."""
+    slot = {key: m for lv in range(level + 1) for key, m in fam.slot_gen(lv)}
+    pairs = [(fam.fixed, fam.fixed), (fam.fixed, slot[one]), (slot[one], fam.fixed),
+             (slot[two[0]], slot[two[1]])]
+    return fam.excluded_min_depth(level) - F(1, 1000), pairs
+
+
+@pytest.mark.parametrize("case", PAIRING_CASES, ids=lambda c: c[0].name)
+def test_pair_residual_matches_dense_loop(case):
+    cap, pairs = pairing_case(*case)
+    for i, (f1, f2) in enumerate(pairs):
+        want = dense_pair_residual(f1, f2, case[0], cap)
+        assert sparse_pair_residual(f1, f2, case[0], cap) == want
+        assert want or i == 0
+
+
+@pytest.mark.parametrize("case", PAIRING_CASES, ids=lambda c: c[0].name)
+def test_pair_residual_pairs_each_index_pair_once(case, monkeypatch):
+    calls = []
+    kernel = ClosedForm.sum_of_products
+
+    def counted(triples, keep=None):
+        calls.append(1)
+        return kernel(triples, keep)
+
+    monkeypatch.setattr(ClosedForm, "sum_of_products", staticmethod(counted))
+    n = len(case[0].varnames)
+    distinct = math.comb(n * (n + 1) // 2 + 1, 2)       # 55 for n = 4, 21 for n = 3
+    cap, pairs = pairing_case(*case)
+    for f1, f2 in pairs:
+        calls.clear()
+        sparse_pair_residual(f1, f2, case[0], cap)
+        assert 0 < len(calls) <= distinct
