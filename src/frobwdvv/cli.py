@@ -393,13 +393,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error_code(exc: Exception) -> int:
+    """Exit code of a failed run: 2 for a malformed or unknown spec (a usage
+    error, as argparse reports its own), 4 for a mathematical domain error
+    (non-semisimple point, inadmissible line or failed matching, singular
+    Jacobian or centre), 3 for anything else."""
+    from .monodromy import IntegrationError, MatchingError, NonSemisimpleError
+    from .series import SingularCenterError, SingularJacobianError
+    from .specs import SpecParseError
+    if isinstance(exc, SpecParseError):
+        return 2
+    if isinstance(exc, (MatchingError, NonSemisimpleError, IntegrationError,
+                        SingularJacobianError, SingularCenterError)):
+        return 4
+    return 3
+
+
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit 0 when every check passes, 1 when one fails;
+    a run that raises exits as `_error_code` says."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:  # surface module errors with context, nonzero exit
         print(f"frobwdvv: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _error_code(exc)
 
 
 if __name__ == "__main__":

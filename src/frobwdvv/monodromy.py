@@ -61,8 +61,9 @@ class MonodromyData:
     marked_index: int
     conventions: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
-    # integration work: right-hand-side evaluations per sector and column,
-    # their total, and the numbers of radial and arc segments
+    # integration work: right-hand-side evaluations and stack width per
+    # stacked integration, their total, and the numbers of radial and arc
+    # segments
     work: dict = field(default_factory=dict)
 
 
@@ -177,36 +178,6 @@ def is_admissible(u, phi_angle: float, margin: float = 1e-8) -> bool:
                for i, ui in enumerate(u) for j, uj in enumerate(u) if i < j)
 
 
-def _integrate_column(umat, vmat, y0, z_from, z_to, rtol=1e-11, atol=1e-14,
-                      arc: tuple | None = None, shift: complex = 0.0):
-    """Integrate y' = (U - shift + V/z) y along a segment (or an arc if given).
-
-    With shift = u_l this propagates the slowly-varying part of the l-th
-    sectorial column; the exponential e^{z u_l} is carried analytically, which
-    keeps every state O(1) and the error control meaningful.  Returns the end
-    state and the number of right-hand-side evaluations."""
-    shifted = umat - shift * np.eye(len(y0))
-    if arc is None:
-        dz = z_to - z_from
-
-        def f(s, y):
-            z = z_from + s * dz
-            return dz * (shifted @ y + (vmat @ y) / z)
-    else:
-        r, th0, th1 = arc
-        dth = th1 - th0
-
-        def f(s, y):
-            th = th0 + s * dth
-            z = r * cmath.exp(1j * th)
-            return 1j * z * dth * (shifted @ y + (vmat @ y) / z)
-
-    sol = solve_ivp(f, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(sol.message)
-    return sol.y[:, -1], sol.nfev
-
-
 def _recessive_angle(u, lo: float, hi: float, col: int) -> float:
     """Angle inside (lo, hi) where column `col` decays fastest relative to every
     other exponential.  Seeding there keeps the truncated asymptotics faithful:
@@ -224,45 +195,103 @@ def _recessive_angle(u, lo: float, hi: float, col: int) -> float:
     return best
 
 
-def _sector_solutions(ss, phis, lo, hi, z_far, targets, rtol):
-    """Fundamental solutions on the sector (lo, hi) at every r * e^{i th} of
-    `targets`, assembled column by column.  Each column is seeded once from the
-    truncated asymptotics on the ray where it is recessive and carried inward
-    along that ray by one chain of radial segments whose endpoints are the
-    distinct target radii in decreasing order; from the state at each radius
-    only the arcs to that radius' target angles remain.  Every radius is a
-    segment endpoint, so no match reads the dense-output interpolant.
+def _stacked_ivp(f, y0: np.ndarray, rtol: float, atol: float = 1e-14):
+    """One DOP853 run over s in [0, 1] of the n x m stack `y0`, one path per
+    column.  Both tolerances are divided by sqrt(m): the RMS error norm over
+    the stack is then the root-sum-square of the columns' own norms, so no
+    column is held to less than it would be alone (DOP853 also weighs in a
+    third-order estimate, which makes this close rather than exact).  Returns
+    the end stack and the number of right-hand-side evaluations."""
+    n, m = y0.shape
+    scale = math.sqrt(m)
 
-    Returns the solutions keyed by (r, th) and the work: summed right-hand-side
-    evaluations per column and the numbers of radial and arc segments."""
+    def rhs(s, y):
+        return f(s, y.reshape(n, m)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
+                    rtol=rtol / scale, atol=atol / scale)
+    if not sol.success:
+        raise IntegrationError(sol.message)
+    return sol.y[:, -1].reshape(n, m), sol.nfev
+
+
+def _sectorial_solutions(ss, phis, sectors, z_far, rtol):
+    """Fundamental solutions on every sector ((lo, hi), targets) at each
+    r * e^{i th} of its targets.
+
+    Column l of a sector solves w' = (U - u_l + V/z) w on its own path; the
+    exponential e^{z u_l} is carried analytically, which keeps every state
+    O(1) and the error control meaningful.  Each column is seeded once from
+    the truncated asymptotics on the ray where it is recessive.  All columns
+    of all sectors go inward together, one stacked integration per distinct
+    target radius (z = r e^{i th_l} on a shared parameter), and a column
+    leaves the stack after its sector's smallest radius.  Every radius is a
+    segment endpoint, so no match reads the dense-output interpolant.  One
+    last stacked integration carries each (column, target) arc from its ray
+    to the target angle.
+
+    Returns the solutions of each sector keyed by (r, th), and the work:
+    right-hand-side evaluations and stack width per integration (radial
+    segments in order, then the arcs), their total, and the numbers of
+    radial and arc segments."""
     n = len(ss.u)
-    umat = np.diag(ss.u)
-    radii = sorted({r for r, _ in targets}, reverse=True)
-    cols = {tgt: [] for tgt in targets}
-    work = {"rhs_evals": [], "radial_segments": 0, "arc_segments": 0}
-    for l in range(n):
-        th = _recessive_angle(ss.u, lo, hi, l)
-        z = z_far * cmath.exp(1j * th)
-        phi_z = sum(phis[k] / z ** k for k in range(len(phis)))
-        w = phi_z[:, l]
-        evals = 0
-        for r in radii:
-            z_next = r * cmath.exp(1j * th)
-            w, nfev = _integrate_column(umat, ss.v_mat, w, z, z_next, rtol=rtol,
-                                        shift=ss.u[l])
-            z = z_next
-            evals += nfev
-            work["radial_segments"] += 1
-            for r_t, th_t in cols:
-                if r_t != r:
-                    continue
-                w_t, nfev = _integrate_column(umat, ss.v_mat, w, None, None, rtol=rtol,
-                                              arc=(r, th, th_t), shift=ss.u[l])
-                evals += nfev
-                work["arc_segments"] += 1
-                cols[r_t, th_t].append(w_t * cmath.exp(r * cmath.exp(1j * th_t) * ss.u[l]))
-        work["rhs_evals"].append(evals)
-    return {tgt: np.column_stack(c) for tgt, c in cols.items()}, work
+    cols = [(k, l, _recessive_angle(ss.u, lo, hi, l), min(r for r, _ in targets))
+            for k, ((lo, hi), targets) in enumerate(sectors) for l in range(n)]
+    shift = np.array([ss.u[l] for _, l, _, _ in cols])
+    th_col = np.array([th for _, _, th, _ in cols])
+    ray = np.exp(1j * th_col)
+    r_min = np.array([r for _, _, _, r in cols])
+    d = ss.u[:, None] - shift[None, :]
+    vmat = ss.v_mat
+
+    def seed(l, z):
+        return sum(phis[k][:, l] / z ** k for k in range(len(phis)))
+
+    y = np.column_stack([seed(l, z_far * ray[c]) for c, (_, l, _, _) in enumerate(cols)])
+    active = np.arange(len(cols))
+    radii = sorted({r for _, targets in sectors for r, _ in targets}, reverse=True)
+    at_radius = {}
+    evals, widths = [], []
+    r_from = z_far
+    for r in radii:
+        keep = r_min[active] <= r
+        active, y = active[keep], y[:, keep]
+        dr = r - r_from
+        # dz/ds = e^{i th} dr on every ray, and (dz/ds) / z = dr / (r_from + s dr)
+        d_ray = d[:, active] * (dr * ray[active])[None, :]
+
+        def radial(s, w, d_ray=d_ray, r_from=r_from, dr=dr):
+            return d_ray * w + (dr / (r_from + s * dr)) * (vmat @ w)
+
+        y, nfev = _stacked_ivp(radial, y, rtol)
+        evals.append(nfev)
+        widths.append(len(active))
+        for j, c in enumerate(active):
+            at_radius[c, r] = y[:, j]
+        r_from = r
+
+    # z = r e^{i (th_c + s dth)}: dz/ds = i dth z, and (dz/ds) / z = i dth
+    arcs = [(c, r, th) for c, (k, _, _, _) in enumerate(cols) for r, th in sectors[k][1]]
+    arc_c = np.array([c for c, _, _ in arcs])
+    arc_r = np.array([r for _, r, _ in arcs])
+    dth = np.array([th for _, _, th in arcs]) - th_col[arc_c]
+    i_dth = 1j * dth
+    d_arc = d[:, arc_c] * (i_dth * arc_r * ray[arc_c])[None, :]
+
+    def arc(s, w):
+        return d_arc * np.exp(i_dth * s)[None, :] * w + i_dth[None, :] * (vmat @ w)
+
+    y, nfev = _stacked_ivp(arc, np.column_stack([at_radius[c, r] for c, r, _ in arcs]), rtol)
+    evals.append(nfev)
+    widths.append(len(arcs))
+
+    out = [{tgt: [None] * n for tgt in targets} for _, targets in sectors]
+    for j, (c, r, th) in enumerate(arcs):
+        k, l, _, _ = cols[c]
+        out[k][r, th][l] = y[:, j] * cmath.exp(r * cmath.exp(1j * th) * ss.u[l])
+    work = {"rhs_evals": evals, "rhs_evals_total": sum(evals), "stack_widths": widths,
+            "radial_segments": len(radii), "arc_segments": 1}
+    return [{tgt: np.column_stack(c) for tgt, c in sol.items()} for sol in out], work
 
 
 def _z_powers(mu_diag, rmat, z, theta_branch) -> np.ndarray:
@@ -293,19 +322,12 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
     eps = 0.02
 
     # every radius and angle matched below, so each column ray is integrated once
-    yr, work_r = _sector_solutions(
-        ss, phis, phi_angle - math.pi + eps, phi_angle - eps, z_far,
-        [(r_match, phi_angle), (2 * r_match, phi_angle), (r_match, phi_angle - math.pi),
-         (r_small, phi_angle), (r_small * 1.6, phi_angle)], rtol)
-    yl, work_l = _sector_solutions(
-        ss, phis, phi_angle + eps, phi_angle + math.pi - eps, z_far,
-        [(r_match, phi_angle), (2 * r_match, phi_angle), (r_match, phi_angle + math.pi)], rtol)
-    work = {
-        "rhs_evals": {"right": work_r["rhs_evals"], "left": work_l["rhs_evals"]},
-        "rhs_evals_total": sum(work_r["rhs_evals"]) + sum(work_l["rhs_evals"]),
-        "radial_segments": work_r["radial_segments"] + work_l["radial_segments"],
-        "arc_segments": work_r["arc_segments"] + work_l["arc_segments"],
-    }
+    right = ((phi_angle - math.pi + eps, phi_angle - eps),
+             [(r_match, phi_angle), (2 * r_match, phi_angle), (r_match, phi_angle - math.pi),
+              (r_small, phi_angle), (r_small * 1.6, phi_angle)])
+    left = ((phi_angle + eps, phi_angle + math.pi - eps),
+            [(r_match, phi_angle), (2 * r_match, phi_angle), (r_match, phi_angle + math.pi)])
+    (yr, yl), work = _sectorial_solutions(ss, phis, [right, left], z_far, rtol)
 
     stokes = np.linalg.solve(yr[r_match, phi_angle], yl[r_match, phi_angle])
     # repeat at twice the radius; the mismatch estimates the numerical error

@@ -332,14 +332,15 @@ class SlotFamily:
     (d_i = prefactor_i * d/dx_i); `depth` is a linear functional on monomials
     that is additive under products, and `excluded_min_depth` bounds from below
     the depth of any residual contribution involving a slot beyond max_level.
+    Both are integers, so the kept depths are those below that bound.
     """
     name: str
     varnames: tuple[str, ...]
     eta: tuple
     fixed: ClosedForm
     slot_gen: Callable[[int], list]      # level -> [(key, mono ClosedForm)]
-    depth: Callable[[Mono], Fraction]
-    excluded_min_depth: Callable[[int], Fraction]
+    depth: Callable[[Mono], int]
+    excluded_min_depth: Callable[[int], int]
     prefactors: Optional[dict[str, ClosedForm]] = None
     seeds: dict = field(default_factory=dict)
 
@@ -350,7 +351,7 @@ class SlotSolution:
     values: dict                        # key -> scalar
     undetermined: list
     equations_used: int
-    max_depth_used: Fraction
+    max_depth_used: int
     audits: dict = field(default_factory=dict)
 
 
@@ -454,7 +455,7 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
     c_fixed = _c_rows(fam.fixed, fam.varnames, fam.prefactors)
     c_slots = {key: _c_rows(m, fam.varnames, fam.prefactors) for key, m in slots}
 
-    depth_cap = fam.excluded_min_depth(max_level) - F(1, 1000)
+    depth_cap = fam.excluded_min_depth(max_level) - 1
     # rigorous per-contribution lower bounds used to prune pair computations
     d_fixed = _min_c_depth(c_fixed, fam.depth)
     d_slot = {key: _min_c_depth(c, fam.depth) for key, c in c_slots.items()}
@@ -500,7 +501,7 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
     if bad:
         raise UnderdeterminedError(f"{fam.name}: could not determine {bad}")
     return SlotSolution(fam.name, solved, undetermined, len(eq_list),
-                        max((fam.depth(m) for (_, _, m) in equations), default=F(0)))
+                        max((fam.depth(m) for (_, _, m) in equations), default=0))
 
 
 def _poly_substitute(poly: dict, known: dict):
@@ -529,13 +530,18 @@ def _solve_polynomial_equations(name: str, eq_list: list, unknown_keys: list,
     """Iteratively substitute, peel affine equations (exact Gaussian elimination),
     and use pure-square equations u^2 = 0; raises on inconsistency."""
     known = dict(known)
+    # known values only accumulate, so an equation that reduced to nothing
+    # stays reduced and leaves the loop
+    live = eq_list
     for _round in range(60):
         rows = []
         progressed = False
-        for poly in eq_list:
+        pending = []
+        for poly in live:
             sub = _poly_substitute(poly, known)
             if not sub:
                 continue
+            pending.append(poly)
             degs = [len(k) for k in sub]
             if max(degs) == 0:
                 raise InconsistentSystemError(
@@ -559,6 +565,7 @@ def _solve_polynomial_equations(name: str, eq_list: list, unknown_keys: list,
                 else:
                     known[k] = v
                     progressed = True
+        live = pending
         if not progressed:
             break
     # final consistency: every equation whose unknowns are all known must vanish
@@ -600,7 +607,7 @@ def p1xp1_family(max_level: int) -> SlotFamily:
         fixed=fixed,
         slot_gen=gen,
         depth=mono_exp_degree,
-        excluded_min_depth=lambda L: F(L + 1),
+        excluded_min_depth=lambda L: L + 1,
         seeds={("N", 0, 1): F(1), ("N", 1, 0): F(1)},
     )
 
@@ -632,7 +639,7 @@ def p2_family(max_level: int) -> SlotFamily:
         fixed=fixed,
         slot_gen=gen,
         depth=mono_exp_degree,
-        excluded_min_depth=lambda L: F(L + 1),
+        excluded_min_depth=lambda L: L + 1,
         seeds={("N", 1): F(1)},
     )
 
@@ -651,7 +658,7 @@ def p2_s2_hat_family() -> SlotFamily:
                        None, {h3: 1 - 2 * level})
         return [(("C", level), mono)]
 
-    def depth(m: Mono) -> Fraction:
+    def depth(m: Mono) -> int:
         return m.pow_of(h1)
 
     return SlotFamily(
@@ -661,7 +668,7 @@ def p2_s2_hat_family() -> SlotFamily:
         fixed=fixed,
         slot_gen=gen,
         depth=depth,
-        excluded_min_depth=lambda L: F(3 * L),
+        excluded_min_depth=lambda L: 3 * L,
         seeds={},
     )
 
@@ -683,7 +690,7 @@ def s22_family() -> SlotFamily:
             out.append((("C", k, l), cf_mono(F(1), {w: 5 + 2 * level, y: -k, z: -l})))
         return out
 
-    def depth(m: Mono) -> Fraction:
+    def depth(m: Mono) -> int:
         return m.pow_of(w)
 
     return SlotFamily(
@@ -693,7 +700,7 @@ def s22_family() -> SlotFamily:
         fixed=fixed,
         slot_gen=gen,
         depth=depth,
-        excluded_min_depth=lambda L: F(2 * L - 6),
+        excluded_min_depth=lambda L: 2 * L - 6,
         prefactors=prefactors,
         seeds={},
     )
@@ -719,7 +726,7 @@ def s21_family() -> SlotFamily:
                             cf_mono(F(1), {w: 3 - m1 - 2 * m2, y: m1}, None, {t: m2})))
         return out
 
-    def depth(m: Mono) -> Fraction:
+    def depth(m: Mono) -> int:
         return 2 * m.exp_of(t) - m.pow_of(w)
 
     return SlotFamily(
@@ -729,7 +736,7 @@ def s21_family() -> SlotFamily:
         fixed=fixed,
         slot_gen=gen,
         depth=depth,
-        excluded_min_depth=lambda L: F(L - 2),
+        excluded_min_depth=lambda L: L - 2,
         prefactors=prefactors,
         seeds={("a", 1, 1): F(1)},
     )

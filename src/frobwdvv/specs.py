@@ -193,7 +193,11 @@ def load_spec(path_or_name: str, params: dict | None = None,
     """Load a spec from a file path, or fall back to a bundled name."""
     p = Path(path_or_name)
     if p.exists():
-        spec = spec_from_json_obj(json.loads(p.read_text()), params)
+        try:
+            obj = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise SpecParseError(f"malformed spec: {exc}") from exc
+        spec = spec_from_json_obj(obj, params)
     else:
         stem = p.stem if p.suffix == ".json" else path_or_name
         spec = builtin_spec(stem, params)

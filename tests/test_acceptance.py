@@ -13,7 +13,7 @@ import pytest
 
 from frobwdvv.calibration import check_homogeneity, check_orthogonality, solve_calibration, two_point_table
 from frobwdvv.closedform import cf_mono
-from frobwdvv.core import FrobeniusSpec, build_tensors, check_wdvv
+from frobwdvv.core import build_tensors, check_wdvv
 from frobwdvv.exact import Exact
 from frobwdvv.jets import a2_family_data, genus1_report, genus1_twodim_family, p1_family_data
 from frobwdvv.legendre import (
@@ -52,14 +52,6 @@ def budget(limit):
 
 def spec_with_params(name):
     return load_spec(name, {"m": "4", "c": "1"} if name == "twodim" else None)
-
-
-def a2_s2_spec():
-    return FrobeniusSpec(
-        name="a2s2", varnames=("v1", "v2"), unity=2,
-        potential=(cf_mono(F(1, 2), {"v1": 1, "v2": 2})
-                   + cf_mono(F(4, 5) * Exact({6: F(1, 3)}), {"v1": F(5, 2)})),
-        charge=F(-1, 3), mu=(F(-1, 6), F(1, 6)), rmats={}, euler_shifts=(F(0), F(0)))
 
 
 def test_criterion_1_plane_curve_counts():
@@ -201,7 +193,7 @@ def a2_monodromy():
     return spec, t, md
 
 
-def test_criterion_6_numeric_monodromy(a2_monodromy):
+def test_criterion_6_numeric_monodromy(a2_monodromy, a2_s2_spec):
     """Stokes and connection matrices at the printed values, the two matrix
     identities, transform invariance, and the line-example invariant."""
     with budget(60.0):
@@ -218,7 +210,7 @@ def test_criterion_6_numeric_monodromy(a2_monodromy):
         assert ids["monodromy_residual"] < 1e-8
         assert ids["stokes_from_central_residual"] < 1e-8
 
-        hat = a2_s2_spec()
+        hat = a2_s2_spec
         th = build_tensors(hat)
         inv = frame_invariance_report(spec, hat, (F(0), F(3)), 2, t, th)
         ss = semisimple_at(spec, (F(0), F(3)), t)
@@ -249,7 +241,7 @@ def test_criterion_7_tensor_monodromy():
         assert out["S"] == [[1, 2, 2, 4], [0, 1, 0, 2], [0, 0, 1, 2], [0, 0, 0, 1]]
 
 
-def test_criterion_8_semisimple_frame_suite(a2_monodromy):
+def test_criterion_8_semisimple_frame_suite(a2_monodromy, a2_s2_spec):
     """Frame normalization, transform invariance of the frame, asymptotic
     orthogonality, and closedness of the hamiltonian one-form."""
     with budget(60.0):
@@ -258,7 +250,7 @@ def test_criterion_8_semisimple_frame_suite(a2_monodromy):
         assert np.abs(ss.psi.T @ ss.psi - ss.eta).max() < 1e-9
         assert np.abs(ss.v_mat + ss.v_mat.T).max() < 1e-9
 
-        hat = a2_s2_spec()
+        hat = a2_s2_spec
         inv = frame_invariance_report(spec, hat, (F(0), F(3)), 2, t)
         assert inv["psi_residual"] < 1e-9 and inv["v_residual"] < 1e-9
 

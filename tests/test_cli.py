@@ -70,7 +70,9 @@ def test_monodromy_command(capsys):
     assert abs(s[0][0][0] - 1) < 1e-6 and abs(s[1][0][0] + 1) < 1e-6
     assert "conventions" in rep and "sign_choices" in rep["conventions"]
     work = rep["work"]
-    assert work["rhs_evals_total"] == sum(map(sum, work["rhs_evals"].values())) > 0
+    assert work["rhs_evals_total"] == sum(work["rhs_evals"]) > 0
+    assert len(work["rhs_evals"]) == len(work["stack_widths"]) \
+        == work["radial_segments"] + work["arc_segments"]
     assert not set(work) & set(rep["residuals"])
 
 
@@ -98,12 +100,43 @@ def test_output_file_atomic(tmp_path, capsys):
 
 
 def test_bad_spec_path_errors(capsys):
+    # an unknown spec is a usage error
     code = main(["wdvv-check", "no_such_spec"])
-    assert code == 3
+    assert code == 2
 
 
 def test_inadmissible_line_nonzero_exit(capsys):
     code = main(["monodromy", "p1", "--point", "0,0", "--phi", str(math.pi / 2)])
+    assert code == 4
+
+
+def test_domain_error_exit_code(capsys):
+    # u = (-2, 2) at (0,3): the line at angle pi/2 is not admissible, so the
+    # run raises MatchingError before any integration
+    code = main(["monodromy", "a2", "--point", "0,3", "--phi", "1.5707963267948966"])
+    assert code == 4
+    assert "MatchingError" in capsys.readouterr().err
+
+
+def test_unknown_spec_exit_code(capsys):
+    code = main(["monodromy", "nosuchspec", "--point", "0,0", "--phi", "1"])
+    assert code == 2
+    assert "SpecParseError" in capsys.readouterr().err
+
+
+def test_malformed_spec_file_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"name": "x"')
+    assert main(["wdvv-check", str(bad)]) == 2
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    from frobwdvv import solver
+
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+    monkeypatch.setattr(solver, "recursion_nd", broken)
+    code = main(["recursion", "nd", "--max", "3"])
     assert code == 3
 
 

@@ -1,15 +1,15 @@
 import cmath
 import math
-from collections import defaultdict
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from frobwdvv import monodromy
 from frobwdvv.closedform import cf_mono
 from frobwdvv.core import FrobeniusSpec, build_tensors
-from frobwdvv.exact import Exact
 from frobwdvv.monodromy import (
     MatchingError, NonSemisimpleError, frame_invariance_report,
     hamiltonians_and_closedness, is_admissible, monodromy_identities,
@@ -19,14 +19,6 @@ from frobwdvv.monodromy import (
 from frobwdvv.specs import load_spec
 
 F = Fraction
-
-
-def a2_s2_spec():
-    return FrobeniusSpec(
-        name="a2s2", varnames=("v1", "v2"), unity=2,
-        potential=(cf_mono(F(1, 2), {"v1": 1, "v2": 2})
-                   + cf_mono(F(4, 5) * Exact({6: F(1, 3)}), {"v1": F(5, 2)})),
-        charge=F(-1, 3), mu=(F(-1, 6), F(1, 6)), rmats={}, euler_shifts=(F(0), F(0)))
 
 
 @pytest.fixture(scope="module")
@@ -137,69 +129,159 @@ def test_stability_checks_raise(a2, kwargs, message):
         stokes_and_connection(spec, (F(0), F(3)), 3 * math.pi / 4, tensors=t, **kwargs)
 
 
+Z_FAR, R_MATCH, R_SMALL = 30.0, 1.5, 0.35
+PHI = 3 * math.pi / 4
+
+
+def _default_sectors(phi):
+    """The two sectors of `stokes_and_connection` with their targets, at the
+    default radii."""
+    eps = 0.02
+    right = ((phi - math.pi + eps, phi - eps),
+             [(R_MATCH, phi), (2 * R_MATCH, phi), (R_MATCH, phi - math.pi),
+              (R_SMALL, phi), (R_SMALL * 1.6, phi)])
+    left = ((phi + eps, phi + math.pi - eps),
+            [(R_MATCH, phi), (2 * R_MATCH, phi), (R_MATCH, phi + math.pi)])
+    return [right, left]
+
+
+def _columns_alone(ss, phis, sectors, rtol=1e-11, atol=1e-14):
+    """Reference scheme: every column integrated on its own, one scipy
+    solve_ivp per radial segment and per arc.  Returns, per (sector, l), the
+    seed, the state at every radius of its sector, and the arc end states
+    keyed by target."""
+    n = len(ss.u)
+
+    def run(f, y):
+        sol = scipy_solve_ivp(f, (0.0, 1.0), y, method="DOP853", rtol=rtol, atol=atol)
+        assert sol.success
+        return sol.y[:, -1]
+
+    out = {}
+    for k, ((lo, hi), targets) in enumerate(sectors):
+        for l in range(n):
+            shifted = np.diag(ss.u) - ss.u[l] * np.eye(n)
+            th = monodromy._recessive_angle(ss.u, lo, hi, l)
+            z = Z_FAR * cmath.exp(1j * th)
+            w = sum(phis[j][:, l] / z ** j for j in range(len(phis)))
+            seed, states, ends = w, {}, {}
+            for r in sorted({r for r, _ in targets}, reverse=True):
+                z_to = r * cmath.exp(1j * th)
+                dz = z_to - z
+                w = run(lambda s, y: dz * (shifted @ y + ss.v_mat @ y / (z + s * dz)), w)
+                states[r], z = w, z_to
+            for r, th_t in targets:
+                dth = th_t - th
+
+                def arc(s, y):
+                    zz = r * cmath.exp(1j * (th + s * dth))
+                    return 1j * zz * dth * (shifted @ y + ss.v_mat @ y / zz)
+                ends[r, th_t] = run(arc, states[r])
+            out[k, l] = seed, states, ends
+    return out
+
+
+# one recorded solve_ivp call: start and end stacks (n x width), nfev, tolerances
+IvpCall = namedtuple("IvpCall", "start end nfev rtol atol")
+
+
 @pytest.fixture(scope="module")
 def a2_ivp_calls(a2):
-    """One a2 call at (0,3) with every solve_ivp call recorded as (rhs, nfev)."""
+    """One a2 call at (0,3) with every solve_ivp call recorded."""
     spec, t = a2
     calls = []
     solve_ivp = monodromy.solve_ivp
 
-    def recording(fun, *args, **kwargs):
-        sol = solve_ivp(fun, *args, **kwargs)
-        calls.append((fun, sol.nfev))
+    def recording(fun, t_span, y0, **kwargs):
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        calls.append(IvpCall(np.reshape(y0, (2, -1)), sol.y[:, -1].reshape(2, -1),
+                             sol.nfev, kwargs["rtol"], kwargs["atol"]))
         return sol
 
     monodromy.solve_ivp = recording
     try:
-        md = stokes_and_connection(spec, (F(0), F(3)), 3 * math.pi / 4, tensors=t)
+        md = stokes_and_connection(spec, (F(0), F(3)), PHI, tensors=t)
     finally:
         monodromy.solve_ivp = solve_ivp
     return md, calls
 
 
-def _radial_segment(fun):
-    """(z_from, dz, shifted U) of a radial right-hand side; None for an arc."""
-    cells = dict(zip(fun.__code__.co_freevars, (c.cell_contents for c in fun.__closure__)))
-    if "dz" not in cells:
-        return None
-    return cells["z_from"], cells["dz"], cells["shifted"]
-
-
 def test_work_counts_every_rhs_evaluation(a2_ivp_calls):
     md, calls = a2_ivp_calls
     work = md.work
-    assert work["rhs_evals_total"] == sum(nfev for _, nfev in calls)
-    assert work["rhs_evals_total"] == sum(map(sum, work["rhs_evals"].values()))
-    assert [len(work["rhs_evals"][side]) for side in ("right", "left")] == [2, 2]
-    radial = sum(_radial_segment(fun) is not None for fun, _ in calls)
-    assert work["radial_segments"] == radial
-    assert work["arc_segments"] == len(calls) - radial
+    assert work["rhs_evals"] == [c.nfev for c in calls]
+    assert work["rhs_evals_total"] == sum(c.nfev for c in calls)
+    assert work["stack_widths"] == [c.start.shape[1] for c in calls]
+    assert work["radial_segments"] + work["arc_segments"] == len(calls)
+    # four distinct radii; the left sector's two columns leave after r_match;
+    # then the 5 + 3 targets of both columns of each sector in one arc stack
+    assert work["stack_widths"] == [4, 4, 2, 2, 16]
+    assert (work["radial_segments"], work["arc_segments"]) == (4, 1)
     assert not set(work) & set(md.residuals)
 
 
-def test_each_column_ray_is_integrated_once(a2_ivp_calls):
+def test_stack_tolerances_scale_with_width(a2_ivp_calls):
+    """rtol and atol over sqrt(width): the stack's RMS norm then bounds every
+    column's own error norm at the tolerances of a column alone."""
     _, calls = a2_ivp_calls
-    z_far = 30.0
-    rays = defaultdict(list)
-    for fun, _ in calls:
-        seg = _radial_segment(fun)
-        if seg is not None:
-            z_from, dz, shifted = seg
-            key = (round(cmath.phase(z_from), 9), tuple(np.round(np.diag(shifted), 9)))
-            rays[key].append((abs(z_from), abs(z_from + dz), abs(dz)))
-    # two columns on each of the two sectors
-    assert len(rays) == 4
-    ends = []
-    for segs in rays.values():
-        segs.sort(reverse=True)
-        assert segs[0][0] == pytest.approx(z_far)
-        for (_, r_to, _), (r_from, _, _) in zip(segs, segs[1:]):
-            assert r_from == pytest.approx(r_to)
-        r_min = segs[-1][1]
-        assert sum(length for _, _, length in segs) == pytest.approx(z_far - r_min)
-        ends.append(r_min)
-    # right sector down to r_small = 0.35, left sector down to r_match = 1.5
-    assert sorted(ends) == pytest.approx([0.35, 0.35, 1.5, 1.5])
+    for c in calls:
+        assert c.rtol == pytest.approx(1e-11 / math.sqrt(c.start.shape[1]), rel=1e-12)
+        assert c.atol == pytest.approx(1e-14 / math.sqrt(c.start.shape[1]), rel=1e-12)
+
+
+def test_stacked_work_is_pinned(a2_ivp_calls):
+    """28 solve_ivp calls and 22,736 evaluations before the columns shared a
+    stack."""
+    md, calls = a2_ivp_calls
+    assert len(calls) <= 5
+    assert md.work["rhs_evals_total"] <= 0.35 * 22736
+
+
+def test_each_column_ray_is_integrated_once(a2, a2_ivp_calls):
+    spec, t = a2
+    _, calls = a2_ivp_calls
+    radial, arcs = calls[:-1], calls[-1]
+    ss = semisimple_at(spec, (F(0), F(3)), t)
+    ref = _columns_alone(ss, phi_recursion(ss, 8), _default_sectors(PHI))
+
+    def same_columns(a, b):
+        """Index in b of every column of a, each found bit for bit."""
+        found = [[j for j in range(b.shape[1]) if np.array_equal(a[:, i], b[:, j])]
+                 for i in range(a.shape[1])]
+        assert all(len(f) == 1 for f in found)
+        return [f[0] for f in found]
+
+    # the first stack holds each column's seed once, every later stack starts
+    # from where the previous one ended, and the arcs start from radial ends
+    seeds = np.column_stack([seed for seed, _, _ in ref.values()])
+    assert sorted(same_columns(radial[0].start, seeds)) == list(range(len(ref)))
+    for prev, nxt in zip(radial, radial[1:]):
+        assert len(set(same_columns(nxt.start, prev.end))) == nxt.start.shape[1]
+    same_columns(arcs.start, np.column_stack([c.end for c in radial]))
+
+    # each stack ends at the next radius, on the columns whose sector still
+    # has a target there, each matching that column integrated alone
+    radii = [2 * R_MATCH, R_MATCH, R_SMALL * 1.6, R_SMALL]
+    assert len(radial) == len(radii)
+    for c, r in zip(radial, radii):
+        alone = [states[r] for _, states, _ in ref.values() if r in states]
+        assert c.end.shape[1] == len(alone)
+        for col in alone:
+            assert np.abs(c.end - col[:, None]).max(axis=0).min() < 1e-9
+
+
+@pytest.mark.parametrize("name, point", [("a2", (0, 3)), ("p1", (0, 0))])
+def test_stacked_states_match_columns_integrated_alone(name, point):
+    spec = load_spec(name)
+    ss = semisimple_at(spec, tuple(F(x) for x in point))
+    phis = phi_recursion(ss, 8)
+    sectors = _default_sectors(PHI)
+    sols, _ = monodromy._sectorial_solutions(ss, phis, sectors, Z_FAR, 1e-11)
+    ref = _columns_alone(ss, phis, sectors)
+    for (k, l), (_, _, ends) in ref.items():
+        for (r, th), want in ends.items():
+            got = sols[k][r, th][:, l] * cmath.exp(-r * cmath.exp(1j * th) * ss.u[l])
+            assert np.abs(got - want).max() < 1e-9
 
 
 def test_sign_flip_conjugates_everything(a2):
@@ -213,9 +295,9 @@ def test_sign_flip_conjugates_everything(a2):
     assert np.abs(md_pp.central @ eps - md_pm.central).max() < 1e-9
 
 
-def test_transform_invariance_s2_a2(a2, a2_md):
+def test_transform_invariance_s2_a2(a2, a2_md, a2_s2_spec):
     spec, t = a2
-    hat = a2_s2_spec()
+    hat = a2_s2_spec
     th = build_tensors(hat)
     inv = frame_invariance_report(spec, hat, (F(0), F(3)), 2, t, th)
     assert inv["pass"]

@@ -212,7 +212,7 @@ def pairing_case(fam, level, one, two):
     slot = {key: m for lv in range(level + 1) for key, m in fam.slot_gen(lv)}
     pairs = [(fam.fixed, fam.fixed), (fam.fixed, slot[one]), (slot[one], fam.fixed),
              (slot[two[0]], slot[two[1]])]
-    return fam.excluded_min_depth(level) - F(1, 1000), pairs
+    return fam.excluded_min_depth(level) - 1, pairs
 
 
 @pytest.mark.parametrize("case", PAIRING_CASES, ids=lambda c: c[0].name)
