@@ -80,12 +80,8 @@ def solve_calibration(spec: FrobeniusSpec, m_max: int,
     keep = spec.exp_filter()
     cal = Calibration(spec, t, m_max)
 
-    for a in range(1, n + 1):
-        # theta_{a,0} is the lowered flat coordinate
-        th0 = ClosedForm.zero()
-        for rho in range(n):
-            if t.eta[a - 1][rho]:
-                th0 = th0 + cf_var(names[rho]) * t.eta[a - 1][rho]
+    # theta_{a,0} is the lowered flat coordinate
+    for a, th0 in enumerate(raise_index([cf_var(v) for v in names], t.eta), 1):
         cal.theta[(a, 0)] = th0
 
     for m in range(m_max):
@@ -151,7 +147,7 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
                     f"{spec.name}: resonant obstruction at level {level}, ({g},{b})")
             affine[b] = F(0)  # free constant: zero choice
         else:
-            affine[b] = cval / coeff if isinstance(cval, Fraction) else cval * (F(1) / coeff)
+            affine[b] = cval / coeff
 
     theta1 = theta0
     for b, ab in affine.items():

@@ -117,26 +117,6 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _scalar_add(a, b):
-    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return complex(a) + complex(b)
-    if isinstance(a, Exact) or isinstance(b, Exact):
-        ae = a if isinstance(a, Exact) else Exact.rational(a)
-        be = b if isinstance(b, Exact) else Exact.rational(b)
-        return as_exact_scalar(ae + be)
-    return a + b
-
-
-def _scalar_mul(a, b):
-    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return complex(a) * complex(b)
-    if isinstance(a, Exact) or isinstance(b, Exact):
-        ae = a if isinstance(a, Exact) else Exact.rational(a)
-        be = b if isinstance(b, Exact) else Exact.rational(b)
-        return as_exact_scalar(ae * be)
-    return a * b
-
-
 class ClosedForm:
     """Immutable normal-form sum {monomial: coefficient}; zero coeffs dropped."""
 
@@ -164,7 +144,7 @@ class ClosedForm:
 
     @staticmethod
     def const(c) -> "ClosedForm":
-        return ClosedForm({_ONE: Fraction(c) if isinstance(c, int) else c})
+        return ClosedForm({_ONE: c})
 
     # -- basic ring ops ------------------------------------------------
     def __add__(self, other):
@@ -174,7 +154,7 @@ class ClosedForm:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = _scalar_add(out.get(m, Fraction(0)), c)
+            s = out.get(m, Fraction(0)) + c
             if s:
                 out[m] = s
             else:
@@ -184,7 +164,7 @@ class ClosedForm:
     __radd__ = __add__
 
     def __neg__(self):
-        return ClosedForm({m: _scalar_mul(-1, c) for m, c in self.terms.items()}, _clean=True)
+        return ClosedForm({m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Exact)):
@@ -200,7 +180,7 @@ class ClosedForm:
         if isinstance(other, (int, Fraction, Exact)):
             if not other:
                 return ClosedForm.zero()
-            return ClosedForm({m: _scalar_mul(c, other) for m, c in self.terms.items()}, _clean=True)
+            return ClosedForm({m: c * other for m, c in self.terms.items()}, _clean=True)
         if not isinstance(other, ClosedForm):
             return NotImplemented
         return ClosedForm.sum_of_products(((1, self, other),))
@@ -219,21 +199,19 @@ class ClosedForm:
             if not scale or not f.terms or not g.terms:
                 continue
             left = f.terms.items() if scale == 1 else \
-                [(m, _scalar_mul(c, scale)) for m, c in f.terms.items()]
+                [(m, c * scale) for m, c in f.terms.items()]
             right = g.terms.items()
-            rational = all(type(c) is Fraction for _, c in left) and \
-                all(type(c) is Fraction for _, c in right)
             for (p1, l1, x1), c1 in left:
                 for (p2, l2, x2), c2 in right:
                     m = Mono(_merge(p1, p2), _merge(l1, l2), _merge(x1, x2))
-                    c = c1 * c2 if rational else _scalar_mul(c1, c2)
+                    c = c1 * c2
                     s = out.get(m)
                     if s is None:
                         if keep is not None and not keep(m):
                             continue
                         s = c
                     else:
-                        s = s + c if rational and type(s) is Fraction else _scalar_add(s, c)
+                        s = s + c
                     if s:
                         out[m] = s
                     else:
@@ -267,16 +245,16 @@ class ClosedForm:
             raise ValueError("mono_pow cannot handle log factors")
         q = Fraction(q)
         if q.denominator == 1:
-            cq = (c if isinstance(c, Exact) else Exact.rational(c)) ** q.numerator
-        elif not isinstance(c, Exact) and (root := nth_root_fraction(Fraction(c), q.denominator)) is not None:
-            cq = Exact.rational(root) ** q.numerator
-        elif q.denominator == 2 and not isinstance(c, Exact) and Fraction(c) > 0:
-            cq = sqrt_fraction(Fraction(c)) ** q.numerator
+            cq = c ** q.numerator
+        elif isinstance(c, Fraction) and (root := nth_root_fraction(c, q.denominator)) is not None:
+            cq = root ** q.numerator
+        elif q.denominator == 2 and isinstance(c, Fraction) and c > 0:
+            cq = sqrt_fraction(c) ** q.numerator
         else:
             raise NeedsFloatError(f"cannot take exact power {q} of coefficient {c}")
         mono = Mono.make({v: e * q for v, e in m.powers}, None,
                          {v: e * q for v, e in m.exps})
-        return ClosedForm({mono: as_exact_scalar(cq)})
+        return ClosedForm({mono: cq})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Exact)):
@@ -312,7 +290,7 @@ class ClosedForm:
 
         def acc(m, c):
             if c:
-                s = _scalar_add(out.get(m, Fraction(0)), c)
+                s = out.get(m, Fraction(0)) + c
                 if s:
                     out[m] = s
                 else:
@@ -326,11 +304,11 @@ class ClosedForm:
             if q or k:
                 shifted = _merge(m.powers, down)
                 if q:
-                    acc(Mono(shifted, m.logs, m.exps), _scalar_mul(c, q))
+                    acc(Mono(shifted, m.logs, m.exps), c * q)
                 if k:
-                    acc(Mono(shifted, _merge(m.logs, down), m.exps), _scalar_mul(c, k))
+                    acc(Mono(shifted, _merge(m.logs, down), m.exps), c * k)
             if e:
-                acc(m, _scalar_mul(c, e))
+                acc(m, c * e)
         return ClosedForm(out, _clean=True)
 
     def diff_multi(self, variables: Iterable[str]) -> "ClosedForm":
@@ -375,33 +353,32 @@ class ClosedForm:
 
     def evaluate_exact(self, point: dict[str, Fraction]):
         """Exact evaluation; raises NeedsFloatError outside the radical field."""
-        total = Exact.zero()
+        total = Fraction(0)
         for m, c in self.terms.items():
-            val = c if isinstance(c, Exact) else Exact.rational(c)
+            val = c
             for v, q in m.powers:
                 z = Fraction(point[v])
                 if z == 0:
                     if q.denominator == 1 and q > 0:
-                        val = Exact.zero()
+                        val = Fraction(0)
                         continue
                     raise BranchPointError(f"{v}^{q} at {v}=0")
                 if q.denominator == 1:
-                    val = val * (Exact.rational(z) ** int(q))
+                    val = val * z ** int(q)
                 elif q.denominator == 2 and z > 0:
-                    val = val * (sqrt_fraction(z) ** q.numerator if q.numerator >= 0
-                                 else (sqrt_fraction(z) ** (-q.numerator)).inverse())
+                    val = val * sqrt_fraction(z) ** q.numerator
                 else:
                     raise NeedsFloatError(f"{v}^{q} at {v}={z}")
             for v, k in m.logs:
                 if Fraction(point[v]) == 1:
-                    val = Exact.zero()
+                    val = Fraction(0)
                 else:
                     raise NeedsFloatError(f"log {v} at {v}={point[v]}")
             for v, e in m.exps:
                 if e * Fraction(point[v]) != 0:
                     raise NeedsFloatError(f"exp({e}{v}) at {v}={point[v]}")
             total = total + val
-        return as_exact_scalar(total)
+        return total
 
     def substitute_monomials(self, table: dict[str, "ClosedForm"]) -> "ClosedForm":
         """Substitute vars by closed forms; non-integer powers and exp/log factors

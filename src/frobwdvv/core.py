@@ -10,12 +10,12 @@ from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
 from .closedform import ClosedForm, Mono, cf_var, equal_mod_quadratic, mono_exp_degree
-from .linalg import SingularMatrixError, mat_inv
+from .linalg import SingularMatrixError, mat_inv, raise_index
 
 __all__ = [
     "FrobeniusSpec", "Tensors", "SpecValidationError", "NonConstantMetricError",
     "SingularMetricError", "build_tensors", "validate_spec", "check_wdvv",
-    "euler_report", "u_matrix", "WDVVReport",
+    "euler_report", "u_matrix", "hat_point", "WDVVReport",
 ]
 
 
@@ -135,20 +135,11 @@ def build_tensors(spec: FrobeniusSpec) -> Tensors:
 
     c_low = tuple(tuple(tuple(c3(a, b, g) for g in range(n)) for b in range(n))
                   for a in range(n))
-    c_mixed = []
-    for g in range(n):
-        block = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                s = ClosedForm.zero()
-                for rho in range(n):
-                    if eta_inv[g][rho]:
-                        s = s + c_low[rho][a][b] * eta_inv[g][rho]
-                row.append(s)
-            block.append(tuple(row))
-        c_mixed.append(tuple(block))
-    return Tensors(eta=eta, eta_inv=eta_inv, c_low=c_low, c_mixed=tuple(c_mixed))
+    up = [[raise_index([c_low[rho][a][b] for rho in range(n)], eta_inv) for b in range(n)]
+          for a in range(n)]
+    c_mixed = tuple(tuple(tuple(up[a][b][g] for b in range(n)) for a in range(n))
+                    for g in range(n))
+    return Tensors(eta=eta, eta_inv=eta_inv, c_low=c_low, c_mixed=c_mixed)
 
 
 def validate_spec(spec: FrobeniusSpec, tensors: Tensors | None = None) -> Tensors:
@@ -264,3 +255,9 @@ def u_matrix(spec: FrobeniusSpec, tensors: Tensors | None = None):
                 ((1, comps[rho], t.c_mixed[a][rho][b]) for rho in range(n)), keep))
         out.append(tuple(row))
     return tuple(out)
+
+
+def hat_point(row: list[ClosedForm], eta_inv, point: dict) -> list:
+    """Numeric coordinates eta^{ab} d_kappa d_b F of the kappa-direction
+    Legendre transform at a point, from the kappa row of second derivatives."""
+    return raise_index([f.evaluate(point) for f in row], eta_inv)

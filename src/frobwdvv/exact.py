@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 __all__ = ["Exact", "ExactZeroDivision", "sqrt_fraction", "as_exact_scalar", "scalar_is_exact"]
 
@@ -130,99 +131,68 @@ class Exact:
         return total
 
     # -- arithmetic ---------------------------------------------------
-    @staticmethod
-    def _coerce(other) -> "Exact | None":
-        if isinstance(other, Exact):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Exact({1: Fraction(other)})
-        return None
-
+    # Operands may be int, Fraction, Exact, float or complex.  A float or
+    # complex operand makes the result complex (both sides are converted
+    # first).  Otherwise the result is exact and normalized: a Fraction
+    # whenever it is rational, an Exact only when a radical is left.
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, q in o.terms.items():
-            out[m] = out.get(m, Fraction(0)) + q
-        return Exact(out)
+            return _inexact(add, self, other)
+        return _sum(self.terms, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Exact({m: -q for m, q in self.terms.items()})
+        return _normal({m: -q for m, q in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
-            return NotImplemented
-        return self + (-o)
+            return _inexact(sub, self, other)
+        return _sum(self.terms, {m: -q for m, q in o.items()})
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
-            return NotImplemented
-        return o + (-self)
+            return _inexact(sub, other, self)
+        return _sum(o, {m: -q for m, q in self.terms.items()})
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
-            return NotImplemented
+            return _inexact(mul, self, other)
+        # sqrt(m1)*sqrt(m2) = s*sqrt(m) with m1*m2 = s^2*m
         out: dict[int, Fraction] = {}
         for m1, q1 in self.terms.items():
-            for m2, q2 in o.terms.items():
+            for m2, q2 in o.items():
                 s, m = _square_free_split(m1 * m2)
-                q = q1 * q2 * s
-                if q:
-                    out[m] = out.get(m, Fraction(0)) + q
-        return Exact(out)
+                out[m] = out.get(m, Fraction(0)) + q1 * q2 * s
+        return _normal({m: q for m, q in out.items() if q})
 
     __rmul__ = __mul__
 
-    def _split_on(self, p: int) -> tuple["Exact", "Exact"]:
-        """self = A + sqrt(p)*B with neither A nor B involving the prime p."""
-        a: dict[int, Fraction] = {}
-        b: dict[int, Fraction] = {}
-        for m, q in self.terms.items():
-            if m % p == 0:
-                b[m // p] = q
-            else:
-                a[m] = q
-        return Exact(a), Exact(b)
-
-    def inverse(self) -> "Exact":
-        if not self.terms:
-            raise ExactZeroDivision("division by zero Exact")
-        rads = [m for m in self.terms if m != 1]
-        if not rads:
-            return Exact({1: 1 / self.terms[1]})
-        # pick a prime dividing some radical and rationalize it away
-        m0 = rads[0]
-        p = 2
-        while m0 % p:
-            p += 1
-        a, b = self._split_on(p)
-        denom = a * a - Exact.rational(p) * b * b
-        return (a - Exact({p: Fraction(1)}) * b) * denom.inverse()
+    def inverse(self):
+        return _invert(self.terms)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
-            return NotImplemented
-        return self * o.inverse()
+            return _inexact(truediv, self, other)
+        return self * _invert(o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
-            return NotImplemented
-        return o * self.inverse()
+            return _inexact(truediv, other, self)
+        return _invert(self.terms) * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
-        out = Exact.rational(1)
+            return _invert(self.terms) ** (-n)
+        out = Fraction(1)
         base = self
         while n:
             if n & 1:
@@ -232,10 +202,10 @@ class Exact:
         return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _terms(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.terms == o
 
     def __hash__(self):
         if self.is_rational():
@@ -250,6 +220,65 @@ class Exact:
             q = self.terms[m]
             parts.append(str(q) if m == 1 else f"{q}*sqrt({m})")
         return " + ".join(parts)
+
+
+def _terms(x) -> dict | None:
+    """The {radicand: coefficient} terms of an exact operand, else None."""
+    if isinstance(x, Exact):
+        return x.terms
+    if isinstance(x, Fraction):
+        return {1: x} if x else {}
+    if isinstance(x, int):
+        return {1: Fraction(x)} if x else {}
+    return None
+
+
+def _inexact(op, a, b):
+    """op on complex values when an operand is float or complex."""
+    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
+        return op(complex(a), complex(b))
+    return NotImplemented
+
+
+def _normal(terms: dict):
+    """The value of terms with nonzero Fraction coefficients: a Fraction
+    when no radical is left, else an Exact that takes over the dict."""
+    if not terms:
+        return Fraction(0)
+    if len(terms) == 1 and 1 in terms:
+        return terms[1]
+    out = object.__new__(Exact)
+    object.__setattr__(out, "terms", terms)
+    return out
+
+
+def _sum(a: dict, b: dict):
+    out = dict(a)
+    for m, q in b.items():
+        s = out.get(m, Fraction(0)) + q
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return _normal(out)
+
+
+def _invert(terms: dict):
+    if not terms:
+        raise ExactZeroDivision("division by zero Exact")
+    rads = [m for m in terms if m != 1]
+    if not rads:
+        return 1 / terms[1]
+    # pick a prime dividing some radical and rationalize it away:
+    # x = a + sqrt(p)*b with neither a nor b involving p
+    m0 = rads[0]
+    p = 2
+    while m0 % p:
+        p += 1
+    a = _normal({m: q for m, q in terms.items() if m % p})
+    b = _normal({m // p: q for m, q in terms.items() if m % p == 0})
+    denom = a * a - p * b * b
+    return (a - Exact({p: Fraction(1)}) * b) * (Fraction(1) / denom)
 
 
 def as_exact_scalar(x):

@@ -11,8 +11,8 @@ from typing import Sequence
 
 from .calibration import Calibration, TwoPointTable, solve_calibration, two_point_table
 from .closedform import ClosedForm
-from .core import FrobeniusSpec, Tensors, build_tensors
-from .linalg import raise_index, sdiv
+from .core import FrobeniusSpec, Tensors, build_tensors, hat_point
+from .linalg import raise_index
 from .series import Grading, SeriesMap, TruncSeries, compose, invert_map, localize
 
 __all__ = [
@@ -87,9 +87,7 @@ def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
                     continue
                 ib = list(ia)
                 ib[b] -= 1
-                c = w[a][b].coeffs.get(tuple(ib), F(0))
-                cand = sdiv(c, F(idx[a] * ia[b])) if c else (
-                    F(0) if not isinstance(c, (float, complex)) else 0.0)
+                cand = w[a][b].coeffs.get(tuple(ib), F(0)) / (idx[a] * ia[b])
                 if val is None:
                     val = cand
                 else:
@@ -335,17 +333,13 @@ def check_metric_transport(result: LegendreResult) -> dict:
     spec, t = result.spec, result.tensors
     n = spec.n
     low = result.hat_lower_forms()
+    keep = spec.exp_filter()
     failures = []
     for a in range(n):
+        # eta^{b rho} d vhat_a / d v^rho = c^b_{kappa a}
+        lhs = raise_index([low[a].diff(v) for v in spec.varnames], t.eta_inv)
         for b in range(n):
-            # d vhat_a / d v^rho eta^{rho b} = c^b_{kappa a}
-            lhs = ClosedForm.zero()
-            for rho in range(n):
-                if t.eta_inv[rho][b]:
-                    lhs = lhs + low[a].diff(spec.varnames[rho]) * t.eta_inv[rho][b]
-            rhs = t.c_mixed[b][result.kappa - 1][a]
-            keep = spec.exp_filter()
-            diff = lhs - rhs
+            diff = lhs[b] - t.c_mixed[b][result.kappa - 1][a]
             if keep:
                 diff = diff.filter(keep)
             if not diff.is_zero():
@@ -383,21 +377,17 @@ def check_structure_transport(result: LegendreResult) -> dict:
     t = result.tensors
     chat = hat_tensors_series(result)
     order_guard = result.grading.order - 3
+    # lower the transported mixed tensor with eta and compare with the third
+    # derivatives of the hat potential
+    lowered = [[raise_index([chat[rho][a][b] for rho in range(n)], t.eta) for b in range(n)]
+               for a in range(n)]
     failures = []
     for g in range(n):
-        lowered = None
         for a in range(n):
             for b in range(n):
-                # lower the transported mixed tensor with eta and compare with
-                # the third derivatives of the hat potential
-                s = None
-                for rho in range(n):
-                    if t.eta[g][rho]:
-                        term = chat[rho][a][b] * t.eta[g][rho]
-                        s = term if s is None else s + term
                 third = result.hat_potential.diff(result.hat_vars[a]) \
                     .diff(result.hat_vars[b]).diff(result.hat_vars[g])
-                if not _vanishes((s - third).truncate(order_guard)):
+                if not _vanishes((lowered[a][b][g] - third).truncate(order_guard)):
                     failures.append((a + 1, b + 1, g + 1))
     return {"pass": not failures, "failures": failures}
 
@@ -409,19 +399,16 @@ def check_product_identity(result: LegendreResult) -> dict:
     n = spec.n
     inv = result.inverse_map
     order_guard = result.grading.order - 2
+    # d v^sig / d vhat_a = eta^{a b} d inv^sig / d yhat^b
+    dv = [raise_index([comp.diff(y) for y in result.hat_vars], t.eta_inv)
+          for comp in inv.components]
     failures = []
     for a in range(n):
         for g in range(n):
             s = None
             for sig in range(n):
                 cmix = pullback(result, t.c_mixed[g][result.kappa - 1][sig])
-                # d v^sig / d vhat_a = eta^{b a} d inv^sig / d yhat^b
-                dv = None
-                for b in range(n):
-                    if t.eta_inv[b][a]:
-                        term = inv.components[sig].diff(result.hat_vars[b]) * t.eta_inv[b][a]
-                        dv = term if dv is None else dv + term
-                term = cmix * dv
+                term = cmix * dv[sig][a]
                 s = term if s is None else s + term
             diff = (s - t.eta_inv[g][a]).truncate(order_guard)
             if not _vanishes(diff):
@@ -464,10 +451,7 @@ def verify_pointwise(spec: FrobeniusSpec, kappa: int, hat_potential: ClosedForm,
 
     def check_point(pt):
         vpt = dict(zip(names, [complex(x) for x in pt]))
-        low = [sec[kappa - 1][a].evaluate(vpt) for a in range(n)]
-        hat_pt = {}
-        for a in range(n):
-            hat_pt[hat_names[a]] = sum(complex(t.eta_inv[a][b]) * low[b] for b in range(n))
+        hat_pt = dict(zip(hat_names, hat_point(sec[kappa - 1], t.eta_inv, vpt)))
         worst_pt = 0.0
         fails = []
         for a in range(n):

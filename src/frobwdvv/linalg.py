@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Exact, as_exact_scalar
+from .exact import as_exact_scalar
 
-__all__ = ["sdiv", "mat_inv", "solve_affine", "SingularMatrixError", "InconsistentSystemError",
+__all__ = ["mat_inv", "solve_affine", "SingularMatrixError", "InconsistentSystemError",
            "kron", "raise_index"]
 
 
@@ -16,16 +16,6 @@ class SingularMatrixError(ArithmeticError):
 
 class InconsistentSystemError(ArithmeticError):
     """A system of exact equations has no solution."""
-
-
-def sdiv(a, b):
-    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
-        return complex(a) / complex(b)
-    if isinstance(a, Exact) or isinstance(b, Exact):
-        ae = a if isinstance(a, Exact) else Exact.rational(a)
-        be = b if isinstance(b, Exact) else Exact.rational(b)
-        return as_exact_scalar(ae / be)
-    return Fraction(a) / Fraction(b)
 
 
 def _eliminate(rows, is_unknown) -> dict:
@@ -46,8 +36,8 @@ def _eliminate(rows, is_unknown) -> dict:
             if row:
                 raise InconsistentSystemError("inconsistent linear system")
             continue
-        inv = sdiv(Fraction(1), row.pop(pivot))
-        row = {k: as_exact_scalar(v * inv) for k, v in row.items()}
+        inv = Fraction(1) / row.pop(pivot)
+        row = {k: v * inv for k, v in row.items()}
         for other in reduced.values():
             if pivot in other:
                 _sub_multiple(other, other.pop(pivot), row, None)
@@ -60,7 +50,7 @@ def _sub_multiple(row: dict, f, other: dict, skip) -> None:
     """row -= f * other in place, over the keys of `other` except `skip`."""
     for k, v in other.items():
         if k != skip:
-            s = as_exact_scalar(row.get(k, Fraction(0)) - f * v)
+            s = row.get(k, Fraction(0)) - f * v
             if s:
                 row[k] = s
             else:
@@ -73,7 +63,7 @@ def solve_affine(rows: list) -> dict:
     out = {}
     for (u,), row in _eliminate(rows, bool).items():
         if len(row) == 1 + (() in row):
-            out[u] = as_exact_scalar(-row.get((), Fraction(0)))
+            out[u] = -row.get((), Fraction(0))
     return out
 
 
@@ -104,8 +94,9 @@ def kron(a, b):
 
 
 def raise_index(low: list, eta_inv) -> list:
-    """Upper components eta^{ab} low_b of lowered ones; the entries are
-    ClosedForms or TruncSeries."""
+    """Upper components eta^{ab} low_b of lowered ones (or, given eta, the
+    lowered components of upper ones); the entries are ClosedForms,
+    TruncSeries or numbers."""
     out = []
     for row in eta_inv:
         s = low[0] * 0      # zero in the entries' own type and frame

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .calibration import Calibration, solve_calibration, theta_matrix_coefficients
-from .core import FrobeniusSpec, Tensors, build_tensors, u_matrix
+from .core import FrobeniusSpec, Tensors, build_tensors, hat_point, u_matrix
 from .linalg import kron
 
 __all__ = [
@@ -539,10 +539,8 @@ def frame_invariance_report(spec_m: FrobeniusSpec, spec_hat: FrobeniusSpec,
     # matched hat point: second derivatives of the potential in the kappa slot
     names = spec_m.varnames
     pt = {v: complex(x) for v, x in zip(names, point_m)}
-    low = [spec_m.potential.diff(names[kappa - 1]).diff(names[b]).evaluate(pt)
-           for b in range(spec_m.n)]
-    hat_pt = tuple(sum(complex(tm.eta_inv[a][b]) * low[b] for b in range(spec_m.n))
-                   for a in range(spec_m.n))
+    row = [spec_m.potential.diff(names[kappa - 1]).diff(v) for v in names]
+    hat_pt = tuple(hat_point(row, tm.eta_inv, pt))
     ss_hat = semisimple_at(spec_hat, hat_pt, th,
                            sign_reference=(kappa - 1, ss.psi[:, kappa - 1]))
     dpsi = float(np.abs(ss.psi - ss_hat.psi).max())

@@ -17,7 +17,7 @@ from operator import add, mul
 
 from .closedform import ClosedForm, NeedsFloatError
 from .exact import Exact, as_exact_scalar, scalar_is_exact, sqrt_fraction
-from .linalg import SingularMatrixError, mat_inv, sdiv
+from .linalg import SingularMatrixError, mat_inv
 
 __all__ = [
     "Grading", "TruncSeries", "SeriesMap",
@@ -177,8 +177,6 @@ class TruncSeries:
                     idx = tuple(map(add, i1, i2))
                     prev = out.get(idx)
                     s = c1 * c2 if prev is None else prev + c1 * c2
-                    if isinstance(s, Exact):
-                        s = as_exact_scalar(s)
                     if s:
                         out[idx] = s
                     elif prev is not None:
@@ -268,7 +266,6 @@ def _add_into(out: dict, coeffs: dict) -> None:
     """Add a coefficient dict into `out` in place, dropping zeros."""
     for idx, c in coeffs.items():
         s = out.get(idx, Fraction(0)) + c
-        s = as_exact_scalar(s) if not isinstance(s, (float, complex)) else s
         if s:
             out[idx] = s
         else:
@@ -404,7 +401,7 @@ def series_reciprocal(f: TruncSeries) -> TruncSeries:
     c0 = f.constant_term()
     if not c0:
         raise SingularCenterError("reciprocal of series with zero constant term")
-    inv0 = sdiv(Fraction(1), c0)
+    inv0 = Fraction(1) / c0
     g = f * inv0 - 1
     out = TruncSeries.constant(Fraction(1), f.vars, f.center, f.grading)
     term = TruncSeries.constant(Fraction(1), f.vars, f.center, f.grading)
@@ -430,13 +427,12 @@ def _value_pow(c, q: Fraction):
     if isinstance(c, (float, complex)):
         import cmath
         return cmath.exp(float(q) * cmath.log(c)) if c != 0 else 0.0
-    cf = Fraction(c) if not isinstance(c, Exact) else None
-    if cf is not None:
+    if isinstance(c, (int, Fraction)):
+        cf = Fraction(c)
         if q.denominator == 1:
-            return cf ** q.numerator if q >= 0 else Fraction(1) / cf ** (-q.numerator)
+            return cf ** q.numerator
         if q.denominator == 2 and cf > 0:
-            v = sqrt_fraction(cf) ** q.numerator
-            return as_exact_scalar(v)
+            return sqrt_fraction(cf) ** q.numerator
     raise NeedsFloatError(f"cannot take exact {c}^{q}")
 
 
@@ -478,7 +474,7 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple, grading: Gradi
             n = nmax[v]
             coefs = _binomial_series(q, n)
             s = const_series(coefs[0])
-            xc = coord(i) * sdiv(Fraction(1), c)
+            xc = coord(i) * (Fraction(1) / c)
             p = const_series(Fraction(1))
             for j in range(1, n + 1):
                 p = p * xc
@@ -498,7 +494,7 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple, grading: Gradi
                     raise NeedsFloatError(f"log({c}) is not exact")
                 logc = cmath.log(complex(c))
             n = nmax[v]
-            xc = coord(i) * sdiv(Fraction(1), c)
+            xc = coord(i) * (Fraction(1) / c)
             s = const_series(logc)
             p = const_series(Fraction(1))
             for j in range(1, n + 1):

@@ -530,18 +530,21 @@ def _solve_polynomial_equations(name: str, eq_list: list, unknown_keys: list,
     """Iteratively substitute, peel affine equations (exact Gaussian elimination),
     and use pure-square equations u^2 = 0; raises on inconsistency."""
     known = dict(known)
-    # known values only accumulate, so an equation that reduced to nothing
-    # stays reduced and leaves the loop
+    # each live equation is kept in its last reduced form, which holds no
+    # unknown known at the time, so it needs substituting again only when one
+    # of its unknowns has been pinned since; known values only accumulate, so
+    # an equation that reduced to nothing stays reduced and leaves the loop
     live = eq_list
     for _round in range(60):
         rows = []
         progressed = False
         pending = []
-        for poly in live:
-            sub = _poly_substitute(poly, known)
-            if not sub:
-                continue
-            pending.append(poly)
+        for sub in live:
+            if any(k in known for ukeys in sub for k in ukeys):
+                sub = _poly_substitute(sub, known)
+                if not sub:
+                    continue
+            pending.append(sub)
             degs = [len(k) for k in sub]
             if max(degs) == 0:
                 raise InconsistentSystemError(

@@ -263,3 +263,85 @@ def test_diff_matches_sympy(f, var):
     # the output keeps the kernel's normal form: int for integral exponents
     assert all(type(e) is int or e.denominator != 1
                for m in f.diff(var).terms for _, e in m.powers + m.exps)
+
+
+@st.composite
+def integrable_forms(draw):
+    """Forms whose every term antidifferentiates in x: a rational power of x
+    times a power of log x, or a polynomial in x times an exponential in x."""
+    f = ClosedForm.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        y_pow = draw(st.fractions(min_value=-2, max_value=3, max_denominator=2))
+        if draw(st.booleans()):
+            # x^-1 log^k x integrates to a log power: draw it often
+            x_pow = st.one_of(st.just(F(-1)),
+                              st.fractions(min_value=-2, max_value=3, max_denominator=3))
+            powers = {"x": draw(x_pow), "y": y_pow}
+            logs = {"x": draw(st.integers(0, 2))}
+            exps = {"y": draw(st.fractions(min_value=-1, max_value=2, max_denominator=2))}
+        else:
+            powers = {"x": draw(st.integers(0, 3)), "y": y_pow}
+            logs = {"y": draw(st.integers(0, 1))}
+            exps = {"x": draw(st.fractions(min_value=-2, max_value=2, max_denominator=2)
+                              .filter(bool))}
+        f = f + cf_mono(draw(coeffs()), powers, logs, exps)
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(integrable_forms())
+def test_antiderivative_differentiates_back_in_sympy(f):
+    sympy = pytest.importorskip("sympy")
+    symbols = {v: sympy.Symbol(v, positive=True) for v in ("x", "y")}
+    back = sympy.diff(to_sympy(f.antiderivative("x"), sympy, symbols), symbols["x"])
+    assert sympy.expand(sympy.powsimp(back - to_sympy(f, sympy, symbols))) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_forms())
+def test_evaluate_matches_sympy(f):
+    sympy = pytest.importorskip("sympy")
+    symbols = {v: sympy.Symbol(v) for v in ("x", "y")}
+    # y sits left of the branch cut of log and of the fractional powers
+    exact_pt = {"x": sympy.Rational(7, 10) + sympy.Rational(31, 100) * sympy.I,
+                "y": sympy.Rational(-13, 10) - sympy.Rational(1, 5) * sympy.I}
+    want = complex(to_sympy(f, sympy, symbols)
+                   .subs({symbols[v]: z for v, z in exact_pt.items()}).evalf(30))
+    got = f.evaluate({"x": 0.7 + 0.31j, "y": -1.3 - 0.2j})
+    assert abs(got - want) <= 1e-9 * (1 + abs(want))
+
+
+@st.composite
+def exactly_evaluable(draw):
+    """A rational point and a form with an exact value there: half-integral
+    powers of positive coordinates, integral ones of zero, logs only at 1
+    and exponentials only at 0."""
+    pt = {v: draw(st.sampled_from([F(0), F(1), F(1, 4), F(2), F(9, 4), F(3, 2)]))
+          for v in ("x", "y")}
+    f = ClosedForm.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        powers, logs, exps = {}, {}, {}
+        for v, z in pt.items():
+            if z == 0:
+                powers[v] = draw(st.integers(0, 3))
+                exps[v] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+            else:
+                powers[v] = draw(st.fractions(min_value=-3, max_value=3, max_denominator=2))
+                if z == 1:
+                    logs[v] = draw(st.integers(0, 2))
+        f = f + cf_mono(draw(coeffs()), powers, logs, exps)
+    return pt, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(exactly_evaluable())
+def test_evaluate_exact_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    pt, f = case
+    symbols = {v: sympy.Symbol(v, nonnegative=True) for v in ("x", "y")}
+    want = to_sympy(f, sympy, symbols).subs(
+        {symbols[v]: sympy.Rational(z.numerator, z.denominator) for v, z in pt.items()})
+    got = f.evaluate_exact(pt)
+    assert sympy.expand(want - to_sympy(ClosedForm.const(got), sympy, symbols)) == 0
+    # the value comes back normalized: a Fraction exactly when it is rational
+    assert (type(got) is Fraction) == bool(sympy.nsimplify(want).is_rational)

@@ -1,7 +1,8 @@
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from frobwdvv.exact import (
     Exact, ExactZeroDivision, as_exact_scalar, nth_root_fraction, sqrt_fraction,
@@ -86,3 +87,77 @@ def test_nth_root_of_negatives():
        st.integers(1, 9))
 def test_nth_root_inverts_power(q, d):
     assert nth_root_fraction(q ** d, d) == (abs(q) if d % 2 == 0 else q)
+
+
+# -- mixed operands: Exact is the one scalar-dispatch layer --------------------
+
+def ladder(op, a, b):
+    """The per-call scalar dispatch that the closed-form, series, linear
+    algebra and Legendre modules each did by hand, kept as the reference."""
+    if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
+        return op(complex(a), complex(b))
+    if isinstance(a, Exact) or isinstance(b, Exact):
+        ae = a if isinstance(a, Exact) else Exact.rational(a)
+        be = b if isinstance(b, Exact) else Exact.rational(b)
+        return as_exact_scalar(op(ae, be))
+    if op is operator.truediv:
+        return Fraction(a) / Fraction(b)
+    return op(a, b)
+
+
+@st.composite
+def radical_sums(draw):
+    """Sums over 1, sqrt 2, sqrt 3 and sqrt 6, rational or zero ones included."""
+    return Exact({m: draw(small_rats) for m in draw(st.sets(st.sampled_from([1, 2, 3, 6])))})
+
+
+operands = st.one_of(
+    st.integers(-5, 5), small_rats, radical_sums(),
+    st.sampled_from([Exact.sqrt(2), Exact.sqrt(3), Exact.sqrt(6)]),
+    st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False),
+    st.floats(-8, 8, allow_nan=False),
+)
+
+
+def rational_exact(x) -> bool:
+    return isinstance(x, Exact) and x.is_rational()
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands, operands, st.sampled_from([operator.add, operator.sub, operator.mul,
+                                            operator.truediv]))
+def test_operators_agree_with_the_ladders(a, b, op):
+    if not (isinstance(a, Exact) or isinstance(b, Exact)):
+        # Python's own operators: the float path carries complex values, and
+        # int / int is a float, so callers write Fraction(1) / x
+        if isinstance(a, float) or isinstance(b, float) or \
+                (op is operator.truediv and isinstance(a, int) and isinstance(b, int)):
+            return
+    try:
+        want = ladder(op, a, b)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(a, b)
+        return
+    got = op(a, b)
+    assert got == want and type(got) is type(want)
+    assert not rational_exact(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(radical_sums(), st.sampled_from([Exact.sqrt(2), Exact.sqrt(6)])),
+       st.integers(-4, 4))
+def test_powers_and_inverse_are_normalized(x, n):
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert not rational_exact(inv) and not rational_exact(-x)
+    assert x * inv == 1 and type(x * inv) is Fraction
+    want = Fraction(1)
+    for _ in range(abs(n)):
+        want = ladder(operator.mul, want, x if n > 0 else inv)
+    got = x ** n
+    assert got == want and type(got) is type(want)
+    assert not rational_exact(got)

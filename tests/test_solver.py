@@ -241,3 +241,25 @@ def test_pair_residual_pairs_each_index_pair_once(case, monkeypatch):
         calls.clear()
         sparse_pair_residual(f1, f2, case[0], cap)
         assert 0 < len(calls) <= distinct
+
+
+def test_round_loop_substitutes_only_into_equations_with_new_values(monkeypatch):
+    """Live equations are kept in their last reduced form, so the round loop
+    substitutes into one only after one of its unknowns has been pinned; the
+    final consistency pass still substitutes into every equation."""
+    from frobwdvv import solver
+    eqs = [{("u",): F(2), (): F(-1)},           # u = 1/2
+           {("u", "v"): F(1), ("w",): F(1)},    # u v + w = 0
+           {("v",): F(1), (): F(-3)},           # v = 3
+           {("x", "y"): F(1), ("z",): F(1)}]    # never reduced
+    fresh = []
+    substitute = solver._poly_substitute
+
+    def spy(poly, known):
+        fresh.append(any(k in known for ukeys in poly for k in ukeys))
+        return substitute(poly, known)
+
+    monkeypatch.setattr(solver, "_poly_substitute", spy)
+    known = solver._solve_polynomial_equations("toy", eqs, ["u", "v", "w", "x", "y", "z"], {})
+    assert known == {"u": F(1, 2), "v": F(3), "w": F(-3, 2)}
+    assert len(fresh) == 4 + len(eqs) and all(fresh[:-len(eqs)])
