@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import Exact, as_exact_scalar, nth_root_fraction, sqrt_fraction
+from .exact import Exact, as_exact_scalar, rational_power
 
 __all__ = [
     "Mono", "ClosedForm", "BranchPointError", "NotIntegrableError", "NeedsFloatError",
@@ -244,13 +244,8 @@ class ClosedForm:
         if m.logs:
             raise ValueError("mono_pow cannot handle log factors")
         q = Fraction(q)
-        if q.denominator == 1:
-            cq = c ** q.numerator
-        elif isinstance(c, Fraction) and (root := nth_root_fraction(c, q.denominator)) is not None:
-            cq = root ** q.numerator
-        elif q.denominator == 2 and isinstance(c, Fraction) and c > 0:
-            cq = sqrt_fraction(c) ** q.numerator
-        else:
+        cq = rational_power(c, q)
+        if cq is None:
             raise NeedsFloatError(f"cannot take exact power {q} of coefficient {c}")
         mono = Mono.make({v: e * q for v, e in m.powers}, None,
                          {v: e * q for v, e in m.exps})
@@ -363,12 +358,11 @@ class ClosedForm:
                         val = Fraction(0)
                         continue
                     raise BranchPointError(f"{v}^{q} at {v}=0")
-                if q.denominator == 1:
-                    val = val * z ** int(q)
-                elif q.denominator == 2 and z > 0:
-                    val = val * sqrt_fraction(z) ** q.numerator
-                else:
+                # v^q is on the principal branch, which is not real at z < 0
+                zq = rational_power(z, q) if z > 0 or q.denominator == 1 else None
+                if zq is None:
                     raise NeedsFloatError(f"{v}^{q} at {v}={z}")
+                val = val * zq
             for v, k in m.logs:
                 if Fraction(point[v]) == 1:
                     val = Fraction(0)

@@ -11,7 +11,8 @@ import math
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
-__all__ = ["Exact", "ExactZeroDivision", "sqrt_fraction", "as_exact_scalar", "scalar_is_exact"]
+__all__ = ["Exact", "ExactZeroDivision", "sqrt_fraction", "nth_root_fraction", "rational_power",
+           "as_exact_scalar", "scalar_is_exact"]
 
 
 class ExactZeroDivision(ZeroDivisionError):
@@ -75,6 +76,32 @@ def sqrt_fraction(q: Fraction) -> "Exact":
     n = q.numerator * q.denominator
     s, m = _square_free_split(n)
     return Exact({m: Fraction(s, q.denominator)})
+
+
+def rational_power(c, q):
+    """c**q for an exact scalar c and a rational q, as a Fraction or an Exact,
+    or None when the value leaves the rational-radical field.
+
+    This is the one rule for exact powers.  An integer q takes any exact c.  A
+    q = p/d with d > 1 takes a rational c only: the rational d-th root of c
+    (the real one for a negative c and an odd d) to the power p, or, for an
+    even d and c > 0, the square root of the rational (d/2)-th root to the
+    power p; d = 2 is the square-root case.  Every other case gives None.
+    """
+    if not scalar_is_exact(c):
+        return None
+    c, q = as_exact_scalar(c), Fraction(q)
+    p, d = q.numerator, q.denominator
+    if d == 1:
+        return c ** p
+    if isinstance(c, Exact):
+        return None
+    root = nth_root_fraction(c, d)
+    if root is not None:
+        return root ** p
+    if d % 2 == 0 and c > 0 and (root := nth_root_fraction(c, d // 2)) is not None:
+        return sqrt_fraction(root) ** p
+    return None
 
 
 class Exact:

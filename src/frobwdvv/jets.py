@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .closedform import ClosedForm, cf_mono, cf_var
 from .core import FrobeniusSpec, Tensors, build_tensors
-from .exact import Exact, nth_root_fraction, sqrt_fraction
+from .exact import Exact, rational_power
 from .specs import twodim_spec
 
 __all__ = [
@@ -142,17 +142,6 @@ def combo_value(combo: LogCombo, point: dict) -> complex:
 # the worked two-dimensional family
 # ---------------------------------------------------------------------------
 
-def _exact_pow_const(base: Fraction, expo: Fraction):
-    """base^expo as Fraction or Exact; raises if outside the radical field."""
-    root = nth_root_fraction(base, expo.denominator)
-    if root is not None:
-        r = Fraction(root) ** expo.numerator
-        return r
-    if expo.denominator == 2 and base > 0:
-        return sqrt_fraction(base) ** expo.numerator
-    raise ValueError(f"cannot represent {base}^{expo} exactly")
-
-
 def genus1_twodim_family(m: Fraction, c: Fraction) -> dict:
     """F1 data for the potential (1/2) v^2 u + c u^m and its second-direction
     transform; the hat expressions below are the printed closed forms."""
@@ -167,7 +156,10 @@ def genus1_twodim_family(m: Fraction, c: Fraction) -> dict:
     if lc:
         fm1.append((lc, cf_var(u)))
 
-    kconst = _exact_pow_const(c * m * (m - 1), F(-1) / (m - 2))
+    base, expo = c * m * (m - 1), F(-1) / (m - 2)
+    kconst = rational_power(base, expo)
+    if kconst is None:
+        raise ValueError(f"cannot represent {base}^{expo} exactly")
     qh = (cf_mono(F(1), {"h2_1": 2})
           - cf_mono(kconst * F(1) / (m - 2), {"h1": -(m - 3) / (m - 2), "h1_1": 2}))
     fhat1: LogCombo = [(F(1, 24), qh)]

@@ -353,6 +353,8 @@ def hat_tensors_series(result: LegendreResult) -> list:
     n = spec.n
     inv = result.inverse_map
     dv = [[inv.components[r].diff(result.hat_vars[a]) for a in range(n)] for r in range(n)]
+    cmix = [[[pullback(result, t.c_mixed[g][rho][b]) for b in range(n)] for rho in range(n)]
+            for g in range(n)]
     out = []
     for g in range(n):
         blk = []
@@ -361,8 +363,7 @@ def hat_tensors_series(result: LegendreResult) -> list:
             for b in range(n):
                 s = None
                 for rho in range(n):
-                    cmix = pullback(result, t.c_mixed[g][rho][b])
-                    term = dv[rho][a] * cmix
+                    term = dv[rho][a] * cmix[g][rho][b]
                     s = term if s is None else s + term
                 row.append(s)
             blk.append(row)
@@ -402,13 +403,14 @@ def check_product_identity(result: LegendreResult) -> dict:
     # d v^sig / d vhat_a = eta^{a b} d inv^sig / d yhat^b
     dv = [raise_index([comp.diff(y) for y in result.hat_vars], t.eta_inv)
           for comp in inv.components]
+    cmix = [[pullback(result, t.c_mixed[g][result.kappa - 1][sig]) for sig in range(n)]
+            for g in range(n)]
     failures = []
     for a in range(n):
         for g in range(n):
             s = None
             for sig in range(n):
-                cmix = pullback(result, t.c_mixed[g][result.kappa - 1][sig])
-                term = cmix * dv[sig][a]
+                term = cmix[g][sig] * dv[sig][a]
                 s = term if s is None else s + term
             diff = (s - t.eta_inv[g][a]).truncate(order_guard)
             if not _vanishes(diff):

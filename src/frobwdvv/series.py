@@ -9,14 +9,15 @@ weights' common denominator.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 
-from .closedform import ClosedForm, NeedsFloatError
-from .exact import Exact, as_exact_scalar, scalar_is_exact, sqrt_fraction
+from .closedform import ClosedForm
+from .exact import Exact, as_exact_scalar, rational_power, scalar_is_exact
 from .linalg import SingularMatrixError, mat_inv
 
 __all__ = [
@@ -151,11 +152,11 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Exact, float, complex)):
-            if not other:
-                return TruncSeries(self.vars, self.center, {}, self.grading, _clean=True)
+            # the products are normalized and inside the cutoff; a float
+            # product may still underflow to zero
             return TruncSeries(self.vars, self.center,
-                               {i: c * other for i, c in self.coeffs.items()},
-                               self.grading, _clean=False)
+                               {i: p for i, c in self.coeffs.items() if (p := c * other)},
+                               self.grading, _clean=True)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         if not self.same_frame(other):
@@ -414,112 +415,63 @@ def series_reciprocal(f: TruncSeries) -> TruncSeries:
     return out * inv0
 
 
-def _binomial_series(q: Fraction, nterms: int) -> list[Fraction]:
-    """Coefficients of (1+t)^q up to t^{nterms}."""
-    out = [Fraction(1)]
-    for j in range(1, nterms + 1):
-        out.append(out[-1] * (q - (j - 1)) / j)
-    return out
+def _offset_series(v: str, coefs: list, vars, center, grading: Grading) -> TruncSeries:
+    """sum_j coefs[j] (v - c)^j, for a coefficient list already cut at the grading."""
+    i = vars.index(v)
+    return TruncSeries(vars, center, {tuple(j if k == i else 0 for k in range(len(vars))): a
+                                      for j, a in enumerate(coefs) if a}, grading, _clean=True)
 
 
-def _value_pow(c, q: Fraction):
-    """c^q exactly if possible, else float/complex."""
-    if isinstance(c, (float, complex)):
-        import cmath
-        return cmath.exp(float(q) * cmath.log(c)) if c != 0 else 0.0
-    if isinstance(c, (int, Fraction)):
-        cf = Fraction(c)
-        if q.denominator == 1:
-            return cf ** q.numerator
-        if q.denominator == 2 and cf > 0:
-            return sqrt_fraction(cf) ** q.numerator
-    raise NeedsFloatError(f"cannot take exact {c}^{q}")
-
-
-def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple, grading: Grading,
-             allow_float: bool = True) -> TruncSeries:
+def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple,
+             grading: Grading) -> TruncSeries:
     """Taylor-expand a closed form at a center, to the grading cutoff.
 
-    Exact scalars where possible; falls back to float scalars when a factor
-    evaluates outside the rational-radical field (or raises if not allowed).
+    Each factor of a monomial is written out as a series in its one offset
+    x = v - c, from its known coefficients of x^j:
+
+        (x + c)^q      c^q C(q, j) c^-j
+        log(x + c)     log c, then (-1)^(j+1) / (j c^j)
+        e^(e(x + c))   e^(ec) e^j / j!
+
+    Every value is on the principal branch, as `ClosedForm.evaluate` takes
+    it.  c^q is exact when `exact.rational_power` gives it and c > 0 or q is
+    an integer, log c when c = 1 and e^(ec) when c = 0.  Any other value is
+    a complex float, and the series then carries complex coefficients; there
+    is no switch for this.
     """
-    import cmath
     cmap = dict(zip(vars, center))
     nmax = {v: grading.cutoff // w for v, w in zip(vars, grading.int_weights)}
-    total = TruncSeries(vars, center, {}, grading, _clean=True)
-
-    def const_series(value):
-        return TruncSeries.constant(value, vars, center, grading)
-
-    def coord(i):
-        return TruncSeries.coordinate(i, vars, center, grading)
-
+    total: dict = {}
     for mono, coeff in f.terms.items():
-        term = const_series(coeff)
+        term = TruncSeries.constant(coeff, vars, center, grading)
         for v, q in mono.powers:
-            i = vars.index(v)
-            c = cmap[v]
-            zero_c = (abs(complex(c)) == 0)
-            if zero_c:
+            c, n = cmap[v], nmax[v]
+            if abs(complex(c)) == 0:
                 if q.denominator != 1 or q < 0:
                     raise SingularCenterError(f"{v}^{q} at center {v}=0")
-                term = term * coord(i) ** int(q)
+                term = term * _offset_series(v, [Fraction(j == q) for j in range(n + 1)],
+                                             vars, center, grading)
                 continue
-            try:
-                cq = _value_pow(c, q)
-            except NeedsFloatError:
-                if not allow_float:
-                    raise
+            # a negative c has no real non-integer principal power
+            cq = rational_power(c, q) if q.denominator == 1 or complex(c).real > 0 else None
+            if cq is None:
                 cq = cmath.exp(float(q) * cmath.log(complex(c)))
-            n = nmax[v]
-            coefs = _binomial_series(q, n)
-            s = const_series(coefs[0])
-            xc = coord(i) * (Fraction(1) / c)
-            p = const_series(Fraction(1))
+            inv, b = Fraction(1) / c, [Fraction(1)]
             for j in range(1, n + 1):
-                p = p * xc
-                if p.is_zero():
-                    break
-                s = s + p * coefs[j]
-            term = term * s * cq
+                b.append(b[-1] * inv * (q - j + 1) / j)
+            term = term * _offset_series(v, [cq * x for x in b], vars, center, grading)
         for v, k in mono.logs:
-            i = vars.index(v)
-            c = cmap[v]
+            c, n = cmap[v], nmax[v]
             if abs(complex(c)) == 0:
                 raise SingularCenterError(f"log {v} at center {v}=0")
-            if scalar_is_exact(c) and Fraction(c) == 1:
-                logc = Fraction(0)
-            else:
-                if not allow_float:
-                    raise NeedsFloatError(f"log({c}) is not exact")
-                logc = cmath.log(complex(c))
-            n = nmax[v]
-            xc = coord(i) * (Fraction(1) / c)
-            s = const_series(logc)
-            p = const_series(Fraction(1))
-            for j in range(1, n + 1):
-                p = p * xc
-                if p.is_zero():
-                    break
-                s = s + p * (Fraction((-1) ** (j + 1), j))
-            term = term * s ** k
+            inv = Fraction(1) / c
+            coefs = [0 if c == 1 else cmath.log(complex(c))]
+            coefs += [(-1) ** (j + 1) * inv ** j / j for j in range(1, n + 1)]
+            term = term * _offset_series(v, coefs, vars, center, grading) ** k
         for v, e in mono.exps:
-            i = vars.index(v)
-            c = cmap[v]
-            if scalar_is_exact(c) and e * Fraction(c) == 0:
-                e0 = Fraction(1)
-            else:
-                if not allow_float:
-                    raise NeedsFloatError(f"exp({e}*{c}) is not exact")
-                e0 = cmath.exp(float(e) * complex(c))
-            n = nmax[v]
-            s = const_series(Fraction(1))
-            p = const_series(Fraction(1))
-            for j in range(1, n + 1):
-                p = p * coord(i) * (Fraction(e) / j)
-                if p.is_zero():
-                    break
-                s = s + p
-            term = term * s * e0
-        total = total + term
-    return total
+            c, n = cmap[v], nmax[v]
+            e0 = Fraction(1) if scalar_is_exact(c) and not c else cmath.exp(float(e) * complex(c))
+            coefs = [e0 * (Fraction(e) ** j / math.factorial(j)) for j in range(n + 1)]
+            term = term * _offset_series(v, coefs, vars, center, grading)
+        _add_into(total, term.coeffs)
+    return TruncSeries(vars, center, total, grading, _clean=True)

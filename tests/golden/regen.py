@@ -47,7 +47,8 @@ COMMANDS = [
 # (spec, spec parameters, kappa, center, order): the fractional order
 # exercises the floor of the cutoff; the a2 series are rational (the sqrt(6)
 # of its printed hat potential cancels at h1 = 3/2), and twodim m = 7/2 at
-# v2 = 2 carries sqrt(2) coefficients
+# v2 = 2 carries sqrt(2) coefficients; twodim m = 5/3 at v2 = 1 takes the
+# cube-root case of the exact powers (1^(p/3) = 1) and stays rational
 SERIES = [
     ("p1", None, 2, ("0", "0"), "8"),
     ("p1", None, 2, ("0", "0"), "15/2"),
@@ -55,6 +56,7 @@ SERIES = [
     ("nls", None, 1, ("1", "0"), "8"),
     ("p1orb", None, 2, ("0", "0", "0"), "6"),
     ("twodim", {"m": "7/2", "c": "1"}, 2, ("0", "2"), "8"),
+    ("twodim", {"m": "5/3", "c": "-2/3"}, 2, ("0", "1"), "8"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobwdvv.closedform import (
-    BranchPointError, ClosedForm, Mono, NotIntegrableError,
+    BranchPointError, ClosedForm, Mono, NeedsFloatError, NotIntegrableError,
     cf_const, cf_exp, cf_log, cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
 )
 from frobwdvv.exact import Exact
@@ -314,9 +314,10 @@ def test_evaluate_matches_sympy(f):
 @st.composite
 def exactly_evaluable(draw):
     """A rational point and a form with an exact value there: half-integral
-    powers of positive coordinates, integral ones of zero, logs only at 1
-    and exponentials only at 0."""
-    pt = {v: draw(st.sampled_from([F(0), F(1), F(1, 4), F(2), F(9, 4), F(3, 2)]))
+    powers of positive coordinates, third-integral ones of perfect cubes,
+    integral ones of zero, logs only at 1 and exponentials only at 0."""
+    cubes = [F(1), F(8), F(27, 8), F(1, 8)]
+    pt = {v: draw(st.sampled_from([F(0), F(1, 4), F(2), F(9, 4), F(3, 2)] + cubes))
           for v in ("x", "y")}
     f = ClosedForm.zero()
     for _ in range(draw(st.integers(0, 4))):
@@ -326,7 +327,8 @@ def exactly_evaluable(draw):
                 powers[v] = draw(st.integers(0, 3))
                 exps[v] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
             else:
-                powers[v] = draw(st.fractions(min_value=-3, max_value=3, max_denominator=2))
+                den = draw(st.sampled_from([1, 2, 3] if z in cubes else [1, 2]))
+                powers[v] = F(draw(st.integers(-3 * den, 3 * den)), den)
                 if z == 1:
                     logs[v] = draw(st.integers(0, 2))
         f = f + cf_mono(draw(coeffs()), powers, logs, exps)
@@ -345,3 +347,13 @@ def test_evaluate_exact_matches_sympy(case):
     assert sympy.expand(want - to_sympy(ClosedForm.const(got), sympy, symbols)) == 0
     # the value comes back normalized: a Fraction exactly when it is rational
     assert (type(got) is Fraction) == bool(sympy.nsimplify(want).is_rational)
+
+
+def test_evaluate_exact_keeps_the_principal_branch():
+    # a cube root is exact at a perfect cube; at a negative point the
+    # principal value that `evaluate` takes is not real
+    f = cf_var("u", F(5, 3))
+    assert f.evaluate_exact({"u": F(27, 8)}) == F(243, 32)
+    with pytest.raises(NeedsFloatError):
+        f.evaluate_exact({"u": F(-8)})
+    assert abs(f.evaluate({"u": -8.0}) - 32 * cmath.exp(5j * cmath.pi / 3)) < 1e-12

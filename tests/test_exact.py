@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobwdvv.exact import (
-    Exact, ExactZeroDivision, as_exact_scalar, nth_root_fraction, sqrt_fraction,
+    Exact, ExactZeroDivision, as_exact_scalar, nth_root_fraction, rational_power, sqrt_fraction,
 )
 
 
@@ -161,3 +161,71 @@ def test_powers_and_inverse_are_normalized(x, n):
     got = x ** n
     assert got == want and type(got) is type(want)
     assert not rational_exact(got)
+
+
+# -- rational_power: the one rule for exact powers ------------------------------
+
+def sympy_scalar(sympy, c):
+    if isinstance(c, Exact):
+        return sum(sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(m)
+                   for m, q in c.terms.items())
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+@st.composite
+def power_bases(draw):
+    """Rationals, often perfect powers (so that a root exists), of either sign."""
+    r = draw(st.fractions(min_value=-5, max_value=5, max_denominator=5))
+    k = draw(st.integers(1, 6))
+    return r ** k * draw(st.sampled_from([1, 1, 1, 2, Fraction(1, 3), Fraction(-3, 2)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_bases(), st.integers(-6, 6), st.integers(1, 6))
+def test_rational_power_matches_sympy(c, p, d):
+    sympy = pytest.importorskip("sympy")
+    q = Fraction(p, d)
+    if c == 0 and q < 0:
+        with pytest.raises(ZeroDivisionError):
+            rational_power(c, q)
+        return
+    cs, qs = sympy_scalar(sympy, c), sympy.Rational(q.numerator, q.denominator)
+    # odd roots of negative rationals are the real ones; otherwise sympy's value
+    if c < 0 and q.denominator % 2:
+        want = sympy.real_root(cs, q.denominator) ** q.numerator
+    else:
+        want = cs ** qs
+    got = rational_power(c, q)
+    if got is None:
+        # outside Q(sqrt 2, sqrt 3, ...): not real, or its square is irrational
+        assert not (want.is_real and (want ** 2).is_rational)
+        return
+    assert sympy.expand(want - sympy_scalar(sympy, got)) == 0
+    assert (type(got) is Fraction) == bool(want.is_rational)
+    assert type(got) is Fraction or not got.is_rational()
+
+
+@given(exacts(), st.integers(-4, 4), st.integers(1, 3))
+def test_rational_power_of_radicals(x, n, d):
+    # an Exact base takes every integer power, and a fractional one only
+    # when it is rational
+    if not x:
+        return
+    got = rational_power(x, n)
+    assert got == as_exact_scalar(x) ** n and not rational_exact(got)
+    half = Fraction(2 * n + 1, 2 * d)
+    if isinstance(as_exact_scalar(x), Exact):
+        assert rational_power(x, half) is None
+    else:
+        assert rational_power(x, half) == rational_power(x.as_fraction(), half)
+    assert rational_power(1.5, 2) is None and rational_power(2j, 1) is None
+
+
+def test_rational_power_examples():
+    assert rational_power(Fraction(27, 8), Fraction(-2, 3)) == Fraction(4, 9)
+    assert rational_power(Fraction(-8), Fraction(5, 3)) == -32
+    assert rational_power(Fraction(4, 9), Fraction(1, 4)) == Exact({6: Fraction(1, 3)})
+    assert rational_power(2, Fraction(3, 2)) == Exact({2: Fraction(2)})
+    assert rational_power(2, Fraction(1, 3)) is None
+    assert rational_power(-2, Fraction(1, 2)) is None
+    assert type(rational_power(3, -2)) is Fraction

@@ -5,8 +5,10 @@ import pytest
 from frobwdvv.closedform import cf_exp, cf_log, cf_mono
 from frobwdvv.core import build_tensors
 from frobwdvv.exact import Exact
+import frobwdvv.legendre as legendre
 from frobwdvv.legendre import (
-    check_gradient_identity, check_metric_transport, check_unity_rule,
+    check_gradient_identity, check_metric_transport, check_product_identity, check_unity_rule,
+    hat_tensors_series,
     round_trip, series_equal_mod_quadratic, transform, transform_series,
     transport_calibration, verify_euler_hat, verify_omega_transport, verify_pointwise,
 )
@@ -274,3 +276,33 @@ def test_p2_s3_hat_euler_data():
     assert rep["pass"]
     assert rep["hat_charge"] == -2
     assert rep["hat_shifts"] == (0, 0, 0)
+
+
+@pytest.mark.parametrize("m, c", [("5/3", "-2/3"), ("7/3", "9/56"), ("7/3", "-9/56"),
+                                  ("1/3", "1"), ("1/3", "-2/3")])
+def test_twodim_cube_root_members_stay_exact(m, c):
+    # u^m with a denominator-3 exponent, localized at u = 1: 1^(p/3) = 1 is
+    # exact, so the whole transport stays exact and every check holds
+    from frobwdvv.specs import twodim_spec
+    res = transform(twodim_spec(F(m), F(c)), 2, (F(0), F(1)), 12, m_max=4)
+    assert res.hat_potential.is_exact()
+    thetas = transport_calibration(res, 3)
+    assert verify_euler_hat(res)["pass"]
+    assert check_metric_transport(res)["pass"]
+    assert check_gradient_identity(res, thetas)["pass"]
+    assert check_unity_rule(res, thetas)["pass"]
+    rt = round_trip(res)
+    assert rt["pass"] and rt["exact"]
+
+
+def test_each_mixed_entry_is_pulled_back_once(a2_res, monkeypatch):
+    # one pullback per c_mixed entry used: n^3 in hat_tensors_series and
+    # n^2 in check_product_identity (n = 2), not one per hat index as well
+    calls = []
+    orig = legendre.pullback
+    monkeypatch.setattr(legendre, "pullback", lambda res, f: calls.append(f) or orig(res, f))
+    hat_tensors_series(a2_res)
+    assert len(calls) == 8
+    calls.clear()
+    assert check_product_identity(a2_res)["pass"]
+    assert len(calls) == 4

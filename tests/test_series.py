@@ -154,6 +154,15 @@ def test_invert_random_unit_jacobian(coefs):
     assert compose(inv.components[0], m).coeffs == {(1,): F(1)}
 
 
+def test_scalar_product_drops_only_zero_products():
+    s = TruncSeries(("u",), (F(0),), {(0,): F(3), (1,): 1e-200, (2,): Exact({2: F(1)})},
+                    g(1, 4))
+    assert (s * 1e-200).coeffs == {(0,): 3e-200, (2,): complex(2 ** 0.5 * 1e-200)}
+    assert (s * Exact({2: F(1, 2)})).coeffs == {(0,): Exact({2: F(3, 2)}), (1,): complex(
+        2 ** 0.5 / 2 * 1e-200), (2,): F(1)}
+    assert (s * 0).coeffs == {}
+
+
 def test_exact_and_float_paths_agree():
     f = cf_exp("u", 2) * cf_mono(F(1, 3), {"u": 2})
     exact = localize(f, ("u",), (F(0),), g(1, 6))
@@ -334,3 +343,87 @@ def test_second_compose_forms_no_offset_powers(monkeypatch):
     assert compose(f, m) == first
     # one multiplication per variable factor of each monomial, none for the powers
     assert len(calls) == sum(1 for idx in f.coeffs for k in idx if k) < n_first
+
+
+# -- localize against a sympy Taylor oracle -------------------------------------
+
+CUBES = [F(1), F(8), F(27, 8), F(1, 8), F(64)]
+OTHER_CENTRES = [F(9, 4), F(2), F(-8), F(-1, 2), complex(1.5, 0.5), complex(-0.75, 1.25),
+                 complex(2, 0)]
+
+
+@st.composite
+def taylor_cases(draw):
+    """A rational or complex centre and a closed form in powers (denominators
+    1 to 3), logs and exponentials that is analytic there.  Half the draws
+    keep to perfect cubes, logs at 1 and no exponentials, where every
+    coefficient is exact."""
+    exact = draw(st.booleans())
+    centre = tuple(draw(st.sampled_from(CUBES if exact else CUBES + OTHER_CENTRES))
+                   for _ in range(2))
+    f = cf_mono(F(0), {})
+    for _ in range(draw(st.integers(1, 3))):
+        powers, logs, exps = {}, {}, {}
+        for v, c in zip(("x", "y"), centre):
+            den = draw(st.integers(1, 3))
+            powers[v] = F(draw(st.integers(-3 * den, 3 * den)), den)
+            if c == 1 or not exact:
+                logs[v] = draw(st.sampled_from([0, 0, 1, 2]))
+            if not exact:
+                exps[v] = draw(st.sampled_from([0, 0, 1, F(-3, 2)]))
+        coeff = draw(st.sampled_from([F(1), F(-2, 3), F(5, 2), Exact({2: F(1, 3)})]))
+        f = f + cf_mono(coeff, powers, logs, exps)
+    return centre, f
+
+
+def _sympy_scalar(sympy, c):
+    if isinstance(c, Exact):
+        return sum(_sympy_scalar(sympy, q) * sympy.sqrt(m) for m, q in c.terms.items())
+    if isinstance(c, complex):
+        return sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag)
+    return sympy.Rational(F(c).numerator, F(c).denominator)
+
+
+def _sympy_terms(sympy, f, symbols):
+    """The monomials of a closed form as sympy expressions."""
+    terms = []
+    for m, c in f.terms.items():
+        t = _sympy_scalar(sympy, c)
+        for v, q in m.powers:
+            t *= symbols[v] ** _sympy_scalar(sympy, q)
+        for v, k in m.logs:
+            t *= sympy.log(symbols[v]) ** k
+        for v, e in m.exps:
+            t *= sympy.exp(_sympy_scalar(sympy, e) * symbols[v])
+        terms.append(t)
+    return terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(taylor_cases())
+def test_localize_matches_sympy_taylor_coefficients(case):
+    sympy = pytest.importorskip("sympy")
+    centre, f = case
+    symbols = {v: sympy.Symbol(v, positive=True) for v in ("x", "y")}
+    terms = _sympy_terms(sympy, f, symbols)
+    at = {symbols[v]: _sympy_scalar(sympy, c) for v, c in zip(("x", "y"), centre)}
+    s = localize(f, ("x", "y"), centre, g(2, 3))
+    # d^idx f / idx! at the centre, term by term
+    parts = {}
+    for t in terms:
+        dx = t
+        for i in range(4):
+            d = dx
+            for j in range(4 - i):
+                parts.setdefault((i, j), []).append(
+                    d.subs(at) / (sympy.factorial(i) * sympy.factorial(j)))
+                d = sympy.diff(d, symbols["y"])
+            dx = sympy.diff(dx, symbols["x"])
+    for idx, ps in parts.items():
+        want, got = sum(ps), s.coeffs.get(idx, F(0))
+        if s.is_exact():
+            assert sympy.expand(want - _sympy_scalar(sympy, got)) == 0
+        else:
+            # relative to the size of the terms, which may cancel
+            scale = sum(abs(complex(p.evalf(30))) for p in ps)
+            assert abs(complex(got) - complex(want.evalf(30))) <= 1e-12 * scale
