@@ -55,6 +55,32 @@ def _jsonable(x):
     return str(x)
 
 
+class UsageError(ValueError):
+    """A malformed option value (exit 2, as argparse's own errors)."""
+
+
+def _values(spec, text: str, flag: str, parse=Fraction, what="rationals") -> tuple:
+    """The spec.n comma-separated values of `flag`, each read by `parse`."""
+    try:
+        vals = tuple(parse(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        vals = ()
+    if len(vals) != spec.n:
+        raise UsageError(f"{flag} needs {spec.n} comma-separated {what}, got {text!r}")
+    return vals
+
+
+def _sign(text: str) -> int:
+    if int(text) not in (1, -1):
+        raise ValueError(text)
+    return int(text)
+
+
+def _check_kappa(spec, kappa: int) -> None:
+    if not 1 <= kappa <= spec.n:
+        raise UsageError(f"--kappa must be in 1..{spec.n}, got {kappa}")
+
+
 def _exit(report: dict) -> int:
     return 0 if all(c["pass"] for c in report.get("checks", [])) else 1
 
@@ -118,6 +144,7 @@ def cmd_legendre(args) -> int:
                            check_unity_rule, round_trip, transform,
                            transport_calibration, verify_euler_hat)
     spec = _load(args)
+    _check_kappa(spec, args.kappa)
     center = _default_center(spec, args.center)
     res = transform(spec, args.kappa, center, args.order, m_max=args.m_max)
     thetas = transport_calibration(res, args.m_max - 1)
@@ -152,7 +179,7 @@ def _pp(d: dict) -> dict:
 
 def _default_center(spec, arg):
     if arg:
-        return tuple(Fraction(x) for x in arg.split(","))
+        return _values(spec, arg, "--center")
     # centers where the transform direction is invertible; the truncated plane
     # family needs a small third coordinate so the materialized tail is far
     # below the float tolerance of its series path
@@ -169,6 +196,7 @@ def _default_center(spec, arg):
 def cmd_verify_omega(args) -> int:
     from .legendre import transform, verify_omega_transport
     spec = _load(args)
+    _check_kappa(spec, args.kappa)
     center = _default_center(spec, args.center)
     res = transform(spec, args.kappa, center, args.order, m_max=args.m_max)
     rep = verify_omega_transport(res, args.table_order, args.m_max - 1)
@@ -187,8 +215,7 @@ def cmd_recursion(args) -> int:
     name = args.name
     max_n = args.max if args.max is not None else {"ckl": 8, "a21": 19}.get(name, 6)
     if max_n < 1:
-        print(f"--max must be at least 1, got {max_n}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--max must be at least 1, got {max_n}")
     if name == "nd":
         out = solver.recursion_nd(max_n)
         dual = solver.nd_via_ode_route(min(max_n, 6))
@@ -256,9 +283,9 @@ def cmd_monodromy(args) -> int:
     from .core import build_tensors
     from .monodromy import monodromy_identities, stokes_and_connection
     spec = _load(args)
+    point = _values(spec, args.point, "--point")
+    signs = _values(spec, args.signs, "--signs", _sign, "signs (1 or -1)") if args.signs else None
     t = build_tensors(spec)
-    point = tuple(Fraction(x) for x in args.point.split(","))
-    signs = tuple(int(s) for s in args.signs.split(",")) if args.signs else None
     md = stokes_and_connection(spec, point, args.phi, tensors=t,
                                sign_choices=signs, tol=args.tol)
     ids = monodromy_identities(md, t.eta)
@@ -394,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_code(exc: Exception) -> int:
-    """Exit code of a failed run: 2 for a malformed or unknown spec (a usage
-    error, as argparse reports its own), 4 for a mathematical domain error
-    (non-semisimple point, inadmissible line or failed matching, singular
-    Jacobian or centre), 3 for anything else."""
+    """Exit code of a failed run: 2 for a malformed or unknown spec or a
+    malformed option value (usage errors, as argparse reports its own), 4 for
+    a mathematical domain error (non-semisimple point, inadmissible line or
+    failed matching, singular Jacobian or centre), 3 for anything else."""
     from .monodromy import IntegrationError, MatchingError, NonSemisimpleError
     from .series import SingularCenterError, SingularJacobianError
     from .specs import SpecParseError
-    if isinstance(exc, SpecParseError):
+    if isinstance(exc, (SpecParseError, UsageError)):
         return 2
     if isinstance(exc, (MatchingError, NonSemisimpleError, IntegrationError,
                         SingularJacobianError, SingularCenterError)):

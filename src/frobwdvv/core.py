@@ -186,10 +186,6 @@ class WDVVReport:
     checked: int
     first_failure: Optional[tuple] = None
 
-    def as_json_obj(self):
-        return {"name": self.name, "pass": self.ok, "checked": self.checked,
-                "first_failure": list(self.first_failure) if self.first_failure else None}
-
 
 def wdvv_pairing(tensors: Tensors, x: int, y: int, z: int, w: int,
                  keep: Callable[[Mono], bool] | None = None) -> ClosedForm:

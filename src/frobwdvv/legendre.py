@@ -118,8 +118,7 @@ def transform_series(fhat_source: TruncSeries, eta, eta_inv, kappa: int):
 
 
 def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
-              cal: Calibration | None = None, m_max: int = 4,
-              tensors: Tensors | None = None) -> LegendreResult:
+              m_max: int = 4) -> LegendreResult:
     """Build the kappa-direction transform at a center, as exact series data.
 
     Generator-backed truncated specs are re-materialized deep enough for the
@@ -131,11 +130,11 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
         for attempt in range(3):
             deeper = deepen_spec(spec, depth + 6 * attempt)
             try:
-                return _transform_impl(deeper, kappa, center, order, None, m_max, None)
+                return _transform_impl(deeper, kappa, center, order, m_max)
             except InconsistentHessianError:
                 if attempt == 2:
                     raise
-    return _transform_impl(spec, kappa, center, order, cal, m_max, tensors)
+    return _transform_impl(spec, kappa, center, order, m_max)
 
 
 def _needed_depth(spec: FrobeniusSpec, center, order, m_max,
@@ -168,10 +167,9 @@ def _needed_depth(spec: FrobeniusSpec, center, order, m_max,
 
 
 def _transform_impl(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
-                    cal: Calibration | None, m_max: int,
-                    tensors: Tensors | None) -> LegendreResult:
-    t = tensors or build_tensors(spec)
-    cal = cal or solve_calibration(spec, max(m_max, 1), t)
+                    m_max: int) -> LegendreResult:
+    t = build_tensors(spec)
+    cal = solve_calibration(spec, max(m_max, 1), t)
     table = two_point_table(cal, min(cal.m_max - 1, 3))
     n = spec.n
     center = tuple(F(c) if isinstance(c, int) else c for c in center)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .calibration import Calibration, solve_calibration, theta_matrix_coefficients
+from .calibration import solve_calibration, theta_matrix_coefficients
 from .core import FrobeniusSpec, Tensors, build_tensors, hat_point, u_matrix
 from .linalg import kron
 
@@ -27,6 +27,14 @@ __all__ = [
     "monodromy_identities", "tensor_monodromy", "hamiltonians_and_closedness",
     "frame_invariance_report",
 ]
+
+# sectorial matching; see `stokes_and_connection` for how the radii scale
+Z_FAR = 30.0    # seed radius of the truncated asymptotics
+R_MATCH = 1.5   # Stokes matching radius, repeated at twice it
+R_SMALL = 0.35  # central matching radius, repeated at 1.6 times it
+KMAX = 8        # terms of the formal series at the seed radius
+M_THETA = 14    # calibration levels of the Fuchsian-point solution
+RTOL, ATOL = 1e-11, 1e-14   # DOP853 tolerances of one column alone
 
 
 class NonSemisimpleError(ArithmeticError):
@@ -76,8 +84,7 @@ def _u_numeric(spec: FrobeniusSpec, tensors: Tensors, point) -> np.ndarray:
 
 
 def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,
-                  sign_choices=None, sign_reference=None, psi_reference=None,
-                  tol: float = 1e-8) -> SemisimplePoint:
+                  sign_choices=None, sign_reference=None) -> SemisimplePoint:
     """Canonical coordinates and the orthonormal-frame transition matrix.
 
     Rows of psi are the eta-pairings of the normalized idempotent directions.
@@ -86,8 +93,7 @@ def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,
     row is flipped so that its leading entry has nonpositive real part (positive
     imaginary part on the boundary).  Overrides: `sign_choices` forces absolute
     multipliers on the phase-fixed rows, `sign_reference` aligns one column
-    against recorded values (transform matching), `psi_reference` aligns every
-    row against a nearby frame (finite-difference stencils)."""
+    against recorded values (transform matching)."""
     t = tensors or build_tensors(spec)
     n = spec.n
     umat = _u_numeric(spec, t, point)
@@ -96,7 +102,7 @@ def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,
     u = w[order]
     vecs = vecs[:, order]
     gaps = [abs(u[i] - u[j]) for i in range(n) for j in range(i + 1, n)]
-    if gaps and min(gaps) < tol:
+    if gaps and min(gaps) < 1e-8:
         raise NonSemisimpleError(f"eigenvalues nearly collide: {u}")
     eta = np.array([[float(x) for x in row] for row in t.eta])
     rows = []
@@ -117,10 +123,6 @@ def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,
             cand = (eta @ f)
             if abs(cand[sign_reference[0]] - sign_reference[1][i]) > \
                abs(-cand[sign_reference[0]] - sign_reference[1][i]):
-                s = -1
-        elif psi_reference is not None:
-            cand = (eta @ f)
-            if np.abs(cand - psi_reference[i]).max() > np.abs(-cand - psi_reference[i]).max():
                 s = -1
         else:
             cand = (eta @ f)
@@ -195,9 +197,9 @@ def _recessive_angle(u, lo: float, hi: float, col: int) -> float:
     return best
 
 
-def _stacked_ivp(f, y0: np.ndarray, rtol: float, atol: float = 1e-14):
+def _stacked_ivp(f, y0: np.ndarray):
     """One DOP853 run over s in [0, 1] of the n x m stack `y0`, one path per
-    column.  Both tolerances are divided by sqrt(m): the RMS error norm over
+    column.  RTOL and ATOL are divided by sqrt(m): the RMS error norm over
     the stack is then the root-sum-square of the columns' own norms, so no
     column is held to less than it would be alone (DOP853 also weighs in a
     third-order estimate, which makes this close rather than exact).  Returns
@@ -209,13 +211,13 @@ def _stacked_ivp(f, y0: np.ndarray, rtol: float, atol: float = 1e-14):
         return f(s, y.reshape(n, m)).ravel()
 
     sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
-                    rtol=rtol / scale, atol=atol / scale)
+                    rtol=RTOL / scale, atol=ATOL / scale)
     if not sol.success:
         raise IntegrationError(sol.message)
     return sol.y[:, -1].reshape(n, m), sol.nfev
 
 
-def _sectorial_solutions(ss, phis, sectors, z_far, rtol):
+def _sectorial_solutions(ss, phis, sectors, z_far):
     """Fundamental solutions on every sector ((lo, hi), targets) at each
     r * e^{i th} of its targets.
 
@@ -263,7 +265,7 @@ def _sectorial_solutions(ss, phis, sectors, z_far, rtol):
         def radial(s, w, d_ray=d_ray, r_from=r_from, dr=dr):
             return d_ray * w + (dr / (r_from + s * dr)) * (vmat @ w)
 
-        y, nfev = _stacked_ivp(radial, y, rtol)
+        y, nfev = _stacked_ivp(radial, y)
         evals.append(nfev)
         widths.append(len(active))
         for j, c in enumerate(active):
@@ -281,7 +283,7 @@ def _sectorial_solutions(ss, phis, sectors, z_far, rtol):
     def arc(s, w):
         return d_arc * np.exp(i_dth * s)[None, :] * w + i_dth[None, :] * (vmat @ w)
 
-    y, nfev = _stacked_ivp(arc, np.column_stack([at_radius[c, r] for c, r, _ in arcs]), rtol)
+    y, nfev = _stacked_ivp(arc, np.column_stack([at_radius[c, r] for c, r, _ in arcs]))
     evals.append(nfev)
     widths.append(len(arcs))
 
@@ -302,32 +304,44 @@ def _z_powers(mu_diag, rmat, z, theta_branch) -> np.ndarray:
     return zmu @ zr
 
 
+def _matching_sectors(phi: float, r_match: float, r_small: float) -> list:
+    """The right and left sectors of the line at angle `phi`, each as
+    ((lo, hi), targets): every (radius, angle) that `stokes_and_connection`
+    matches at, so each column ray is integrated once."""
+    eps = 0.02
+    right = ((phi - math.pi + eps, phi - eps),
+             [(r_match, phi), (2 * r_match, phi), (r_match, phi - math.pi),
+              (r_small, phi), (r_small * 1.6, phi)])
+    left = ((phi + eps, phi + math.pi - eps),
+            [(r_match, phi), (2 * r_match, phi), (r_match, phi + math.pi)])
+    return [right, left]
+
+
 def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
-                          cal: Calibration | None = None,
-                          tensors: Tensors | None = None,
-                          sign_choices=None, kmax: int = 8, z_far: float = 30.0,
-                          r_match: float = 1.5, r_small: float = 0.35,
-                          m_theta: int = 14, tol: float = 1e-6,
-                          rtol: float = 1e-11) -> MonodromyData:
+                          tensors: Tensors | None = None, sign_choices=None,
+                          tol: float = 1e-6) -> MonodromyData:
     """Stokes and central connection matrices subjected to the oriented line at
     angle `phi_angle`, by inward integration from truncated asymptotics and
-    outward matching against the Fuchsian-point solution."""
+    outward matching against the Fuchsian-point solution.
+
+    The radii Z_FAR, R_MATCH and R_SMALL are scaled by 4 / spread once the
+    canonical spread exceeds 4, so that z times the spread stays in the range
+    they were tuned on.  They are not scaled up below a spread of 4: larger
+    radii put the central match where the truncated Fuchsian-point series is
+    less accurate."""
     t = tensors or build_tensors(spec)
     ss = semisimple_at(spec, point, t, sign_choices=sign_choices)
     if not is_admissible(ss.u, phi_angle):
         raise MatchingError(f"line at angle {phi_angle} is not admissible for u={ss.u}")
-    phis = phi_recursion(ss, kmax)
-    seed_err = np.abs(phis[-1]).max() / z_far ** kmax
+    spread = float(max(abs(a - b) for a in ss.u for b in ss.u))
+    scale = 4 / max(spread, 4)
+    z_far, r_match, r_small = Z_FAR * scale, R_MATCH * scale, R_SMALL * scale
+    phis = phi_recursion(ss, KMAX)
+    seed_err = np.abs(phis[-1]).max() / z_far ** KMAX
     n = spec.n
-    eps = 0.02
 
-    # every radius and angle matched below, so each column ray is integrated once
-    right = ((phi_angle - math.pi + eps, phi_angle - eps),
-             [(r_match, phi_angle), (2 * r_match, phi_angle), (r_match, phi_angle - math.pi),
-              (r_small, phi_angle), (r_small * 1.6, phi_angle)])
-    left = ((phi_angle + eps, phi_angle + math.pi - eps),
-            [(r_match, phi_angle), (2 * r_match, phi_angle), (r_match, phi_angle + math.pi)])
-    (yr, yl), work = _sectorial_solutions(ss, phis, [right, left], z_far, rtol)
+    sectors = _matching_sectors(phi_angle, r_match, r_small)
+    (yr, yl), work = _sectorial_solutions(ss, phis, sectors, z_far)
 
     stokes = np.linalg.solve(yr[r_match, phi_angle], yl[r_match, phi_angle])
     # repeat at twice the radius; the mismatch estimates the numerical error
@@ -343,13 +357,11 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
     st_resid = np.abs(yl_m - yr_m @ stokes.T).max() / max(1.0, np.abs(yl_m).max())
 
     # Fuchsian-point solution from the calibration
-    cal = cal or solve_calibration(spec, m_theta, t)
-    m_theta = min(m_theta, cal.m_max)
-    theta_mats = theta_matrix_coefficients(cal, m_theta)
+    theta_mats = theta_matrix_coefficients(solve_calibration(spec, M_THETA, t))
     pt = {v: complex(x) for v, x in zip(spec.varnames, point)}
     theta_num = [np.array([[m[a][b].evaluate(pt) for b in range(n)] for a in range(n)])
                  for m in theta_mats]
-    theta_tail = np.abs(theta_num[-1]).max() * r_small ** m_theta
+    theta_tail = np.abs(theta_num[-1]).max() * r_small ** M_THETA
     mu_diag = [float(x) for x in spec.mu]
     rnum = np.array([[float(x) for x in row] for row in spec.r_full()])
 
@@ -376,6 +388,7 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
         "sign_choices": ss.sign_choices,
         "branch": f"arg z = {phi_angle} on the matching ray",
         "upper_triangular_order": perm,
+        "radius_scale": scale,
     }
     residuals = {
         "seed_truncation": float(seed_err),

@@ -198,9 +198,6 @@ class TruncSeries:
             n >>= 1
         return out
 
-    def reciprocal(self) -> "TruncSeries":
-        return series_reciprocal(self)
-
     def diff(self, var: str) -> "TruncSeries":
         i = self.vars.index(var)
         out: dict = {}
@@ -396,23 +393,6 @@ def invert_map(m: SeriesMap) -> SeriesMap:
             if not err[i].is_zero():
                 comps[i] = comps[i] - compose(err[i], lin_map)
     return SeriesMap(tuple(comps))
-
-
-def series_reciprocal(f: TruncSeries) -> TruncSeries:
-    c0 = f.constant_term()
-    if not c0:
-        raise SingularCenterError("reciprocal of series with zero constant term")
-    inv0 = Fraction(1) / c0
-    g = f * inv0 - 1
-    out = TruncSeries.constant(Fraction(1), f.vars, f.center, f.grading)
-    term = TruncSeries.constant(Fraction(1), f.vars, f.center, f.grading)
-    max_pow = f.grading.cutoff // min(f.grading.int_weights) + 1
-    for _ in range(max_pow):
-        term = term * g * Fraction(-1)
-        if term.is_zero():
-            break
-        out = out + term
-    return out * inv0
 
 
 def _offset_series(v: str, coefs: list, vars, center, grading: Grading) -> TruncSeries:

@@ -17,7 +17,7 @@ from .core import FrobeniusSpec, build_tensors, validate_spec
 from .solver import gamma_series, recursion_nd, recursion_nkl
 
 __all__ = [
-    "SpecParseError", "load_spec", "spec_from_json_obj", "spec_to_json_obj",
+    "SpecParseError", "load_spec", "spec_from_json_obj",
     "deepen_spec", "generator_potential",
     "builtin_spec", "BUILTIN_SPECS", "twodim_spec",
 ]
@@ -143,27 +143,6 @@ def spec_from_json_obj(obj: dict, params: dict | None = None) -> FrobeniusSpec:
         raise SpecParseError(f"malformed spec: {exc}") from exc
 
 
-def spec_to_json_obj(spec: FrobeniusSpec, generator: dict | None = None) -> dict:
-    obj = {
-        "name": spec.name,
-        "variables": list(spec.varnames),
-        "unity_index": spec.unity,
-        "potential": ({"generator": generator} if generator
-                      else spec.potential.to_json_obj()),
-        "euler": {"linear": [str(spec.euler_linear(b)) for b in range(1, spec.n + 1)],
-                  "shifts": [str(s) for s in spec.euler_shifts]},
-        "charge": str(spec.charge),
-        "mu": [str(x) for x in spec.mu],
-        "R": [{"s": s, "entries": [[i + 1, j + 1, str(mat[i][j])]
-                                   for i in range(spec.n) for j in range(spec.n)
-                                   if mat[i][j]]}
-              for s, mat in sorted(spec.rmats.items())],
-    }
-    if spec.exp_cutoff is not None:
-        obj["grading"] = {"exp_cutoff": str(spec.exp_cutoff)}
-    return obj
-
-
 def generator_potential(name: str, degree: int) -> ClosedForm:
     """Materialize a registered truncated-family potential at a given degree."""
     return _GENERATORS[name](degree)
@@ -188,8 +167,7 @@ def builtin_spec(name: str, params: dict | None = None) -> FrobeniusSpec:
     return spec_from_json_obj(json.loads(text), params)
 
 
-def load_spec(path_or_name: str, params: dict | None = None,
-              validate: bool = True) -> FrobeniusSpec:
+def load_spec(path_or_name: str, params: dict | None = None) -> FrobeniusSpec:
     """Load a spec from a file path, or fall back to a bundled name."""
     p = Path(path_or_name)
     if p.exists():
@@ -201,6 +179,5 @@ def load_spec(path_or_name: str, params: dict | None = None,
     else:
         stem = p.stem if p.suffix == ".json" else path_or_name
         spec = builtin_spec(stem, params)
-    if validate:
-        validate_spec(spec, build_tensors(spec))
+    validate_spec(spec, build_tensors(spec))
     return spec

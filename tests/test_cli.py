@@ -76,6 +76,28 @@ def test_monodromy_command(capsys):
     assert not set(work) & set(rep["residuals"])
 
 
+def test_monodromy_at_wide_spread(capsys):
+    # canonical spread 8.6: the matching radii are scaled by 4 / 8.6
+    code, out = run(capsys, "monodromy", "a2", "--point", "0,5", "--phi", "2.356194490")
+    assert code == 0
+    assert json.loads(out)["conventions"]["radius_scale"] == pytest.approx(4 / 8.6066, rel=1e-4)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["monodromy", "a2", "--point", "0,3,7", "--phi", "2.36"], "--point"),
+    (["monodromy", "a2", "--point", "0", "--phi", "2.36"], "--point"),
+    (["monodromy", "a2", "--point", "0,x", "--phi", "2.36"], "--point"),
+    (["monodromy", "a2", "--point", "0,3", "--phi", "2.36", "--signs", "1,2"], "--signs"),
+    (["monodromy", "a2", "--point", "0,3", "--phi", "2.36", "--signs", "1"], "--signs"),
+    (["legendre", "p1", "--kappa", "2", "--center", "0,0,5"], "--center"),
+    (["legendre", "p1", "--kappa", "3"], "--kappa"),
+    (["verify-omega", "p1", "--kappa", "0"], "--kappa"),
+])
+def test_malformed_option_values_exit_2(capsys, argv, flag):
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_tensor_monodromy_command(capsys):
     code, out = run(capsys, "tensor-monodromy")
     assert code == 0

@@ -107,7 +107,12 @@ def test_a2_residual_quality(a2_md):
     assert r["unipotent"] < 1e-10
 
 
-def test_a2_matrices_against_mpmath_gamma(a2_md):
+@pytest.mark.parametrize("point", [(0, 3), (0, 5), (1, 5), (0, 8)])
+def test_a2_matrices_against_mpmath_gamma(a2, point):
+    """Canonical spreads 4, 8.6, 8.6 and 17.4: past 4 the matching radii are
+    scaled by 4 / spread."""
+    spec, t = a2
+    md = stokes_and_connection(spec, tuple(F(x) for x in point), 3 * math.pi / 4, tensors=t)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         g13, g23 = mpmath.gamma(mpmath.mpf(1) / 3), mpmath.gamma(mpmath.mpf(2) / 3)
@@ -115,34 +120,36 @@ def test_a2_matrices_against_mpmath_gamma(a2_md):
         want = [[pref * g23, pref * g23 * mpmath.expjpi(mpmath.mpf(5) / 3)],
                 [pref * g13 * mpmath.expjpi(1), pref * g13 * mpmath.expjpi(mpmath.mpf(4) / 3)]]
         want = np.array([[complex(x) for x in row] for row in want])
-    assert np.abs(a2_md.central - want).max() < 1e-10
-    assert np.abs(a2_md.stokes - np.array([[1.0, 0.0], [-1.0, 1.0]])).max() < 1e-10
+    # the frame's square-root signs flip columns of C and conjugate S
+    eps = np.diag([1.0 if abs(md.central[0, j] - want[0, j]) < abs(md.central[0, j] + want[0, j])
+                   else -1.0 for j in range(2)])
+    assert np.abs(md.central @ eps - want).max() < 1e-10
+    assert np.abs(eps @ md.stokes @ eps - np.array([[1.0, 0.0], [-1.0, 1.0]])).max() < 1e-10
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"rtol": 1e-6}, "Stokes matrix unstable"),
-    ({"r_small": 0.9}, "central connection matrix unstable"),
-])
-def test_stability_checks_raise(a2, kwargs, message):
+def test_radii_are_not_scaled_up_below_spread_4(a2):
+    """a2 at (1/2, 9/4) has spread 2.6.  Radii scaled up by 4 / 2.6 would
+    take the Fuchsian-point series tail at r_small to 8.6e-12 and the central
+    stability residual to 2.0e-9 (2.0e-14 and 2.2e-12 at the tuned radii)."""
     spec, t = a2
+    md = stokes_and_connection(spec, (F(1, 2), F(9, 4)), 3 * math.pi / 4, tensors=t)
+    assert md.conventions["radius_scale"] == 1.0
+    assert md.residuals["central_stability"] < 1e-10
+    assert md.residuals["theta_tail"] < 1e-12
+
+
+@pytest.mark.parametrize("constant, value, message", [
+    ("RTOL", 1e-6, "Stokes matrix unstable"),
+    ("R_SMALL", 0.9, "central connection matrix unstable"),
+])
+def test_stability_checks_raise(a2, monkeypatch, constant, value, message):
+    spec, t = a2
+    monkeypatch.setattr(monodromy, constant, value)
     with pytest.raises(MatchingError, match=message):
-        stokes_and_connection(spec, (F(0), F(3)), 3 * math.pi / 4, tensors=t, **kwargs)
+        stokes_and_connection(spec, (F(0), F(3)), 3 * math.pi / 4, tensors=t)
 
 
-Z_FAR, R_MATCH, R_SMALL = 30.0, 1.5, 0.35
 PHI = 3 * math.pi / 4
-
-
-def _default_sectors(phi):
-    """The two sectors of `stokes_and_connection` with their targets, at the
-    default radii."""
-    eps = 0.02
-    right = ((phi - math.pi + eps, phi - eps),
-             [(R_MATCH, phi), (2 * R_MATCH, phi), (R_MATCH, phi - math.pi),
-              (R_SMALL, phi), (R_SMALL * 1.6, phi)])
-    left = ((phi + eps, phi + math.pi - eps),
-            [(R_MATCH, phi), (2 * R_MATCH, phi), (R_MATCH, phi + math.pi)])
-    return [right, left]
 
 
 def _columns_alone(ss, phis, sectors, rtol=1e-11, atol=1e-14):
@@ -162,7 +169,7 @@ def _columns_alone(ss, phis, sectors, rtol=1e-11, atol=1e-14):
         for l in range(n):
             shifted = np.diag(ss.u) - ss.u[l] * np.eye(n)
             th = monodromy._recessive_angle(ss.u, lo, hi, l)
-            z = Z_FAR * cmath.exp(1j * th)
+            z = monodromy.Z_FAR * cmath.exp(1j * th)
             w = sum(phis[j][:, l] / z ** j for j in range(len(phis)))
             seed, states, ends = w, {}, {}
             for r in sorted({r for r, _ in targets}, reverse=True):
@@ -242,7 +249,8 @@ def test_each_column_ray_is_integrated_once(a2, a2_ivp_calls):
     _, calls = a2_ivp_calls
     radial, arcs = calls[:-1], calls[-1]
     ss = semisimple_at(spec, (F(0), F(3)), t)
-    ref = _columns_alone(ss, phi_recursion(ss, 8), _default_sectors(PHI))
+    sectors = monodromy._matching_sectors(PHI, monodromy.R_MATCH, monodromy.R_SMALL)
+    ref = _columns_alone(ss, phi_recursion(ss, monodromy.KMAX), sectors)
 
     def same_columns(a, b):
         """Index in b of every column of a, each found bit for bit."""
@@ -261,7 +269,8 @@ def test_each_column_ray_is_integrated_once(a2, a2_ivp_calls):
 
     # each stack ends at the next radius, on the columns whose sector still
     # has a target there, each matching that column integrated alone
-    radii = [2 * R_MATCH, R_MATCH, R_SMALL * 1.6, R_SMALL]
+    radii = [2 * monodromy.R_MATCH, monodromy.R_MATCH, monodromy.R_SMALL * 1.6,
+             monodromy.R_SMALL]
     assert len(radial) == len(radii)
     for c, r in zip(radial, radii):
         alone = [states[r] for _, states, _ in ref.values() if r in states]
@@ -274,9 +283,9 @@ def test_each_column_ray_is_integrated_once(a2, a2_ivp_calls):
 def test_stacked_states_match_columns_integrated_alone(name, point):
     spec = load_spec(name)
     ss = semisimple_at(spec, tuple(F(x) for x in point))
-    phis = phi_recursion(ss, 8)
-    sectors = _default_sectors(PHI)
-    sols, _ = monodromy._sectorial_solutions(ss, phis, sectors, Z_FAR, 1e-11)
+    phis = phi_recursion(ss, monodromy.KMAX)
+    sectors = monodromy._matching_sectors(PHI, monodromy.R_MATCH, monodromy.R_SMALL)
+    sols, _ = monodromy._sectorial_solutions(ss, phis, sectors, monodromy.Z_FAR)
     ref = _columns_alone(ss, phis, sectors)
     for (k, l), (_, _, ends) in ref.items():
         for (r, th), want in ends.items():
@@ -323,6 +332,21 @@ def test_p1_conjugacy_invariant():
     val = 2 - np.trace(np.linalg.inv(s) @ s.T)
     assert abs(val - 4) < 1e-6
     assert monodromy_identities(md, t.eta)["pass"]
+
+
+@pytest.mark.parametrize("point", [(0, 2), (0, 3), (1, 4)])
+def test_p1_at_wide_spread(point):
+    """Canonical spreads 10.9, 17.9 and 29.6: the matching radii are scaled by
+    4 / spread, and the invariant and residuals stay where they are at (0,0)."""
+    p1 = load_spec("p1")
+    t = build_tensors(p1)
+    md = stokes_and_connection(p1, tuple(F(x) for x in point), 3 * math.pi / 4, tensors=t)
+    assert md.conventions["radius_scale"] < 0.4
+    s = md.stokes
+    assert abs(2 - np.trace(np.linalg.inv(s) @ s.T) - 4) < 1e-10
+    assert max(md.residuals.values()) < 1e-9
+    ids = monodromy_identities(md, t.eta)
+    assert max(ids["monodromy_residual"], ids["stokes_from_central_residual"]) < 1e-9
 
 
 def test_inadmissible_line_rejected():

@@ -8,7 +8,7 @@ from frobwdvv.closedform import cf_exp, cf_log, cf_mono, cf_var
 from frobwdvv.exact import Exact, as_exact_scalar
 from frobwdvv.series import (
     CenterMismatchError, Grading, SeriesMap, SingularCenterError, SingularJacobianError,
-    TruncSeries, compose, invert_map, localize, series_reciprocal,
+    TruncSeries, compose, invert_map, localize,
 )
 
 F = Fraction
@@ -117,15 +117,6 @@ def test_compose_square_substitution():
     f = TruncSeries(("x",), (F(0),), {(2,): F(1)}, gr)
     out = compose(f, m)
     assert out.coeffs == {(2,): F(1), (3,): F(-2), (4,): F(1)}
-
-
-def test_reciprocal():
-    gr = g(1, 6)
-    x = TruncSeries.coordinate(0, ("x",), (F(0),), gr)
-    s = series_reciprocal(1 + x)
-    assert s.coeffs == {(k,): F((-1) ** k) for k in range(7)}
-    prod = s * (1 + x)
-    assert prod.coeffs == {(0,): F(1)}
 
 
 def test_truncation_is_an_ideal():
