@@ -240,12 +240,9 @@ def cmd_recursion(args) -> int:
     elif name == "nkl":
         out = solver.recursion_nkl(max_n)
         checks = [{"name": "symmetry", "pass": out.audits["symmetric"]}]
-    elif name in ("ckl", "a21"):
+    else:   # ckl or a21; argparse rejects any other name
         out = solver.solve_ckl(max_n) if name == "ckl" else solver.solve_a21(max_n)
         checks = [{"name": "pattern-audit", "pass": out.audits["pattern_as_expected"]}]
-    else:
-        print(f"unknown recursion {name!r}", file=sys.stderr)
-        return 2
     report = {
         "schema": SCHEMA, "command": f"recursion {name}", "max": max_n,
         "table": [[str(k), str(v)] for k, v in out.values],
@@ -262,12 +259,14 @@ def cmd_genus1(args) -> int:
         data = jets.p1_family_data()
     elif fam == "a2":
         data = jets.a2_family_data()
-    elif fam == "twodim":
+    else:   # twodim; argparse rejects any other family
         params = _parse_params(args.param)
-        data = jets.genus1_twodim_family(Fraction(params["m"]), Fraction(params["c"]))
-    else:
-        print(f"unknown family {fam!r}", file=sys.stderr)
-        return 2
+        try:
+            m, c = Fraction(params["m"]), Fraction(params["c"])
+        except (KeyError, ValueError, ZeroDivisionError):
+            raise UsageError("genus1-check twodim needs --param m=<rational> "
+                             "and --param c=<rational>") from None
+        data = jets.genus1_twodim_family(m, c)
     rep = jets.genus1_report(data)
     report = {
         "schema": SCHEMA, "command": "genus1-check", "family": fam,

@@ -11,6 +11,7 @@ derivative, which stays inside the ring.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 from .closedform import ClosedForm, cf_mono, cf_var
@@ -107,16 +108,14 @@ def _combo_merge(combo: LogCombo) -> LogCombo:
     return [(q, p) for q, p in out if q]
 
 
-def check_constant_combo(combo: LogCombo, basenames, kmax: int = 3) -> dict:
+def check_constant_combo(combo: LogCombo, basenames) -> dict:
     """Exact check that sum q_i log P_i has zero derivative in every base and
     jet variable: sum_i q_i (d P_i) prod_{j != i} P_j = 0 in the ring."""
     combo = _combo_merge(combo)
     variables = set()
     for _, p in combo:
         variables |= p.variables()
-    denom_lcm = 1
-    for q, _ in combo:
-        denom_lcm = denom_lcm * q.denominator // __import__("math").gcd(denom_lcm, q.denominator)
+    denom_lcm = math.lcm(*(q.denominator for q, _ in combo))
     failures = []
     for v in sorted(variables):
         total = ClosedForm.zero()
@@ -195,24 +194,25 @@ def a2_family_data() -> dict:
     return {"spec": spec, "fm1": fm1, "fhat1": fhat1, "hat_map": hat_map}
 
 
-def genus1_report(data: dict, kappa: int = 2, sample=None) -> dict:
+GENUS1_KAPPA = 2    # the hat direction of every bundled genus-one family
+GENUS1_SAMPLE = {"v1": 0.37, "v2": 2.21, "v1_1": 0.59, "v2_1": 0.83}
+
+
+def genus1_report(data: dict) -> dict:
     """Verify the genus-one identity for one family: after rewriting the hat
     jets through the kappa-flow, the difference of the two free energies has
     zero dependence on every base and jet variable; the leftover constant is
     reported (a constant is allowed in genus one)."""
     spec = data["spec"]
-    dt = flow_derivation(spec, kappa)
+    dt = flow_derivation(spec, GENUS1_KAPPA)
     table = dict(data["hat_map"])
     for hv, form in list(data["hat_map"].items()):
         table[jet_name(hv, 1)] = dt(form)
     hat_sub = combo_substitute(data["fhat1"], table)
     delta = list(data["fm1"]) + [(-q, p) for q, p in hat_sub]
     rep = check_constant_combo(delta, spec.varnames)
-    if sample is None:
-        sample = {"v1": 0.37, "v2": 2.21, "v1_1": 0.59, "v2_1": 0.83}
     try:
-        rep["constant"] = combo_value(delta, sample)
-    except Exception:  # branch points in a random sample: retry shifted
-        sample = {k: v + 0.11 for k, v in sample.items()}
-        rep["constant"] = combo_value(delta, sample)
+        rep["constant"] = combo_value(delta, GENUS1_SAMPLE)
+    except Exception:  # a branch point at the sample: retry shifted
+        rep["constant"] = combo_value(delta, {k: v + 0.11 for k, v in GENUS1_SAMPLE.items()})
     return rep

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .calibration import Calibration, TwoPointTable, solve_calibration, two_point_table
+from .calibration import Calibration, TwoPointTable, solve_calibration
 from .closedform import ClosedForm
 from .core import FrobeniusSpec, Tensors, build_tensors, hat_point
 from .linalg import raise_index
@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 F = Fraction
+
+_FLOAT_TOL = 1e-8           # zero gate of the float path in the checks
+_DEPTH_THRESHOLD = 1e-15    # a materialization term below this moves no Hessian entry
+_DEPTH_MAX_EXTRA = 16       # degrees probed beyond a truncated spec's own cutoff
 
 
 class InconsistentHessianError(ArithmeticError):
@@ -42,7 +46,6 @@ class LegendreResult:
     grading: Grading
     hat_center: tuple
     hat_vars: tuple
-    hat_map: SeriesMap          # components: upper hat coordinates as series in v - center
     inverse_map: SeriesMap      # v as series in hat coordinates
     hat_potential: TruncSeries
     hat_charge: Fraction
@@ -54,10 +57,6 @@ class LegendreResult:
 
     def hat_upper_forms(self) -> list[ClosedForm]:
         return raise_index(self.hat_lower_forms(), self.tensors.eta_inv)
-
-
-def _hessian_series(f: TruncSeries, varnames) -> list:
-    return [[f.diff(x).diff(y) for y in varnames] for x in varnames]
 
 
 def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
@@ -101,46 +100,62 @@ def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
     return TruncSeries(vars, center, coeffs, grading)
 
 
-def transform_series(fhat_source: TruncSeries, eta, eta_inv, kappa: int):
-    """Series-level transform: hat coordinates from second derivatives, inverse
-    map, and the transported potential.  Works modulo quadratic."""
-    vars = fhat_source.vars
-    n = len(vars)
-    w = _hessian_series(fhat_source, vars)
-    hat_map = SeriesMap(tuple(raise_index(w[kappa - 1], eta_inv)))
-    inv = invert_map(hat_map)
-    hat_vars = inv.components[0].vars
-    hat_center = hat_map.target_center()
-    grading = Grading(tuple([fhat_source.grading.weights[0]] * n), fhat_source.grading.order)
-    what = [[compose(w[a][b], inv) for b in range(n)] for a in range(n)]
-    fhat = _potential_from_hessian_series(what, hat_vars, hat_center, grading)
-    return hat_map, inv, fhat
+def _hat_step(hessian, eta_inv, kappa: int):
+    """The one S_kappa construction on Hessian series hessian(a, b) (0-based
+    indices): hat coordinates eta^{ab} d_kappa d_b F, their inverse map, and
+    F-hat from the Hessian transported along it.  The kappa column is built
+    and inverted before any other entry, so a singular Jacobian costs only n
+    entries; returns (inverse map, hat potential)."""
+    n = len(eta_inv)
+    col = [hessian(a, kappa - 1) for a in range(n)]
+    inverse = invert_map(SeriesMap(tuple(raise_index(col, eta_inv))))
+    what = [[compose(col[a] if b == kappa - 1 else hessian(a, b), inverse)
+             for b in range(n)] for a in range(n)]
+    hat = inverse.components[0]
+    return inverse, _potential_from_hessian_series(what, hat.vars, hat.center, hat.grading)
+
+
+def transform_series(f: TruncSeries, eta_inv, kappa: int):
+    """Series-level transform of a potential series: (inverse map, transported
+    potential), modulo quadratic."""
+    return _hat_step(lambda a, b: f.diff(f.vars[a]).diff(f.vars[b]), eta_inv, kappa)
 
 
 def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
               m_max: int = 4) -> LegendreResult:
     """Build the kappa-direction transform at a center, as exact series data.
 
-    Generator-backed truncated specs are re-materialized deep enough for the
-    requested series order; the Hessian cross-consistency check acts as the
-    accuracy gate, and failing it (only it) triggers a deeper retry."""
+    A generator-backed truncated spec is re-materialized once, to the degree
+    `_needed_depth` finds for the requested series order; the Hessian
+    cross-consistency check is the accuracy gate of that materialization.
+    Raises SingularJacobianError where the kappa direction is not invertible."""
     if spec.exp_cutoff is not None and spec.generator is not None:
         from .specs import deepen_spec
-        depth = _needed_depth(spec, center, order, m_max)
-        for attempt in range(3):
-            deeper = deepen_spec(spec, depth + 6 * attempt)
-            try:
-                return _transform_impl(deeper, kappa, center, order, m_max)
-            except InconsistentHessianError:
-                if attempt == 2:
-                    raise
-    return _transform_impl(spec, kappa, center, order, m_max)
+        spec = deepen_spec(spec, _needed_depth(spec, center, order, m_max))
+    t = build_tensors(spec)
+    cal = solve_calibration(spec, max(m_max, 1), t)
+    table = TwoPointTable(cal)
+    center = tuple(F(c) if isinstance(c, int) else c for c in center)
+    if spec.exp_cutoff is not None:
+        # a finite exponential truncation is only approximately integrable, so
+        # series transport runs on the float path with its tolerance
+        center = tuple(complex(c) for c in center)
+    grading = Grading.total_degree(spec.n, order)
+    inverse, fhat = _hat_step(
+        lambda a, b: localize(table.entry(a + 1, 0, b + 1, 0), spec.varnames, center, grading),
+        t.eta_inv, kappa)
+    hat = inverse.components[0]
+    return LegendreResult(
+        spec=spec, tensors=t, cal=cal, table=table, kappa=kappa, center=center,
+        grading=grading, hat_center=hat.center, hat_vars=hat.vars, inverse_map=inverse,
+        hat_potential=fhat, hat_charge=-2 * spec.mu[kappa - 1],
+        hat_shifts=tuple(spec.r_entry(1, b, kappa) for b in range(1, spec.n + 1)))
 
 
-def _needed_depth(spec: FrobeniusSpec, center, order, m_max,
-                  threshold: float = 1e-15, max_extra: int = 16) -> int:
+def _needed_depth(spec: FrobeniusSpec, center, order, m_max) -> int:
     """Smallest materialization degree whose next term no longer moves the
-    low-order Hessian series at this center (successive-term convergence test).
+    low-order Hessian series at this center by _DEPTH_THRESHOLD (successive-term
+    convergence test over at most _DEPTH_MAX_EXTRA degrees).
 
     Each calibration level converts a derivative pair back into an integration
     pair, so the probe window is widened by two per transported level."""
@@ -151,7 +166,7 @@ def _needed_depth(spec: FrobeniusSpec, center, order, m_max,
     grading = Grading.total_degree(spec.n, window)
     prev = generator_potential(spec.generator[0], base)
     depth = base
-    for d in range(base + 1, base + max_extra + 1):
+    for d in range(base + 1, base + _DEPTH_MAX_EXTRA + 1):
         nxt = generator_potential(spec.generator[0], d)
         delta = nxt - prev
         impact = 0.0
@@ -160,59 +175,23 @@ def _needed_depth(spec: FrobeniusSpec, center, order, m_max,
                 s = localize(delta.diff(a).diff(b), spec.varnames, fcenter, grading)
                 impact = max(impact, s.max_abs_coeff())
         prev = nxt
-        if impact < threshold:
+        if impact < _DEPTH_THRESHOLD:
             break
         depth = d
     return depth
-
-
-def _transform_impl(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
-                    m_max: int) -> LegendreResult:
-    t = build_tensors(spec)
-    cal = solve_calibration(spec, max(m_max, 1), t)
-    table = two_point_table(cal, min(cal.m_max - 1, 3))
-    n = spec.n
-    center = tuple(F(c) if isinstance(c, int) else c for c in center)
-    if spec.exp_cutoff is not None:
-        # a finite exponential truncation is only approximately integrable, so
-        # series transport runs on the float path with its tolerance
-        center = tuple(complex(c) for c in center)
-    grading = Grading.total_degree(n, order)
-
-    low_forms = [table.entry(a, 0, kappa, 0) for a in range(1, n + 1)]
-    upper_forms = raise_index(low_forms, t.eta_inv)
-    comps = tuple(localize(f, spec.varnames, center, grading) for f in upper_forms)
-    hat_map = SeriesMap(comps)
-    inverse = invert_map(hat_map)   # raises SingularJacobianError if not invertible
-    hat_vars = inverse.components[0].vars
-    hat_center = hat_map.target_center()
-
-    w = [[localize(table.entry(a + 1, 0, b + 1, 0), spec.varnames, center, grading)
-          for b in range(n)] for a in range(n)]
-    what = [[compose(w[a][b], inverse) for b in range(n)] for a in range(n)]
-    hat_grading = Grading(tuple([grading.weights[0]] * n), grading.order)
-    fhat = _potential_from_hessian_series(what, hat_vars, hat_center, hat_grading)
-
-    hat_charge = -2 * spec.mu[kappa - 1]
-    hat_shifts = tuple(spec.r_entry(1, b, kappa) for b in range(1, n + 1))
-    return LegendreResult(
-        spec=spec, tensors=t, cal=cal, table=table, kappa=kappa, center=center,
-        grading=grading, hat_center=hat_center, hat_vars=hat_vars, hat_map=hat_map,
-        inverse_map=inverse, hat_potential=fhat, hat_charge=hat_charge,
-        hat_shifts=hat_shifts)
 
 
 def series_equal_mod_quadratic(a: TruncSeries, b: TruncSeries) -> bool:
     return (a - b).drop_low_degree(3).is_zero()
 
 
-def _vanishes(s: TruncSeries, tol: float = 1e-8) -> bool:
-    """Exact-zero for exact scalars; below tolerance on the float path."""
+def _vanishes(s: TruncSeries) -> bool:
+    """Exact-zero for exact scalars; below _FLOAT_TOL on the float path."""
     if s.is_zero():
         return True
     if s.is_exact():
         return False
-    return s.max_abs_coeff() < tol
+    return s.max_abs_coeff() < _FLOAT_TOL
 
 
 def pullback(result: LegendreResult, f: ClosedForm) -> TruncSeries:
@@ -420,9 +399,7 @@ def round_trip(result: LegendreResult) -> dict:
     """Transforming the hat potential in the original unity direction recovers
     the straight potential modulo quadratic, in the original coordinates."""
     spec = result.spec
-    t = result.tensors
-    _, inv_back, f_back = transform_series(result.hat_potential, t.eta, t.eta_inv,
-                                           spec.unity)
+    _, f_back = transform_series(result.hat_potential, result.tensors.eta_inv, spec.unity)
     f_orig = localize(spec.potential, spec.varnames, result.center, result.grading)
     # the doubled-hat offsets coincide with the straight offsets; compare cubic on
     back = TruncSeries(f_orig.vars, f_orig.center,

@@ -35,6 +35,8 @@ R_SMALL = 0.35  # central matching radius, repeated at 1.6 times it
 KMAX = 8        # terms of the formal series at the seed radius
 M_THETA = 14    # calibration levels of the Fuchsian-point solution
 RTOL, ATOL = 1e-11, 1e-14   # DOP853 tolerances of one column alone
+ADMISSIBLE_MARGIN = 1e-8    # least |Re(e^{i phi}(u_i - u_j))| of an admissible line
+NEWTON_MAXIT, NEWTON_TOL = 40, 1e-12   # flat point from canonical coordinates
 
 
 class NonSemisimpleError(ArithmeticError):
@@ -174,9 +176,9 @@ def phi_orthogonality_residual(phis: list) -> float:
     return worst
 
 
-def is_admissible(u, phi_angle: float, margin: float = 1e-8) -> bool:
+def is_admissible(u, phi_angle: float) -> bool:
     z = cmath.exp(1j * phi_angle)
-    return all(abs((z * (ui - uj)).real) > margin
+    return all(abs((z * (ui - uj)).real) > ADMISSIBLE_MARGIN
                for i, ui in enumerate(u) for j, uj in enumerate(u) if i < j)
 
 
@@ -471,15 +473,14 @@ def align_frame(ss: SemisimplePoint, u_ref, psi_ref=None) -> SemisimplePoint:
                            tuple(signs), ss.residual_frame)
 
 
-def _flat_from_canonical(spec, tensors, u_target, v_guess, psi_reference=None,
-                         maxit=40, tol=1e-12):
+def _flat_from_canonical(spec, tensors, u_target, v_guess, psi_reference=None):
     """Newton solve for the flat point whose canonical coordinates are u_target."""
     v = np.array([complex(x) for x in v_guess])
-    for _ in range(maxit):
+    for _ in range(NEWTON_MAXIT):
         ss = semisimple_at(spec, tuple(v), tensors)
         ss = align_frame(ss, u_target, psi_reference)
         err = ss.u - u_target
-        if np.abs(err).max() < tol:
+        if np.abs(err).max() < NEWTON_TOL:
             return tuple(v), ss
         # du_i / dv^a = psi_{ia} / psi_{i iota}
         jac = np.array([[ss.psi[i, a] / ss.psi[i, spec.unity - 1]

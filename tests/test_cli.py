@@ -92,6 +92,8 @@ def test_monodromy_at_wide_spread(capsys):
     (["legendre", "p1", "--kappa", "2", "--center", "0,0,5"], "--center"),
     (["legendre", "p1", "--kappa", "3"], "--kappa"),
     (["verify-omega", "p1", "--kappa", "0"], "--kappa"),
+    (["genus1-check", "twodim", "--param", "c=1"], "--param"),
+    (["genus1-check", "twodim", "--param", "m=abc", "--param", "c=1"], "--param"),
 ])
 def test_malformed_option_values_exit_2(capsys, argv, flag):
     assert main(argv) == 2

@@ -136,9 +136,13 @@ def test_singular_direction_raises():
         transform(spec, 2, (F(0), F(0)), 4, m_max=3)
 
 
-def test_singular_jacobian_is_not_retried(monkeypatch):
-    # only the Hessian accuracy gate earns a deeper retry; a singular Jacobian
-    # is deterministic and must surface after one materialization
+@pytest.mark.parametrize("name, kappa, center, order, error", [
+    pytest.param("ccc_a111", 2, (0, 0, 0), 4, SingularJacobianError, id="ccc_a111"),
+    pytest.param("p2", 3, (0, 2, 1), 4, legendre.InconsistentHessianError, id="p2"),
+])
+def test_singular_jacobian_is_not_retried(monkeypatch, name, kappa, center, order, error):
+    # a truncated spec is materialized once; neither a singular Jacobian nor a
+    # failed Hessian accuracy gate earns a deeper retry
     import frobwdvv.specs as specs
     calls = []
     deepen = specs.deepen_spec
@@ -148,9 +152,20 @@ def test_singular_jacobian_is_not_retried(monkeypatch):
         return deepen(spec, degree)
 
     monkeypatch.setattr(specs, "deepen_spec", counting)
-    with pytest.raises(SingularJacobianError):
-        transform(load_spec("ccc_a111"), 2, (F(0), F(0), F(0)), 4, m_max=2)
+    with pytest.raises(error):
+        transform(load_spec(name), kappa, tuple(F(c) for c in center), order, m_max=2)
     assert len(calls) == 1
+
+
+def test_kappa_column_is_inverted_before_the_rest_of_the_hessian(monkeypatch):
+    # a2 at the origin: the kappa column (n = 2 localizations) already shows
+    # the singular Jacobian, so no other Hessian entry is expanded
+    calls = []
+    orig = legendre.localize
+    monkeypatch.setattr(legendre, "localize", lambda *a: calls.append(a) or orig(*a))
+    with pytest.raises(SingularJacobianError):
+        transform(load_spec("a2"), 2, (F(0), F(0)), 4, m_max=3)
+    assert len(calls) == 2
 
 
 def test_pointwise_p1():
@@ -216,7 +231,7 @@ def test_transform_series_standalone():
     t = build_tensors(spec)
     f = localize(spec.potential, spec.varnames, (F(0), F(0)),
                  __import__("frobwdvv.series", fromlist=["Grading"]).Grading.total_degree(2, 8))
-    _, _, fhat = transform_series(f, t.eta, t.eta_inv, 2)
+    _, fhat = transform_series(f, t.eta_inv, 2)
     res = transform(spec, 2, (F(0), F(0)), 8, m_max=5)
     hat = TruncSeries(fhat.vars, fhat.center, dict(res.hat_potential.coeffs), fhat.grading)
     assert series_equal_mod_quadratic(fhat, hat)
