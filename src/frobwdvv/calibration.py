@@ -36,17 +36,17 @@ def _is_constant(f: ClosedForm) -> bool:
     return not f.terms or set(f.terms) == {Mono((), (), ())}
 
 
+def _filtered(f: ClosedForm, keep) -> ClosedForm:
+    return f.filter(keep) if keep else f
+
+
 def potential_from_gradient(grad: list[ClosedForm], varnames, keep) -> ClosedForm:
     """Reconstruct f with df = grad, no integration constant; asserts closedness."""
     out = ClosedForm.zero()
     for i, v in enumerate(varnames):
-        rem = grad[i] - out.diff(v)
-        if keep:
-            rem = rem.filter(keep)
+        rem = _filtered(grad[i] - out.diff(v), keep)
         for w in varnames[:i]:
-            chk = rem.diff(w)
-            if keep:
-                chk = chk.filter(keep)
+            chk = _filtered(rem.diff(w), keep)
             if not chk.is_zero():
                 raise ObstructionError(f"gradient system is not closed in {v},{w}")
         out = out + rem.antiderivative(v)
@@ -60,12 +60,27 @@ class Calibration:
     m_max: int
     theta: dict = field(default_factory=dict)   # (alpha 1-based, m) -> ClosedForm
     grads: dict = field(default_factory=dict)   # (alpha, m, beta) -> ClosedForm
+    pairings: dict = field(default_factory=dict, init=False)   # see pairing()
 
     def grad(self, alpha: int, m: int, beta: int) -> ClosedForm:
         key = (alpha, m, beta)
         if key not in self.grads:
             self.grads[key] = self.theta[(alpha, m)].diff(self.spec.varnames[beta - 1])
         return self.grads[key]
+
+    def pairing(self, alpha: int, l1: int, beta: int, l2: int) -> ClosedForm:
+        """<grad theta_{alpha,l1}, grad theta_{beta,l2}> paired with eta^{-1}; built on
+        first use and stored once, under the smaller of its two symmetric keys."""
+        key = min((alpha, l1, beta, l2), (beta, l2, alpha, l1))
+        if key not in self.pairings:
+            a, la, b, lb = key
+            eta_inv = self.tensors.eta_inv
+            n = self.spec.n
+            self.pairings[key] = ClosedForm.sum_of_products(
+                ((eta_inv[rho][sig], self.grad(a, la, rho + 1), self.grad(b, lb, sig + 1))
+                 for rho in range(n) for sig in range(n) if eta_inv[rho][sig]),
+                self.spec.exp_filter())
+        return self.pairings[key]
 
     def to_json_obj(self) -> dict:
         return {f"{a},{m}": th.to_json_obj() for (a, m), th in sorted(self.theta.items())}
@@ -76,7 +91,6 @@ def solve_calibration(spec: FrobeniusSpec, m_max: int,
     t = tensors or build_tensors(spec)
     n = spec.n
     names = spec.varnames
-    iota = spec.unity
     keep = spec.exp_filter()
     cal = Calibration(spec, t, m_max)
 
@@ -90,20 +104,18 @@ def solve_calibration(spec: FrobeniusSpec, m_max: int,
     return cal
 
 
-def _filtered(f: ClosedForm, keep) -> ClosedForm:
-    return f.filter(keep) if keep else f
-
-
 def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
     n = spec.n
     names = spec.varnames
     iota = spec.unity
 
-    # Hessian H_{ab} = sum_s c^s_{ab} d theta_{g,m} / dv^s
+    # Hessian H_{ab} = sum_s c^s_{ab} d theta_{g,m} / dv^s, built for a <= b and mirrored
     grad_prev = [cal.grad(g, m, b) for b in range(1, n + 1)]
-    hess = [[ClosedForm.sum_of_products(((1, t.c_mixed[sig][a][b], grad_prev[sig])
-                                         for sig in range(n)), keep)
-             for b in range(n)] for a in range(n)]
+    hess = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            hess[a][b] = hess[b][a] = ClosedForm.sum_of_products(
+                ((1, t.c_mixed[sig][a][b], grad_prev[sig]) for sig in range(n)), keep)
 
     grad = [potential_from_gradient([hess[a][b] for a in range(n)], names, keep)
             for b in range(n)]
@@ -196,19 +208,14 @@ def _omega_entry(cal: Calibration, alpha: int, m1: int, beta: int, m2: int) -> C
     if m1 + m2 + 1 > cal.m_max:
         raise OrderExceededError(
             f"need calibration level {m1 + m2 + 1} > m_max {cal.m_max}")
-    return _grad_pairing(cal, alpha, beta, (((-1) ** j, m1 + j + 1, m2 - j)
-                                            for j in range(m2 + 1)), cal.spec.exp_filter())
+    return _signed_pairings(cal, alpha, m1 + 1, beta, m2)
 
 
-def _grad_pairing(cal: Calibration, alpha: int, beta: int, levels, keep) -> ClosedForm:
-    """Sum of sign * <grad theta_{alpha,l1}, grad theta_{beta,l2}> (paired with
-    eta^{-1}) over (sign, l1, l2) in levels, in one fused product loop."""
-    eta_inv = cal.tensors.eta_inv
-    n = cal.spec.n
-    return ClosedForm.sum_of_products(
-        ((eta_inv[rho][sig] * sign, cal.grad(alpha, l1, rho + 1), cal.grad(beta, l2, sig + 1))
-         for sign, l1, l2 in levels for rho in range(n) for sig in range(n)
-         if eta_inv[rho][sig]), keep)
+def _signed_pairings(cal: Calibration, alpha: int, l: int, beta: int, m: int) -> ClosedForm:
+    """sum_{j=0}^{m} (-1)^j P(alpha, l + j; beta, m - j), from the pairing table."""
+    even = sum(cal.pairing(alpha, l + j, beta, m - j) for j in range(0, m + 1, 2))
+    odd = sum(cal.pairing(alpha, l + j, beta, m - j) for j in range(1, m + 1, 2))
+    return even - odd
 
 
 def two_point_table(cal: Calibration, order: int) -> TwoPointTable:
@@ -227,7 +234,6 @@ def check_homogeneity(table: TwoPointTable) -> dict:
     """Euler action on every computed two-point entry; exact (or to cutoff)."""
     cal = table.cal
     spec = cal.spec
-    t = cal.tensors
     n = spec.n
     keep = spec.exp_filter()
     failures = []
@@ -246,7 +252,7 @@ def check_homogeneity(table: TwoPointTable) -> dict:
         for g in range(1, n + 1):
             rv = spec.r_entry(m1 + m2 + 1, g, a)
             if rv:
-                resid = resid - ClosedForm.const(rv * t.eta[g - 1][b - 1] * F((-1) ** m2))
+                resid = resid - ClosedForm.const(rv * cal.tensors.eta[g - 1][b - 1] * (-1) ** m2)
         resid = _filtered(resid, keep)
         if not resid.is_zero():
             failures.append((a, m1, b, m2))
@@ -255,13 +261,11 @@ def check_homogeneity(table: TwoPointTable) -> dict:
 
 def theta_matrix_coefficients(cal: Calibration, m_max: int | None = None) -> list:
     """Theta_m matrices with (Theta_m)^a_b = eta^{a rho} d theta_{b,m}/dv^rho."""
-    spec = cal.spec
-    t = cal.tensors
-    n = spec.n
+    n = cal.spec.n
     m_top = cal.m_max if m_max is None else m_max
     out = []
     for m in range(m_top + 1):
-        cols = [raise_index([cal.grad(b + 1, m, rho + 1) for rho in range(n)], t.eta_inv)
+        cols = [raise_index([cal.grad(b + 1, m, rho + 1) for rho in range(n)], cal.tensors.eta_inv)
                 for b in range(n)]
         out.append([[cols[b][a] for b in range(n)] for a in range(n)])
     return out
@@ -269,18 +273,14 @@ def theta_matrix_coefficients(cal: Calibration, m_max: int | None = None) -> lis
 
 def check_orthogonality(cal: Calibration) -> dict:
     """<grad theta_a(z), grad theta_b(-z)> = eta_ab order by order in z."""
-    spec = cal.spec
-    t = cal.tensors
-    n = spec.n
-    keep = spec.exp_filter()
+    eta = cal.tensors.eta
+    n = cal.spec.n
     failures = []
     for k in range(cal.m_max + 1):
         for a in range(1, n + 1):
             for b in range(1, n + 1):
-                s = _grad_pairing(cal, a, b, (((-1) ** (k - j), j, k - j)
-                                              for j in range(k + 1)), keep)
-                if k == 0:
-                    s = s - ClosedForm.const(t.eta[a - 1][b - 1])
+                # (-1)^k times the z^k coefficient: it vanishes with it
+                s = _signed_pairings(cal, a, 0, b, k) - (eta[a - 1][b - 1] if k == 0 else 0)
                 if not s.is_zero():
                     failures.append((k, a, b))
     return {"pass": not failures, "failures": failures}

@@ -108,7 +108,7 @@ def _combo_merge(combo: LogCombo) -> LogCombo:
     return [(q, p) for q, p in out if q]
 
 
-def check_constant_combo(combo: LogCombo, basenames) -> dict:
+def check_constant_combo(combo: LogCombo) -> dict:
     """Exact check that sum q_i log P_i has zero derivative in every base and
     jet variable: sum_i q_i (d P_i) prod_{j != i} P_j = 0 in the ring."""
     combo = _combo_merge(combo)
@@ -210,7 +210,7 @@ def genus1_report(data: dict) -> dict:
         table[jet_name(hv, 1)] = dt(form)
     hat_sub = combo_substitute(data["fhat1"], table)
     delta = list(data["fm1"]) + [(-q, p) for q, p in hat_sub]
-    rep = check_constant_combo(delta, spec.varnames)
+    rep = check_constant_combo(delta)
     try:
         rep["constant"] = combo_value(delta, GENUS1_SAMPLE)
     except Exception:  # a branch point at the sample: retry shifted

@@ -28,6 +28,7 @@ COMMANDS = [
     ["wdvv-check", "ccc_a111"],
     ["calibrate", "p1", "--order", "4", "--dump"],
     ["calibrate", "a2", "--order", "4", "--dump"],
+    ["calibrate", "p2", "--order", "4", "--dump"],
     ["calibrate", "nls", "--order", "4", "--dump"],
     ["calibrate", "p1orb", "--order", "3", "--dump"],
     ["calibrate", "p1xp1", "--order", "2", "--dump"],

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from frobwdvv import calibration
 from frobwdvv.calibration import (
-    ObstructionError, OrderExceededError, check_homogeneity, check_orthogonality,
-    solve_calibration, theta_matrix_coefficients, two_point_table,
+    Calibration, ObstructionError, OrderExceededError, _omega_entry, _signed_pairings,
+    check_homogeneity, check_orthogonality, solve_calibration, theta_matrix_coefficients,
+    two_point_table,
 )
 from frobwdvv.closedform import ClosedForm, Mono, cf_var
 from frobwdvv.core import build_tensors
@@ -158,3 +160,98 @@ def test_resonant_family_member_needs_nilpotent_block():
     cal = solve_calibration(spec, 4)
     assert check_orthogonality(cal)["pass"]
     assert check_homogeneity(two_point_table(cal, 3))["pass"]
+
+
+def _fresh_pairing_sum(cal, alpha, beta, levels):
+    """Reference: sum of sign * <grad theta_{alpha,l1}, grad theta_{beta,l2}> over
+    (sign, l1, l2) in levels, every product formed afresh in one fused loop."""
+    eta_inv, n = cal.tensors.eta_inv, cal.spec.n
+    return ClosedForm.sum_of_products(
+        ((eta_inv[rho][sig] * sign, cal.grad(alpha, l1, rho + 1), cal.grad(beta, l2, sig + 1))
+         for sign, l1, l2 in levels for rho in range(n) for sig in range(n)
+         if eta_inv[rho][sig]), cal.spec.exp_filter())
+
+
+@pytest.mark.parametrize("name, m_max", [
+    ("p1", 4), ("a2", 4), ("p1orb", 4), ("ccc_a111", 4), ("p1xp1", 2)])
+def test_pairing_table_matches_fresh_products(name, m_max):
+    # the shared table must give every two-point entry and orthogonality sum
+    # (check_orthogonality reads it times (-1)^k) exactly; a key that drops the
+    # level swap (or any asymmetric slip) fails
+    cal = solve_calibration(load_spec(name), m_max)
+    n = cal.spec.n
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            for m1 in range(m_max):
+                for m2 in range(m_max - m1):
+                    want = _fresh_pairing_sum(cal, a, b, [((-1) ** j, m1 + j + 1, m2 - j)
+                                                          for j in range(m2 + 1)])
+                    assert _omega_entry(cal, a, m1, b, m2) == want, (a, m1, b, m2)
+            for k in range(m_max + 1):
+                want = _fresh_pairing_sum(cal, a, b, [((-1) ** (k - j), j, k - j)
+                                                      for j in range(k + 1)])
+                assert _signed_pairings(cal, a, 0, b, k) * (-1) ** k == want, (k, a, b)
+
+
+def _count_sum_of_products(monkeypatch, is_counted=lambda triples: True):
+    calls = [0]
+    real = ClosedForm.sum_of_products
+
+    def counting(triples, keep=None):
+        triples = list(triples)
+        calls[0] += is_counted(triples)
+        return real(triples, keep)
+    monkeypatch.setattr(ClosedForm, "sum_of_products", staticmethod(counting))
+    return calls
+
+
+def test_p2_order_4_forms_each_pairing_once(monkeypatch):
+    # `calibrate p2 --order 4`: orthogonality to k = 4 and the two-point table
+    # to m1 + m2 = 3 read the 72 unordered pairings with l1 + l2 <= 4, and
+    # each is formed once
+    cal = solve_calibration(load_spec("p2"), 4)
+    calls = _count_sum_of_products(monkeypatch)
+    assert check_orthogonality(cal)["pass"]
+    tab = two_point_table(cal, 3)
+    assert calls[0] == 72
+    monkeypatch.undo()
+    assert check_homogeneity(tab)["pass"]
+    assert len(cal.pairings) == 72
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "ccc_a111"])
+def test_hessian_is_built_on_the_upper_triangle(monkeypatch, name):
+    spec = load_spec(name)
+    n = spec.n
+    t = build_tensors(spec)
+    structure = {id(f) for plane in t.c_mixed for row in plane for f in row}
+    calls = _count_sum_of_products(
+        monkeypatch, lambda triples: any(id(f) in structure for _, f, _ in triples))
+    per_level = []
+    real = calibration._solve_next_level
+
+    def counting(*args):
+        before = calls[0]
+        out = real(*args)
+        per_level.append(calls[0] - before)
+        return out
+    monkeypatch.setattr(calibration, "_solve_next_level", counting)
+    solve_calibration(spec, 3, t)
+    assert per_level == [n * (n + 1) // 2] * (3 * n)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_perturbed_level_two_fails_both_checks(name):
+    # one theta_{alpha,2} coefficient off by one: the orthogonality check and
+    # the two-point homogeneity check, which share the pairing table, must
+    # each still see it
+    cal = solve_calibration(load_spec(name), 4)
+    for alpha in range(1, cal.spec.n + 1):
+        terms = dict(cal.theta[(alpha, 2)].terms)
+        mono = min((m for m in terms if m != Mono((), (), ())), key=Mono.sort_key)
+        terms[mono] = terms[mono] + 1
+        theta = dict(cal.theta)
+        theta[(alpha, 2)] = ClosedForm(terms)
+        bad = Calibration(cal.spec, cal.tensors, cal.m_max, theta)
+        assert not check_orthogonality(bad)["pass"], alpha
+        assert not check_homogeneity(two_point_table(bad, 3))["pass"], alpha
