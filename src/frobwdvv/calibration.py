@@ -260,7 +260,8 @@ def check_homogeneity(table: TwoPointTable) -> dict:
 
 
 def theta_matrix_coefficients(cal: Calibration, m_max: int | None = None) -> list:
-    """Theta_m matrices with (Theta_m)^a_b = eta^{a rho} d theta_{b,m}/dv^rho."""
+    """Theta_m matrices with (Theta_m)^a_b = eta^{a rho} d theta_{b,m}/dv^rho; they
+    supply the resonant levels of the Fuchsian-point solution in `monodromy`."""
     n = cal.spec.n
     m_top = cal.m_max if m_max is None else m_max
     out = []

@@ -77,14 +77,6 @@ class FrobeniusSpec:
             return Fraction(0)
         return mat[alpha - 1][beta - 1]
 
-    def r_full(self):
-        out = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for s, mat in self.rmats.items():
-            for i in range(self.n):
-                for j in range(self.n):
-                    out[i][j] += mat[i][j]
-        return out
-
     def exp_filter(self) -> Optional[Callable[[Mono], bool]]:
         if self.exp_cutoff is None:
             return None

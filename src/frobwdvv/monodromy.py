@@ -33,7 +33,7 @@ Z_FAR = 30.0    # seed radius of the truncated asymptotics
 R_MATCH = 1.5   # Stokes matching radius, repeated at twice it
 R_SMALL = 0.35  # central matching radius, repeated at 1.6 times it
 KMAX = 8        # terms of the formal series at the seed radius
-M_THETA = 14    # calibration levels of the Fuchsian-point solution
+M_THETA = 14    # levels of the Fuchsian-point solution, numeric past the resonant ones
 RTOL, ATOL = 1e-11, 1e-14   # DOP853 tolerances of one column alone
 ADMISSIBLE_MARGIN = 1e-8    # least |Re(e^{i phi}(u_i - u_j))| of an admissible line
 NEWTON_MAXIT, NEWTON_TOL = 40, 1e-12   # flat point from canonical coordinates
@@ -55,6 +55,7 @@ class MatchingError(RuntimeError):
 class SemisimplePoint:
     point: tuple
     u: np.ndarray
+    umat: np.ndarray  # U^a_b, multiplication by the Euler field, in the flat frame
     psi: np.ndarray
     v_mat: np.ndarray
     eta: np.ndarray
@@ -71,18 +72,15 @@ class MonodromyData:
     marked_index: int
     conventions: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
-    # integration work: right-hand-side evaluations and stack width per
-    # stacked integration, their total, and the numbers of radial and arc
-    # segments
+    # work: right-hand-side evaluations and stack width per stacked
+    # integration, their total, the numbers of radial and arc segments, and
+    # the levels of Theta from the exact calibration and in all
     work: dict = field(default_factory=dict)
 
 
-def _u_numeric(spec: FrobeniusSpec, tensors: Tensors, point) -> np.ndarray:
-    names = spec.varnames
-    pt = {v: complex(x) for v, x in zip(names, point)}
-    mats = u_matrix(spec, tensors)
-    return np.array([[mats[a][b].evaluate(pt) for b in range(spec.n)]
-                     for a in range(spec.n)])
+def _at_point(spec: FrobeniusSpec, mats, point) -> np.ndarray:
+    pt = {v: complex(x) for v, x in zip(spec.varnames, point)}
+    return np.array([[m.evaluate(pt) for m in row] for row in mats])
 
 
 def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,
@@ -98,7 +96,7 @@ def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,
     against recorded values (transform matching)."""
     t = tensors or build_tensors(spec)
     n = spec.n
-    umat = _u_numeric(spec, t, point)
+    umat = _at_point(spec, u_matrix(spec, t), point)
     w, vecs = np.linalg.eig(umat)
     order = sorted(range(n), key=lambda i: (round(w[i].real, 10), round(w[i].imag, 10), i))
     u = w[order]
@@ -142,7 +140,7 @@ def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,
     res = max(np.abs(psi.T @ psi - eta).max(), np.abs(v_mat + v_mat.T).max())
     if res > 1e-9:
         raise NonSemisimpleError(f"frame residual too large: {res}")
-    return SemisimplePoint(tuple(point), u, psi, v_mat, eta, tuple(signs), float(res))
+    return SemisimplePoint(tuple(point), u, umat, psi, v_mat, eta, tuple(signs), float(res))
 
 
 def phi_recursion(ss: SemisimplePoint, kmax: int) -> list:
@@ -306,6 +304,17 @@ def _z_powers(mu_diag, rmat, z, theta_branch) -> np.ndarray:
     return zmu @ zr
 
 
+def _theta_levels(umat, mu_diag, rmats: dict, theta_low: list, depth: int) -> list:
+    """Theta_0..Theta_depth of Theta(z) z^mu z^R at one point, continuing theta_low:
+    (k - mu_a + mu_b) (Theta_k)_ab = (U Theta_{k-1} - sum_{1<=j<=k} Theta_{k-j} R_j)_ab."""
+    gaps = np.subtract.outer(mu_diag, mu_diag)   # mu_a - mu_b
+    theta = list(theta_low)
+    for k in range(len(theta), depth + 1):
+        rhs = umat @ theta[k - 1] - sum(theta[k - j] @ r for j, r in rmats.items() if j <= k)
+        theta.append(rhs / (k - gaps))
+    return theta
+
+
 def _matching_sectors(phi: float, r_match: float, r_small: float) -> list:
     """The right and left sectors of the line at angle `phi`, each as
     ((lo, hi), targets): every (radius, angle) that `stokes_and_connection`
@@ -324,7 +333,10 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
                           tol: float = 1e-6) -> MonodromyData:
     """Stokes and central connection matrices subjected to the oriented line at
     angle `phi_angle`, by inward integration from truncated asymptotics and
-    outward matching against the Fuchsian-point solution.
+    outward matching against the Fuchsian-point solution Theta(z) z^mu z^R.
+    Theta_0..Theta_{k_res}, k_res = floor(max mu - min mu), come from the exact
+    calibration, which fixes the resonant normalization; the float recursion
+    `_theta_levels` continues them to level M_THETA at the point.
 
     The radii Z_FAR, R_MATCH and R_SMALL are scaled by 4 / spread once the
     canonical spread exceeds 4, so that z times the spread stays in the range
@@ -358,14 +370,16 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
     yl_m = yl[r_match, phi_angle + math.pi]
     st_resid = np.abs(yl_m - yr_m @ stokes.T).max() / max(1.0, np.abs(yl_m).max())
 
-    # Fuchsian-point solution from the calibration
-    theta_mats = theta_matrix_coefficients(solve_calibration(spec, M_THETA, t))
-    pt = {v: complex(x) for v, x in zip(spec.varnames, point)}
-    theta_num = [np.array([[m[a][b].evaluate(pt) for b in range(n)] for a in range(n)])
-                 for m in theta_mats]
-    theta_tail = np.abs(theta_num[-1]).max() * r_small ** M_THETA
+    # Fuchsian-point solution: the resonant levels from the calibration, the rest numeric
+    k_res = math.floor(max(spec.mu) - min(spec.mu))
+    theta_low = [_at_point(spec, m, point)
+                 for m in theta_matrix_coefficients(solve_calibration(spec, k_res, t))]
     mu_diag = [float(x) for x in spec.mu]
-    rnum = np.array([[float(x) for x in row] for row in spec.r_full()])
+    rmats = {j: np.array(r, dtype=float) for j, r in spec.rmats.items()}
+    theta_num = _theta_levels(ss.umat, mu_diag, rmats, theta_low, M_THETA)
+    theta_tail = np.abs(theta_num[-1]).max() * r_small ** M_THETA
+    rnum = sum(rmats.values(), np.zeros((n, n)))
+    work.update(theta_exact_levels=k_res, theta_levels=M_THETA)
 
     def y0_at(r):
         z = r * cmath.exp(1j * phi_angle)
@@ -469,7 +483,7 @@ def align_frame(ss: SemisimplePoint, u_ref, psi_ref=None) -> SemisimplePoint:
     flips = np.diag([1.0 if s == t else -1.0
                      for s, t in zip(signs, (ss.sign_choices[p] for p in perm))])
     v_mat = flips @ v_mat @ flips
-    return SemisimplePoint(ss.point, ss.u[perm], psi, v_mat, ss.eta,
+    return SemisimplePoint(ss.point, ss.u[perm], ss.umat, psi, v_mat, ss.eta,
                            tuple(signs), ss.residual_frame)
 
 

@@ -73,6 +73,7 @@ def test_monodromy_command(capsys):
     assert work["rhs_evals_total"] == sum(work["rhs_evals"]) > 0
     assert len(work["rhs_evals"]) == len(work["stack_widths"]) \
         == work["radial_segments"] + work["arc_segments"]
+    assert (work["theta_exact_levels"], work["theta_levels"]) == (0, 14)
     assert not set(work) & set(rep["residuals"])
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from frobwdvv import monodromy
+from frobwdvv.calibration import solve_calibration, theta_matrix_coefficients
 from frobwdvv.closedform import cf_mono
 from frobwdvv.core import FrobeniusSpec, build_tensors
 from frobwdvv.monodromy import (
@@ -304,16 +305,27 @@ def test_sign_flip_conjugates_everything(a2):
     assert np.abs(md_pp.central @ eps - md_pm.central).max() < 1e-9
 
 
-def test_transform_invariance_s2_a2(a2, a2_md, a2_s2_spec):
+def _case_md(a2, hat, name, point):
+    """stokes_and_connection of the spec `name` at `point` ("v1,v2"); for
+    "a2s2", the hat fixture at the hat point of a2 (0,3), kappa = 2, with the
+    hat signs induced by the kappa column."""
+    if name != "a2s2":
+        return stokes_and_connection(load_spec(name), tuple(F(x) for x in point.split(",")),
+                                     PHI)
     spec, t = a2
-    hat = a2_s2_spec
     th = build_tensors(hat)
     inv = frame_invariance_report(spec, hat, (F(0), F(3)), 2, t, th)
-    assert inv["pass"]
     ss = semisimple_at(spec, (F(0), F(3)), t)
     ss_hat = semisimple_at(hat, inv["hat_point"], th, sign_reference=(1, ss.psi[:, 1]))
-    mdh = stokes_and_connection(hat, inv["hat_point"], 3 * math.pi / 4,
-                                tensors=th, sign_choices=ss_hat.sign_choices)
+    return stokes_and_connection(hat, inv["hat_point"], PHI, tensors=th,
+                                 sign_choices=ss_hat.sign_choices)
+
+
+def test_transform_invariance_s2_a2(a2, a2_md, a2_s2_spec):
+    spec, t = a2
+    inv = frame_invariance_report(spec, a2_s2_spec, (F(0), F(3)), 2, t, build_tensors(a2_s2_spec))
+    assert inv["pass"]
+    mdh = _case_md(a2, a2_s2_spec, "a2s2", None)
     assert np.abs(a2_md.stokes - mdh.stokes).max() < 1e-6
     assert np.abs(a2_md.central - mdh.central).max() < 1e-6
 
@@ -388,3 +400,82 @@ def test_identities_on_toy_data():
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     rep = monodromy_identities(md, eye)
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("name, point", [
+    ("a2", (0, 3)), ("p1", (0, 0)), ("p1", (1, F(-1, 2))), ("nls", (1, 0)),
+    ("p1orb", (0, 0, 0)), ("p2", (0, 0, 0))])
+def test_numeric_theta_matches_exact_calibration(name, point):
+    """The float recursion past the resonant levels against the exact
+    calibration to level 14, evaluated at the point."""
+    spec = load_spec(name)
+    t = build_tensors(spec)
+    pt = tuple(F(x) for x in point)
+    env = {v: complex(x) for v, x in zip(spec.varnames, pt)}
+    want = [np.array([[c.evaluate(env) for c in row] for row in m])
+            for m in theta_matrix_coefficients(solve_calibration(spec, 14, t))]
+    k_res = math.floor(max(spec.mu) - min(spec.mu))
+    rmats = {j: np.array(r, dtype=float) for j, r in spec.rmats.items()}
+    got = monodromy._theta_levels(semisimple_at(spec, pt, t).umat,
+                                  [float(m) for m in spec.mu], rmats, want[:k_res + 1], 14)
+    assert len(got) == 15
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("name, point, k_res", [("a2", "0,3", 0), ("a2s2", None, 0),
+                                                ("p1", "0,0", 1)])
+def test_calibration_stops_at_the_resonant_levels(a2, a2_s2_spec, monkeypatch,
+                                                  name, point, k_res):
+    """stokes_and_connection asks the exact calibration for floor(max mu -
+    min mu) levels only; the other levels of Theta come from the recursion."""
+    levels = []
+    solve = monodromy.solve_calibration
+
+    def recording(spec, m_max, tensors=None):
+        levels.append(m_max)
+        return solve(spec, m_max, tensors)
+
+    monkeypatch.setattr(monodromy, "solve_calibration", recording)
+    md = _case_md(a2, a2_s2_spec, name, point)
+    assert levels == [k_res]
+    assert (md.work["theta_exact_levels"], md.work["theta_levels"]) == (k_res, monodromy.M_THETA)
+
+
+# Stokes and central matrices recorded while every level of Theta came from
+# the exact calibration solved to level 14
+RECORDED = {
+    ("a2", "0,3"): (
+        [[0.9999999999999973+2.498291402723162e-16j, 2.5506095018207093e-17+2.7562522954871607e-17j],
+         [-0.9999999999998648+1.6158591015460112e-13j, 1.0000000000000027-1.232188347927494e-16j]],
+        [[1.5175187823414838e-15-0.54021489868728j, -0.4678398257660166-0.27010744934364633j],
+         [1.6217662972332053e-15+1.068741848091576j, -0.9255575905348111+0.5343709240457987j]]),
+    ("a2", "0,5"): (
+        [[1.0000000000000009+2.862621921306639e-17j, -2.498080860156713e-17-2.7222073664931987e-17j],
+         [0.9999999999998546-1.3613467102547316e-13j, 0.9999999999999974-1.7361430436653418e-16j]],
+        [[-1.5506425628417983e-15+0.5402148986872788j, -0.46783982576601746-0.2701074493436467j],
+         [-1.5311275879929609e-15-1.068741848091574j, -0.9255575905348127+0.5343709240457997j]]),
+    ("a2", "1/2,9/4"): (
+        [[1.0000000000000007-5.585772517117951e-16j, -1.0536121894145038e-16-4.707131918887751e-16j],
+         [-0.9999999999999691+4.281121893856695e-15j, 0.999999999999998+1.0071643929993152e-15j]],
+        [[8.905515321976467e-17-0.5402148986873121j, -0.467839825766047-0.2701074493436698j],
+         [8.895599180331943e-16+1.0687418480915445j, -0.9255575905347856+0.5343709240458j]]),
+    ("p1", "1,-1/2"): (
+        [[0.9999999999999993+6.521522101622233e-17j, 3.6160980838401055e-16-5.288140267578908e-16j],
+         [-1.999999999999391+1.121662239187159e-15j, 0.9999999999999994+1.041305698946417e-15j]],
+        [[9.4031713955778e-14-0.3989422804017692j, 9.688279861176033e-14-0.39894228040177027j],
+         [-1.6423241333692193e-12-0.4605514672801529j, -2.506628274632941-0.4605514672801365j]]),
+    ("a2s2", None): (
+        [[1.0000000000000007+4.169379293695803e-16j, 2.610788259966221e-17+2.738298709440444e-17j],
+         [-0.9999999999998597+1.636311441978928e-13j, 0.9999999999999987-1.0409358578548914e-16j]],
+        [[1.466839015506443e-15-0.540214898687279j, -0.46783982576601707-0.27010744934364656j],
+         [1.5866387392242187e-15+1.068741848091574j, -0.9255575905348121+0.5343709240457992j]]),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORDED), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_matrices_agree_with_level_14_calibration(a2, a2_s2_spec, case):
+    md = _case_md(a2, a2_s2_spec, *case)
+    stokes, central = RECORDED[case]
+    assert np.abs(md.stokes - np.array(stokes)).max() < 1e-12
+    assert np.abs(md.central - np.array(central)).max() < 1e-12
