@@ -133,7 +133,7 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
     for b in range(1, n + 1):
         gb = theta0.diff(names[b - 1])
         coeff = level + spec.mu[g - 1] + spec.mu[b - 1]
-        resid = spec.euler_apply(gb) - gb * coeff
+        resid = spec.euler_residual(gb, coeff)
         for k in range(1, level + 1):
             for rho in range(1, n + 1):
                 r = spec.r_entry(k, rho, g)
@@ -168,7 +168,7 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
 
     # scalar quasi-homogeneity pins the additive constant
     coeff_s = level + 1 + spec.mu[g - 1] + spec.mu[iota - 1]
-    resid = spec.euler_apply(theta1) - theta1 * coeff_s
+    resid = spec.euler_residual(theta1, coeff_s)
     for r_ in range(1, level + 1):
         for rho in range(1, n + 1):
             rv = spec.r_entry(r_, rho, g)
@@ -238,7 +238,7 @@ def check_homogeneity(table: TwoPointTable) -> dict:
     keep = spec.exp_filter()
     failures = []
     for (a, m1, b, m2), om in sorted(table.omega.items()):
-        resid = spec.euler_apply(om) - om * (m1 + m2 + 1 + spec.mu[a - 1] + spec.mu[b - 1])
+        resid = spec.euler_residual(om, m1 + m2 + 1 + spec.mu[a - 1] + spec.mu[b - 1])
         for r_ in range(1, m1 + 1):
             for g in range(1, n + 1):
                 rv = spec.r_entry(r_, g, a)

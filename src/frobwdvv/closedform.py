@@ -117,6 +117,17 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _acc(out: dict, m: Mono, c) -> None:
+    """out[m] += c, dropping the entry when it cancels."""
+    if c:
+        s = out.get(m)
+        s = c if s is None else s + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+
+
 class ClosedForm:
     """Immutable normal-form sum {monomial: coefficient}; zero coeffs dropped."""
 
@@ -282,15 +293,6 @@ class ClosedForm:
     # -- calculus -------------------------------------------------------
     def diff(self, var: str) -> "ClosedForm":
         out: dict[Mono, object] = {}
-
-        def acc(m, c):
-            if c:
-                s = out.get(m, Fraction(0)) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-
         down = ((var, -1),)
         for m, c in self.terms.items():
             q = m.pow_of(var)
@@ -299,11 +301,11 @@ class ClosedForm:
             if q or k:
                 shifted = _merge(m.powers, down)
                 if q:
-                    acc(Mono(shifted, m.logs, m.exps), c * q)
+                    _acc(out, Mono(shifted, m.logs, m.exps), c * q)
                 if k:
-                    acc(Mono(shifted, _merge(m.logs, down), m.exps), c * k)
+                    _acc(out, Mono(shifted, _merge(m.logs, down), m.exps), c * k)
             if e:
-                acc(m, c * e)
+                _acc(out, m, c * e)
         return ClosedForm(out, _clean=True)
 
     def diff_multi(self, variables: Iterable[str]) -> "ClosedForm":
@@ -314,10 +316,41 @@ class ClosedForm:
 
     def antiderivative(self, var: str) -> "ClosedForm":
         """Formal antiderivative in var (no integration constant)."""
-        out = ClosedForm.zero()
+        out: dict[Mono, object] = {}
         for m, c in self.terms.items():
-            out = out + _integrate_term(m, c, var)
-        return out
+            q = m.pow_of(var)
+            if q == -1 or m.log_of(var) or m.exp_of(var):
+                for m2, c2 in _integrate_term(m, c, var).terms.items():
+                    _acc(out, m2, c2)
+            else:   # the pure power c v^q, written directly
+                _acc(out, Mono(_merge(m.powers, ((var, 1),)), m.logs, m.exps), c / (q + 1))
+        return ClosedForm(out, _clean=True)
+
+    def euler_residual(self, field: dict[str, tuple], weight) -> "ClosedForm":
+        """E f - weight * f for E = sum_v (d_v v + r_v) d/dv, field = {v: (d_v, r_v)}, in one
+        pass: v^q log^k e^{cv} goes to itself times d q + r c, and to r q v^{q-1},
+        d k log^{k-1}, r k v^{q-1} log^{k-1} and d c v^{q+1} (times the rest of the term)."""
+        out: dict[Mono, object] = {}
+        for m, c in self.terms.items():
+            powers, logs, exps = m
+            w = -weight
+            for v, q in powers:
+                d, r = field.get(v, (0, 0))
+                w += d * q
+                if r:
+                    _acc(out, Mono(_merge(powers, ((v, -1),)), logs, exps), c * (r * q))
+            for v, k in logs:
+                d, r = field.get(v, (0, 0))
+                down = ((v, -1),)
+                _acc(out, Mono(powers, _merge(logs, down), exps), c * (d * k))
+                _acc(out, Mono(_merge(powers, down), _merge(logs, down), exps), c * (r * k))
+            for v, e in exps:
+                d, r = field.get(v, (0, 0))
+                w += r * e
+                if d:
+                    _acc(out, Mono(_merge(powers, ((v, 1),)), logs, exps), c * (d * e))
+            _acc(out, m, c * w)
+        return ClosedForm(out, _clean=True)
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, point: dict[str, complex]) -> complex:
@@ -454,33 +487,21 @@ def _integrate_term(m: Mono, c, var: str) -> ClosedForm:
                      {v: p for v, p in m.logs if v != var},
                      {v: p for v, p in m.exps if v != var})
     rest_cf = ClosedForm({rest: c})
-
-    if e:
-        if k or q < 0 or q.denominator != 1:
-            raise NotIntegrableError(f"cannot integrate {var}^{q} log^{k} e^({e}{var})")
-        # repeated integration by parts of x^n e^{ex}
-        n = int(q)
-        acc = ClosedForm.zero()
-        coeff = Fraction(1, 1) / e
-        for j in range(n, -1, -1):
-            mono = Mono.make({var: Fraction(j)}, None, {var: e})
-            acc = acc + ClosedForm({mono: coeff})
-            if j:
-                coeff = -coeff * j / e
-        return rest_cf * acc
-
-    if k:
-        if q == -1:
-            mono = Mono.make({var: Fraction(0)}, {var: k + 1})
-            return rest_cf * ClosedForm({mono: Fraction(1, k + 1)})
-        # int x^q log^k = x^{q+1} log^k/(q+1) - k/(q+1) int x^q log^{k-1}
-        lead = ClosedForm({Mono.make({var: q + 1}, {var: k}): Fraction(1) / (q + 1)})
-        tail = _integrate_term(Mono.make({var: q}, {var: k - 1}), Fraction(1), var)
-        return rest_cf * (lead - tail * (Fraction(k) / (q + 1)))
-
+    if e and (k or q < 0 or q.denominator != 1):
+        raise NotIntegrableError(f"cannot integrate {var}^{q} log^{k} e^({e}{var})")
     if q == -1:
-        return rest_cf * ClosedForm({Mono.make(None, {var: 1}): Fraction(1)})
-    return rest_cf * ClosedForm({Mono.make({var: q + 1}): Fraction(1) / (q + 1)})
+        return rest_cf * ClosedForm({Mono.make(None, {var: k + 1}): Fraction(1, k + 1)})
+    # repeated integration by parts, summed: with a = e, x^n e^{ax} integrates to
+    # sum_j (-1)^(n-j) n!/j! a^(j-n-1) x^j e^{ax}; with a = q + 1 and n = k,
+    # x^q log^n x integrates to the same sum over x^{q+1} log^j x
+    n, a = (int(q), e) if e else (k, q + 1)
+    terms = {}
+    coeff = Fraction(1) / a
+    for j in range(n, -1, -1):
+        mono = Mono.make({var: j}, None, {var: e}) if e else Mono.make({var: q + 1}, {var: j})
+        terms[mono] = coeff
+        coeff = -coeff * j / a
+    return rest_cf * ClosedForm(terms)
 
 
 # -- convenience builders --------------------------------------------------

@@ -66,10 +66,11 @@ class FrobeniusSpec:
             out = out + ClosedForm.const(shift)
         return out
 
-    def euler_apply(self, f: ClosedForm) -> ClosedForm:
-        return ClosedForm.sum_of_products(
-            (1, self.euler_component(beta), f.diff(self.varnames[beta - 1]))
-            for beta in range(1, self.n + 1))
+    def euler_residual(self, f: ClosedForm, weight) -> ClosedForm:
+        """E f - weight * f, term by term (ClosedForm.euler_residual)."""
+        shifts = self.euler_shifts or (0,) * self.n
+        return f.euler_residual({v: (self.euler_linear(b), shifts[b - 1])
+                                 for b, v in enumerate(self.varnames, 1)}, weight)
 
     def r_entry(self, s: int, alpha: int, beta: int) -> Fraction:
         mat = self.rmats.get(s)
@@ -217,9 +218,8 @@ def euler_report(spec: FrobeniusSpec, tensors: Tensors | None = None) -> WDVVRep
     """E(F) = (3-D) F modulo quadratic, plus the conformal identity on eta."""
     t = tensors or build_tensors(spec)
     keep = spec.exp_filter()
-    ef = spec.euler_apply(spec.potential)
-    target = spec.potential * (3 - spec.charge)
-    ok = equal_mod_quadratic(ef, target, spec.varnames, keep=keep)
+    resid = spec.euler_residual(spec.potential, 3 - spec.charge)
+    ok = equal_mod_quadratic(resid, ClosedForm.zero(), spec.varnames, keep=keep)
     checked = 1
     for a in range(spec.n):
         for b in range(spec.n):

@@ -77,7 +77,7 @@ def test_p1_omega_2020_euler_action(p1_cal):
     tab = two_point_table(p1_cal, 1)
     om = tab.entry(2, 0, 2, 0)
     spec = p1_cal.spec
-    assert (spec.euler_apply(om) - om * 2).is_zero()
+    assert spec.euler_residual(om, 2).is_zero()
 
 
 def test_homogeneity_all(p1_cal, a2_cal):
@@ -238,6 +238,53 @@ def test_hessian_is_built_on_the_upper_triangle(monkeypatch, name):
     monkeypatch.setattr(calibration, "_solve_next_level", counting)
     solve_calibration(spec, 3, t)
     assert per_level == [n * (n + 1) // 2] * (3 * n)
+
+
+def test_euler_residuals_take_no_derivative_or_product(monkeypatch):
+    # E f - w f is one pass over the terms of f. Per p2 level, the unity
+    # normalization and the n gradient components theta0.diff(v) are the only
+    # derivatives outside the Hessian, the cached gradients and
+    # potential_from_gradient, and the Hessian sums are the only products
+    spec = load_spec("p2")
+    n = spec.n
+    t = build_tensors(spec)
+    hessian = {id(f) for plane in t.c_mixed for row in plane for f in row}
+    products = _count_sum_of_products(
+        monkeypatch, lambda triples: not any(id(f) in hessian for _, f, _ in triples))
+    diffs = [0]
+    real_diff = ClosedForm.diff
+
+    def counting_diff(self, var):
+        diffs[0] += 1
+        return real_diff(self, var)
+    monkeypatch.setattr(ClosedForm, "diff", counting_diff)
+
+    def uncounted(real):
+        def run(*args):
+            saved = diffs[0], products[0]
+            out = real(*args)
+            diffs[0], products[0] = saved
+            return out
+        return run
+    monkeypatch.setattr(calibration, "potential_from_gradient",
+                        uncounted(calibration.potential_from_gradient))
+    monkeypatch.setattr(Calibration, "grad", uncounted(Calibration.grad))
+    per_level = []
+    real_level = calibration._solve_next_level
+
+    def counting_level(*args):
+        before = diffs[0], products[0]
+        out = real_level(*args)
+        per_level.append((diffs[0] - before[0], products[0] - before[1]))
+        return out
+    monkeypatch.setattr(calibration, "_solve_next_level", counting_level)
+    cal = solve_calibration(spec, 3, t)
+    assert per_level == [(n + 1, 0)] * (3 * n)
+
+    diffs[0] = products[0] = 0
+    for f in [spec.potential, *cal.theta.values()]:
+        spec.euler_residual(f, F(1, 3))
+    assert (diffs[0], products[0]) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["p1", "p2"])

@@ -265,6 +265,42 @@ def test_diff_matches_sympy(f, var):
                for m in f.diff(var).terms for _, e in m.powers + m.exps)
 
 
+# the Euler field E = sum_v (d_v v + r_v) d/dv: a shift r_v may sit on a
+# variable that carries a log or an exponential
+euler_fields = st.dictionaries(names, st.tuples(small_rats, small_rats))
+
+
+def reference_euler_residual(f, field, weight):
+    """E f - weight f through diff and sum_of_products, independent of the kernel."""
+    return ClosedForm.sum_of_products(
+        (1, cf_var(v) * d + r, f.diff(v)) for v, (d, r) in field.items()) - f * weight
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_forms(), euler_fields, small_rats)
+def test_euler_residual_matches_derivative_route(f, field, weight):
+    got = f.euler_residual(field, weight)
+    want = reference_euler_residual(f, field, weight)
+    assert got.terms == want.terms
+    assert {m: type(c) for m, c in got.terms.items()} == \
+        {m: type(c) for m, c in want.terms.items()}
+    assert all(type(e) is int or e.denominator != 1
+               for m in got.terms for _, e in m.powers + m.exps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_forms(), euler_fields, small_rats)
+def test_euler_residual_matches_sympy(f, field, weight):
+    sympy = pytest.importorskip("sympy")
+    symbols = {v: sympy.Symbol(v, positive=True) for v in ("x", "y")}
+    rat = lambda q: sympy.Rational(q.numerator, q.denominator)  # noqa: E731
+    f_sym = to_sympy(f, sympy, symbols)
+    want = sum((rat(d) * symbols[v] + rat(r)) * sympy.diff(f_sym, symbols[v])
+               for v, (d, r) in field.items()) - rat(weight) * f_sym
+    got = to_sympy(f.euler_residual(field, weight), sympy, symbols)
+    assert sympy.expand(sympy.powsimp(want - got)) == 0
+
+
 @st.composite
 def integrable_forms(draw):
     """Forms whose every term antidifferentiates in x: a rational power of x

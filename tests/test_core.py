@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from frobwdvv.closedform import cf_exp, cf_mono, cf_var
+from frobwdvv.calibration import solve_calibration
+from frobwdvv.closedform import ClosedForm, cf_exp, cf_mono, cf_var
 from frobwdvv.core import (
     FrobeniusSpec, NonConstantMetricError, SpecValidationError, build_tensors,
     check_wdvv, euler_report, u_matrix, validate_spec, wdvv_residual,
@@ -71,6 +73,35 @@ def test_wdvv_residual_antisymmetry(all_specs):
 def test_euler_all_bundled(all_specs):
     for spec in all_specs.values():
         assert euler_report(spec).ok, spec.name
+
+
+@pytest.mark.parametrize("name, wrong", [
+    pytest.param("p1", lambda s: replace(s, charge=s.charge + F(1, 7)), id="p1-charge"),
+    pytest.param("p1", lambda s: replace(s, euler_shifts=(F(0), s.euler_shifts[1] + 1)),
+                 id="p1-exp-shift"),
+    pytest.param("nls", lambda s: replace(s, charge=s.charge + F(1, 7)), id="nls-log-charge"),
+])
+def test_euler_report_fails_on_wrong_euler_data(all_specs, name, wrong):
+    # p1 carries a shift on its exponential variable v2, nls a log term
+    spec = all_specs[name]
+    assert euler_report(spec).ok
+    assert not euler_report(wrong(spec)).ok
+
+
+def test_euler_residual_matches_derivative_route_on_bundled_specs(all_specs):
+    # the term-wise kernel against sum_beta E^beta d_beta f - w f, built
+    # through diff and sum_of_products, on every potential and every theta
+    for spec in all_specs.values():
+        forms = [spec.potential, *solve_calibration(spec, 3).theta.values()]
+        for f in forms:
+            for w in (0, F(5, 7)):
+                want = ClosedForm.sum_of_products(
+                    (1, spec.euler_component(b), f.diff(v))
+                    for b, v in enumerate(spec.varnames, 1)) - f * w
+                got = spec.euler_residual(f, w)
+                assert got.terms == want.terms, spec.name
+                assert {m: type(c) for m, c in got.terms.items()} == \
+                    {m: type(c) for m, c in want.terms.items()}, spec.name
 
 
 def test_u_matrix_values(all_specs):
