@@ -208,13 +208,14 @@ def _omega_entry(cal: Calibration, alpha: int, m1: int, beta: int, m2: int) -> C
     if m1 + m2 + 1 > cal.m_max:
         raise OrderExceededError(
             f"need calibration level {m1 + m2 + 1} > m_max {cal.m_max}")
-    return _signed_pairings(cal, alpha, m1 + 1, beta, m2)
+    return _signed_pairings(cal.pairing, alpha, m1 + 1, beta, m2)
 
 
-def _signed_pairings(cal: Calibration, alpha: int, l: int, beta: int, m: int) -> ClosedForm:
-    """sum_{j=0}^{m} (-1)^j P(alpha, l + j; beta, m - j), from the pairing table."""
-    even = sum(cal.pairing(alpha, l + j, beta, m - j) for j in range(0, m + 1, 2))
-    odd = sum(cal.pairing(alpha, l + j, beta, m - j) for j in range(1, m + 1, 2))
+def _signed_pairings(pairing, alpha: int, l: int, beta: int, m: int):
+    """sum_{j=0}^{m} (-1)^j P(alpha, l + j; beta, m - j) for a pairing P(alpha, l1;
+    beta, l2): the calibration's table, or the hat series pairing in `legendre`."""
+    even = sum(pairing(alpha, l + j, beta, m - j) for j in range(0, m + 1, 2))
+    odd = sum(pairing(alpha, l + j, beta, m - j) for j in range(1, m + 1, 2))
     return even - odd
 
 
@@ -281,7 +282,7 @@ def check_orthogonality(cal: Calibration) -> dict:
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 # (-1)^k times the z^k coefficient: it vanishes with it
-                s = _signed_pairings(cal, a, 0, b, k) - (eta[a - 1][b - 1] if k == 0 else 0)
+                s = _signed_pairings(cal.pairing, a, 0, b, k) - (eta[a - 1][b - 1] if k == 0 else 0)
                 if not s.is_zero():
                     failures.append((k, a, b))
     return {"pass": not failures, "failures": failures}

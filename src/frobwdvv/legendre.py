@@ -9,7 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .calibration import Calibration, TwoPointTable, solve_calibration
+from . import specs
+from .calibration import (Calibration, OrderExceededError, TwoPointTable, _signed_pairings,
+                          solve_calibration)
 from .closedform import ClosedForm
 from .core import FrobeniusSpec, Tensors, build_tensors, hat_point
 from .linalg import raise_index
@@ -71,7 +73,7 @@ def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
                 target = list(idx)
                 target[a] += 1
                 target[b] += 1
-                if grading.degree(target) > grading.cutoff:
+                if sum(target) > grading.cutoff:
                     continue
                 coeffs.setdefault(tuple(target), None)
     for idx in list(coeffs):
@@ -130,8 +132,7 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
     cross-consistency check is the accuracy gate of that materialization.
     Raises SingularJacobianError where the kappa direction is not invertible."""
     if spec.exp_cutoff is not None and spec.generator is not None:
-        from .specs import deepen_spec
-        spec = deepen_spec(spec, _needed_depth(spec, center, order, m_max))
+        spec = specs.deepen_spec(spec, _needed_depth(spec, center, order, m_max))
     t = build_tensors(spec)
     cal = solve_calibration(spec, max(m_max, 1), t)
     table = TwoPointTable(cal)
@@ -159,15 +160,14 @@ def _needed_depth(spec: FrobeniusSpec, center, order, m_max) -> int:
 
     Each calibration level converts a derivative pair back into an integration
     pair, so the probe window is widened by two per transported level."""
-    from .specs import generator_potential
     base = int(spec.exp_cutoff)
     fcenter = tuple(complex(c) for c in center)
     window = Fraction(order) + 2 * max(0, m_max - 1)
     grading = Grading.total_degree(spec.n, window)
-    prev = generator_potential(spec.generator[0], base)
+    prev = specs.generator_potential(spec.generator[0], base)
     depth = base
     for d in range(base + 1, base + _DEPTH_MAX_EXTRA + 1):
-        nxt = generator_potential(spec.generator[0], d)
+        nxt = specs.generator_potential(spec.generator[0], d)
         delta = nxt - prev
         impact = 0.0
         for a in spec.varnames:
@@ -203,7 +203,6 @@ def pullback(result: LegendreResult, f: ClosedForm) -> TruncSeries:
 def transport_calibration(result: LegendreResult, m_max: int) -> dict:
     """Hat calibration theta-hat_{a,m} = Omega_{a,m;kappa,0} o (inverse map)."""
     if m_max + 1 > result.cal.m_max:
-        from .calibration import OrderExceededError
         raise OrderExceededError(f"transport needs calibration to level {m_max + 1}")
     out = {}
     for a in range(1, result.spec.n + 1):
@@ -243,23 +242,16 @@ def check_unity_rule(result: LegendreResult, hat_thetas: dict) -> dict:
 
 def hat_omega_from_thetas(result: LegendreResult, hat_thetas: dict,
                           a: int, m1: int, b: int, m2: int) -> TruncSeries:
-    """Two-point entry of the hat structure computed from hat data only."""
-    t = result.tensors
-    n = result.spec.n
-    total = None
-    for j in range(m2 + 1):
-        part = None
-        for rho in range(n):
-            for sig in range(n):
-                e = t.eta_inv[rho][sig]
-                if not e:
-                    continue
-                term = (hat_thetas[(a, m1 + j + 1)].diff(result.hat_vars[rho])
-                        * hat_thetas[(b, m2 - j)].diff(result.hat_vars[sig])) * e
-                part = term if part is None else part + term
-        part = part * F((-1) ** j)
-        total = part if total is None else total + part
-    return total
+    """Two-point entry of the hat structure computed from hat data only: the
+    straight table's signed sum, over pairings of hat gradients."""
+    hv = result.hat_vars
+
+    def pairing(alpha, l1, beta, l2):
+        return TruncSeries.sum_of_products(
+            (e, hat_thetas[(alpha, l1)].diff(hv[rho]), hat_thetas[(beta, l2)].diff(hv[sig]))
+            for rho, row in enumerate(result.tensors.eta_inv) for sig, e in enumerate(row) if e)
+
+    return _signed_pairings(pairing, a, m1 + 1, b, m2)
 
 
 def verify_omega_transport(result: LegendreResult, order: int, m_max: int) -> dict:
@@ -328,20 +320,8 @@ def hat_tensors_series(result: LegendreResult) -> list:
     dv = [[inv.components[r].diff(result.hat_vars[a]) for a in range(n)] for r in range(n)]
     cmix = [[[pullback(result, t.c_mixed[g][rho][b]) for b in range(n)] for rho in range(n)]
             for g in range(n)]
-    out = []
-    for g in range(n):
-        blk = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                s = None
-                for rho in range(n):
-                    term = dv[rho][a] * cmix[g][rho][b]
-                    s = term if s is None else s + term
-                row.append(s)
-            blk.append(row)
-        out.append(blk)
-    return out
+    return [[[TruncSeries.sum_of_products((1, dv[rho][a], cmix[g][rho][b]) for rho in range(n))
+              for b in range(n)] for a in range(n)] for g in range(n)]
 
 
 def check_structure_transport(result: LegendreResult) -> dict:
@@ -381,10 +361,7 @@ def check_product_identity(result: LegendreResult) -> dict:
     failures = []
     for a in range(n):
         for g in range(n):
-            s = None
-            for sig in range(n):
-                term = cmix[g][sig] * dv[sig][a]
-                s = term if s is None else s + term
+            s = TruncSeries.sum_of_products((1, cmix[g][sig], dv[sig][a]) for sig in range(n))
             diff = (s - t.eta_inv[g][a]).truncate(order_guard)
             if not _vanishes(diff):
                 failures.append((a + 1, g + 1))

@@ -1,10 +1,9 @@
 """Multivariate truncated power series anchored at an expansion center.
 
 Coefficients are exact (Fraction/Exact) or numeric (float/complex); a series
-is stored in the local offsets x_i = v_i - center_i.  Truncation is by
-weighted degree, and arithmetic treats the cutoff as an ideal.  Every degree
-test runs on integers: weights and cutoff are scaled once per grading to the
-weights' common denominator.
+is stored in the local offsets x_i = v_i - center_i.  Truncation is by total
+degree, and arithmetic treats the cutoff as an ideal: a term is kept when the
+sum of its exponents is at most floor(order).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
+from operator import add
 
 from .closedform import ClosedForm
 from .exact import Exact, as_exact_scalar, rational_power, scalar_is_exact
@@ -41,38 +40,26 @@ class CenterMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Grading:
-    weights: tuple[Fraction, ...]
+    nvars: int
     order: Fraction
 
     @staticmethod
     def total_degree(nvars: int, order) -> "Grading":
-        return Grading(tuple([Fraction(1)] * nvars), Fraction(order))
+        return Grading(nvars, Fraction(order))
 
-    @cached_property
-    def scale(self) -> int:
-        """Common denominator of the weights: every weighted degree is an
-        integer multiple of 1/scale."""
-        return math.lcm(*(w.denominator for w in self.weights))
-
-    @cached_property
-    def int_weights(self) -> tuple[int, ...]:
-        return tuple(int(w * self.scale) for w in self.weights)
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """Every variable has degree 1 (the weights recorded in series JSON)."""
+        return tuple([Fraction(1)] * self.nvars)
 
     @cached_property
     def cutoff(self) -> int:
-        """Largest kept integer degree: floor(order * scale)."""
-        return math.floor(Fraction(self.order) * self.scale)
-
-    def degree(self, idx) -> int:
-        """Weighted degree of an exponent tuple, times scale."""
-        return sum(map(mul, self.int_weights, idx))
-
-    def is_uniform(self) -> bool:
-        return all(w == self.weights[0] for w in self.weights)
+        """Largest kept total degree: floor(order)."""
+        return math.floor(self.order)
 
 
 class TruncSeries:
-    """Series sum_idx c_idx * prod (v_i - center_i)^{idx_i} over idx of weighted
+    """Series sum_idx c_idx * prod (v_i - center_i)^{idx_i} over idx of total
     degree <= order."""
 
     __slots__ = ("vars", "center", "coeffs", "grading")
@@ -86,9 +73,9 @@ class TruncSeries:
             object.__setattr__(self, "coeffs", coeffs)
             return
         clean = {}
-        iw, cut = grading.int_weights, grading.cutoff
+        cut = grading.cutoff
         for idx, c in coeffs.items():
-            if sum(map(mul, iw, idx)) <= cut:
+            if sum(idx) <= cut:
                 c = as_exact_scalar(c)
                 if c:
                     clean[idx] = c
@@ -159,30 +146,44 @@ class TruncSeries:
                                self.grading, _clean=True)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        if not self.same_frame(other):
-            raise CenterMismatchError("series frames differ")
-        iw, cut = self.grading.int_weights, self.grading.cutoff
-        # right factor's terms by degree: a left term of degree d pairs only
-        # with the buckets of degree <= cut - d
-        buckets: dict[int, list] = {}
-        for i2, c2 in other.coeffs.items():
-            buckets.setdefault(sum(map(mul, iw, i2)), []).append((i2, c2))
-        degrees = sorted(buckets)
+        return TruncSeries.sum_of_products(((1, self, other),))
+
+    @staticmethod
+    def sum_of_products(triples) -> "TruncSeries":
+        """The sum of scale * f * g over one or more (scale, f, g) triples, built
+        in one dict.  Every series must share the frame of the first."""
         out: dict = {}
-        for i1, c1 in self.coeffs.items():
-            room = cut - sum(map(mul, iw, i1))
-            for d in degrees:
-                if d > room:
-                    break
-                for i2, c2 in buckets[d]:
-                    idx = tuple(map(add, i1, i2))
-                    prev = out.get(idx)
-                    s = c1 * c2 if prev is None else prev + c1 * c2
-                    if s:
-                        out[idx] = s
-                    elif prev is not None:
-                        del out[idx]
-        return TruncSeries(self.vars, self.center, out, self.grading, _clean=True)
+        frame = None
+        for scale, f, g in triples:
+            if frame is None:
+                frame = f
+            if not (f.same_frame(frame) and g.same_frame(frame)):
+                raise CenterMismatchError("series frames differ")
+            if not scale or not f.coeffs or not g.coeffs:
+                continue
+            # right factor's terms by degree: a left term of degree d pairs
+            # only with the buckets of degree <= cutoff - d
+            buckets: dict[int, list] = {}
+            for i2, c2 in g.coeffs.items():
+                buckets.setdefault(sum(i2), []).append((i2, c2))
+            degrees = sorted(buckets)
+            cut = frame.grading.cutoff
+            left = f.coeffs.items() if scale == 1 else \
+                [(i, c * scale) for i, c in f.coeffs.items()]
+            for i1, c1 in left:
+                room = cut - sum(i1)
+                for d in degrees:
+                    if d > room:
+                        break
+                    for i2, c2 in buckets[d]:
+                        idx = tuple(map(add, i1, i2))
+                        prev = out.get(idx)
+                        s = c1 * c2 if prev is None else prev + c1 * c2
+                        if s:
+                            out[idx] = s
+                        elif prev is not None:
+                            del out[idx]
+        return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
 
     __rmul__ = __mul__
 
@@ -209,20 +210,16 @@ class TruncSeries:
         return TruncSeries(self.vars, self.center, out, self.grading)
 
     def truncate(self, order) -> "TruncSeries":
-        g = Grading(self.grading.weights, Fraction(order))
+        g = Grading.total_degree(self.nvars, order)
         return TruncSeries(self.vars, self.center, dict(self.coeffs), g)
 
     def drop_low_degree(self, below) -> "TruncSeries":
-        """Remove terms of weighted degree < below (e.g. modulo-quadratic compares)."""
-        g = self.grading
-        lo = math.ceil(Fraction(below) * g.scale)
-        out = {i: c for i, c in self.coeffs.items() if g.degree(i) >= lo}
+        """Remove terms of total degree < below (e.g. modulo-quadratic compares)."""
+        out = {i: c for i, c in self.coeffs.items() if sum(i) >= below}
         return TruncSeries(self.vars, self.center, out, self.grading, _clean=True)
 
     def homogeneous_part(self, deg) -> "TruncSeries":
-        g = self.grading
-        k = Fraction(deg) * g.scale
-        out = {i: c for i, c in self.coeffs.items() if g.degree(i) == k}
+        out = {i: c for i, c in self.coeffs.items() if sum(i) == deg}
         return TruncSeries(self.vars, self.center, out, self.grading, _clean=True)
 
     def max_abs_coeff(self) -> float:
@@ -335,14 +332,10 @@ def compose(f: TruncSeries, m: SeriesMap) -> TruncSeries:
 
 
 def invert_map(m: SeriesMap) -> SeriesMap:
-    """Compositional inverse of an analytic map with invertible linear part.
-
-    Works order by order in total degree; requires a uniform grading.
-    """
+    """Compositional inverse of an analytic map with invertible linear part,
+    built order by order in total degree."""
     frame = m.components[0]
     g = frame.grading
-    if not g.is_uniform():
-        raise ValueError("invert_map requires uniform weights")
     n = len(m.components)
     if n != frame.nvars:
         raise CenterMismatchError("map must be square")
@@ -360,16 +353,15 @@ def invert_map(m: SeriesMap) -> SeriesMap:
 
     tgt_center = m.target_center()
     tgt_vars = tuple(f"y{i+1}" for i in range(n))
-    tgt_grading = Grading(tuple([g.weights[0]] * n), g.order)
 
     def y_offset(i):
-        return TruncSeries.coordinate(i, tgt_vars, tgt_center, tgt_grading)
+        return TruncSeries.coordinate(i, tgt_vars, tgt_center, g)
 
     # linear seed x = center_x + Jinv (y - y0); each degree's correction is
     # composed against it too
     lin_comps = []
     for i in range(n):
-        s = TruncSeries.constant(frame.center[i], tgt_vars, tgt_center, tgt_grading)
+        s = TruncSeries.constant(frame.center[i], tgt_vars, tgt_center, g)
         for j in range(n):
             if jinv[i][j]:
                 s = s + y_offset(j) * jinv[i][j]
@@ -377,15 +369,14 @@ def invert_map(m: SeriesMap) -> SeriesMap:
     lin_map = SeriesMap(tuple(lin_comps))
     comps = list(lin_comps)
 
-    max_deg = g.cutoff // g.int_weights[0]
-    for deg in range(2, max_deg + 1):
+    for deg in range(2, g.cutoff + 1):
         # e = (inv o m) - id, in source frame
         err = []
         for i in range(n):
             e = compose(comps[i], m) - TruncSeries.constant(frame.center[i], frame.vars,
-                                                            frame.center, frame.grading)
-            e = e - TruncSeries.coordinate(i, frame.vars, frame.center, frame.grading)
-            err.append(e.homogeneous_part(deg * g.weights[0]))
+                                                            frame.center, g)
+            e = e - TruncSeries.coordinate(i, frame.vars, frame.center, g)
+            err.append(e.homogeneous_part(deg))
         if all(e.is_zero() for e in err):
             continue
         # correction: P_deg(y) = -err_deg composed with Jinv*(y - y0)
@@ -420,12 +411,12 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple,
     is no switch for this.
     """
     cmap = dict(zip(vars, center))
-    nmax = {v: grading.cutoff // w for v, w in zip(vars, grading.int_weights)}
+    n = grading.cutoff
     total: dict = {}
     for mono, coeff in f.terms.items():
         term = TruncSeries.constant(coeff, vars, center, grading)
         for v, q in mono.powers:
-            c, n = cmap[v], nmax[v]
+            c = cmap[v]
             if abs(complex(c)) == 0:
                 if q.denominator != 1 or q < 0:
                     raise SingularCenterError(f"{v}^{q} at center {v}=0")
@@ -441,7 +432,7 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple,
                 b.append(b[-1] * inv * (q - j + 1) / j)
             term = term * _offset_series(v, [cq * x for x in b], vars, center, grading)
         for v, k in mono.logs:
-            c, n = cmap[v], nmax[v]
+            c = cmap[v]
             if abs(complex(c)) == 0:
                 raise SingularCenterError(f"log {v} at center {v}=0")
             inv = Fraction(1) / c
@@ -449,7 +440,7 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple,
             coefs += [(-1) ** (j + 1) * inv ** j / j for j in range(1, n + 1)]
             term = term * _offset_series(v, coefs, vars, center, grading) ** k
         for v, e in mono.exps:
-            c, n = cmap[v], nmax[v]
+            c = cmap[v]
             e0 = Fraction(1) if scalar_is_exact(c) and not c else cmath.exp(float(e) * complex(c))
             coefs = [e0 * (Fraction(e) ** j / math.factorial(j)) for j in range(n + 1)]
             term = term * _offset_series(v, coefs, vars, center, grading)

@@ -24,6 +24,7 @@ def _workloads():
 @pytest.mark.parametrize("workload, layer", [
     pytest.param("coefficient-recursions", "exact.calls", id="coefficient-recursions"),
     pytest.param("legendre-series", "legendre.transform_s", id="legendre-series"),
+    pytest.param("monodromy-sweep", "monodromy.rhs_evals", id="monodromy-sweep"),
     pytest.param("structure-checks", "calibration.solve_s", id="structure-checks"),
 ])
 def test_traced_round_runs_clean(workload, layer):

@@ -190,7 +190,7 @@ def test_pairing_table_matches_fresh_products(name, m_max):
             for k in range(m_max + 1):
                 want = _fresh_pairing_sum(cal, a, b, [((-1) ** (k - j), j, k - j)
                                                       for j in range(k + 1)])
-                assert _signed_pairings(cal, a, 0, b, k) * (-1) ** k == want, (k, a, b)
+                assert _signed_pairings(cal.pairing, a, 0, b, k) * (-1) ** k == want, (k, a, b)
 
 
 def _count_sum_of_products(monkeypatch, is_counted=lambda triples: True):

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frobwdvv.closedform import cf_exp, cf_log, cf_mono, cf_var
 from frobwdvv.exact import Exact, as_exact_scalar
@@ -186,28 +187,22 @@ def test_series_json_emission():
     assert [[1, 0], "2"] in obj["coeffs"] and [[0, 2], "-1/3"] in obj["coeffs"]
 
 
-# -- the integer-graded product kernel against a term-by-term reference -------
-
-def _fdeg(gr, idx):
-    return sum((w * k for w, k in zip(gr.weights, idx)), F(0))
-
+# -- the total-degree product kernel against a term-by-term reference ---------
 
 def _reference_product(a, b):
-    """Every pair formed, summed, then cut with Fraction weighted degrees."""
+    """Every pair formed, summed, then cut at the (possibly fractional) order."""
     out = {}
     for i1, c1 in a.coeffs.items():
         for i2, c2 in b.coeffs.items():
             idx = tuple(x + y for x, y in zip(i1, i2))
             out[idx] = out.get(idx, 0) + c1 * c2
-    return {i: as_exact_scalar(c) for i, c in out.items()
-            if c and _fdeg(a.grading, i) <= a.grading.order}
+    return {i: as_exact_scalar(c) for i, c in out.items() if c and sum(i) <= a.grading.order}
 
 
 def _typed(coeffs):
     return {i: (type(c), c) for i, c in coeffs.items()}
 
 
-weights = st.sampled_from([F(1), F(1, 2), F(3, 2), F(1, 3), F(2, 3), F(2)])
 small_ints = st.sampled_from([1, -1, 2, -2, 3])
 
 
@@ -225,53 +220,71 @@ def scalars(draw, kind):
 
 @st.composite
 def series_pairs(draw):
+    """Two series in one frame with a fractional order, and 1 to 3 scales of
+    their coefficient kind (zero among them) for `sum_of_products`."""
     n = draw(st.integers(1, 3))
-    gr = Grading(tuple(draw(weights) for _ in range(n)),
-                 draw(st.fractions(min_value=0, max_value=4, max_denominator=3)))
+    gr = g(n, draw(st.fractions(min_value=0, max_value=4, max_denominator=3)))
     kind = draw(st.sampled_from(["fraction", "exact", "complex"]))
     vars, center = tuple("xyz"[:n]), tuple([F(0)] * n)
     idx = st.tuples(*[st.integers(0, 4)] * n)
     raw = [draw(st.dictionaries(idx, scalars(kind), max_size=7)) for _ in range(2)]
-    return [(TruncSeries(vars, center, r, gr), r) for r in raw]
+    scales = draw(st.lists(st.one_of(st.just(0), scalars(kind)), min_size=1, max_size=3))
+    return [(TruncSeries(vars, center, r, gr), r) for r in raw], scales
 
 
 @settings(max_examples=150, deadline=None)
 @given(series_pairs())
-def test_product_matches_pairwise_reference(pair):
-    (a, raw_a), (b, _) = pair
+def test_product_matches_pairwise_reference(case):
+    ((a, raw_a), (b, _)), scales = case
     gr = a.grading
-    kept = {i: as_exact_scalar(c) for i, c in raw_a.items() if c and _fdeg(gr, i) <= gr.order}
+    kept = {i: as_exact_scalar(c) for i, c in raw_a.items() if c and sum(i) <= gr.order}
     assert _typed(a.coeffs) == _typed(kept)
     assert _typed((a * b).coeffs) == _typed(_reference_product(a, b))
     # cancellation: a*b - b*a is zero, and (a + b)(a - b) = a^2 - b^2
     assert (a * b - b * a).is_zero()
     if a.is_exact():
         assert _typed(((a + b) * (a - b)).coeffs) == _typed((a * a - b * b).coeffs)
+    # sum_of_products: one dict over 1 to 3 triples equals the sum of the
+    # scaled reference products
+    triples = [(s, *fg) for s, fg in zip(scales, [(a, b), (b, a), (a, a)])]
+    want = {}
+    for s, f, h in triples:
+        for i, c in _reference_product(f, h).items():
+            want[i] = want.get(i, 0) + s * c
+    want = {i: as_exact_scalar(c) for i, c in want.items() if c}
+    assert _typed(TruncSeries.sum_of_products(triples).coeffs) == _typed(want)
+    # terms cancelling across triples leave no zero coefficients behind
+    assert TruncSeries.sum_of_products(triples + [(-s, h, f) for s, f, h in triples]).is_zero()
+    # every series must share the frame of the first, a zero-scale one too
+    moved = TruncSeries(a.vars, tuple([F(1)] * a.nvars), raw_a, gr)
+    for mixed in ([(1, a, moved)], [(0, a, b), (1, moved, a)],
+                  [(1, a, b), (0, a, b.truncate(gr.order + 1))]):
+        with pytest.raises(CenterMismatchError):
+            TruncSeries.sum_of_products(mixed)
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_pairs(), st.fractions(min_value=0, max_value=4, max_denominator=3))
-def test_degree_filters_match_fraction_degrees(pair, deg):
-    (a, _), _ = pair
-    gr = a.grading
+def test_degree_filters_match_fraction_degrees(case, deg):
+    ((a, _), _), _ = case
     assert a.drop_low_degree(deg).coeffs == {
-        i: c for i, c in a.coeffs.items() if _fdeg(gr, i) >= deg}
+        i: c for i, c in a.coeffs.items() if sum(i) >= deg}
     assert a.homogeneous_part(deg).coeffs == {
-        i: c for i, c in a.coeffs.items() if _fdeg(gr, i) == deg}
-    assert a.truncate(deg).coeffs == {i: c for i, c in a.coeffs.items() if _fdeg(gr, i) <= deg}
+        i: c for i, c in a.coeffs.items() if sum(i) == deg}
+    assert a.truncate(deg).coeffs == {i: c for i, c in a.coeffs.items() if sum(i) <= deg}
 
 
 def test_integer_grading_floors_a_fractional_cutoff():
-    gr = Grading((F(1, 2), F(3, 2)), F(7, 3))
-    assert (gr.scale, gr.int_weights, gr.cutoff) == (2, (1, 3), 4)
+    gr = g(2, F(7, 3))
+    assert (gr.cutoff, gr.weights) == (2, (F(1), F(1)))
     x = TruncSeries.coordinate(0, ("x", "y"), (F(0), F(0)), gr)
     y = TruncSeries.coordinate(1, ("x", "y"), (F(0), F(0)), gr)
-    # x^4 (degree 2) and x y (degree 2) stay, x^5 and y^2 (degree 5/2, 3) go
-    assert (x ** 5 + x ** 4 + x * y + y * y).coeffs == {(4, 0): F(1), (1, 1): F(1)}
-    # (sqrt2 x + y)(sqrt2 x - y) = 2 x^2 - y^2: the x y terms cancel, y^2 is
-    # past the cutoff, and sqrt2 * sqrt2 comes back as a Fraction
+    # x^2 and x y (degree 2) stay, x^3 and x y^2 (degree 3 > 7/3) go
+    assert (x ** 3 + x ** 2 + x * y + x * y * y).coeffs == {(2, 0): F(1), (1, 1): F(1)}
+    # (sqrt2 x + y)(sqrt2 x - y) = 2 x^2 - y^2: the x y terms cancel, and
+    # sqrt2 * sqrt2 comes back as a Fraction
     r2 = Exact.sqrt(2)
-    assert _typed(((x * r2 + y) * (x * r2 - y)).coeffs) == {(2, 0): (F, F(2))}
+    assert _typed(((x * r2 + y) * (x * r2 - y)).coeffs) == {(2, 0): (F, F(2)), (0, 2): (F, F(-1))}
 
 
 # -- inversion and the per-map power table -----------------------------------
@@ -279,8 +292,7 @@ def test_integer_grading_floors_a_fractional_cutoff():
 @st.composite
 def invertible_maps(draw):
     n = draw(st.integers(2, 3))
-    w = draw(st.sampled_from([F(1), F(1, 2)]))
-    gr = Grading(tuple([w] * n), draw(st.sampled_from([F(3), F(4), F(7, 2)])) * w)
+    gr = g(n, draw(st.sampled_from([F(3), F(4), F(7, 2)])))
     src = tuple(draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
                 for _ in range(n))
     tgt = [draw(st.fractions(min_value=-2, max_value=2, max_denominator=3)) for _ in range(n)]
@@ -376,38 +388,56 @@ def _sympy_scalar(sympy, c):
 
 
 def _sympy_terms(sympy, f, symbols):
-    """The monomials of a closed form as sympy expressions."""
+    """The monomials of a closed form in sympy, as (coefficient, {variable:
+    factors}) with one factor per power, per log and per exponential."""
     terms = []
     for m, c in f.terms.items():
-        t = _sympy_scalar(sympy, c)
+        factors = {v: [] for v in symbols}
         for v, q in m.powers:
-            t *= symbols[v] ** _sympy_scalar(sympy, q)
+            factors[v].append(symbols[v] ** _sympy_scalar(sympy, q))
         for v, k in m.logs:
-            t *= sympy.log(symbols[v]) ** k
+            factors[v] += [sympy.log(symbols[v])] * k
         for v, e in m.exps:
-            t *= sympy.exp(_sympy_scalar(sympy, e) * symbols[v])
-        terms.append(t)
+            factors[v].append(sympy.exp(_sympy_scalar(sympy, e) * symbols[v]))
+        terms.append((_sympy_scalar(sympy, c), factors))
     return terms
+
+
+def _leibniz_sizes(sympy, factors, sym, at, order=3):
+    """Coefficients of x^0..x^order in the product of the factors' Taylor
+    series with every coefficient replaced by its modulus: the size of the
+    factor-by-factor products before they can cancel."""
+    out = [1.0] + [0.0] * order
+    for fac in factors:
+        sizes, d = [], fac
+        for k in range(order + 1):
+            sizes.append(abs(complex(d.subs(at).evalf(30))) / math.factorial(k))
+            d = sympy.diff(d, sym)
+        out = [sum(out[i] * sizes[k - i] for i in range(k + 1)) for k in range(order + 1)]
+    return out
 
 
 @settings(max_examples=40, deadline=None)
 @given(taylor_cases())
+# the x^1 coefficient of x^(3/2) e^(-3x/2) at x = 1 cancels to exactly 0
+@example(((F(1), F(1)), cf_mono(F(5, 2), {"x": F(3, 2)}, None, {"x": F(-3, 2)})))
 def test_localize_matches_sympy_taylor_coefficients(case):
     sympy = pytest.importorskip("sympy")
     centre, f = case
     symbols = {v: sympy.Symbol(v, positive=True) for v in ("x", "y")}
-    terms = _sympy_terms(sympy, f, symbols)
     at = {symbols[v]: _sympy_scalar(sympy, c) for v, c in zip(("x", "y"), centre)}
     s = localize(f, ("x", "y"), centre, g(2, 3))
-    # d^idx f / idx! at the centre, term by term
-    parts = {}
-    for t in terms:
-        dx = t
+    # d^idx f / idx! at the centre, term by term, and the Leibniz size of each
+    parts, scale = {}, {}
+    for c, factors in _sympy_terms(sympy, f, symbols):
+        dx = c * sympy.Mul(*factors["x"], *factors["y"])
+        xs, ys = (_leibniz_sizes(sympy, factors[v], symbols[v], at) for v in ("x", "y"))
         for i in range(4):
             d = dx
             for j in range(4 - i):
                 parts.setdefault((i, j), []).append(
                     d.subs(at) / (sympy.factorial(i) * sympy.factorial(j)))
+                scale[(i, j)] = scale.get((i, j), 0.0) + abs(complex(c)) * xs[i] * ys[j]
                 d = sympy.diff(d, symbols["y"])
             dx = sympy.diff(dx, symbols["x"])
     for idx, ps in parts.items():
@@ -415,6 +445,5 @@ def test_localize_matches_sympy_taylor_coefficients(case):
         if s.is_exact():
             assert sympy.expand(want - _sympy_scalar(sympy, got)) == 0
         else:
-            # relative to the size of the terms, which may cancel
-            scale = sum(abs(complex(p.evalf(30))) for p in ps)
-            assert abs(complex(got) - complex(want.evalf(30))) <= 1e-12 * scale
+            # relative to the products the kernel sums, which may cancel
+            assert abs(complex(got) - complex(want.evalf(30))) <= 1e-12 * scale[idx]
