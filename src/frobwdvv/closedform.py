@@ -11,6 +11,7 @@ times log^k, polynomial times exponential).
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, NamedTuple
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 from .exact import Exact, as_exact_scalar, rational_power
 
 __all__ = [
-    "Mono", "ClosedForm", "BranchPointError", "NotIntegrableError", "NeedsFloatError",
+    "Mono", "Cutoff", "ClosedForm", "BranchPointError", "NotIntegrableError", "NeedsFloatError",
     "cf_var", "cf_const", "cf_log", "cf_exp", "cf_mono",
 ]
 
@@ -78,6 +79,19 @@ class Mono(NamedTuple):
 
 
 _ONE = Mono((), (), ())
+
+
+class Cutoff(NamedTuple):
+    """The truncation depth(m) <= cap, for a grading `depth` that is additive
+    under monomial products: depth(m1 m2) = depth(m1) + depth(m2), where an
+    exponent that cancels counts as 0.  Every grading that truncates here is a
+    linear form in the exponents, so the kernel knows a product's depth before
+    forming it."""
+    depth: Callable[[Mono], int | Fraction]
+    cap: int | Fraction
+
+    def __call__(self, m: Mono) -> bool:
+        return self.depth(m) <= self.cap
 
 
 def _exponent(e) -> int | Fraction:
@@ -159,18 +173,7 @@ class ClosedForm:
 
     # -- basic ring ops ------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Exact)):
-            other = ClosedForm.const(other)
-        if not isinstance(other, ClosedForm):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return ClosedForm(out, _clean=True)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -178,11 +181,18 @@ class ClosedForm:
         return ClosedForm({m: -c for m, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other in one pass over the terms of other."""
         if isinstance(other, (int, Fraction, Exact)):
             other = ClosedForm.const(other)
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            _acc(out, m, c if sign > 0 else -c)
+        return ClosedForm(out, _clean=True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -197,14 +207,14 @@ class ClosedForm:
         return ClosedForm.sum_of_products(((1, self, other),))
 
     @staticmethod
-    def sum_of_products(triples: Iterable[tuple], keep: Callable[[Mono], bool] | None = None
-                        ) -> "ClosedForm":
+    def sum_of_products(triples: Iterable[tuple], cut: Cutoff | None = None) -> "ClosedForm":
         """The sum of scale * f * g over (scale, f, g) triples, built in one dict.
 
-        `keep` (e.g. a spec's exp cutoff) is applied to each product monomial
-        before it is stored.  A filter is a projection onto a set of monomials,
-        so this equals filtering the finished sum, without building the terms
-        the filter would throw away."""
+        With a `cut`, only the products of depth <= cut.cap are formed.  The
+        depth is additive under products (see Cutoff), so the right factor's
+        terms are sorted by depth once per triple, and a left term of depth d
+        walks only those of depth <= cap - d.  This equals filtering the
+        finished sum by `cut`, without forming a pair the filter would drop."""
         out: dict[Mono, object] = {}
         for scale, f, g in triples:
             if not scale or not f.terms or not g.terms:
@@ -212,17 +222,17 @@ class ClosedForm:
             left = f.terms.items() if scale == 1 else \
                 [(m, c * scale) for m, c in f.terms.items()]
             right = g.terms.items()
-            for (p1, l1, x1), c1 in left:
-                for (p2, l2, x2), c2 in right:
+            if cut is not None:
+                depth, cap = cut
+                right = sorted(right, key=lambda t: depth(t[0]))
+                degrees = [depth(m) for m, _ in right]
+            for m1, c1 in left:
+                p1, l1, x1 = m1
+                for (p2, l2, x2), c2 in right if cut is None else \
+                        right[:bisect_right(degrees, cap - depth(m1))]:
                     m = Mono(_merge(p1, p2), _merge(l1, l2), _merge(x1, x2))
-                    c = c1 * c2
                     s = out.get(m)
-                    if s is None:
-                        if keep is not None and not keep(m):
-                            continue
-                        s = c
-                    else:
-                        s = s + c
+                    s = c1 * c2 if s is None else s + c1 * c2
                     if s:
                         out[m] = s
                     else:

@@ -7,9 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Optional
+from typing import Optional
 
-from .closedform import ClosedForm, Mono, cf_var, equal_mod_quadratic, mono_exp_degree
+from .closedform import (
+    ClosedForm, Cutoff, Mono, _exponent, cf_var, equal_mod_quadratic, mono_exp_degree,
+)
 from .linalg import SingularMatrixError, mat_inv, raise_index
 
 __all__ = [
@@ -78,11 +80,10 @@ class FrobeniusSpec:
             return Fraction(0)
         return mat[alpha - 1][beta - 1]
 
-    def exp_filter(self) -> Optional[Callable[[Mono], bool]]:
+    def exp_filter(self) -> Optional[Cutoff]:
         if self.exp_cutoff is None:
             return None
-        cut = self.exp_cutoff
-        return lambda m: mono_exp_degree(m) <= cut
+        return Cutoff(mono_exp_degree, _exponent(self.exp_cutoff))
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,11 @@ class WDVVReport:
 
 
 def wdvv_pairing(tensors: Tensors, x: int, y: int, z: int, w: int,
-                 keep: Callable[[Mono], bool] | None = None) -> ClosedForm:
+                 cut: Cutoff | None = None) -> ClosedForm:
     """A(xy|zw) = sum_{rho sigma} c_{xy rho} eta^{rho sigma} c_{sigma zw}."""
     return ClosedForm.sum_of_products(
         ((1, tensors.c_mixed[rho][x][y], tensors.c_low[rho][z][w])
-         for rho in range(len(tensors.eta))), keep)
+         for rho in range(len(tensors.eta))), cut)
 
 
 def wdvv_residual(tensors: Tensors, a: int, b: int, g: int, d: int) -> ClosedForm:

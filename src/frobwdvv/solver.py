@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
-from .closedform import ClosedForm, Mono, cf_exp, cf_mono, mono_exp_degree
+from .closedform import ClosedForm, Cutoff, Mono, cf_exp, cf_mono, mono_exp_degree
 from .exact import Exact
 from .linalg import InconsistentSystemError, mat_inv, solve_affine
 
@@ -404,9 +404,6 @@ def _pair_residual(rows1, rows2, eta_nz, n, depth, depth_cap):
     pairs is summed once, from the products of nonempty rows only.
 
     Returns dict[(quad, pairing_slot, mono)] -> scalar."""
-    def keep(m):
-        return depth(m) <= depth_cap
-
     triples: dict = {}
     for p, r1 in rows1.items():
         for q, r2 in rows2.items():
@@ -417,7 +414,8 @@ def _pair_residual(rows1, rows2, eta_nz, n, depth, depth_cap):
                 # sum met at (q, p); at p = q both halves are this one sum
                 triples.setdefault((p, q) if p <= q else (q, p), []).extend(
                     prods * 2 if p == q else prods)
-    pairs = {key: ClosedForm.sum_of_products(t, keep) for key, t in triples.items()}
+    cut = Cutoff(depth, depth_cap)
+    pairs = {key: ClosedForm.sum_of_products(t, cut) for key, t in triples.items()}
 
     out = {}
     zero = ClosedForm.zero()

@@ -197,10 +197,10 @@ def _count_sum_of_products(monkeypatch, is_counted=lambda triples: True):
     calls = [0]
     real = ClosedForm.sum_of_products
 
-    def counting(triples, keep=None):
+    def counting(triples, cut=None):
         triples = list(triples)
         calls[0] += is_counted(triples)
-        return real(triples, keep)
+        return real(triples, cut)
     monkeypatch.setattr(ClosedForm, "sum_of_products", staticmethod(counting))
     return calls
 

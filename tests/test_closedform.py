@@ -4,11 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frobwdvv import closedform
+from frobwdvv.calibration import solve_calibration
 from frobwdvv.closedform import (
-    BranchPointError, ClosedForm, Mono, NeedsFloatError, NotIntegrableError,
+    BranchPointError, ClosedForm, Cutoff, Mono, NeedsFloatError, NotIntegrableError,
     cf_const, cf_exp, cf_log, cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
 )
-from frobwdvv.exact import Exact
+from frobwdvv.core import build_tensors
+from frobwdvv.exact import Exact, as_exact_scalar
+from frobwdvv.specs import load_spec
 
 F = Fraction
 
@@ -180,23 +184,78 @@ def reference_product(f, g):
     return out
 
 
+def signed_depth(m):
+    """A signed grading on powers and exponentials, like the solver's s21 family."""
+    return 2 * m.exp_of("x") - m.pow_of("y")
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(small_rats, kernel_forms(), kernel_forms()), max_size=4),
-       st.sampled_from([None, F(0), F(1), F(3, 2)]))
-def test_sum_of_products_equals_filtered_sum(triples, cut):
-    keep = None if cut is None else (lambda m: mono_exp_degree(m) <= cut)
+       st.sampled_from([None, mono_exp_degree, signed_depth]),
+       st.sampled_from([0, 1, F(3, 2), -1, F(-1, 2)]))
+def test_sum_of_products_equals_filtered_sum(triples, depth, cap):
+    cut = None if depth is None else Cutoff(depth, cap)
     want = ClosedForm.zero()
     for scale, f, g in triples:
         want = want + reference_product(f, g) * scale
-    if keep is not None:
-        want = want.filter(keep)
-    got = ClosedForm.sum_of_products(triples, keep)
+    if cut is not None:
+        want = want.filter(cut)
+    got = ClosedForm.sum_of_products(triples, cut)
     assert got.terms == want.terms
     assert {m: type(c) for m, c in got.terms.items()} == \
         {m: type(c) for m, c in want.terms.items()}
     # cancelling terms leave no zero coefficients behind
     assert not ClosedForm.sum_of_products(triples + [(-s, f, g) for s, f, g in triples],
-                                          keep).terms
+                                          cut).terms
+
+
+def test_sum_of_products_forms_only_the_pairs_within_the_cap(monkeypatch):
+    # p1xp1's Hessian sums over the level-1 gradients: each formed pair costs
+    # three merges, and the pairs whose exp degree exceeds the cap cost none
+    spec = load_spec("p1xp1")
+    t = build_tensors(spec)
+    cal = solve_calibration(spec, 1)
+    cut = spec.exp_filter()
+    n = spec.n
+    sums = [[(1, t.c_mixed[sig][a][b], cal.grad(g, 1, sig + 1)) for sig in range(n)]
+            for g in range(1, n + 1) for a in range(n) for b in range(a, n)]
+    pairs = [cut.depth(m1) + cut.depth(m2) <= cut.cap
+             for triples in sums for _, f, h in triples for m1 in f.terms for m2 in h.terms]
+    merges = [0]
+    real = closedform._merge
+
+    def counting(a, b):
+        merges[0] += 1
+        return real(a, b)
+    monkeypatch.setattr(closedform, "_merge", counting)
+    for triples in sums:
+        ClosedForm.sum_of_products(triples, cut)
+    assert 0 < sum(pairs) < len(pairs)
+    assert merges[0] == 3 * sum(pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_forms(), kernel_forms(), st.data())
+def test_add_and_sub_match_dict_reference(f, g, data):
+    def reference(f, g, sign):
+        out = {}
+        for form, s in ((f, 1), (g, sign)):
+            for m, c in form.terms.items():
+                out[m] = out.get(m, 0) + s * c
+        return {m: as_exact_scalar(c) for m, c in out.items() if c}
+
+    for sign, op in ((1, ClosedForm.__add__), (-1, ClosedForm.__sub__)):
+        # g takes over some of f's terms so that they cancel in f op g
+        h = dict(g.terms)
+        h.update({m: -sign * c for m, c in f.terms.items() if data.draw(st.booleans())})
+        h = ClosedForm(h)
+        got = op(f, h)
+        want = reference(f, h, sign)
+        assert got.terms == want
+        assert {m: type(c) for m, c in got.terms.items()} == \
+            {m: type(c) for m, c in want.items()}
+        assert op(f, F(5, 2)).terms == reference(f, ClosedForm.const(F(5, 2)), sign)
+    assert not (f - f).terms and not (f + -f).terms
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,8 +3,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frobwdvv.closedform import ClosedForm
+from frobwdvv.closedform import ClosedForm, Mono, _merge, mono_exp_degree
 from frobwdvv.linalg import mat_inv
 from frobwdvv.solver import (
     InconsistentSystemError, _c_rows, _pair_residual, chazy_residual_orders, divisor_sigma,
@@ -229,9 +230,9 @@ def test_pair_residual_pairs_each_index_pair_once(case, monkeypatch):
     calls = []
     kernel = ClosedForm.sum_of_products
 
-    def counted(triples, keep=None):
+    def counted(triples, cut=None):
         calls.append(1)
-        return kernel(triples, keep)
+        return kernel(triples, cut)
 
     monkeypatch.setattr(ClosedForm, "sum_of_products", staticmethod(counted))
     n = len(case[0].varnames)
@@ -241,6 +242,39 @@ def test_pair_residual_pairs_each_index_pair_once(case, monkeypatch):
         calls.clear()
         sparse_pair_residual(f1, f2, case[0], cap)
         assert 0 < len(calls) <= distinct
+
+
+# every grading a product kernel truncates by: the spec exp degree and each
+# slot family's depth (s21's is signed, mixing exponentials and powers)
+GRADINGS = [("exp", mono_exp_degree, ("v1", "v2", "v3", "v4"))] + [
+    (fam.name, fam.depth, fam.varnames)
+    for fam in (p1xp1_family(2), p2_family(2), p2_s2_hat_family(), s22_family(), s21_family())]
+
+
+@st.composite
+def mono_pairs(draw, varnames):
+    """Two monomials whose exponents often cancel in the product."""
+    exps = st.sampled_from([-2, -1, F(-1, 2), 1, 2, F(3, 2)])
+    part = st.dictionaries(st.sampled_from(varnames), exps, max_size=len(varnames))
+    logs = st.dictionaries(st.sampled_from(varnames), st.integers(1, 2), max_size=2)
+    m1 = Mono.make(draw(part), draw(logs), draw(part))
+    flip = draw(st.sets(st.sampled_from(varnames)))
+    # the second factor inverts some of the first's powers and exponentials
+    powers, exps_ = dict(draw(part)), dict(draw(part))
+    powers.update({v: -e for v, e in m1.powers if v in flip})
+    exps_.update({v: -e for v, e in m1.exps if v in flip})
+    return m1, Mono.make(powers, draw(logs), exps_)
+
+
+@pytest.mark.parametrize("grading", GRADINGS, ids=lambda g: g[0])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gradings_are_additive_under_products(grading, data):
+    _, depth, varnames = grading
+    m1, m2 = data.draw(mono_pairs(varnames))
+    prod = Mono(_merge(m1.powers, m2.powers), _merge(m1.logs, m2.logs),
+                _merge(m1.exps, m2.exps))
+    assert depth(prod) == depth(m1) + depth(m2)
 
 
 def test_round_loop_substitutes_only_into_equations_with_new_values(monkeypatch):
