@@ -213,10 +213,10 @@ def _omega_entry(cal: Calibration, alpha: int, m1: int, beta: int, m2: int) -> C
 
 def _signed_pairings(pairing, alpha: int, l: int, beta: int, m: int):
     """sum_{j=0}^{m} (-1)^j P(alpha, l + j; beta, m - j) for a pairing P(alpha, l1;
-    beta, l2): the calibration's table, or the hat series pairing in `legendre`."""
-    even = sum(pairing(alpha, l + j, beta, m - j) for j in range(0, m + 1, 2))
-    odd = sum(pairing(alpha, l + j, beta, m - j) for j in range(1, m + 1, 2))
-    return even - odd
+    beta, l2): the calibration's table, or the hat series pairing in `legendre`,
+    added up in one dict by the pairing type's `signed_sum`."""
+    parts = [((-1) ** j, pairing(alpha, l + j, beta, m - j)) for j in range(m + 1)]
+    return type(parts[0][1]).signed_sum(parts)
 
 
 def two_point_table(cal: Calibration, order: int) -> TwoPointTable:

@@ -189,10 +189,7 @@ class ClosedForm:
             other = ClosedForm.const(other)
         if not isinstance(other, ClosedForm):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(out, m, c if sign > 0 else -c)
-        return ClosedForm(out, _clean=True)
+        return ClosedForm.signed_sum(((1, self), (sign, other)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -205,6 +202,17 @@ class ClosedForm:
         if not isinstance(other, ClosedForm):
             return NotImplemented
         return ClosedForm.sum_of_products(((1, self, other),))
+
+    @staticmethod
+    def signed_sum(pairs) -> "ClosedForm":
+        """The sum of sign * f over (sign, f) pairs, sign +1 or -1, in one dict
+        that starts as a copy of the first."""
+        (sign, first), *rest = pairs
+        out = dict(first.terms) if sign > 0 else {m: -c for m, c in first.terms.items()}
+        for sign, f in rest:
+            for m, c in f.terms.items():
+                _acc(out, m, c if sign > 0 else -c)
+        return ClosedForm(out, _clean=True)
 
     @staticmethod
     def sum_of_products(triples: Iterable[tuple], cut: Cutoff | None = None) -> "ClosedForm":

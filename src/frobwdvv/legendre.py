@@ -5,7 +5,7 @@ and the structural verifications (metric transport, Euler data, round trip).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,6 +52,8 @@ class LegendreResult:
     hat_potential: TruncSeries
     hat_charge: Fraction
     hat_shifts: tuple
+    # unit-coefficient expansions of closed-form monomials at (center, grading)
+    localized: dict = field(repr=False, compare=False)
 
     def hat_lower_forms(self) -> list[ClosedForm]:
         """Lowered hat coordinates as closed forms of the straight variables."""
@@ -142,15 +144,17 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
         # series transport runs on the float path with its tolerance
         center = tuple(complex(c) for c in center)
     grading = Grading.total_degree(spec.n, order)
+    memo: dict = {}
     inverse, fhat = _hat_step(
-        lambda a, b: localize(table.entry(a + 1, 0, b + 1, 0), spec.varnames, center, grading),
-        t.eta_inv, kappa)
+        lambda a, b: localize(table.entry(a + 1, 0, b + 1, 0), spec.varnames, center, grading,
+                              memo), t.eta_inv, kappa)
     hat = inverse.components[0]
     return LegendreResult(
         spec=spec, tensors=t, cal=cal, table=table, kappa=kappa, center=center,
         grading=grading, hat_center=hat.center, hat_vars=hat.vars, inverse_map=inverse,
         hat_potential=fhat, hat_charge=-2 * spec.mu[kappa - 1],
-        hat_shifts=tuple(spec.r_entry(1, b, kappa) for b in range(1, spec.n + 1)))
+        hat_shifts=tuple(spec.r_entry(1, b, kappa) for b in range(1, spec.n + 1)),
+        localized=memo)
 
 
 def _needed_depth(spec: FrobeniusSpec, center, order, m_max) -> int:
@@ -196,7 +200,7 @@ def _vanishes(s: TruncSeries) -> bool:
 
 def pullback(result: LegendreResult, f: ClosedForm) -> TruncSeries:
     """Expand a straight-variable closed form and transport it to hat series."""
-    s = localize(f, result.spec.varnames, result.center, result.grading)
+    s = localize(f, result.spec.varnames, result.center, result.grading, result.localized)
     return compose(s, result.inverse_map)
 
 
@@ -373,7 +377,8 @@ def round_trip(result: LegendreResult) -> dict:
     the straight potential modulo quadratic, in the original coordinates."""
     spec = result.spec
     _, f_back = transform_series(result.hat_potential, result.tensors.eta_inv, spec.unity)
-    f_orig = localize(spec.potential, spec.varnames, result.center, result.grading)
+    f_orig = localize(spec.potential, spec.varnames, result.center, result.grading,
+                      result.localized)
     # the doubled-hat offsets coincide with the straight offsets; compare cubic on
     back = TruncSeries(f_orig.vars, f_orig.center,
                        {idx: c for idx, c in f_back.coeffs.items()}, f_orig.grading)

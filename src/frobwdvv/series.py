@@ -12,8 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import add
+from functools import cached_property, reduce
+from operator import add, mul, sub
 
 from .closedform import ClosedForm
 from .exact import Exact, as_exact_scalar, rational_power, scalar_is_exact
@@ -111,28 +111,23 @@ class TruncSeries:
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Exact, float, complex)):
-            other = TruncSeries.constant(other, self.vars, self.center, self.grading)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        if not self.same_frame(other):
-            raise CenterMismatchError("series frames differ")
-        out = dict(self.coeffs)
-        _add_into(out, other.coeffs)
-        return TruncSeries(self.vars, self.center, out, self.grading, _clean=True)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.vars, self.center,
-                           {i: -c for i, c in self.coeffs.items()}, self.grading, _clean=True)
+        return TruncSeries.signed_sum(((-1, self),))
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other in one pass over the terms of other."""
         if isinstance(other, (int, Fraction, Exact, float, complex)):
             other = TruncSeries.constant(other, self.vars, self.center, self.grading)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self + (-other)
+        return TruncSeries.signed_sum(((1, self), (sign, other)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -147,6 +142,18 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return TruncSeries.sum_of_products(((1, self, other),))
+
+    @staticmethod
+    def signed_sum(pairs) -> "TruncSeries":
+        """The sum of sign * f over (sign, f) pairs, sign +1 or -1, in one dict.
+        Every series must share the frame of the first."""
+        (sign, frame), *rest = pairs
+        out = dict(frame.coeffs) if sign > 0 else {i: -c for i, c in frame.coeffs.items()}
+        for sign, f in rest:
+            if not f.same_frame(frame):
+                raise CenterMismatchError("series frames differ")
+            _add_into(out, f.coeffs.items() if sign > 0 else ((i, -c) for i, c in f.coeffs.items()))
+        return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
 
     @staticmethod
     def sum_of_products(triples) -> "TruncSeries":
@@ -200,14 +207,11 @@ class TruncSeries:
         return out
 
     def diff(self, var: str) -> "TruncSeries":
+        # lowering the exponent of one variable is one-to-one on indices
         i = self.vars.index(var)
-        out: dict = {}
-        for idx, c in self.coeffs.items():
-            k = idx[i]
-            if k:
-                nidx = idx[:i] + (k - 1,) + idx[i + 1:]
-                out[nidx] = out.get(nidx, Fraction(0)) + c * k
-        return TruncSeries(self.vars, self.center, out, self.grading)
+        return TruncSeries(self.vars, self.center,
+                           {idx[:i] + (k - 1,) + idx[i + 1:]: c * k
+                            for idx, c in self.coeffs.items() if (k := idx[i])}, self.grading)
 
     def truncate(self, order) -> "TruncSeries":
         g = Grading.total_degree(self.nvars, order)
@@ -257,53 +261,51 @@ class TruncSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def _add_into(out: dict, coeffs: dict) -> None:
-    """Add a coefficient dict into `out` in place, dropping zeros."""
-    for idx, c in coeffs.items():
-        s = out.get(idx, Fraction(0)) + c
+def _add_into(out: dict, items) -> None:
+    """Add (index, coefficient) pairs into `out` in place, dropping zeros."""
+    for idx, c in items:
+        prev = out.get(idx)
+        s = c if prev is None else prev + c
         if s:
             out[idx] = s
-        else:
-            out.pop(idx, None)
+        elif prev is not None:
+            del out[idx]
 
 
 @dataclass(frozen=True)
 class SeriesMap:
     """Component series share source frame; constant terms are the target center.
 
-    Powers of the offsets (component minus constant term) are kept in a table
-    that lives as long as the map, so every `compose` against it reuses them."""
+    The products of offset powers (component minus constant term) are kept in
+    a table that lives as long as the map, so every `compose` against it reuses
+    them."""
     components: tuple[TruncSeries, ...]
-    _powers: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    @property
-    def source_vars(self):
-        return self.components[0].vars
+    _basis: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def target_center(self):
         return tuple(c.constant_term() for c in self.components)
 
     def jacobian(self):
         """Linear-part matrix J[i][j] = d comp_i / d x_j at the center."""
-        n = len(self.components)
-        src = self.source_vars
-        jac = []
-        for comp in self.components:
-            row = []
-            for j in range(len(src)):
-                idx = tuple(int(k == j) for k in range(len(src)))
-                row.append(comp.coeffs.get(idx, Fraction(0)))
-            jac.append(row)
-        return jac
+        units = _units(self.components[0].nvars)
+        return [[comp.coeffs.get(u, Fraction(0)) for u in units] for comp in self.components]
 
-    def offset_power(self, i: int, k: int) -> TruncSeries:
-        """(component_i - its constant term)^k for k >= 1."""
-        if not self._powers:
-            self._powers.extend([c - c.constant_term()] for c in self.components)
-        row = self._powers[i]
-        while len(row) < k:
-            row.append(row[-1] * row[0])
-        return row[k - 1]
+    def basis(self, idx: tuple) -> TruncSeries:
+        """prod_i (component_i - its constant term)^idx_i.  Formed on first use
+        and kept: an index of degree >= 2 costs one product, the entry with one
+        less of its last variable times that variable's offset."""
+        b = self._basis.get(idx)
+        if b is None:
+            i = max((j for j, k in enumerate(idx) if k), default=0)
+            comp, unit = self.components[i], _units(len(idx))[i]
+            if not any(idx):
+                b = TruncSeries.constant(Fraction(1), comp.vars, comp.center, comp.grading)
+            elif idx == unit:
+                b = comp - comp.constant_term()
+            else:
+                b = self.basis(tuple(map(sub, idx, unit))) * self.basis(unit)
+            self._basis[idx] = b
+        return b
 
 
 def compose(f: TruncSeries, m: SeriesMap) -> TruncSeries:
@@ -319,15 +321,8 @@ def compose(f: TruncSeries, m: SeriesMap) -> TruncSeries:
             raise CenterMismatchError("map constant terms do not hit f's center")
     frame = m.components[0]
     out: dict = {}
-    for idx, c in sorted(f.coeffs.items()):
-        term = None
-        for i, k in enumerate(idx):
-            if k:
-                p = m.offset_power(i, k)
-                term = p * c if term is None else term * p
-        if term is None:
-            term = TruncSeries.constant(c, frame.vars, frame.center, frame.grading)
-        _add_into(out, term.coeffs)
+    for idx, c in f.coeffs.items():
+        _add_into(out, ((j, c * b) for j, b in m.basis(idx).coeffs.items()))
     return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
 
 
@@ -354,36 +349,30 @@ def invert_map(m: SeriesMap) -> SeriesMap:
     tgt_center = m.target_center()
     tgt_vars = tuple(f"y{i+1}" for i in range(n))
 
-    def y_offset(i):
-        return TruncSeries.coordinate(i, tgt_vars, tgt_center, g)
-
     # linear seed x = center_x + Jinv (y - y0); each degree's correction is
     # composed against it too
-    lin_comps = []
-    for i in range(n):
-        s = TruncSeries.constant(frame.center[i], tgt_vars, tgt_center, g)
-        for j in range(n):
-            if jinv[i][j]:
-                s = s + y_offset(j) * jinv[i][j]
-        lin_comps.append(s)
-    lin_map = SeriesMap(tuple(lin_comps))
-    comps = list(lin_comps)
-
+    lin_map = SeriesMap(tuple(
+        TruncSeries(tgt_vars, tgt_center, {(0,) * n: frame.center[i]}
+                    | {u: jinv[i][j] for j, u in enumerate(_units(n))}, g) for i in range(n)))
+    comps = list(lin_map.components)
+    # e_i = (comps_i o m) - center_i - x_i in the source frame, kept across
+    # degrees: a correction P changes it by P o m (compose is linear in P)
+    err = [compose(comps[i], m) - TruncSeries.coordinate(i, frame.vars, frame.center, g)
+           - frame.center[i] for i in range(n)]
     for deg in range(2, g.cutoff + 1):
-        # e = (inv o m) - id, in source frame
-        err = []
         for i in range(n):
-            e = compose(comps[i], m) - TruncSeries.constant(frame.center[i], frame.vars,
-                                                            frame.center, g)
-            e = e - TruncSeries.coordinate(i, frame.vars, frame.center, g)
-            err.append(e.homogeneous_part(deg))
-        if all(e.is_zero() for e in err):
-            continue
-        # correction: P_deg(y) = -err_deg composed with Jinv*(y - y0)
-        for i in range(n):
-            if not err[i].is_zero():
-                comps[i] = comps[i] - compose(err[i], lin_map)
+            e = err[i].homogeneous_part(deg)
+            if not e.is_zero():
+                # correction: P_deg(y) = -e_deg composed with Jinv*(y - y0)
+                p = compose(e, lin_map)
+                comps[i] = comps[i] - p
+                err[i] = err[i] - compose(p, m)
     return SeriesMap(tuple(comps))
+
+
+def _units(n: int) -> tuple:
+    """The exponent indices of the n offsets x_1, ..., x_n."""
+    return tuple(tuple(int(k == j) for k in range(n)) for j in range(n))
 
 
 def _offset_series(v: str, coefs: list, vars, center, grading: Grading) -> TruncSeries:
@@ -394,7 +383,7 @@ def _offset_series(v: str, coefs: list, vars, center, grading: Grading) -> Trunc
 
 
 def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple,
-             grading: Grading) -> TruncSeries:
+             grading: Grading, memo: dict | None = None) -> TruncSeries:
     """Taylor-expand a closed form at a center, to the grading cutoff.
 
     Each factor of a monomial is written out as a series in its one offset
@@ -409,40 +398,54 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple,
     an integer, log c when c = 1 and e^(ec) when c = 0.  Any other value is
     a complex float, and the series then carries complex coefficients; there
     is no switch for this.
+
+    `memo` maps each monomial to its expansion with unit coefficient at this
+    one frame; callers that localize many forms at one frame share one dict,
+    so each monomial is expanded once.
     """
-    cmap = dict(zip(vars, center))
-    n = grading.cutoff
+    memo = {} if memo is None else memo
     total: dict = {}
     for mono, coeff in f.terms.items():
-        term = TruncSeries.constant(coeff, vars, center, grading)
-        for v, q in mono.powers:
-            c = cmap[v]
-            if abs(complex(c)) == 0:
-                if q.denominator != 1 or q < 0:
-                    raise SingularCenterError(f"{v}^{q} at center {v}=0")
-                term = term * _offset_series(v, [Fraction(j == q) for j in range(n + 1)],
-                                             vars, center, grading)
-                continue
-            # a negative c has no real non-integer principal power
-            cq = rational_power(c, q) if q.denominator == 1 or complex(c).real > 0 else None
-            if cq is None:
-                cq = cmath.exp(float(q) * cmath.log(complex(c)))
-            inv, b = Fraction(1) / c, [Fraction(1)]
-            for j in range(1, n + 1):
-                b.append(b[-1] * inv * (q - j + 1) / j)
-            term = term * _offset_series(v, [cq * x for x in b], vars, center, grading)
-        for v, k in mono.logs:
-            c = cmap[v]
-            if abs(complex(c)) == 0:
-                raise SingularCenterError(f"log {v} at center {v}=0")
-            inv = Fraction(1) / c
-            coefs = [0 if c == 1 else cmath.log(complex(c))]
-            coefs += [(-1) ** (j + 1) * inv ** j / j for j in range(1, n + 1)]
-            term = term * _offset_series(v, coefs, vars, center, grading) ** k
-        for v, e in mono.exps:
-            c = cmap[v]
-            e0 = Fraction(1) if scalar_is_exact(c) and not c else cmath.exp(float(e) * complex(c))
-            coefs = [e0 * (Fraction(e) ** j / math.factorial(j)) for j in range(n + 1)]
-            term = term * _offset_series(v, coefs, vars, center, grading)
-        _add_into(total, term.coeffs)
+        unit = memo.get(mono)
+        if unit is None:
+            unit = memo[mono] = _expand_monomial(mono, vars, center, grading)
+        _add_into(total, ((j, coeff * b) for j, b in unit.coeffs.items()))
     return TruncSeries(vars, center, total, grading, _clean=True)
+
+
+def _expand_monomial(mono, vars, center, grading) -> TruncSeries:
+    """The product of the series of a monomial's factors (see `localize`)."""
+    cmap = dict(zip(vars, center))
+    n = grading.cutoff
+    factors = []
+    for v, q in mono.powers:
+        c = cmap[v]
+        if abs(complex(c)) == 0:
+            if q.denominator != 1 or q < 0:
+                raise SingularCenterError(f"{v}^{q} at center {v}=0")
+            factors.append(_offset_series(v, [Fraction(j == q) for j in range(n + 1)],
+                                          vars, center, grading))
+            continue
+        # a negative c has no real non-integer principal power
+        cq = rational_power(c, q) if q.denominator == 1 or complex(c).real > 0 else None
+        if cq is None:
+            cq = cmath.exp(float(q) * cmath.log(complex(c)))
+        inv, b = Fraction(1) / c, [Fraction(1)]
+        for j in range(1, n + 1):
+            b.append(b[-1] * inv * (q - j + 1) / j)
+        factors.append(_offset_series(v, [cq * x for x in b], vars, center, grading))
+    for v, k in mono.logs:
+        c = cmap[v]
+        if abs(complex(c)) == 0:
+            raise SingularCenterError(f"log {v} at center {v}=0")
+        inv = Fraction(1) / c
+        coefs = [0 if c == 1 else cmath.log(complex(c))]
+        coefs += [(-1) ** (j + 1) * inv ** j / j for j in range(1, n + 1)]
+        factors.append(_offset_series(v, coefs, vars, center, grading) ** k)
+    for v, e in mono.exps:
+        c = cmap[v]
+        e0 = Fraction(1) if scalar_is_exact(c) and not c else cmath.exp(float(e) * complex(c))
+        coefs = [e0 * (Fraction(e) ** j / math.factorial(j)) for j in range(n + 1)]
+        factors.append(_offset_series(v, coefs, vars, center, grading))
+    return reduce(mul, factors) if factors else \
+        TruncSeries.constant(Fraction(1), vars, center, grading)

@@ -6,6 +6,7 @@ from frobwdvv.closedform import cf_exp, cf_log, cf_mono
 from frobwdvv.core import build_tensors
 from frobwdvv.exact import Exact
 import frobwdvv.legendre as legendre
+import frobwdvv.series as series
 from frobwdvv.legendre import (
     check_gradient_identity, check_metric_transport, check_product_identity, check_unity_rule,
     hat_tensors_series,
@@ -166,6 +167,26 @@ def test_kappa_column_is_inverted_before_the_rest_of_the_hessian(monkeypatch):
     with pytest.raises(SingularJacobianError):
         transform(load_spec("a2"), 2, (F(0), F(0)), 4, m_max=3)
     assert len(calls) == 2
+
+
+def test_each_monomial_is_localized_once_per_result(monkeypatch):
+    # a2 at (0, 3): the transform, the calibration transport and the gradient
+    # check share the result's memo; a second transform starts an empty one
+    expanded, forms = [], []
+    expand, orig = series._expand_monomial, legendre.localize
+    monkeypatch.setattr(series, "_expand_monomial",
+                        lambda mono, *a: expanded.append(mono) or expand(mono, *a))
+    monkeypatch.setattr(legendre, "localize", lambda f, *a: forms.append(f) or orig(f, *a))
+    spec = load_spec("a2")
+    res = transform(spec, 2, (F(0), F(3)), 8, m_max=3)
+    assert check_gradient_identity(res, transport_calibration(res, 2))["pass"]
+    monos = {m for f in forms for m in f.terms}
+    assert len(expanded) == len(set(expanded)) == len(monos) < sum(len(f.terms) for f in forms)
+    assert set(res.localized) == monos
+    del expanded[:], forms[:]
+    again = transform(spec, 2, (F(0), F(3)), 8, m_max=3)
+    assert again.localized is not res.localized
+    assert len(expanded) == len({m for f in forms for m in f.terms}) == len(again.localized) > 0
 
 
 def test_pointwise_p1():
