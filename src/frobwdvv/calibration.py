@@ -86,21 +86,21 @@ class Calibration:
         return {f"{a},{m}": th.to_json_obj() for (a, m), th in sorted(self.theta.items())}
 
 
-def solve_calibration(spec: FrobeniusSpec, m_max: int,
-                      tensors: Tensors | None = None) -> Calibration:
-    t = tensors or build_tensors(spec)
-    n = spec.n
-    names = spec.varnames
+def solve_calibration(spec: FrobeniusSpec, m_max: int, tensors: Tensors | None = None,
+                      cal: Calibration | None = None) -> Calibration:
+    """The calibration of `spec` to level m_max; given `cal`, the levels past
+    its own m_max are added to it (each level is solved from the one below)."""
+    if cal is None:
+        t = tensors or build_tensors(spec)
+        cal = Calibration(spec, t, 0)
+        # theta_{a,0} is the lowered flat coordinate
+        for a, th0 in enumerate(raise_index([cf_var(v) for v in spec.varnames], t.eta), 1):
+            cal.theta[(a, 0)] = th0
     keep = spec.exp_filter()
-    cal = Calibration(spec, t, m_max)
-
-    # theta_{a,0} is the lowered flat coordinate
-    for a, th0 in enumerate(raise_index([cf_var(v) for v in names], t.eta), 1):
-        cal.theta[(a, 0)] = th0
-
-    for m in range(m_max):
-        for g in range(1, n + 1):
-            cal.theta[(g, m + 1)] = _solve_next_level(spec, t, cal, g, m, keep)
+    for m in range(cal.m_max, m_max):
+        for g in range(1, spec.n + 1):
+            cal.theta[(g, m + 1)] = _solve_next_level(spec, cal.tensors, cal, g, m, keep)
+        cal.m_max = m + 1
     return cal
 
 

@@ -424,13 +424,15 @@ def _error_code(exc: Exception) -> int:
     malformed option value (usage errors, as argparse reports its own), 4 for
     a mathematical domain error (non-semisimple point, inadmissible line or
     failed matching, singular Jacobian or centre), 3 for anything else."""
-    from .monodromy import IntegrationError, MatchingError, NonSemisimpleError
     from .series import SingularCenterError, SingularJacobianError
     from .specs import SpecParseError
+    domain = (SingularJacobianError, SingularCenterError)
+    # monodromy's errors exist once it is loaded; loading it would import numpy, scipy
+    if (mono := sys.modules.get("frobwdvv.monodromy")) is not None:
+        domain += (mono.MatchingError, mono.NonSemisimpleError, mono.IntegrationError)
     if isinstance(exc, (SpecParseError, UsageError)):
         return 2
-    if isinstance(exc, (MatchingError, NonSemisimpleError, IntegrationError,
-                        SingularJacobianError, SingularCenterError)):
+    if isinstance(exc, domain):
         return 4
     return 3
 

@@ -109,7 +109,8 @@ def _hat_step(hessian, eta_inv, kappa: int):
     indices): hat coordinates eta^{ab} d_kappa d_b F, their inverse map, and
     F-hat from the Hessian transported along it.  The kappa column is built
     and inverted before any other entry, so a singular Jacobian costs only n
-    entries; returns (inverse map, hat potential)."""
+    entries (and, in `transform`, no calibration level past 1); returns
+    (inverse map, hat potential)."""
     n = len(eta_inv)
     col = [hessian(a, kappa - 1) for a in range(n)]
     inverse = invert_map(SeriesMap(tuple(raise_index(col, eta_inv))))
@@ -132,11 +133,12 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
     A generator-backed truncated spec is re-materialized once, to the degree
     `_needed_depth` finds for the requested series order; the Hessian
     cross-consistency check is the accuracy gate of that materialization.
-    Raises SingularJacobianError where the kappa direction is not invertible."""
+    Raises SingularJacobianError where the kappa direction is not invertible,
+    before any calibration level past 1: those are solved once the inverse exists."""
     if spec.exp_cutoff is not None and spec.generator is not None:
         spec = specs.deepen_spec(spec, _needed_depth(spec, center, order, m_max))
     t = build_tensors(spec)
-    cal = solve_calibration(spec, max(m_max, 1), t)
+    cal = solve_calibration(spec, 1, t)
     table = TwoPointTable(cal)
     center = tuple(F(c) if isinstance(c, int) else c for c in center)
     if spec.exp_cutoff is not None:
@@ -148,6 +150,7 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
     inverse, fhat = _hat_step(
         lambda a, b: localize(table.entry(a + 1, 0, b + 1, 0), spec.varnames, center, grading,
                               memo), t.eta_inv, kappa)
+    solve_calibration(spec, m_max, t, cal)
     hat = inverse.components[0]
     return LegendreResult(
         spec=spec, tensors=t, cal=cal, table=table, kappa=kappa, center=center,
@@ -174,8 +177,8 @@ def _needed_depth(spec: FrobeniusSpec, center, order, m_max) -> int:
         nxt = specs.generator_potential(spec.generator[0], d)
         delta = nxt - prev
         impact = 0.0
-        for a in spec.varnames:
-            for b in spec.varnames:
+        for i, a in enumerate(spec.varnames):
+            for b in spec.varnames[i:]:     # the Hessian is symmetric
                 s = localize(delta.diff(a).diff(b), spec.varnames, fcenter, grading)
                 impact = max(impact, s.max_abs_coeff())
         prev = nxt

@@ -1,4 +1,4 @@
-"""Small linear algebra over exact scalars (Fraction or Exact)."""
+"""Small linear algebra over exact scalars (Fraction or Exact), and a float inverse."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from .exact import as_exact_scalar
 
-__all__ = ["mat_inv", "solve_affine", "SingularMatrixError", "InconsistentSystemError",
-           "kron", "raise_index"]
+__all__ = ["mat_inv", "float_inv", "solve_affine", "SingularMatrixError",
+           "InconsistentSystemError", "kron", "raise_index"]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -78,6 +78,28 @@ def mat_inv(a):
     except InconsistentSystemError:
         raise SingularMatrixError("matrix is singular") from None
     return [[reduced[j].get(n + k, Fraction(0)) for k in range(n)] for j in range(n)]
+
+
+def float_inv(a):
+    """(inverse, det) of a float or complex matrix: Gauss-Jordan on [a | 1] with partial
+    pivoting, det = ±(product of the pivots); a zero pivot raises SingularMatrixError."""
+    n = len(a)
+    rows = [[complex(x) for x in row] + [complex(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
+    det = 1
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if p != k:
+            rows[k], rows[p], det = rows[p], rows[k], -det
+        piv = rows[k][k]
+        if not piv:
+            raise SingularMatrixError("matrix is singular")
+        det *= piv
+        rows[k] = pr = [x / piv for x in rows[k]]
+        for i in range(n):
+            if i != k and (f := rows[i][k]):
+                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+    return [row[n:] for row in rows], det
 
 
 def kron(a, b):

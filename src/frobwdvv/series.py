@@ -17,7 +17,7 @@ from operator import add, mul, sub
 
 from .closedform import ClosedForm
 from .exact import Exact, as_exact_scalar, rational_power, scalar_is_exact
-from .linalg import SingularMatrixError, mat_inv
+from .linalg import SingularMatrixError, float_inv, mat_inv
 
 __all__ = [
     "Grading", "TruncSeries", "SeriesMap",
@@ -335,16 +335,14 @@ def invert_map(m: SeriesMap) -> SeriesMap:
     if n != frame.nvars:
         raise CenterMismatchError("map must be square")
     jac = m.jacobian()
+    exact = all(scalar_is_exact(x) for row in jac for x in row)
     try:
-        jinv = mat_inv(jac) if all(scalar_is_exact(x) for row in jac for x in row) else None
+        jinv, det = (mat_inv(jac), 1) if exact else float_inv(jac)
     except SingularMatrixError:
-        raise SingularJacobianError("Jacobian is singular at the center")
-    if jinv is None:
-        import numpy as np
-        a = np.array([[complex(x) for x in row] for row in jac])
-        if abs(np.linalg.det(a)) < 1e-13:
-            raise SingularJacobianError("Jacobian is numerically singular at the center")
-        jinv = np.linalg.inv(a).tolist()
+        det = 0
+    if abs(det) < 1e-13:
+        raise SingularJacobianError("Jacobian is singular at the center" if exact
+                                    else "Jacobian is numerically singular at the center")
 
     tgt_center = m.target_center()
     tgt_vars = tuple(f"y{i+1}" for i in range(n))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,21 @@ def test_domain_error_exit_code(capsys):
     code = main(["monodromy", "a2", "--point", "0,3", "--phi", "1.5707963267948966"])
     assert code == 4
     assert "MatchingError" in capsys.readouterr().err
+
+
+def test_singular_jacobian_exits_4_without_numpy_or_scipy():
+    # the exit code is classified without importing monodromy (numpy, scipy)
+    code = """
+import sys
+from frobwdvv.cli import main
+code = main(["legendre", "ccc_a111", "--kappa", "2", "--order", "4", "--m-max", "2"])
+print(code, sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.stdout.strip() == "4 []", proc.stderr[-2000:]
+    assert "SingularJacobianError" in proc.stderr
 
 
 def test_unknown_spec_exit_code(capsys):

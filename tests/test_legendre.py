@@ -1,10 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from frobwdvv.closedform import cf_exp, cf_log, cf_mono
 from frobwdvv.core import build_tensors
 from frobwdvv.exact import Exact
+import frobwdvv.calibration as calibration
 import frobwdvv.legendre as legendre
 import frobwdvv.series as series
 from frobwdvv.legendre import (
@@ -167,6 +173,57 @@ def test_kappa_column_is_inverted_before_the_rest_of_the_hessian(monkeypatch):
     with pytest.raises(SingularJacobianError):
         transform(load_spec("a2"), 2, (F(0), F(0)), 4, m_max=3)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name, center, order, m_max", [
+    pytest.param("a2", (0, 0), 4, 3, id="a2"),
+    pytest.param("ccc_a111", (0, 0, 0), 4, 2, id="ccc_a111"),
+])
+def test_singular_jacobian_solves_only_calibration_level_1(monkeypatch, name, center, order,
+                                                           m_max):
+    # the Hessian reads level 1 only; the levels past it wait for the inverse
+    calls = []
+    orig = calibration._solve_next_level
+    monkeypatch.setattr(calibration, "_solve_next_level",
+                        lambda spec, t, cal, g, m, keep: calls.append(m + 1)
+                        or orig(spec, t, cal, g, m, keep))
+    spec = load_spec(name)
+    with pytest.raises(SingularJacobianError):
+        transform(spec, 2, tuple(F(c) for c in center), order, m_max=m_max)
+    assert calls == [1] * spec.n
+
+
+@pytest.mark.parametrize("name, center, m_max", [
+    pytest.param("a2", (0, 3), 3, id="a2"),
+    pytest.param("p1", (0, 0), 4, id="p1"),
+    pytest.param("p1", (0, 0), 0, id="p1-m0"),
+])
+def test_transform_ends_with_the_full_calibration(name, center, m_max):
+    res = transform(load_spec(name), 2, tuple(F(c) for c in center), 6, m_max=m_max)
+    assert res.cal.m_max == max(m_max, 1)
+    want = calibration.solve_calibration(res.spec, max(m_max, 1)).to_json_obj()
+    assert json.dumps(res.cal.to_json_obj()) == json.dumps(want)
+
+
+def test_float_transform_does_not_import_numpy():
+    # the p2 float op of the benchmark: transform, transport and the five checks
+    code = """
+import sys
+from fractions import Fraction as F
+from frobwdvv import legendre as L
+from frobwdvv.specs import load_spec
+res = L.transform(load_spec("p2"), 3, (F(0), F(0), F(1, 10)), 5, m_max=2)
+th = L.transport_calibration(res, 1)
+checks = [L.verify_euler_hat(res), L.check_metric_transport(res),
+          L.check_gradient_identity(res, th), L.check_unity_rule(res, th), L.round_trip(res)]
+assert all(c["pass"] for c in checks), checks
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_each_monomial_is_localized_once_per_result(monkeypatch):

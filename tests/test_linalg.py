@@ -1,13 +1,14 @@
-"""The sparse exact elimination against sympy's reduced row echelon form."""
+"""The sparse exact elimination against sympy's reduced row echelon form, and
+the dense float inverse against numpy."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobwdvv.exact import Exact
 from frobwdvv.linalg import (
-    InconsistentSystemError, SingularMatrixError, mat_inv, solve_affine,
+    InconsistentSystemError, SingularMatrixError, float_inv, mat_inv, solve_affine,
 )
 
 F = Fraction
@@ -123,3 +124,27 @@ def test_mat_inv_matches_sympy(a):
             for i in range(n)]
     assert prod == [[F(int(i == j)) for j in range(n)] for i in range(n)]
     assert all(type(x) is F or not x.is_rational() for r in inv for x in r)
+
+
+complex_entries = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.lists(complex_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_float_inverse_matches_numpy(a):
+    np = pytest.importorskip("numpy")
+    arr = np.array(a, dtype=complex)
+    # a well-conditioned matrix: both inverses are then accurate to ~cond * eps
+    assume(np.linalg.cond(arr) < 100)
+    inv, det = float_inv(a)
+    want = np.linalg.inv(arr)
+    assert all(type(x) is complex for r in inv for x in r)
+    assert np.abs(np.array(inv) - want).max() <= 1e-13 * np.abs(want).max()
+    assert abs(det - np.linalg.det(arr)) <= 1e-13 * abs(np.linalg.det(arr))
+
+
+def test_float_inverse_of_a_zero_pivot_column_raises():
+    # the second row is twice the first: elimination leaves an exact zero pivot
+    with pytest.raises(SingularMatrixError):
+        float_inv([[1 + 1j, 2.0], [2 + 2j, 4.0]])

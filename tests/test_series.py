@@ -102,6 +102,36 @@ def test_singular_jacobian():
         invert_map(m)
 
 
+def _linear_complex_map(jac):
+    """The map x -> (1j, 2) + jac x in two complex variables."""
+    gr = g(2, 3)
+    return SeriesMap(tuple(
+        TruncSeries(("a", "b"), (0j, 0j), {(0, 0): c, (1, 0): row[0], (0, 1): row[1]}, gr)
+        for c, row in zip((1j, 2.0), jac)))
+
+
+@pytest.mark.parametrize("jac, message", [
+    # rank one: the second row is (1 - 2j) times the first
+    pytest.param([[0.3 + 0.7j, 1.1 - 0.2j], [(0.3 + 0.7j) * (1 - 2j), (1.1 - 0.2j) * (1 - 2j)]],
+                 "numerically singular", id="rank-deficient"),
+    # invertible in exact arithmetic, but |det| = 3e-14 is below the gate
+    pytest.param([[1e-7j, 0.5], [0.0, 3e-7]], "numerically singular", id="tiny-det"),
+])
+def test_singular_complex_jacobian(jac, message):
+    with pytest.raises(SingularJacobianError, match=message):
+        invert_map(_linear_complex_map(jac))
+
+
+def test_complex_jacobian_just_above_the_gate_inverts():
+    # |det| = 2e-13: inverted, and the inverse composes to the identity
+    m = _linear_complex_map([[2e-7j, 0.5], [0.0, 1e-6]])
+    inv = invert_map(m)
+    for i in range(2):
+        out = compose(inv.components[i], m)
+        want = TruncSeries.coordinate(i, ("a", "b"), (0j, 0j), g(2, 3))
+        assert (out - want).max_abs_coeff() < 1e-9
+
+
 def test_compose_center_mismatch():
     gr = g(1, 4)
     f = TruncSeries(("y",), (F(1),), {(1,): F(1)}, gr)
