@@ -16,7 +16,7 @@ from .core import FrobeniusSpec, Tensors, build_tensors
 from .linalg import raise_index
 
 __all__ = [
-    "Calibration", "TwoPointTable", "ObstructionError", "OrderExceededError",
+    "Calibration", "ObstructionError", "OrderExceededError",
     "solve_calibration", "two_point_table", "check_homogeneity",
     "theta_matrix_coefficients", "check_orthogonality",
 ]
@@ -32,12 +32,28 @@ class OrderExceededError(ValueError):
     pass
 
 
-def _is_constant(f: ClosedForm) -> bool:
-    return not f.terms or set(f.terms) == {Mono((), (), ())}
-
-
 def _filtered(f: ClosedForm, keep) -> ClosedForm:
     return f.filter(keep) if keep else f
+
+
+def _constant(f: ClosedForm, message: str):
+    """The constant that f is; ObstructionError(message) if f is not one."""
+    if f.terms and set(f.terms) != {Mono((), (), ())}:
+        raise ObstructionError(message)
+    return f.constant_term()
+
+
+def _euler_rule(spec: FrobeniusSpec, f: ClosedForm, weight, sides, keep) -> ClosedForm:
+    """E f - weight f - sum over sides (g, ks, lower) of sum_{k in ks, rho}
+    (R_k)^rho_g lower(rho, k), cut by keep: the R-corrected Euler rule that every
+    quasi-homogeneity equation of the levels and of the two-point table states."""
+    parts = [(1, spec.euler_residual(f, weight))]
+    for g, ks, lower in sides:
+        for k in ks:
+            for rho in range(1, spec.n + 1):
+                if r := spec.r_entry(k, rho, g):
+                    parts.append((-1, lower(rho, k) * r))
+    return _filtered(ClosedForm.signed_sum(parts), keep)
 
 
 def potential_from_gradient(grad: list[ClosedForm], varnames, keep) -> ClosedForm:
@@ -61,6 +77,7 @@ class Calibration:
     theta: dict = field(default_factory=dict)   # (alpha 1-based, m) -> ClosedForm
     grads: dict = field(default_factory=dict)   # (alpha, m, beta) -> ClosedForm
     pairings: dict = field(default_factory=dict, init=False)   # see pairing()
+    omega: dict = field(default_factory=dict, init=False)      # see entry()
 
     def grad(self, alpha: int, m: int, beta: int) -> ClosedForm:
         key = (alpha, m, beta)
@@ -81,6 +98,17 @@ class Calibration:
                  for rho in range(n) for sig in range(n) if eta_inv[rho][sig]),
                 self.spec.exp_filter())
         return self.pairings[key]
+
+    def entry(self, alpha: int, m1: int, beta: int, m2: int) -> ClosedForm:
+        """The two-point function Omega_{alpha,m1;beta,m2}, a signed sum of pairings;
+        built on first use and kept in `omega`.  It needs level m1 + m2 + 1."""
+        key = (alpha, m1, beta, m2)
+        if key not in self.omega:
+            if m1 + m2 + 1 > self.m_max:
+                raise OrderExceededError(
+                    f"need calibration level {m1 + m2 + 1} > m_max {self.m_max}")
+            self.omega[key] = _signed_pairings(self.pairing, alpha, m1 + 1, beta, m2)
+        return self.omega[key]
 
     def to_json_obj(self) -> dict:
         return {f"{a},{m}": th.to_json_obj() for (a, m), th in sorted(self.theta.items())}
@@ -108,6 +136,7 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
     n = spec.n
     names = spec.varnames
     iota = spec.unity
+    level = m + 1
 
     # Hessian H_{ab} = sum_s c^s_{ab} d theta_{g,m} / dv^s, built for a <= b and mirrored
     grad_prev = [cal.grad(g, m, b) for b in range(1, n + 1)]
@@ -117,36 +146,23 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
             hess[a][b] = hess[b][a] = ClosedForm.sum_of_products(
                 ((1, t.c_mixed[sig][a][b], grad_prev[sig]) for sig in range(n)), keep)
 
+    # grad[b - 1] is d theta0 / dv^b to the cutoff: potential_from_gradient checks closedness
     grad = [potential_from_gradient([hess[a][b] for a in range(n)], names, keep)
             for b in range(n)]
     theta0 = potential_from_gradient(grad, names, keep)
 
     # unity-direction normalization: d theta / dv^iota = theta_{g,m}
-    diff_iota = _filtered(cal.theta[(g, m)] - theta0.diff(names[iota - 1]), keep)
-    if not _is_constant(diff_iota):
-        raise ObstructionError(
-            f"{spec.name}: unity normalization fails at level {m + 1} for index {g}")
-    affine = {iota: diff_iota.constant_term()}
+    affine = {iota: _constant(
+        _filtered(cal.theta[(g, m)] - grad[iota - 1], keep),
+        f"{spec.name}: unity normalization fails at level {level} for index {g}")}
 
     # gradient quasi-homogeneity fixes the remaining linear coefficients
-    level = m + 1
     for b in range(1, n + 1):
-        gb = theta0.diff(names[b - 1])
         coeff = level + spec.mu[g - 1] + spec.mu[b - 1]
-        resid = spec.euler_residual(gb, coeff)
-        for k in range(1, level + 1):
-            for rho in range(1, n + 1):
-                r = spec.r_entry(k, rho, g)
-                if r:
-                    lower = (cal.grad(rho, level - k, b) if level - k > 0
-                             else ClosedForm.const(t.eta[rho - 1][b - 1]))
-                    resid = resid - lower * r
-        resid = _filtered(resid, keep)
-        if not _is_constant(resid):
-            raise ObstructionError(
-                f"{spec.name}: homogeneity obstruction at level {level}, "
-                f"indices ({g},{b}); wrong R?")
-        cval = resid.constant_term()
+        cval = _constant(_euler_rule(
+            spec, grad[b - 1], coeff,
+            [(g, range(1, level + 1), lambda rho, k: cal.grad(rho, level - k, b))], keep),
+            f"{spec.name}: homogeneity obstruction at level {level}, indices ({g},{b}); wrong R?")
         if b == iota:
             # already fixed; the equation must close on its own
             if cval + coeff * affine[iota] != 0:
@@ -168,21 +184,11 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
 
     # scalar quasi-homogeneity pins the additive constant
     coeff_s = level + 1 + spec.mu[g - 1] + spec.mu[iota - 1]
-    resid = spec.euler_residual(theta1, coeff_s)
-    for r_ in range(1, level + 1):
-        for rho in range(1, n + 1):
-            rv = spec.r_entry(r_, rho, g)
-            if rv:
-                resid = resid - cal.theta[(rho, level - r_)] * rv
-    for rho in range(1, n + 1):
-        rv = spec.r_entry(level + 1, rho, g)
-        if rv:
-            resid = resid - ClosedForm.const(t.eta[rho - 1][iota - 1] * rv)
-    resid = _filtered(resid, keep)
-    if not _is_constant(resid):
-        raise ObstructionError(
-            f"{spec.name}: scalar homogeneity obstruction at level {level}, index {g}")
-    cval = resid.constant_term()
+    cval = _constant(_euler_rule(
+        spec, theta1, coeff_s,
+        [(g, range(1, level + 1), lambda rho, k: cal.theta[(rho, level - k)]),
+         (g, (level + 1,), lambda rho, k: ClosedForm.const(t.eta[rho - 1][iota - 1]))], keep),
+        f"{spec.name}: scalar homogeneity obstruction at level {level}, index {g}")
     if coeff_s == 0:
         if cval != 0:
             raise ObstructionError(
@@ -190,25 +196,6 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
     else:
         theta1 = theta1 + ClosedForm.const(cval * (F(1) / coeff_s))
     return theta1
-
-
-@dataclass
-class TwoPointTable:
-    cal: Calibration
-    omega: dict = field(default_factory=dict)   # (alpha, m1, beta, m2) -> ClosedForm
-
-    def entry(self, alpha: int, m1: int, beta: int, m2: int) -> ClosedForm:
-        key = (alpha, m1, beta, m2)
-        if key not in self.omega:
-            self.omega[key] = _omega_entry(self.cal, alpha, m1, beta, m2)
-        return self.omega[key]
-
-
-def _omega_entry(cal: Calibration, alpha: int, m1: int, beta: int, m2: int) -> ClosedForm:
-    if m1 + m2 + 1 > cal.m_max:
-        raise OrderExceededError(
-            f"need calibration level {m1 + m2 + 1} > m_max {cal.m_max}")
-    return _signed_pairings(cal.pairing, alpha, m1 + 1, beta, m2)
 
 
 def _signed_pairings(pairing, alpha: int, l: int, beta: int, m: int):
@@ -219,45 +206,32 @@ def _signed_pairings(pairing, alpha: int, l: int, beta: int, m: int):
     return type(parts[0][1]).signed_sum(parts)
 
 
-def two_point_table(cal: Calibration, order: int) -> TwoPointTable:
-    """All entries with m1 + m2 <= order."""
-    table = TwoPointTable(cal)
+def two_point_table(cal: Calibration, order: int) -> Calibration:
+    """Builds every entry with m1 + m2 <= order in `cal.omega` and returns `cal`."""
     n = cal.spec.n
     for m1 in range(order + 1):
         for m2 in range(order + 1 - m1):
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    table.omega[(a, m1, b, m2)] = _omega_entry(cal, a, m1, b, m2)
-    return table
+                    cal.entry(a, m1, b, m2)
+    return cal
 
 
-def check_homogeneity(table: TwoPointTable) -> dict:
-    """Euler action on every computed two-point entry; exact (or to cutoff)."""
-    cal = table.cal
+def check_homogeneity(cal: Calibration) -> dict:
+    """The R-corrected Euler rule on every two-point entry built on `cal`;
+    exact (or to the cutoff)."""
     spec = cal.spec
-    n = spec.n
     keep = spec.exp_filter()
     failures = []
-    for (a, m1, b, m2), om in sorted(table.omega.items()):
-        resid = spec.euler_residual(om, m1 + m2 + 1 + spec.mu[a - 1] + spec.mu[b - 1])
-        for r_ in range(1, m1 + 1):
-            for g in range(1, n + 1):
-                rv = spec.r_entry(r_, g, a)
-                if rv:
-                    resid = resid - table.entry(g, m1 - r_, b, m2) * rv
-        for r_ in range(1, m2 + 1):
-            for g in range(1, n + 1):
-                rv = spec.r_entry(r_, g, b)
-                if rv:
-                    resid = resid - table.entry(a, m1, g, m2 - r_) * rv
-        for g in range(1, n + 1):
-            rv = spec.r_entry(m1 + m2 + 1, g, a)
-            if rv:
-                resid = resid - ClosedForm.const(rv * cal.tensors.eta[g - 1][b - 1] * (-1) ** m2)
-        resid = _filtered(resid, keep)
-        if not resid.is_zero():
+    for (a, m1, b, m2), om in sorted(cal.omega.items()):
+        sides = [(a, range(1, m1 + 1), lambda g, k: cal.entry(g, m1 - k, b, m2)),
+                 (b, range(1, m2 + 1), lambda g, k: cal.entry(a, m1, g, m2 - k)),
+                 (a, (m1 + m2 + 1,),
+                  lambda g, k: ClosedForm.const(cal.tensors.eta[g - 1][b - 1] * (-1) ** m2))]
+        weight = m1 + m2 + 1 + spec.mu[a - 1] + spec.mu[b - 1]
+        if not _euler_rule(spec, om, weight, sides, keep).is_zero():
             failures.append((a, m1, b, m2))
-    return {"pass": not failures, "failures": failures, "entries": len(table.omega)}
+    return {"pass": not failures, "failures": failures, "entries": len(cal.omega)}
 
 
 def theta_matrix_coefficients(cal: Calibration, m_max: int | None = None) -> list:

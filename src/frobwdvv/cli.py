@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+from decimal import Context
 from fractions import Fraction
 
 SCHEMA = "frobwdvv/1"
@@ -24,7 +25,7 @@ def _emit(report: dict, path: str | None, fmt: str) -> None:
         lines = ["index,value,decimal"]
         for key, val in rows:
             key = f'"{key}"' if "," in key else key
-            lines.append(f"{key},{val},{float(Fraction(val)):.12g}")
+            lines.append(f"{key},{val},{_decimal(Fraction(val))}")
         text = "\n".join(lines) + "\n"
     else:
         lines = [f"# {report.get('command', '')}"]
@@ -43,6 +44,14 @@ def _emit(report: dict, path: str | None, fmt: str) -> None:
         os.replace(tmp, path)
     else:
         sys.stdout.write(text)
+
+
+def _decimal(q: Fraction) -> str:
+    """q to 12 significant digits as a float prints them, also past the float range."""
+    try:
+        return f"{float(q):.12g}"
+    except OverflowError:
+        return f"{Context(prec=12).divide(q.numerator, q.denominator).normalize():.12g}"
 
 
 def _jsonable(x):
@@ -74,6 +83,11 @@ def _sign(text: str) -> int:
     if int(text) not in (1, -1):
         raise ValueError(text)
     return int(text)
+
+
+def _at_least(flag: str, value, low) -> None:
+    if not value >= low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
 
 
 def _check_kappa(spec, kappa: int) -> None:
@@ -119,6 +133,7 @@ def cmd_wdvv_check(args) -> int:
 def cmd_calibrate(args) -> int:
     from .calibration import (check_homogeneity, check_orthogonality,
                               solve_calibration, two_point_table)
+    _at_least("--order", args.order, 1)
     spec = _load(args)
     cal = solve_calibration(spec, args.order)
     orth = check_orthogonality(cal)
@@ -143,6 +158,9 @@ def cmd_legendre(args) -> int:
     from .legendre import (check_gradient_identity, check_metric_transport,
                            check_unity_rule, round_trip, transform,
                            transport_calibration, verify_euler_hat)
+    # below order 3 the round trip's hat Hessian is empty
+    _at_least("--order", args.order, 3)
+    _at_least("--m-max", args.m_max, 1)
     spec = _load(args)
     _check_kappa(spec, args.kappa)
     center = _default_center(spec, args.center)
@@ -195,6 +213,10 @@ def _default_center(spec, arg):
 
 def cmd_verify_omega(args) -> int:
     from .legendre import transform, verify_omega_transport
+    _at_least("--order", args.order, 1)
+    # the check reads levels up to --m-max - 1; an entry needs level m1 + m2 + 1
+    _at_least("--m-max", args.m_max, 2)
+    _at_least("--table-order", args.table_order, 0)
     spec = _load(args)
     _check_kappa(spec, args.kappa)
     center = _default_center(spec, args.center)
@@ -214,8 +236,7 @@ def cmd_recursion(args) -> int:
     from . import solver
     name = args.name
     max_n = args.max if args.max is not None else {"ckl": 8, "a21": 19}.get(name, 6)
-    if max_n < 1:
-        raise UsageError(f"--max must be at least 1, got {max_n}")
+    _at_least("--max", max_n, 1)
     if name == "nd":
         out = solver.recursion_nd(max_n)
         dual = solver.nd_via_ode_route(min(max_n, 6))
@@ -281,6 +302,8 @@ def cmd_genus1(args) -> int:
 def cmd_monodromy(args) -> int:
     from .core import build_tensors
     from .monodromy import monodromy_identities, stokes_and_connection
+    if not args.tol > 0:
+        raise UsageError(f"--tol must be positive, got {args.tol}")
     spec = _load(args)
     point = _values(spec, args.point, "--point")
     signs = _values(spec, args.signs, "--signs", _sign, "signs (1 or -1)") if args.signs else None

@@ -10,8 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import specs
-from .calibration import (Calibration, OrderExceededError, TwoPointTable, _signed_pairings,
-                          solve_calibration)
+from .calibration import Calibration, _signed_pairings, solve_calibration
 from .closedform import ClosedForm
 from .core import FrobeniusSpec, Tensors, build_tensors, hat_point
 from .linalg import raise_index
@@ -42,7 +41,6 @@ class LegendreResult:
     spec: FrobeniusSpec
     tensors: Tensors
     cal: Calibration
-    table: TwoPointTable
     kappa: int
     center: tuple
     grading: Grading
@@ -57,7 +55,7 @@ class LegendreResult:
 
     def hat_lower_forms(self) -> list[ClosedForm]:
         """Lowered hat coordinates as closed forms of the straight variables."""
-        return [self.table.entry(a, 0, self.kappa, 0) for a in range(1, self.spec.n + 1)]
+        return [self.cal.entry(a, 0, self.kappa, 0) for a in range(1, self.spec.n + 1)]
 
     def hat_upper_forms(self) -> list[ClosedForm]:
         return raise_index(self.hat_lower_forms(), self.tensors.eta_inv)
@@ -139,7 +137,6 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
         spec = specs.deepen_spec(spec, _needed_depth(spec, center, order, m_max))
     t = build_tensors(spec)
     cal = solve_calibration(spec, 1, t)
-    table = TwoPointTable(cal)
     center = tuple(F(c) if isinstance(c, int) else c for c in center)
     if spec.exp_cutoff is not None:
         # a finite exponential truncation is only approximately integrable, so
@@ -148,12 +145,12 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
     grading = Grading.total_degree(spec.n, order)
     memo: dict = {}
     inverse, fhat = _hat_step(
-        lambda a, b: localize(table.entry(a + 1, 0, b + 1, 0), spec.varnames, center, grading,
+        lambda a, b: localize(cal.entry(a + 1, 0, b + 1, 0), spec.varnames, center, grading,
                               memo), t.eta_inv, kappa)
     solve_calibration(spec, m_max, t, cal)
     hat = inverse.components[0]
     return LegendreResult(
-        spec=spec, tensors=t, cal=cal, table=table, kappa=kappa, center=center,
+        spec=spec, tensors=t, cal=cal, kappa=kappa, center=center,
         grading=grading, hat_center=hat.center, hat_vars=hat.vars, inverse_map=inverse,
         hat_potential=fhat, hat_charge=-2 * spec.mu[kappa - 1],
         hat_shifts=tuple(spec.r_entry(1, b, kappa) for b in range(1, spec.n + 1)),
@@ -209,13 +206,10 @@ def pullback(result: LegendreResult, f: ClosedForm) -> TruncSeries:
 
 def transport_calibration(result: LegendreResult, m_max: int) -> dict:
     """Hat calibration theta-hat_{a,m} = Omega_{a,m;kappa,0} o (inverse map)."""
-    if m_max + 1 > result.cal.m_max:
-        raise OrderExceededError(f"transport needs calibration to level {m_max + 1}")
     out = {}
     for a in range(1, result.spec.n + 1):
         for m in range(m_max + 1):
-            om = result.table.entry(a, m, result.kappa, 0)
-            out[(a, m)] = pullback(result, om)
+            out[(a, m)] = pullback(result, result.cal.entry(a, m, result.kappa, 0))
     return out
 
 
@@ -273,7 +267,7 @@ def verify_omega_transport(result: LegendreResult, order: int, m_max: int) -> di
             for a in range(1, result.spec.n + 1):
                 for b in range(1, result.spec.n + 1):
                     lhs = hat_omega_from_thetas(result, hat_thetas, a, m1, b, m2)
-                    rhs = pullback(result, result.table.entry(a, m1, b, m2))
+                    rhs = pullback(result, result.cal.entry(a, m1, b, m2))
                     diff = (lhs - rhs).truncate(lhs.grading.order - 1)
                     checked += 1
                     if not _vanishes(diff):

@@ -347,12 +347,7 @@ class SlotFamily:
 
 @dataclass
 class SlotSolution:
-    family: str
     values: dict                        # key -> scalar
-    undetermined: list
-    equations_used: int
-    max_depth_used: int
-    audits: dict = field(default_factory=dict)
 
 
 def _c_rows(f: ClosedForm, varnames, prefactors) -> dict:
@@ -494,12 +489,10 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
 
     solved = _solve_polynomial_equations(fam.name, eq_list, unknown_keys, solution)
 
-    undetermined = [k for k in unknown_keys if k not in solved]
-    bad = [k for k in undetermined if level_of[k] <= target_levels]
+    bad = [k for k in unknown_keys if k not in solved and level_of[k] <= target_levels]
     if bad:
         raise UnderdeterminedError(f"{fam.name}: could not determine {bad}")
-    return SlotSolution(fam.name, solved, undetermined, len(eq_list),
-                        max((fam.depth(m) for (_, _, m) in equations), default=0))
+    return SlotSolution(solved)
 
 
 def _poly_substitute(poly: dict, known: dict):
@@ -755,7 +748,7 @@ def solve_ckl(max_level: int = 8) -> RecursionOutput:
     ckl = {}
     pattern_ok = True
     for key, v in sol.values.items():
-        if key[0] != "C" or key in sol.undetermined:
+        if key[0] != "C":
             continue
         _, k, l = key
         if k + l > max_level:

@@ -95,6 +95,13 @@ def twodim_spec(m: Fraction, c: Fraction, name: str = "twodim") -> FrobeniusSpec
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
+def _vector(vals, n: int, field: str) -> tuple:
+    """The n rationals of the spec field `field`."""
+    if len(vals) != n:
+        raise SpecParseError(f"{field} needs {n} entries, got {len(vals)}")
+    return tuple(F(x) for x in vals)
+
+
 def spec_from_json_obj(obj: dict, params: dict | None = None) -> FrobeniusSpec:
     try:
         name = obj.get("name", "spec")
@@ -103,7 +110,10 @@ def spec_from_json_obj(obj: dict, params: dict | None = None) -> FrobeniusSpec:
             if "m" not in params or "c" not in params:
                 raise SpecParseError("twodim spec needs --param m=... and c=...")
             return twodim_spec(F(params["m"]), F(params["c"]), name)
-        varnames = tuple(obj["variables"])
+        varnames = obj["variables"]
+        if not isinstance(varnames, list) or not all(isinstance(v, str) for v in varnames):
+            raise SpecParseError(f"variables must be a list of names, got {varnames!r}")
+        n = len(varnames)
         pot_obj = obj["potential"]
         generator = None
         if "generator" in pot_obj:
@@ -115,29 +125,34 @@ def spec_from_json_obj(obj: dict, params: dict | None = None) -> FrobeniusSpec:
             potential = fn(generator[1])
         else:
             potential = ClosedForm.from_json_obj(pot_obj)
-        mu = tuple(F(x) for x in obj["mu"])
+        mu = _vector(obj["mu"], n, "mu")
         rmats = {}
         for blk in obj.get("R", []):
             s = int(blk["s"])
-            mat = [[F(0)] * len(varnames) for _ in varnames]
+            mat = [[F(0)] * n for _ in varnames]
             for r, c, v in blk["entries"]:
+                if not (1 <= int(r) <= n and 1 <= int(c) <= n):
+                    raise SpecParseError(f"R_{s} entry ({r}, {c}) is outside 1..{n}")
                 mat[int(r) - 1][int(c) - 1] = F(v)
             rmats[s] = tuple(tuple(row) for row in mat)
-        shifts = tuple(F(x) for x in obj.get("euler", {}).get("shifts", ["0"] * len(varnames)))
+        shifts = _vector(obj.get("euler", {}).get("shifts", ["0"] * n), n, "euler.shifts")
+        unity = int(obj["unity_index"])
+        if not 1 <= unity <= n:
+            raise SpecParseError(f"unity_index must be in 1..{n}, got {unity}")
         cutoff = obj.get("grading", {}).get("exp_cutoff")
         spec = FrobeniusSpec(
-            name=name, varnames=varnames, unity=int(obj["unity_index"]),
+            name=name, varnames=tuple(varnames), unity=unity,
             potential=potential, charge=F(obj["charge"]), mu=mu, rmats=rmats,
             euler_shifts=shifts,
             exp_cutoff=F(cutoff) if cutoff is not None else None,
             generator=generator)
         if "linear" in obj.get("euler", {}):
-            lin = [F(x) for x in obj["euler"]["linear"]]
+            lin = _vector(obj["euler"]["linear"], n, "euler.linear")
             for b in range(1, spec.n + 1):
                 if lin[b - 1] != spec.euler_linear(b):
                     raise SpecParseError(f"euler linear part inconsistent with mu at {b}")
         return spec
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, SpecParseError):
             raise
         raise SpecParseError(f"malformed spec: {exc}") from exc

@@ -5,7 +5,7 @@ import pytest
 
 from frobwdvv import calibration
 from frobwdvv.calibration import (
-    Calibration, ObstructionError, OrderExceededError, _omega_entry, _signed_pairings,
+    Calibration, ObstructionError, OrderExceededError, _signed_pairings,
     check_homogeneity, check_orthogonality, solve_calibration, theta_matrix_coefficients,
     two_point_table,
 )
@@ -133,6 +133,27 @@ def test_theta_matrices_match_explicit_index_raising(p1_cal, a2_cal):
                     assert got.to_json_obj() == s.to_json_obj()
 
 
+def test_two_point_table_is_kept_on_the_calibration():
+    cal = solve_calibration(load_spec("p1"), 2)
+    assert two_point_table(cal, 1) is cal
+    assert set(cal.omega) == {(a, m1, b, m2) for m1 in range(2) for m2 in range(2 - m1)
+                              for a in (1, 2) for b in (1, 2)}
+    assert cal.entry(1, 1, 2, 0) is cal.omega[(1, 1, 2, 0)]
+
+
+def test_homogeneity_reads_the_r_terms():
+    # a correct p1 calibration checked against its spec with R_1 doubled (the
+    # Euler field is unchanged): only the R-terms of the rule tell them apart
+    cal = solve_calibration(load_spec("p1"), 4)
+    spec = cal.spec
+    doubled = replace(spec, rmats={1: tuple(tuple(2 * x for x in row) for row in spec.rmats[1])})
+    bad = Calibration(doubled, cal.tensors, cal.m_max, dict(cal.theta))
+    assert check_homogeneity(two_point_table(cal, 3))["pass"]
+    rep = check_homogeneity(two_point_table(bad, 3))
+    # R_1 acts on index 1 only; 22 of the 40 entries see it
+    assert len(rep["failures"]) == 22 and all(1 in (a, b) for a, _, b, _ in rep["failures"])
+
+
 def test_order_exceeded(p1_cal):
     tab = two_point_table(p1_cal, 0)
     with pytest.raises(OrderExceededError):
@@ -186,7 +207,7 @@ def test_pairing_table_matches_fresh_products(name, m_max):
                 for m2 in range(m_max - m1):
                     want = _fresh_pairing_sum(cal, a, b, [((-1) ** j, m1 + j + 1, m2 - j)
                                                           for j in range(m2 + 1)])
-                    assert _omega_entry(cal, a, m1, b, m2) == want, (a, m1, b, m2)
+                    assert cal.entry(a, m1, b, m2) == want, (a, m1, b, m2)
             for k in range(m_max + 1):
                 want = _fresh_pairing_sum(cal, a, b, [((-1) ** (k - j), j, k - j)
                                                       for j in range(k + 1)])
@@ -241,10 +262,10 @@ def test_hessian_is_built_on_the_upper_triangle(monkeypatch, name):
 
 
 def test_euler_residuals_take_no_derivative_or_product(monkeypatch):
-    # E f - w f is one pass over the terms of f. Per p2 level, the unity
-    # normalization and the n gradient components theta0.diff(v) are the only
-    # derivatives outside the Hessian, the cached gradients and
-    # potential_from_gradient, and the Hessian sums are the only products
+    # E f - w f is one pass over the terms of f. Per p2 level, the Euler rules
+    # read the gradient that potential_from_gradient built, so no derivative is
+    # taken outside the Hessian, the cached gradients and potential_from_gradient,
+    # and the Hessian sums are the only products
     spec = load_spec("p2")
     n = spec.n
     t = build_tensors(spec)
@@ -279,7 +300,7 @@ def test_euler_residuals_take_no_derivative_or_product(monkeypatch):
         return out
     monkeypatch.setattr(calibration, "_solve_next_level", counting_level)
     cal = solve_calibration(spec, 3, t)
-    assert per_level == [(n + 1, 0)] * (3 * n)
+    assert per_level == [(0, 0)] * (3 * n)
 
     diffs[0] = products[0] = 0
     for f in [spec.potential, *cal.theta.values()]:

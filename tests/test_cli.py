@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,15 @@ def test_recursion_csv_format(capsys):
     assert lines[0] == "index,value,decimal"
     assert lines[2].startswith("1,1,")
     assert lines[4].startswith("3,104,")
+
+
+def test_recursion_csv_past_the_float_range(capsys):
+    # N_67 is past the float range; its decimal is rounded from the exact value
+    code, out = run(capsys, "recursion", "nd", "--max", "67", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[66].endswith(",4.40747828485e+305")
+    assert lines[67].startswith("67,454805236428316909") and lines[67].endswith(",4.54805236428e+311")
 
 
 def test_deterministic_output(capsys):
@@ -99,6 +109,13 @@ def test_monodromy_at_wide_spread(capsys):
     (["verify-omega", "p1", "--kappa", "0"], "--kappa"),
     (["genus1-check", "twodim", "--param", "c=1"], "--param"),
     (["genus1-check", "twodim", "--param", "m=abc", "--param", "c=1"], "--param"),
+    (["legendre", "p1", "--kappa", "2", "--order", "2"], "--order"),
+    (["legendre", "p1", "--kappa", "2", "--m-max", "0"], "--m-max"),
+    (["verify-omega", "p1", "--kappa", "2", "--order", "0"], "--order"),
+    (["verify-omega", "p1", "--kappa", "2", "--m-max", "1"], "--m-max"),
+    (["verify-omega", "p1", "--kappa", "2", "--table-order", "-1"], "--table-order"),
+    (["calibrate", "p1", "--order", "0"], "--order"),
+    (["monodromy", "a2", "--point", "0,3", "--phi", "2.35", "--tol", "0"], "--tol"),
 ])
 def test_malformed_option_values_exit_2(capsys, argv, flag):
     assert main(argv) == 2
@@ -168,10 +185,29 @@ def test_unknown_spec_exit_code(capsys):
     assert "SpecParseError" in capsys.readouterr().err
 
 
-def test_malformed_spec_file_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("change, field", [
+    pytest.param(None, "malformed spec", id="truncated-json"),
+    pytest.param({"unity_index": 5}, "unity_index", id="unity-index-5"),
+    pytest.param({"mu": ["-1/2"]}, "mu", id="one-entry-mu"),
+    pytest.param({"mu": ["-1/2", "1/2", "0"]}, "mu", id="three-entry-mu"),
+    pytest.param({"euler": {"linear": ["1", "0"], "shifts": ["0"]}}, "euler.shifts",
+                 id="one-entry-shifts"),
+    pytest.param({"euler": {"linear": ["1"], "shifts": ["0", "2"]}}, "euler.linear",
+                 id="one-entry-linear"),
+    pytest.param({"R": [{"s": 1, "entries": [[3, 1, "2"]]}]}, "R_1", id="r-entry-row-3"),
+    pytest.param({"variables": "v1"}, "variables", id="variables-string"),
+])
+def test_malformed_spec_file_exit_code(tmp_path, capsys, change, field):
+    # each a copy of the bundled p1 spec with one field changed
     bad = tmp_path / "bad.json"
-    bad.write_text('{"name": "x"')
+    if change is None:
+        bad.write_text('{"name": "x"')
+    else:
+        obj = json.loads(resources.files("frobwdvv").joinpath("specs/p1.json").read_text())
+        bad.write_text(json.dumps({**obj, **change}))
     assert main(["wdvv-check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "SpecParseError" in err and field in err
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

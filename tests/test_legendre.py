@@ -205,6 +205,22 @@ def test_transform_ends_with_the_full_calibration(name, center, m_max):
     assert json.dumps(res.cal.to_json_obj()) == json.dumps(want)
 
 
+def test_transform_expands_the_calibration_two_point_entries(monkeypatch):
+    # the Hessian of the hat step is Omega_{a,0;b,0} = d_a d_b F, kept on the
+    # result's calibration
+    forms = []
+    orig = legendre.localize
+    monkeypatch.setattr(legendre, "localize", lambda f, *a: forms.append(f) or orig(f, *a))
+    res = transform(load_spec("a2"), 2, (F(0), F(3)), 6, m_max=3)
+    spec, n = res.spec, res.spec.n
+    assert set(res.cal.omega) == {(a, 0, b, 0) for a in range(1, n + 1) for b in range(1, n + 1)}
+    assert {id(f) for f in forms} == {id(f) for f in res.cal.omega.values()}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            hess = spec.potential.diff(spec.varnames[a - 1]).diff(spec.varnames[b - 1])
+            assert res.cal.entry(a, 0, b, 0) == hess
+
+
 def test_float_transform_does_not_import_numpy():
     # the p2 float op of the benchmark: transform, transport and the five checks
     code = """
