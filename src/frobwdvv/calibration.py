@@ -175,7 +175,7 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
                     f"{spec.name}: resonant obstruction at level {level}, ({g},{b})")
             affine[b] = F(0)  # free constant: zero choice
         else:
-            affine[b] = cval / coeff
+            affine[b] = cval / F(coeff)
 
     theta1 = theta0
     for b, ab in affine.items():
@@ -194,7 +194,7 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
             raise ObstructionError(
                 f"{spec.name}: resonant scalar obstruction at level {level}, index {g}")
     else:
-        theta1 = theta1 + ClosedForm.const(cval * (F(1) / coeff_s))
+        theta1 = theta1 + ClosedForm.const(cval / F(coeff_s))
     return theta1
 
 

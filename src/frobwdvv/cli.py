@@ -217,6 +217,8 @@ def cmd_verify_omega(args) -> int:
     # the check reads levels up to --m-max - 1; an entry needs level m1 + m2 + 1
     _at_least("--m-max", args.m_max, 2)
     _at_least("--table-order", args.table_order, 0)
+    if args.table_order > args.m_max - 2:
+        raise UsageError(f"--table-order must be at most --m-max - 2, got {args.table_order}")
     spec = _load(args)
     _check_kappa(spec, args.kappa)
     center = _default_center(spec, args.center)
@@ -302,8 +304,8 @@ def cmd_genus1(args) -> int:
 def cmd_monodromy(args) -> int:
     from .core import build_tensors
     from .monodromy import monodromy_identities, stokes_and_connection
-    if not args.tol > 0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < 1:    # it gates errors in entries of size about 1
+        raise UsageError(f"--tol must lie in (0, 1), got {args.tol}")
     spec = _load(args)
     point = _values(spec, args.point, "--point")
     signs = _values(spec, args.signs, "--signs", _sign, "signs (1 or -1)") if args.signs else None

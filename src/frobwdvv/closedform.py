@@ -2,10 +2,10 @@
 
 A generalized monomial is a product of rational powers v^q, nonnegative
 integer powers of log(v), and exponentials e^{c v} with rational c, over a
-set of named variables.  Coefficients are Fraction or Exact (rational plus
-square roots).  The ring is closed under +, *, and partial differentiation,
-and under antidifferentiation for the shapes that occur here (power, power
-times log^k, polynomial times exponential).
+set of named variables.  Coefficients are int, Fraction or Exact (rational plus
+square roots), in the normal form of `exact.normal_scalar`.  The ring is closed
+under +, *, partial differentiation, and antidifferentiation for the shapes
+that occur here (power, power times log^k, polynomial times exponential).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import Exact, as_exact_scalar, rational_power
+from .exact import Exact, normal_scalar, rational_power
 
 __all__ = [
     "Mono", "Cutoff", "ClosedForm", "BranchPointError", "NotIntegrableError", "NeedsFloatError",
@@ -95,11 +95,8 @@ class Cutoff(NamedTuple):
 
 
 def _exponent(e) -> int | Fraction:
-    """An exponent in normal form: int when integral, else Fraction."""
-    if type(e) is int:
-        return e
-    e = Fraction(e)
-    return e.numerator if e.denominator == 1 else e
+    """An exponent in normal form (`normal_scalar`): int when integral, else Fraction."""
+    return e if type(e) is int else normal_scalar(Fraction(e))
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -132,12 +129,12 @@ def _merge(a: tuple, b: tuple) -> tuple:
 
 
 def _acc(out: dict, m: Mono, c) -> None:
-    """out[m] += c, dropping the entry when it cancels."""
+    """out[m] += c, stored in normal form and dropped when it cancels."""
     if c:
         s = out.get(m)
         s = c if s is None else s + c
         if s:
-            out[m] = s
+            out[m] = normal_scalar(s)
         else:
             out.pop(m, None)
 
@@ -154,7 +151,7 @@ class ClosedForm:
         clean: dict[Mono, object] = {}
         if terms:
             for m, c in terms.items():
-                c = as_exact_scalar(c)
+                c = normal_scalar(c)
                 if c:
                     clean[m] = c
         object.__setattr__(self, "terms", clean)
@@ -198,7 +195,8 @@ class ClosedForm:
         if isinstance(other, (int, Fraction, Exact)):
             if not other:
                 return ClosedForm.zero()
-            return ClosedForm({m: c * other for m, c in self.terms.items()}, _clean=True)
+            other = normal_scalar(other)    # the constructor normalizes each product
+            return ClosedForm({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, ClosedForm):
             return NotImplemented
         return ClosedForm.sum_of_products(((1, self, other),))
@@ -228,7 +226,7 @@ class ClosedForm:
             if not scale or not f.terms or not g.terms:
                 continue
             left = f.terms.items() if scale == 1 else \
-                [(m, c * scale) for m, c in f.terms.items()]
+                [(m, normal_scalar(c * scale)) for m, c in f.terms.items()]
             right = g.terms.items()
             if cut is not None:
                 depth, cap = cut
@@ -242,7 +240,7 @@ class ClosedForm:
                     s = out.get(m)
                     s = c1 * c2 if s is None else s + c1 * c2
                     if s:
-                        out[m] = s
+                        out[m] = normal_scalar(s)
                     else:
                         out.pop(m, None)
         return ClosedForm(out, _clean=True)
@@ -303,7 +301,7 @@ class ClosedForm:
         return out
 
     def constant_term(self):
-        return self.terms.get(_ONE, Fraction(0))
+        return self.terms.get(_ONE, 0)
 
     def filter(self, keep: Callable[[Mono], bool]) -> "ClosedForm":
         return ClosedForm({m: c for m, c in self.terms.items() if keep(m)}, _clean=True)
@@ -341,17 +339,19 @@ class ClosedForm:
                 for m2, c2 in _integrate_term(m, c, var).terms.items():
                     _acc(out, m2, c2)
             else:   # the pure power c v^q, written directly
-                _acc(out, Mono(_merge(m.powers, ((var, 1),)), m.logs, m.exps), c / (q + 1))
+                _acc(out, Mono(_merge(m.powers, ((var, 1),)), m.logs, m.exps), c / Fraction(q + 1))
         return ClosedForm(out, _clean=True)
 
     def euler_residual(self, field: dict[str, tuple], weight) -> "ClosedForm":
         """E f - weight * f for E = sum_v (d_v v + r_v) d/dv, field = {v: (d_v, r_v)}, in one
         pass: v^q log^k e^{cv} goes to itself times d q + r c, and to r q v^{q-1},
         d k log^{k-1}, r k v^{q-1} log^{k-1} and d c v^{q+1} (times the rest of the term)."""
+        field = {v: (normal_scalar(d), normal_scalar(r)) for v, (d, r) in field.items()}
+        neg_weight = -normal_scalar(weight)
         out: dict[Mono, object] = {}
         for m, c in self.terms.items():
             powers, logs, exps = m
-            w = -weight
+            w = neg_weight
             for v, q in powers:
                 d, r = field.get(v, (0, 0))
                 w += d * q
@@ -367,7 +367,7 @@ class ClosedForm:
                 w += r * e
                 if d:
                     _acc(out, Mono(_merge(powers, ((v, 1),)), logs, exps), c * (d * e))
-            _acc(out, m, c * w)
+            _acc(out, m, c * normal_scalar(w))
         return ClosedForm(out, _clean=True)
 
     # -- evaluation -------------------------------------------------------
@@ -473,7 +473,7 @@ class ClosedForm:
         for t in obj["terms"]:
             c = Fraction(t["coeff"])
             rad = int(t.get("radical", 1))
-            coeff = as_exact_scalar(Exact({rad: c}))
+            coeff = Exact({rad: c})
             m = Mono.make({v: Fraction(e) for v, e in t.get("powers", {}).items()},
                           {v: int(e) for v, e in t.get("logs", {}).items()},
                           {v: Fraction(e) for v, e in t.get("exps", {}).items()})

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, mul, sub, truediv
 
 __all__ = ["Exact", "ExactZeroDivision", "sqrt_fraction", "nth_root_fraction", "rational_power",
-           "as_exact_scalar", "scalar_is_exact"]
+           "as_exact_scalar", "normal_scalar", "scalar_is_exact"]
 
 
 class ExactZeroDivision(ZeroDivisionError):
@@ -314,6 +314,17 @@ def as_exact_scalar(x):
         return x.as_fraction() if x.is_rational() else x
     if isinstance(x, int):
         return Fraction(x)
+    return x
+
+
+def normal_scalar(x):
+    """Normal form of closed-form coefficients and exponents: int when integral, Fraction
+    when a proper rational, Exact only while a radical is left; others pass through."""
+    t = type(x)
+    if t is Fraction:
+        return x if x.denominator != 1 else x.numerator
+    if t is Exact and x.is_rational():
+        return normal_scalar(x.as_fraction())
     return x
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import specs
-from .calibration import Calibration, _signed_pairings, solve_calibration
+from .calibration import Calibration, OrderExceededError, _signed_pairings, solve_calibration
 from .closedform import ClosedForm
 from .core import FrobeniusSpec, Tensors, build_tensors, hat_point
 from .linalg import raise_index
@@ -88,7 +88,7 @@ def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
                     continue
                 ib = list(ia)
                 ib[b] -= 1
-                cand = w[a][b].coeffs.get(tuple(ib), F(0)) / (idx[a] * ia[b])
+                cand = w[a][b].coeffs.get(tuple(ib), F(0)) / F(idx[a] * ia[b])
                 if val is None:
                     val = cand
                 else:
@@ -256,14 +256,15 @@ def hat_omega_from_thetas(result: LegendreResult, hat_thetas: dict,
 
 
 def verify_omega_transport(result: LegendreResult, order: int, m_max: int) -> dict:
-    """Hat two-point functions equal the straight ones after the coordinate map."""
+    """Hat two-point functions equal the straight ones after the coordinate map,
+    for every entry of order m1 + m2 <= order; that needs level order + 1 <= m_max."""
+    if order + 1 > m_max:
+        raise OrderExceededError(f"table order {order} needs level {order + 1} > m_max {m_max}")
     hat_thetas = transport_calibration(result, m_max)
     failures = []
     checked = 0
     for m1 in range(order + 1):
         for m2 in range(order + 1 - m1):
-            if m1 + m2 + 1 > m_max:
-                continue
             for a in range(1, result.spec.n + 1):
                 for b in range(1, result.spec.n + 1):
                     lhs = hat_omega_from_thetas(result, hat_thetas, a, m1, b, m2)

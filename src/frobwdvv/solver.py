@@ -119,7 +119,7 @@ def _solve_univariate(name: str, residual: Callable[[dict], dict], indices: list
         lin_check = uadd(r2, uscale(r1, -2), r0)
         if lin_check.get(pivot):
             raise InconsistentSystemError(f"{name}: equation not affine in coefficient {k}")
-        val = -r0.get(pivot, F(0)) / diff[pivot]
+        val = -r0.get(pivot, F(0)) / F(diff[pivot])
         coeffs[k] = val
         res = residual(coeffs)
         for i in sorted(res):

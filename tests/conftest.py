@@ -9,6 +9,27 @@ from frobwdvv.exact import Exact
 F = Fraction
 
 
+def assert_normal_scalar(c):
+    """c is an exact coefficient in normal form: an int exactly when it is
+    integral, a Fraction only when it is a proper rational, an Exact only while
+    a radical is left; never a float, a bool or an integral Fraction."""
+    assert type(c) in (int, Fraction, Exact), repr(c)
+    if type(c) is Fraction:
+        assert c.denominator != 1, repr(c)
+    if type(c) is Exact:
+        assert not c.is_rational(), repr(c)
+
+
+def assert_same_types(got, want):
+    """got and want (closed forms or {monomial: coefficient} dicts) have the same
+    monomials with coefficients of the same exact type, and every coefficient of
+    both is in normal form (assert_normal_scalar)."""
+    got, want = getattr(got, "terms", got), getattr(want, "terms", want)
+    assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
+    for c in (*got.values(), *want.values()):
+        assert_normal_scalar(c)
+
+
 @pytest.fixture(scope="session")
 def a2_s2_spec():
     """The printed hat potential of a2 in the (2,2) direction, written out by

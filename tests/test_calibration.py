@@ -11,7 +11,9 @@ from frobwdvv.calibration import (
 )
 from frobwdvv.closedform import ClosedForm, Mono, cf_var
 from frobwdvv.core import build_tensors
-from frobwdvv.specs import load_spec
+from frobwdvv.specs import BUILTIN_SPECS, load_spec
+
+from conftest import assert_normal_scalar, assert_same_types
 
 F = Fraction
 
@@ -323,3 +325,38 @@ def test_perturbed_level_two_fails_both_checks(name):
         bad = Calibration(cal.spec, cal.tensors, cal.m_max, theta)
         assert not check_orthogonality(bad)["pass"], alpha
         assert not check_homogeneity(two_point_table(bad, 3))["pass"], alpha
+
+
+def test_bundled_calibrations_and_tables_are_in_normal_form():
+    # every coefficient of the level-4 calibration and of the two-point table on
+    # every bundled spec is an int exactly when it is integral, never a float
+    for name in BUILTIN_SPECS:
+        spec = load_spec(name, {"m": "4", "c": "1/72"} if name == "twodim" else None)
+        cal = two_point_table(solve_calibration(spec, 4), 2 if spec.n >= 4 else 3)
+        for form in (*cal.theta.values(), *cal.omega.values()):
+            for c in form.terms.values():
+                assert_normal_scalar(c)
+
+
+def test_level_solve_divides_exactly_with_an_integral_spectrum(monkeypatch):
+    # the bundled specs leave every constant of the gradient and scalar steps
+    # at 0.  Raised by 1 at p2's last level past the unity direction, where no
+    # weight vanishes, and with p2's integral spectrum given as ints, each step
+    # divides an int constant by an int weight, which must stay exact
+    real = calibration._constant
+
+    def raised(f, message):
+        if "obstruction at level 2," in message and ",1)" not in message:
+            return f.constant_term() + 1
+        return real(f, message)
+
+    monkeypatch.setattr(calibration, "_constant", raised)
+    spec = load_spec("p2")
+    want = solve_calibration(spec, 2)
+    got = solve_calibration(replace(spec, mu=tuple(int(m) for m in spec.mu)), 2)
+    assert got.theta.keys() == want.theta.keys()
+    for key, th in want.theta.items():
+        assert got.theta[key].terms == th.terms, key
+        assert_same_types(got.theta[key], th)
+    # the raised constants reach theta as proper fractions
+    assert any(type(c) is Fraction for c in want.theta[(3, 2)].terms.values())

@@ -116,6 +116,11 @@ def test_monodromy_at_wide_spread(capsys):
     (["verify-omega", "p1", "--kappa", "2", "--table-order", "-1"], "--table-order"),
     (["calibrate", "p1", "--order", "0"], "--order"),
     (["monodromy", "a2", "--point", "0,3", "--phi", "2.35", "--tol", "0"], "--tol"),
+    (["monodromy", "a2", "--point", "0,3", "--phi", "2.35", "--tol", "inf"], "--tol"),
+    (["monodromy", "a2", "--point", "0,3", "--phi", "2.35", "--tol", "1e300"], "--tol"),
+    (["monodromy", "a2", "--point", "0,3", "--phi", "2.35", "--tol", "nan"], "--tol"),
+    (["verify-omega", "p1", "--kappa", "2", "--m-max", "2", "--table-order", "5",
+      "--order", "4"], "--table-order"),
 ])
 def test_malformed_option_values_exit_2(capsys, argv, flag):
     assert main(argv) == 2

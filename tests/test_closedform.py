@@ -11,8 +11,10 @@ from frobwdvv.closedform import (
     cf_const, cf_exp, cf_log, cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
 )
 from frobwdvv.core import build_tensors
-from frobwdvv.exact import Exact, as_exact_scalar
+from frobwdvv.exact import Exact, as_exact_scalar, normal_scalar
 from frobwdvv.specs import load_spec
+
+from conftest import assert_normal_scalar, assert_same_types
 
 F = Fraction
 
@@ -167,20 +169,22 @@ def kernel_forms(draw):
     return f
 
 
-def reference_product(f, g):
-    """Term-by-term product through dicts and Mono.make, independent of the kernel."""
+def mono_product(m1, m2):
+    """The product of two monomials through dicts and Mono.make."""
     def add(a, b):
         out = dict(a)
         for v, e in b:
             out[v] = out.get(v, 0) + e
         return out
+    return Mono.make(add(m1.powers, m2.powers), add(m1.logs, m2.logs), add(m1.exps, m2.exps))
 
+
+def reference_product(f, g):
+    """Term-by-term product through dicts and Mono.make, independent of the kernel."""
     out = ClosedForm.zero()
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
-            m = Mono.make(add(m1.powers, m2.powers), add(m1.logs, m2.logs),
-                          add(m1.exps, m2.exps))
-            out = out + ClosedForm({m: c1 * c2})
+            out = out + ClosedForm({mono_product(m1, m2): c1 * c2})
     return out
 
 
@@ -202,8 +206,7 @@ def test_sum_of_products_equals_filtered_sum(triples, depth, cap):
         want = want.filter(cut)
     got = ClosedForm.sum_of_products(triples, cut)
     assert got.terms == want.terms
-    assert {m: type(c) for m, c in got.terms.items()} == \
-        {m: type(c) for m, c in want.terms.items()}
+    assert_same_types(got, want)
     # cancelling terms leave no zero coefficients behind
     assert not ClosedForm.sum_of_products(triples + [(-s, f, g) for s, f, g in triples],
                                           cut).terms
@@ -242,7 +245,7 @@ def test_add_and_sub_match_dict_reference(f, g, data):
         for form, s in ((f, 1), (g, sign)):
             for m, c in form.terms.items():
                 out[m] = out.get(m, 0) + s * c
-        return {m: as_exact_scalar(c) for m, c in out.items() if c}
+        return {m: normal_scalar(c) for m, c in out.items() if c}
 
     for sign, op in ((1, ClosedForm.__add__), (-1, ClosedForm.__sub__)):
         # g takes over some of f's terms so that they cancel in f op g
@@ -252,8 +255,7 @@ def test_add_and_sub_match_dict_reference(f, g, data):
         got = op(f, h)
         want = reference(f, h, sign)
         assert got.terms == want
-        assert {m: type(c) for m, c in got.terms.items()} == \
-            {m: type(c) for m, c in want.items()}
+        assert_same_types(got, want)
         assert op(f, F(5, 2)).terms == reference(f, ClosedForm.const(F(5, 2)), sign)
     assert not (f - f).terms and not (f + -f).terms
 
@@ -341,8 +343,7 @@ def test_euler_residual_matches_derivative_route(f, field, weight):
     got = f.euler_residual(field, weight)
     want = reference_euler_residual(f, field, weight)
     assert got.terms == want.terms
-    assert {m: type(c) for m, c in got.terms.items()} == \
-        {m: type(c) for m, c in want.terms.items()}
+    assert_same_types(got, want)
     assert all(type(e) is int or e.denominator != 1
                for m in got.terms for _, e in m.powers + m.exps)
 
@@ -456,3 +457,155 @@ def test_evaluate_exact_keeps_the_principal_branch():
     with pytest.raises(NeedsFloatError):
         f.evaluate_exact({"u": F(-8)})
     assert abs(f.evaluate({"u": -8.0}) - 32 * cmath.exp(5j * cmath.pi / 3)) < 1e-12
+
+
+# -- the coefficient normal form ----------------------------------------------
+
+@st.composite
+def normal_coeffs(draw):
+    """An integral, a proper rational or a radical coefficient, as often each."""
+    kind = draw(st.sampled_from(["integral", "rational", "radical"]))
+    if kind == "integral":
+        return draw(st.integers(-6, 6).filter(bool))
+    q = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6)
+             .filter(lambda q: q.denominator != 1))
+    return q if kind == "rational" else q * draw(radicals)
+
+
+@st.composite
+def mixed_forms(draw):
+    """kernel_forms with int, Fraction and Exact coefficients drawn alike."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        m = Mono.make({draw(names): draw(st.fractions(min_value=-2, max_value=3,
+                                                      max_denominator=2))},
+                      {draw(names): draw(st.integers(0, 2))},
+                      {draw(names): draw(st.fractions(min_value=-1, max_value=3,
+                                                      max_denominator=2))})
+        terms[m] = draw(normal_coeffs())
+    return ClosedForm(terms)
+
+
+# rationals as callers pass them: ints, and Fractions that may be integral
+rationals = st.one_of(st.integers(-3, 3), small_rats)
+
+
+def fraction_terms(f):
+    """The coefficients of f as Fraction or Exact, never int."""
+    return {m: as_exact_scalar(c) for m, c in f.terms.items()}
+
+
+def _ref_acc(out, m, c):
+    out[m] = out.get(m, F(0)) + c
+
+
+def _ref_done(out):
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_sum_of_products(triples, cut):
+    out = {}
+    for scale, f, g in triples:
+        for m1, c1 in fraction_terms(f).items():
+            for m2, c2 in fraction_terms(g).items():
+                m = mono_product(m1, m2)
+                if cut is None or cut(m):
+                    _ref_acc(out, m, as_exact_scalar(scale) * c1 * c2)
+    return _ref_done(out)
+
+
+def _ref_signed_sum(pairs):
+    out = {}
+    for sign, f in pairs:
+        for m, c in fraction_terms(f).items():
+            _ref_acc(out, m, F(sign) * c)
+    return _ref_done(out)
+
+
+def _ref_diff(f, v):
+    """d/dv term by term, in Fraction arithmetic: v^q log^k v e^{ev} goes to
+    q v^{q-1} log^k v e^{ev} + k v^{q-1} log^{k-1} v e^{ev} + e v^q log^k v e^{ev}."""
+    out = {}
+    for m, c in fraction_terms(f).items():
+        q, k, e = m.pow_of(v), m.log_of(v), m.exp_of(v)
+        powers, logs, exps = dict(m.powers), dict(m.logs), dict(m.exps)
+        down = {**powers, v: q - 1}
+        _ref_acc(out, Mono.make(down, logs, exps), c * F(q))
+        _ref_acc(out, Mono.make(down, {**logs, v: k - 1}, exps), c * F(k))
+        _ref_acc(out, m, c * F(e))
+    return _ref_done(out)
+
+
+def _ref_euler_residual(f, field, weight):
+    """sum_v (d_v v + r_v) d/dv f - weight f, in Fraction arithmetic."""
+    out = {}
+    for v, (d, r) in field.items():
+        for m, c in _ref_diff(f, v).items():
+            up = Mono.make({**dict(m.powers), v: m.pow_of(v) + 1}, dict(m.logs), dict(m.exps))
+            _ref_acc(out, up, c * F(d))
+            _ref_acc(out, m, c * F(r))
+    for m, c in fraction_terms(f).items():
+        _ref_acc(out, m, -c * F(weight))
+    return _ref_done(out)
+
+
+def _ref_antiderivative(f, v):
+    """The power rule c v^q -> c / (q + 1) v^(q + 1) in Fraction arithmetic; the
+    log and exponential shapes through the kernel's per-term integration."""
+    out = {}
+    for m, c in fraction_terms(f).items():
+        q = m.pow_of(v)
+        if q == -1 or m.log_of(v) or m.exp_of(v):
+            for m2, c2 in fraction_terms(closedform._integrate_term(m, c, v)).items():
+                _ref_acc(out, m2, c2)
+        else:
+            up = Mono.make({**dict(m.powers), v: q + 1}, dict(m.logs), dict(m.exps))
+            _ref_acc(out, up, c / F(q + 1))
+    return _ref_done(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.one_of(normal_coeffs(), small_rats), mixed_forms(), mixed_forms()),
+                min_size=1, max_size=3),
+       st.sampled_from([None, mono_exp_degree, signed_depth]),
+       st.sampled_from([0, 1, F(3, 2), -1]), names,
+       st.dictionaries(names, st.tuples(rationals, rationals)), rationals)
+def test_kernel_results_are_in_normal_form(triples, depth, cap, var, field, weight):
+    # every kernel that stores a coefficient, against a reference that keeps
+    # every coefficient a Fraction (or an Exact) and never normalizes
+    cut = None if depth is None else Cutoff(depth, cap)
+    (scale, f, g), *_ = triples
+    cases = [
+        (ClosedForm.sum_of_products(triples), _ref_sum_of_products(triples, None)),
+        (ClosedForm.sum_of_products(triples, cut), _ref_sum_of_products(triples, cut)),
+        (ClosedForm.signed_sum([(1, f), (-1, g), (1, f)]),
+         _ref_signed_sum([(1, f), (-1, g), (1, f)])),
+        (f * scale, _ref_done({m: c * as_exact_scalar(scale)
+                               for m, c in fraction_terms(f).items()})),
+        (f.diff(var), _ref_diff(f, var)),
+        (f.euler_residual(field, weight), _ref_euler_residual(f, field, weight)),
+    ]
+    try:
+        cases.append((f.antiderivative(var), _ref_antiderivative(f, var)))
+    except NotIntegrableError:
+        pass
+    for got, want in cases:
+        assert got.terms == want
+        for c in got.terms.values():
+            assert_normal_scalar(c)
+
+
+def test_antiderivative_of_an_int_coefficient_is_exact():
+    # c / (q + 1) with c and q + 1 both ints
+    f = ClosedForm({Mono.make({"x": 1}): 3, Mono.make({"x": 2, "y": 1}): -3})
+    got = f.antiderivative("x")
+    assert got.terms == {Mono.make({"x": 2}): F(3, 2), Mono.make({"x": 3, "y": 1}): -1}
+    assert_same_types(got, {Mono.make({"x": 2}): F(3, 2), Mono.make({"x": 3, "y": 1}): -1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_forms())
+def test_json_round_trip_keeps_values_and_normal_form(f):
+    back = ClosedForm.from_json_obj(f.to_json_obj())
+    assert back.terms == f.terms
+    assert_same_types(back, f)

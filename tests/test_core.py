@@ -11,6 +11,8 @@ from frobwdvv.core import (
 )
 from frobwdvv.specs import BUILTIN_SPECS, load_spec, twodim_spec
 
+from conftest import assert_same_types
+
 F = Fraction
 
 TWODIM_PARAMS = {"m": "4", "c": "1/72"}
@@ -100,8 +102,7 @@ def test_euler_residual_matches_derivative_route_on_bundled_specs(all_specs):
                     for b, v in enumerate(spec.varnames, 1)) - f * w
                 got = spec.euler_residual(f, w)
                 assert got.terms == want.terms, spec.name
-                assert {m: type(c) for m, c in got.terms.items()} == \
-                    {m: type(c) for m, c in want.terms.items()}, spec.name
+                assert_same_types(got, want)
 
 
 def test_u_matrix_values(all_specs):

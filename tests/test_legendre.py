@@ -19,7 +19,7 @@ from frobwdvv.legendre import (
     round_trip, series_equal_mod_quadratic, transform, transform_series,
     transport_calibration, verify_euler_hat, verify_omega_transport, verify_pointwise,
 )
-from frobwdvv.series import SingularJacobianError, TruncSeries, localize
+from frobwdvv.series import Grading, SingularJacobianError, TruncSeries, localize
 from frobwdvv.solver import recursion_ck, recursion_wk, solve_ckl_and_a
 from frobwdvv.specs import ccc_potential, load_spec
 from frobwdvv.core import FrobeniusSpec
@@ -105,6 +105,23 @@ def test_calibration_transport(p1_res):
 def test_omega_transport_tables(p1_res, a2_res):
     assert verify_omega_transport(p1_res, 3, 4)["pass"]
     assert verify_omega_transport(a2_res, 2, 4)["pass"]
+
+
+def test_omega_transport_past_the_levels_raises(p1_res):
+    # an order-4 entry needs level 5; it is refused, not skipped
+    with pytest.raises(calibration.OrderExceededError, match="level 5"):
+        verify_omega_transport(p1_res, 4, 4)
+
+
+def test_potential_from_an_int_hessian_divides_exactly():
+    # the Hessian entry x (int coefficient 1) integrates to x^3 / 6 by dividing
+    # the int coefficient by the int 3 * 2
+    g = Grading.total_degree(2, 4)
+    frame = (("x", "y"), (F(0), F(0)))
+    zero = TruncSeries(*frame, {}, g)
+    wxx = TruncSeries(*frame, {(1, 0): 1}, g, _clean=True)
+    pot = legendre._potential_from_hessian_series([[wxx, zero], [zero, zero]], *frame, g)
+    assert pot.coeffs == {(3, 0): F(1, 6)} and type(pot.coeffs[(3, 0)]) is Fraction
 
 
 def test_p1orb_hat_euler_data():

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobwdvv import solver
 from frobwdvv.closedform import ClosedForm, Mono, _merge, mono_exp_degree
 from frobwdvv.linalg import mat_inv
 from frobwdvv.solver import (
@@ -281,7 +282,6 @@ def test_round_loop_substitutes_only_into_equations_with_new_values(monkeypatch)
     """Live equations are kept in their last reduced form, so the round loop
     substitutes into one only after one of its unknowns has been pinned; the
     final consistency pass still substitutes into every equation."""
-    from frobwdvv import solver
     eqs = [{("u",): F(2), (): F(-1)},           # u = 1/2
            {("u", "v"): F(1), ("w",): F(1)},    # u v + w = 0
            {("v",): F(1), (): F(-3)},           # v = 3
@@ -297,3 +297,24 @@ def test_round_loop_substitutes_only_into_equations_with_new_values(monkeypatch)
     known = solver._solve_polynomial_equations("toy", eqs, ["u", "v", "w", "x", "y", "z"], {})
     assert known == {"u": F(1, 2), "v": F(3), "w": F(-3, 2)}
     assert len(fresh) == 4 + len(eqs) and all(fresh[:-len(eqs)])
+
+
+def test_univariate_pivot_divides_exactly_with_ints(monkeypatch):
+    # uadd and uscale return Fractions; with int-keeping ones the pivot step
+    # divides an int residual by an int slope, which must stay exact
+    def int_add(*series):
+        out = {}
+        for s in series:
+            for i, x in s.items():
+                out[i] = out.get(i, 0) + x
+        return {i: x for i, x in out.items() if x}
+
+    monkeypatch.setattr(solver, "uadd", int_add)
+    monkeypatch.setattr(solver, "uscale", lambda a, c: {i: x * c for i, x in a.items()})
+
+    def residual(a):    # 3 - 2 c_1, an int whenever c_1 is integral
+        r = 3 - 2 * a[1]
+        return {0: r.numerator if r.denominator == 1 else r} if r else {}
+
+    got = solver._solve_univariate("t", residual, [1], 0)
+    assert got == {1: F(3, 2)} and type(got[1]) is Fraction
