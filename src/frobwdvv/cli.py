@@ -452,7 +452,7 @@ def _error_code(exc: Exception) -> int:
     from .series import SingularCenterError, SingularJacobianError
     from .specs import SpecParseError
     domain = (SingularJacobianError, SingularCenterError)
-    # monodromy's errors exist once it is loaded; loading it would import numpy, scipy
+    # monodromy's errors exist once it is loaded; loading it would import numpy
     if (mono := sys.modules.get("frobwdvv.monodromy")) is not None:
         domain += (mono.MatchingError, mono.NonSemisimpleError, mono.IntegrationError)
     if isinstance(exc, (SpecParseError, UsageError)):

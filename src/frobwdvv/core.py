@@ -59,7 +59,7 @@ class FrobeniusSpec:
 
     def euler_linear(self, beta: int) -> Fraction:
         """Coefficient of v^beta in E^beta (1-based beta)."""
-        return 1 - self.charge / 2 - self.mu[beta - 1]
+        return 1 - Fraction(self.charge, 2) - self.mu[beta - 1]
 
     def euler_component(self, beta: int) -> ClosedForm:
         shift = self.euler_shifts[beta - 1] if self.euler_shifts else Fraction(0)
@@ -141,7 +141,7 @@ def validate_spec(spec: FrobeniusSpec, tensors: Tensors | None = None) -> Tensor
     n = spec.n
     t = tensors or build_tensors(spec)
     iota = spec.unity
-    if spec.mu[iota - 1] != -spec.charge / 2:
+    if spec.mu[iota - 1] != -Fraction(spec.charge, 2):
         raise SpecValidationError(f"{spec.name}: mu_iota must equal -D/2")
     if spec.euler_shifts and spec.euler_shifts[iota - 1] != 0:
         raise SpecValidationError(f"{spec.name}: r^iota must vanish")

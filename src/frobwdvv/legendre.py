@@ -284,8 +284,8 @@ def verify_euler_hat(result: LegendreResult) -> dict:
     upper = result.hat_upper_forms()
     failures = []
     for b in range(1, spec.n + 1):
-        diff = (spec.euler_residual(upper[b - 1], 1 - result.hat_charge / 2 - spec.mu[b - 1])
-                - result.hat_shifts[b - 1])
+        weight = 1 - Fraction(result.hat_charge, 2) - spec.mu[b - 1]
+        diff = spec.euler_residual(upper[b - 1], weight) - result.hat_shifts[b - 1]
         if keep:
             diff = diff.filter(keep)
         if not diff.is_zero():

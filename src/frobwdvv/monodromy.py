@@ -11,10 +11,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .calibration import solve_calibration, theta_matrix_coefficients
 from .core import FrobeniusSpec, Tensors, build_tensors, hat_point, u_matrix
@@ -37,6 +36,39 @@ M_THETA = 14    # levels of the Fuchsian-point solution, numeric past the resona
 RTOL, ATOL = 1e-11, 1e-14   # DOP853 tolerances of one column alone
 ADMISSIBLE_MARGIN = 1e-8    # least |Re(e^{i phi}(u_i - u_j))| of an admissible line
 NEWTON_MAXIT, NEWTON_TOL = 40, 1e-12   # flat point from canonical coordinates
+
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5): the nodes, the rows
+# of the stage matrix (the last one is the 8th-order weights), and the weights
+# of the 5th- and 3rd-order error estimates
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0)
+_A = [np.array(row) for row in (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259))]
+_E5 = np.array((0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                0.08192320648511571, -0.022355307863886294))
+_E3 = _A[12] - np.array((0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0,
+                         0.022058823529411766))
 
 
 class NonSemisimpleError(ArithmeticError):
@@ -197,24 +229,75 @@ def _recessive_angle(u, lo: float, hi: float, col: int) -> float:
     return best
 
 
+class IvpResult(NamedTuple):
+    y: np.ndarray   # the state at s = 1
+    nfev: int       # right-hand-side evaluations
+
+
+def _rms(x) -> float:
+    # norms go through np.linalg.norm, as in scipy's DOP853, so that the two
+    # take the same steps and end bit for bit equal on the matching stacks
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, y0, *, rtol: float, atol: float) -> IvpResult:
+    """DOP853 over s in [0, 1] of y' = fun(s, y), y an array of any shape.
+
+    The step control is that of Hairer, Norsett & Wanner (Solving ODEs I,
+    II.4-II.5) as scipy's DOP853 implements it: the II.4 initial step (one
+    extra evaluation), the 5th- and 3rd-order error estimates combined into
+    one RMS norm over the whole array, and the step scaled by 0.9 err^(-1/8)
+    within [0.2, 10] (no growth right after a rejection).  A step below 10
+    ulp of s raises IntegrationError, so a right-hand side that goes NaN
+    fails after a bounded number of evaluations."""
+    y = np.array(y0, dtype=np.result_type(y0, float))
+    f = fun(0.0, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
+    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    h = min(100 * h0, 1.0, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
+            else (0.01 / max(d1, d2)) ** (1 / 8))
+    nfev, s = 2, 0.0
+    k = np.empty((12,) + y.shape, y.dtype)
+    kk = k.reshape(12, -1)
+    while s < 1.0:
+        min_step = 10 * math.ulp(s)
+        h, rejected = max(h, min_step), False
+        while True:
+            if not h >= min_step:
+                raise IntegrationError(f"DOP853 step {h} below 10 ulp of s = {s}")
+            s_new = min(s + h, 1.0)
+            h = s_new - s
+            k[0] = f
+            for i in range(1, 12):
+                k[i] = fun(s + _C[i] * h, y + h * (_A[i] @ kk[:i]).reshape(y.shape))
+            y_new = y + h * (_A[12] @ kk).reshape(y.shape)
+            f_new = fun(s + h, y_new)
+            nfev += 12
+            scale = (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol).ravel()
+            e5 = np.linalg.norm(_E5 @ kk / scale) ** 2
+            e3 = np.linalg.norm(_E3 @ kk / scale) ** 2
+            err = h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size) if e5 or e3 else 0.0
+            if err < 1:
+                factor = min(10.0, 0.9 * err ** (-1 / 8)) if err else 10.0
+                h *= min(1.0, factor) if rejected else factor
+                break
+            h *= max(0.2, 0.9 * err ** (-1 / 8))   # 0.2 when err is NaN
+            rejected = True
+        s, y, f = s_new, y_new, f_new
+    return IvpResult(y, nfev)
+
+
 def _stacked_ivp(f, y0: np.ndarray):
     """One DOP853 run over s in [0, 1] of the n x m stack `y0`, one path per
     column.  RTOL and ATOL are divided by sqrt(m): the RMS error norm over
     the stack is then the root-sum-square of the columns' own norms, so no
     column is held to less than it would be alone (DOP853 also weighs in a
     third-order estimate, which makes this close rather than exact).  Returns
-    the end stack and the number of right-hand-side evaluations."""
-    n, m = y0.shape
-    scale = math.sqrt(m)
-
-    def rhs(s, y):
-        return f(s, y.reshape(n, m)).ravel()
-
-    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853",
-                    rtol=RTOL / scale, atol=ATOL / scale)
-    if not sol.success:
-        raise IntegrationError(sol.message)
-    return sol.y[:, -1].reshape(n, m), sol.nfev
+    the end stack and the number of right-hand-side evaluations (IvpResult)."""
+    scale = math.sqrt(y0.shape[1])
+    return solve_ivp(f, y0, rtol=RTOL / scale, atol=ATOL / scale)
 
 
 def _sectorial_solutions(ss, phis, sectors, z_far):
@@ -296,12 +379,18 @@ def _sectorial_solutions(ss, phis, sectors, z_far):
     return [{tgt: np.column_stack(c) for tgt, c in sol.items()} for sol in out], work
 
 
-def _z_powers(mu_diag, rmat, z, theta_branch) -> np.ndarray:
-    """z^mu z^R with log z = ln|z| + i theta_branch."""
-    logz = math.log(abs(z)) + 1j * theta_branch
-    zmu = np.diag([cmath.exp(m * logz) for m in mu_diag])
-    zr = expm(rmat * logz)
-    return zmu @ zr
+def _exponentials(mu_diag, rmat, c) -> tuple:
+    """e^{c mu} and e^{c R}.  R is graded by the spectrum of mu, so R^n = 0
+    holds exactly in floats and e^{cR} = sum_{k<n} (cR)^k / k! is exact; an R
+    with R^n != 0 raises."""
+    x = c * np.asarray(rmat)
+    term = out = np.eye(len(x), dtype=complex)
+    for k in range(1, len(x)):
+        term = term @ x / k
+        out = out + term
+    if (term @ x).any():
+        raise ValueError("R is not nilpotent")
+    return np.diag(np.exp(c * np.asarray(mu_diag))), out
 
 
 def _theta_levels(umat, mu_diag, rmats: dict, theta_low: list, depth: int) -> list:
@@ -384,7 +473,9 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
     def y0_at(r):
         z = r * cmath.exp(1j * phi_angle)
         theta_z = sum(theta_num[k] * z ** k for k in range(len(theta_num)))
-        return ss.psi @ theta_z @ _z_powers(mu_diag, rnum, z, phi_angle)
+        # z^mu z^R on the branch log z = ln r + i phi_angle
+        z_mu, z_r = _exponentials(mu_diag, rnum, math.log(r) + 1j * phi_angle)
+        return ss.psi @ theta_z @ z_mu @ z_r
 
     def c_at(r):
         return np.linalg.solve(y0_at(r), yr[r, phi_angle])
@@ -428,14 +519,14 @@ def monodromy_identities(md: MonodromyData, eta) -> dict:
     commuting exponentials (the nilpotent part is graded by the spectrum), so
     that is the right-hand side of the first identity."""
     s, c = md.stokes, md.central
-    mu, r = md.mu, md.rmat
+    mu_diag = np.diag(md.mu)
     eta_n = np.array([[float(x) for x in row] for row in eta])
     lhs1 = c @ s.T @ np.linalg.inv(s) @ np.linalg.inv(c)
-    rhs1 = expm(2j * math.pi * mu) @ expm(2j * math.pi * r)
-    res1 = np.abs(lhs1 - rhs1).max()
+    e_mu, e_r = _exponentials(mu_diag, md.rmat, 2j * math.pi)
+    res1 = np.abs(lhs1 - e_mu @ e_r).max()
     cinv = np.linalg.inv(c)
-    rhs2 = cinv @ expm(-1j * math.pi * r) @ expm(-1j * math.pi * mu) \
-        @ np.linalg.inv(eta_n) @ cinv.T
+    e_mu, e_r = _exponentials(mu_diag, md.rmat, -1j * math.pi)
+    rhs2 = cinv @ e_r @ e_mu @ np.linalg.inv(eta_n) @ cinv.T
     res2 = np.abs(s - rhs2).max()
     return {"monodromy_residual": float(res1), "stokes_from_central_residual": float(res2),
             "pass": bool(res1 < 1e-8 and res2 < 1e-8)}

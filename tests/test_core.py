@@ -105,6 +105,18 @@ def test_euler_residual_matches_derivative_route_on_bundled_specs(all_specs):
                 assert_same_types(got, want)
 
 
+def test_int_charge_keeps_euler_data_exact(all_specs):
+    # a spec built in code with an int charge: D/2 stays a Fraction, so the
+    # Euler weights and residual coefficients stay exact and in normal form
+    spec = replace(all_specs["p2"], charge=2)
+    validate_spec(spec)
+    assert [type(spec.euler_linear(b)) for b in (1, 2, 3)] == [Fraction] * 3
+    f = sum((cf_mono(F(1, 3), {v: 2}) for v in spec.varnames), ClosedForm.const(0))
+    resid = spec.euler_residual(f, F(1, 2))
+    assert resid.terms
+    assert_same_types(resid, resid)
+
+
 def test_u_matrix_values(all_specs):
     a2 = all_specs["a2"]
     u = u_matrix(a2)

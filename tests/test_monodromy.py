@@ -1,11 +1,16 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 from collections import namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.linalg import expm
 
 from frobwdvv import monodromy
 from frobwdvv.calibration import solve_calibration, theta_matrix_coefficients
@@ -17,7 +22,7 @@ from frobwdvv.monodromy import (
     phi_orthogonality_residual, phi_recursion, semisimple_at,
     stokes_and_connection, tensor_monodromy,
 )
-from frobwdvv.specs import load_spec
+from frobwdvv.specs import BUILTIN_SPECS, load_spec, twodim_spec
 
 F = Fraction
 
@@ -189,8 +194,9 @@ def _columns_alone(ss, phis, sectors, rtol=1e-11, atol=1e-14):
     return out
 
 
-# one recorded solve_ivp call: start and end stacks (n x width), nfev, tolerances
-IvpCall = namedtuple("IvpCall", "start end nfev rtol atol")
+# one recorded solve_ivp call: start and end stacks (n x width), nfev,
+# tolerances, and the right-hand side
+IvpCall = namedtuple("IvpCall", "start end nfev rtol atol fun")
 
 
 @pytest.fixture(scope="module")
@@ -200,10 +206,9 @@ def a2_ivp_calls(a2):
     calls = []
     solve_ivp = monodromy.solve_ivp
 
-    def recording(fun, t_span, y0, **kwargs):
-        sol = solve_ivp(fun, t_span, y0, **kwargs)
-        calls.append(IvpCall(np.reshape(y0, (2, -1)), sol.y[:, -1].reshape(2, -1),
-                             sol.nfev, kwargs["rtol"], kwargs["atol"]))
+    def recording(fun, y0, **kwargs):
+        sol = solve_ivp(fun, y0, **kwargs)
+        calls.append(IvpCall(y0, sol.y, sol.nfev, kwargs["rtol"], kwargs["atol"], fun))
         return sol
 
     monodromy.solve_ivp = recording
@@ -292,6 +297,86 @@ def test_stacked_states_match_columns_integrated_alone(name, point):
         for (r, th), want in ends.items():
             got = sols[k][r, th][:, l] * cmath.exp(-r * cmath.exp(1j * th) * ss.u[l])
             assert np.abs(got - want).max() < 1e-9
+
+
+def test_dop853_matches_scipy_on_the_a2_stacks(a2_ivp_calls):
+    """The radial and arc stacks of a2 at (0,3), each integrated again by
+    scipy's DOP853 on the raveled stack: the same step sequence (equal
+    evaluation counts) and the same end states up to rounding."""
+    _, calls = a2_ivp_calls
+    for c in calls:
+        shape = c.start.shape
+        sol = scipy_solve_ivp(lambda s, y: c.fun(s, y.reshape(shape)).ravel(), (0.0, 1.0),
+                              c.start.ravel(), method="DOP853", rtol=c.rtol, atol=c.atol)
+        assert sol.success
+        assert c.nfev == sol.nfev
+        assert np.abs(sol.y[:, -1].reshape(shape) - c.end).max() <= 1e-12 * np.abs(c.end).max()
+
+
+def test_dop853_integrates_a_complex_exponential():
+    lam = -0.7 + 3.1j
+    y0 = np.array([[1.0, 2.0 - 1.0j], [0.5j, -3.0]])
+    out = monodromy.solve_ivp(lambda s, y: lam * y, y0, rtol=1e-11, atol=1e-14)
+    assert out.y.shape == y0.shape
+    assert np.abs(out.y - y0 * cmath.exp(lam)).max() <= 1e-10 * np.abs(y0 * cmath.exp(lam)).max()
+
+
+@pytest.mark.parametrize("nan_from", [0.0, 0.5])
+def test_dop853_raises_on_a_nan_right_hand_side(nan_from):
+    """NaN from the start (the initial step is NaN) or from s = 1/2 on (every
+    step there is rejected until it falls below 10 ulp of s)."""
+    evals = []
+
+    def rhs(s, y):
+        evals.append(s)
+        return np.full_like(y, np.nan) if s >= nan_from else y
+
+    with pytest.raises(monodromy.IntegrationError), np.errstate(invalid="ignore"):
+        monodromy.solve_ivp(rhs, np.ones((2, 3), dtype=complex), rtol=1e-11, atol=1e-14)
+    assert len(evals) < 2000
+
+
+def _bundled_specs():
+    return [load_spec(name) for name in BUILTIN_SPECS if name != "twodim"] + [
+        twodim_spec(F(3, 2), F(1))]
+
+
+@pytest.mark.parametrize("c", [math.log(1.6 * 0.35) + 2.356j, 2j * math.pi, -1j * math.pi])
+def test_exponentials_match_scipy_expm(c):
+    """e^{c mu} and e^{c R} against scipy's expm for the summed R of every
+    bundled spec that has one (twodim at its resonant member m = 3/2).  e^{cR}
+    is compared relative to its largest entry, which reaches 158 for p1xp1 at
+    c = 2 pi i."""
+    specs = _bundled_specs()
+    assert sum(bool(spec.rmats) for spec in specs) == 6
+    for spec in specs:
+        mu = [float(x) for x in spec.mu]
+        rmat = sum((np.array(r, dtype=float) for r in spec.rmats.values()),
+                   np.zeros((spec.n, spec.n)))
+        e_mu, e_r = monodromy._exponentials(mu, rmat, c)
+        assert np.abs(e_mu - expm(c * np.diag(mu))).max() <= 1e-14
+        if spec.rmats:
+            assert np.abs(e_r - expm(c * rmat)).max() <= 1e-14 * np.abs(e_r).max()
+
+
+def test_exponentials_reject_a_non_nilpotent_r():
+    with pytest.raises(ValueError, match="not nilpotent"):
+        monodromy._exponentials([0.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]]), 2j * math.pi)
+
+
+def test_stokes_and_connection_loads_no_scipy():
+    code = """
+import math, sys
+from fractions import Fraction
+from frobwdvv.monodromy import stokes_and_connection
+from frobwdvv.specs import load_spec
+md = stokes_and_connection(load_spec("a2"), (Fraction(0), Fraction(3)), 3 * math.pi / 4)
+print(md.work["rhs_evals_total"], sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.stdout.strip() == "5734 []", proc.stderr[-2000:]
 
 
 def test_sign_flip_conjugates_everything(a2):
