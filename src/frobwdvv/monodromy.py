@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 # sectorial matching; see `stokes_and_connection` for how the radii scale
-Z_FAR = 30.0    # seed radius of the truncated asymptotics
+Z_FAR = 12.0    # seed radius of the truncated asymptotics at spread 4
 R_MATCH = 1.5   # Stokes matching radius, repeated at twice it
 R_SMALL = 0.35  # central matching radius, repeated at 1.6 times it
-KMAX = 8        # terms of the formal series at the seed radius
+KMAX = 20       # terms of the formal series at the seed radius
 M_THETA = 14    # levels of the Fuchsian-point solution, numeric past the resonant ones
 RTOL, ATOL = 1e-11, 1e-14   # DOP853 tolerances of one column alone
 ADMISSIBLE_MARGIN = 1e-8    # least |Re(e^{i phi}(u_i - u_j))| of an admissible line
@@ -210,6 +210,13 @@ def is_admissible(u, phi_angle: float) -> bool:
     z = cmath.exp(1j * phi_angle)
     return all(abs((z * (ui - uj)).real) > ADMISSIBLE_MARGIN
                for i, ui in enumerate(u) for j, uj in enumerate(u) if i < j)
+
+
+def _seed_radius(spread: float) -> float:
+    """Z_FAR * 4 / spread, scaled both ways: z_far times the spread is 48 at
+    every point.  The series terms shrink until about the 48th, and the
+    KMAX-th is below double rounding there."""
+    return Z_FAR * 4 / spread
 
 
 def _recessive_angle(u, lo: float, hi: float, col: int) -> float:
@@ -427,20 +434,24 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
     calibration, which fixes the resonant normalization; the float recursion
     `_theta_levels` continues them to level M_THETA at the point.
 
-    The radii Z_FAR, R_MATCH and R_SMALL are scaled by 4 / spread once the
-    canonical spread exceeds 4, so that z times the spread stays in the range
-    they were tuned on.  They are not scaled up below a spread of 4: larger
-    radii put the central match where the truncated Fuchsian-point series is
-    less accurate."""
+    Every column is seeded from KMAX terms of the formal series at
+    z_far = Z_FAR * 4 / spread, at every spread (`_seed_radius`); a seed
+    truncation above `tol` raises MatchingError.  R_MATCH and R_SMALL are
+    scaled by 4 / spread only once the canonical spread exceeds 4, so that z
+    times the spread stays in the range they were tuned on.  They are not
+    scaled up below a spread of 4: larger radii put the central match where
+    the truncated Fuchsian-point series is less accurate."""
     t = tensors or build_tensors(spec)
     ss = semisimple_at(spec, point, t, sign_choices=sign_choices)
     if not is_admissible(ss.u, phi_angle):
         raise MatchingError(f"line at angle {phi_angle} is not admissible for u={ss.u}")
     spread = float(max(abs(a - b) for a in ss.u for b in ss.u))
     scale = 4 / max(spread, 4)
-    z_far, r_match, r_small = Z_FAR * scale, R_MATCH * scale, R_SMALL * scale
+    z_far, r_match, r_small = _seed_radius(spread), R_MATCH * scale, R_SMALL * scale
     phis = phi_recursion(ss, KMAX)
     seed_err = np.abs(phis[-1]).max() / z_far ** KMAX
+    if seed_err > tol:
+        raise MatchingError(f"seed truncation too large at z_far = {z_far}: {seed_err}")
     n = spec.n
 
     sectors = _matching_sectors(phi_angle, r_match, r_small)
@@ -468,7 +479,8 @@ def stokes_and_connection(spec: FrobeniusSpec, point, phi_angle: float,
     theta_num = _theta_levels(ss.umat, mu_diag, rmats, theta_low, M_THETA)
     theta_tail = np.abs(theta_num[-1]).max() * r_small ** M_THETA
     rnum = sum(rmats.values(), np.zeros((n, n)))
-    work.update(theta_exact_levels=k_res, theta_levels=M_THETA)
+    work.update(seed_radius=z_far, series_terms=KMAX,
+                theta_exact_levels=k_res, theta_levels=M_THETA)
 
     def y0_at(r):
         z = r * cmath.exp(1j * phi_angle)

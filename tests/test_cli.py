@@ -88,6 +88,8 @@ def test_monodromy_command(capsys):
     assert len(work["rhs_evals"]) == len(work["stack_widths"]) \
         == work["radial_segments"] + work["arc_segments"]
     assert (work["theta_exact_levels"], work["theta_levels"]) == (0, 14)
+    # canonical spread 4: the seed radius is 12, with 20 series terms
+    assert (work["seed_radius"], work["series_terms"]) == (pytest.approx(12.0), 20)
     assert not set(work) & set(rep["residuals"])
 
 

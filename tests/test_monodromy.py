@@ -90,13 +90,41 @@ def test_a2_stokes_matrix(a2_md):
     assert np.abs(a2_md.stokes - want).max() < 1e-6
 
 
-def test_a2_central_matrix(a2_md):
+def _a2_gamma_central():
     g23, g13 = math.gamma(2 / 3), math.gamma(1 / 3)
     pref = -1j / math.sqrt(2 * math.pi)
-    want = pref * np.array([
+    return pref * np.array([
         [g23, g23 * cmath.exp(5j * math.pi / 3)],
         [g13 * cmath.exp(1j * math.pi), g13 * cmath.exp(4j * math.pi / 3)]])
-    assert np.abs(a2_md.central - want).max() < 1e-6
+
+
+def _euler_gamma():
+    """Euler's constant from H_n - ln n and its Euler-Maclaurin tail, n = 100
+    (the first omitted term is below 1e-18)."""
+    n = 100
+    return (math.fsum(1 / k for k in range(1, n + 1)) - math.log(n) - 1 / (2 * n)
+            + 1 / (12 * n ** 2) - 1 / (120 * n ** 4) + 1 / (252 * n ** 6))
+
+
+def _p1_gamma_hat_central(ks):
+    """Column j is -i/sqrt(2 pi) Gamma-hat(P^1) Ch(O(k_j)) in the flat basis
+    (1, x): Gamma-hat = 1 + 2 gamma x and Ch(O(k)) = 1 + 2 pi i k x."""
+    pref = -1j / math.sqrt(2 * math.pi)
+    return pref * np.array([[1, 1], [2 * _euler_gamma() + 2j * math.pi * k for k in ks]])
+
+
+def _error_up_to_column_signs(stokes, central, want_stokes, want_central):
+    """Largest entry error of S and C against references, after the column
+    signs of the frame's square roots: they flip columns of C and conjugate S."""
+    eps = np.diag([1.0 if abs(central[0, j] - want_central[0, j])
+                   < abs(central[0, j] + want_central[0, j]) else -1.0
+                   for j in range(len(central))])
+    return max(np.abs(central @ eps - want_central).max(),
+               np.abs(eps @ stokes @ eps - np.array(want_stokes)).max())
+
+
+def test_a2_central_matrix(a2_md):
+    assert np.abs(a2_md.central - _a2_gamma_central()).max() < 1e-6
 
 
 def test_a2_identities(a2, a2_md):
@@ -111,6 +139,7 @@ def test_a2_residual_quality(a2_md):
     assert r["central_stability"] < 1e-8
     assert r["stokes_transpose_relation"] < 1e-8
     assert r["unipotent"] < 1e-10
+    assert r["seed_truncation"] < 1e-15
 
 
 @pytest.mark.parametrize("point", [(0, 3), (0, 5), (1, 5), (0, 8)])
@@ -126,11 +155,7 @@ def test_a2_matrices_against_mpmath_gamma(a2, point):
         want = [[pref * g23, pref * g23 * mpmath.expjpi(mpmath.mpf(5) / 3)],
                 [pref * g13 * mpmath.expjpi(1), pref * g13 * mpmath.expjpi(mpmath.mpf(4) / 3)]]
         want = np.array([[complex(x) for x in row] for row in want])
-    # the frame's square-root signs flip columns of C and conjugate S
-    eps = np.diag([1.0 if abs(md.central[0, j] - want[0, j]) < abs(md.central[0, j] + want[0, j])
-                   else -1.0 for j in range(2)])
-    assert np.abs(md.central @ eps - want).max() < 1e-10
-    assert np.abs(eps @ md.stokes @ eps - np.array([[1.0, 0.0], [-1.0, 1.0]])).max() < 1e-10
+    assert _error_up_to_column_signs(md.stokes, md.central, [[1, 0], [-1, 1]], want) < 1e-10
 
 
 def test_radii_are_not_scaled_up_below_spread_4(a2):
@@ -144,9 +169,25 @@ def test_radii_are_not_scaled_up_below_spread_4(a2):
     assert md.residuals["theta_tail"] < 1e-12
 
 
+@pytest.mark.parametrize("name, point, want_stokes, want_central", [
+    ("a2", (0, 1), [[1, 0], [-1, 1]], _a2_gamma_central()),
+    ("p1", (0, -3), [[1, 0], [-2, 1]], _p1_gamma_hat_central((0, -1))),
+])
+def test_small_spread_matches_the_gamma_references(name, point, want_stokes, want_central):
+    """Canonical spreads 0.77 and 0.89: the seed radius grows to 62 and 54.
+    Seeded at z = 30 from 8 series terms, the seed truncation was 1e-8 and
+    6e-9, and C missed its reference by 7.1e-11 and 2.7e-10."""
+    md = stokes_and_connection(load_spec(name), tuple(F(x) for x in point), PHI)
+    err = _error_up_to_column_signs(md.stokes, md.central, want_stokes, want_central)
+    assert err < 1e-11, f"{name} at {point}: error {err:.2e}"
+    assert md.residuals["seed_truncation"] < 1e-15
+
+
 @pytest.mark.parametrize("constant, value, message", [
     ("RTOL", 1e-6, "Stokes matrix unstable"),
     ("R_SMALL", 0.9, "central connection matrix unstable"),
+    # at z_far = 12 the last term is 2.9e-6 for 3 terms and 1.8e-7 for 4
+    ("KMAX", 3, "seed truncation"),
 ])
 def test_stability_checks_raise(a2, monkeypatch, constant, value, message):
     spec, t = a2
@@ -164,6 +205,7 @@ def _columns_alone(ss, phis, sectors, rtol=1e-11, atol=1e-14):
     seed, the state at every radius of its sector, and the arc end states
     keyed by target."""
     n = len(ss.u)
+    z_far = monodromy._seed_radius(max(abs(a - b) for a in ss.u for b in ss.u))
 
     def run(f, y):
         sol = scipy_solve_ivp(f, (0.0, 1.0), y, method="DOP853", rtol=rtol, atol=atol)
@@ -175,7 +217,7 @@ def _columns_alone(ss, phis, sectors, rtol=1e-11, atol=1e-14):
         for l in range(n):
             shifted = np.diag(ss.u) - ss.u[l] * np.eye(n)
             th = monodromy._recessive_angle(ss.u, lo, hi, l)
-            z = monodromy.Z_FAR * cmath.exp(1j * th)
+            z = z_far * cmath.exp(1j * th)
             w = sum(phis[j][:, l] / z ** j for j in range(len(phis)))
             seed, states, ends = w, {}, {}
             for r in sorted({r for r, _ in targets}, reverse=True):
@@ -244,10 +286,11 @@ def test_stack_tolerances_scale_with_width(a2_ivp_calls):
 
 def test_stacked_work_is_pinned(a2_ivp_calls):
     """28 solve_ivp calls and 22,736 evaluations before the columns shared a
-    stack."""
+    stack; 5,734 evaluations with every column seeded at z = 30 from 8 series
+    terms."""
     md, calls = a2_ivp_calls
     assert len(calls) <= 5
-    assert md.work["rhs_evals_total"] <= 0.35 * 22736
+    assert md.work["rhs_evals_total"] <= 3310
 
 
 def test_each_column_ray_is_integrated_once(a2, a2_ivp_calls):
@@ -376,7 +419,7 @@ print(md.work["rhs_evals_total"], sorted(m for m in sys.modules if m.split(".")[
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
-    assert proc.stdout.strip() == "5734 []", proc.stderr[-2000:]
+    assert proc.stdout.strip() == "3310 []", proc.stderr[-2000:]
 
 
 def test_sign_flip_conjugates_everything(a2):
@@ -429,6 +472,29 @@ def test_p1_conjugacy_invariant():
     val = 2 - np.trace(np.linalg.inv(s) @ s.T)
     assert abs(val - 4) < 1e-6
     assert monodromy_identities(md, t.eta)["pass"]
+
+
+# exceptional collections (O(k_1), O(k_2)) of P^1 per line angle, and S once
+# the column signs of C match the reference: S_ij = -chi(O(k_i), O(k_j)) off
+# the diagonal (the raw S at 0.3 is [[1, 2], [0, 1]], with column 2 of C flipped)
+P1_COLLECTIONS = [(3 * math.pi / 4, (0, -1), [[1, 0], [-2, 1]]),
+                  (2.0, (0, -1), [[1, 0], [-2, 1]]),
+                  (0.3, (0, 1), [[1, -2], [0, 1]])]
+
+
+@pytest.mark.parametrize("point", [(0, 0), (F(1, 2), F(-1, 2))])
+@pytest.mark.parametrize("phi, ks, want_stokes", P1_COLLECTIONS)
+def test_p1_central_matrix_is_the_gamma_hat_class(point, phi, ks, want_stokes):
+    """C of p1 is the Gamma-hat class times the Chern characters of (O, O(k)),
+    and a C off by 1e-6 in one entry fails the same comparison."""
+    md = stokes_and_connection(load_spec("p1"), tuple(F(x) for x in point), phi)
+    want = _p1_gamma_hat_central(ks)
+    err = _error_up_to_column_signs(md.stokes, md.central, want_stokes, want)
+    assert err < 1e-10, f"phi = {phi}, point {point}: error {err:.2e}"
+    off = md.central.copy()
+    off[1, 0] += 1e-6
+    err_off = _error_up_to_column_signs(md.stokes, off, want_stokes, want)
+    assert err_off >= 1e-10, f"perturbed C passed: error {err_off:.2e}"
 
 
 @pytest.mark.parametrize("point", [(0, 2), (0, 3), (1, 4)])
