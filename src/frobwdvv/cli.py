@@ -238,7 +238,7 @@ def cmd_recursion(args) -> int:
     from . import solver
     name = args.name
     max_n = args.max if args.max is not None else {"ckl": 8, "a21": 19}.get(name, 6)
-    _at_least("--max", max_n, 1)
+    _at_least("--max", max_n, {"ckl": 2, "a21": 5}.get(name, 1))   # first entries
     if name == "nd":
         out = solver.recursion_nd(max_n)
         dual = solver.nd_via_ode_route(min(max_n, 6))

@@ -350,10 +350,11 @@ class SlotSolution:
     values: dict                        # key -> scalar
 
 
-def _c_rows(f: ClosedForm, varnames, prefactors) -> dict:
+def _c_rows(f: ClosedForm, varnames, prefactors, depth) -> dict:
     """Nonzero rows of the third 'flat' derivatives c_{rho x y} (with optional
-    derivation prefactors): {(x, y) with x <= y: {rho: c_{rho x y}}}, holding
-    only the nonzero entries and the nonempty rows."""
+    derivation prefactors), each entry and each row under the least `depth` of
+    its terms: {(x, y) with x <= y: (row bound, {rho: (bound, c_{rho x y})})},
+    holding only the nonzero entries and the nonempty rows."""
     n = len(varnames)
 
     def d(i, g):
@@ -372,9 +373,10 @@ def _c_rows(f: ClosedForm, varnames, prefactors) -> dict:
     rows = {}
     for x in range(n):
         for y in range(x, n):
-            row = {rho: v for rho in range(n) if (v := c[tuple(sorted((rho, x, y)))])}
+            row = {rho: (min(map(depth, v.terms)), v) for rho in range(n)
+                   if (v := c[tuple(sorted((rho, x, y)))])}
             if row:
-                rows[(x, y)] = row
+                rows[(x, y)] = (min(lo for lo, _ in row.values()), row)
     return rows
 
 
@@ -396,14 +398,18 @@ def _pair_residual(rows1, rows2, eta_nz, n, depth, depth_cap):
     `rows1`, `rows2` are the `_c_rows` tables of f and g; `eta_nz[rho]` lists
     the nonzero (sigma, eta^{rho sigma}).  With eta symmetric, A is symmetric
     under x <-> y, z <-> w and (xy) <-> (zw), so each unordered pair of index
-    pairs is summed once, from the products of nonempty rows only.
+    pairs is summed once, from the products of nonempty rows only.  The depth
+    adds up under products, so a row pair or an entry pair whose bounds sum
+    past depth_cap yields no kept term and is never handed to the kernel.
 
     Returns dict[(quad, pairing_slot, mono)] -> scalar."""
     triples: dict = {}
-    for p, r1 in rows1.items():
-        for q, r2 in rows2.items():
-            prods = [(e, f, g) for rho, f in r1.items() for sig, e in eta_nz[rho]
-                     if (g := r2.get(sig)) is not None]
+    for p, (lo1, r1) in rows1.items():
+        for q, (lo2, r2) in rows2.items():
+            if lo1 + lo2 > depth_cap:
+                continue
+            prods = [(e, f, t[1]) for rho, (d1, f) in r1.items() for sig, e in eta_nz[rho]
+                     if (t := r2.get(sig)) and d1 + t[0] <= depth_cap]
             if prods:
                 # the (1 <-> 2) half c2_p c1_q of the pairing at {p, q} is the
                 # sum met at (q, p); at p = q both halves are this one sum
@@ -425,9 +431,8 @@ def _pair_residual(rows1, rows2, eta_nz, n, depth, depth_cap):
     return out
 
 
-def _min_c_depth(rows, depth):
-    vals = [depth(m) for row in rows.values() for form in row.values() for m in form.terms]
-    return min(vals) if vals else None
+def _min_c_depth(rows):
+    return min((lo for lo, _ in rows.values()), default=None)
 
 
 def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> SlotSolution:
@@ -445,13 +450,13 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
             slots.append((key, mono))
             level_of[key] = lv
 
-    c_fixed = _c_rows(fam.fixed, fam.varnames, fam.prefactors)
-    c_slots = {key: _c_rows(m, fam.varnames, fam.prefactors) for key, m in slots}
+    c_fixed = _c_rows(fam.fixed, fam.varnames, fam.prefactors, fam.depth)
+    c_slots = {key: _c_rows(m, fam.varnames, fam.prefactors, fam.depth) for key, m in slots}
 
     depth_cap = fam.excluded_min_depth(max_level) - 1
     # rigorous per-contribution lower bounds used to prune pair computations
-    d_fixed = _min_c_depth(c_fixed, fam.depth)
-    d_slot = {key: _min_c_depth(c, fam.depth) for key, c in c_slots.items()}
+    d_fixed = _min_c_depth(c_fixed)
+    d_slot = {key: _min_c_depth(c) for key, c in c_slots.items()}
     for key, dv in d_slot.items():
         if dv is None:
             raise InconsistentSystemError(f"{fam.name}: slot {key} has vanishing c-tensor")

@@ -251,3 +251,15 @@ def test_recursion_max_bounds_ckl_and_a21(capsys):
     assert sorted(keys) == [(1, 1), (1, 2), (2, 1), (3, 1), (4, 1), (5, 1)]
     assert ["(5, 1)", "1/120"] in rep["table"]
     assert main(["recursion", "ckl", "--max", "0"]) == 2
+
+    # a bound below the smallest entry (k + l = 2; m1 + 4 m2 = 5) would print an
+    # empty table with a passing audit; the error names the least bound that
+    # yields an entry
+    capsys.readouterr()
+    for name, bound, least in (("ckl", 1, 2), ("a21", 1, 5), ("a21", 4, 5)):
+        assert main(["recursion", name, "--max", str(bound)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max must be at least {least}, got {bound}" in captured.err
+    code, out = run(capsys, "recursion", "a21", "--max", "5")
+    assert code == 0 and json.loads(out)["table"] == [["(1, 1)", "1"]]
