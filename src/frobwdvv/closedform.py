@@ -14,6 +14,7 @@ import cmath
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .exact import Exact, normal_scalar, rational_power
@@ -139,10 +140,21 @@ def _acc(out: dict, m: Mono, c) -> None:
             out.pop(m, None)
 
 
+def _times(c, k: int):
+    """c * k for an int k that c's denominator divides: an int when c is rational."""
+    return c.numerator * (k // c.denominator) if type(c) is Fraction else c * k
+
+
+def _normal_terms(out: dict, d: int) -> dict:
+    """The nonzero numerators in out over the int d > 0, each normalized once."""
+    return {m: (c // d if c % d == 0 else Fraction(c, d)) if type(c) is int
+            else normal_scalar(c / d) for m, c in out.items() if c}
+
+
 class ClosedForm:
     """Immutable normal-form sum {monomial: coefficient}; zero coeffs dropped."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_view")
 
     def __init__(self, terms: dict[Mono, object] | None = None, _clean: bool = False):
         if _clean:
@@ -158,6 +170,20 @@ class ClosedForm:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ClosedForm is immutable")
+
+    def _int_view(self, depth=None) -> tuple:
+        """The kernels' integer view (D, [(mono, c * D)], depths), D the lcm of the
+        rational denominators; under a grading `depth` the items ascend in depth,
+        listed in depths.  Built once per form and grading, cached in `_view`."""
+        views = getattr(self, "_view", None)
+        if views is None:
+            d = lcm(*[c.denominator for c in self.terms.values() if type(c) is Fraction])
+            views = {None: (d, [(m, _times(c, d)) for m, c in self.terms.items()], None)}
+            object.__setattr__(self, "_view", views)
+        if depth not in views:
+            items = sorted(views[None][1], key=lambda t: depth(t[0]))
+            views[depth] = (views[None][0], items, [depth(m) for m, _ in items])
+        return views[depth]
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -214,36 +240,32 @@ class ClosedForm:
 
     @staticmethod
     def sum_of_products(triples: Iterable[tuple], cut: Cutoff | None = None) -> "ClosedForm":
-        """The sum of scale * f * g over (scale, f, g) triples, built in one dict.
-
-        With a `cut`, only the products of depth <= cut.cap are formed.  The
-        depth is additive under products (see Cutoff), so the right factor's
-        terms are sorted by depth once per triple, and a left term of depth d
-        walks only those of depth <= cap - d.  This equals filtering the
-        finished sum by `cut`, without forming a pair the filter would drop."""
+        """The sum of scale * f * g over (scale, f, g) triples, built in one dict
+        over the integer views: each triple's scale and denominators fold into
+        one multiplier over a common lcm, pairs accumulate in int arithmetic,
+        and each output term is normalized once.  With a `cut`, only products
+        of depth <= cut.cap are formed: the depth is additive under products
+        (see Cutoff), so a left term of depth d walks only the right terms of
+        depth <= cap - d in the right factor's cached depth order.  This equals
+        filtering the finished sum by `cut`, without forming a pair it would drop."""
+        depth = cut.depth if cut else None
+        work = [(scale, f._int_view(depth), g._int_view(depth))
+                for scale, f, g in triples if scale and f.terms and g.terms]
+        den = lcm(*(v1[0] * v2[0] * getattr(scale, "denominator", 1) for scale, v1, v2 in work))
         out: dict[Mono, object] = {}
-        for scale, f, g in triples:
-            if not scale or not f.terms or not g.terms:
-                continue
-            left = f.terms.items() if scale == 1 else \
-                [(m, normal_scalar(c * scale)) for m, c in f.terms.items()]
-            right = g.terms.items()
-            if cut is not None:
-                depth, cap = cut
-                right = sorted(right, key=lambda t: depth(t[0]))
-                degrees = [depth(m) for m, _ in right]
-            for m1, c1 in left:
-                p1, l1, x1 = m1
-                for (p2, l2, x2), c2 in right if cut is None else \
-                        right[:bisect_right(degrees, cap - depth(m1))]:
-                    m = Mono(_merge(p1, p2), _merge(l1, l2), _merge(x1, x2))
-                    s = out.get(m)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        out[m] = normal_scalar(s)
-                    else:
-                        out.pop(m, None)
-        return ClosedForm(out, _clean=True)
+        for scale, (d1, left, depths1), (d2, right, depths2) in work:
+            k = _times(scale, den // (d1 * d2))
+            for i, ((p1, l1, x1), c1) in enumerate(left):
+                part = right if cut is None else right[:bisect_right(depths2, cut.cap - depths1[i])]
+                if not part:
+                    break   # the left terms ahead are deeper still
+                c1 *= k
+                for (p2, l2, x2), c2 in part:
+                    m = tuple.__new__(Mono, (_merge(p1, p2),
+                                             _merge(l1, l2) if l1 and l2 else l1 or l2,
+                                             _merge(x1, x2) if x1 and x2 else x1 or x2))
+                    out[m] = out.get(m, 0) + c1 * c2
+        return ClosedForm(_normal_terms(out, den), _clean=True)
 
     __rmul__ = __mul__
 
@@ -346,10 +368,12 @@ class ClosedForm:
         """E f - weight * f for E = sum_v (d_v v + r_v) d/dv, field = {v: (d_v, r_v)}, in one
         pass: v^q log^k e^{cv} goes to itself times d q + r c, and to r q v^{q-1},
         d k log^{k-1}, r k v^{q-1} log^{k-1} and d c v^{q+1} (times the rest of the term)."""
-        field = {v: (normal_scalar(d), normal_scalar(r)) for v, (d, r) in field.items()}
-        neg_weight = -normal_scalar(weight)
+        d0, items, _ = self._int_view()
+        lam = lcm(*(getattr(x, "denominator", 1) for x in (weight, *sum(field.values(), ()))))
+        field = {v: (_times(d, lam), _times(r, lam)) for v, (d, r) in field.items()}
+        neg_weight = -_times(weight, lam)
         out: dict[Mono, object] = {}
-        for m, c in self.terms.items():
+        for m, c in items:
             powers, logs, exps = m
             w = neg_weight
             for v, q in powers:
@@ -367,8 +391,8 @@ class ClosedForm:
                 w += r * e
                 if d:
                     _acc(out, Mono(_merge(powers, ((v, 1),)), logs, exps), c * (d * e))
-            _acc(out, m, c * normal_scalar(w))
-        return ClosedForm(out, _clean=True)
+            _acc(out, m, c * w)
+        return ClosedForm(_normal_terms(out, d0 * lam), _clean=True)
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, point: dict[str, complex]) -> complex:
@@ -501,25 +525,24 @@ def _integrate_term(m: Mono, c, var: str) -> ClosedForm:
     q = m.pow_of(var)
     k = m.log_of(var)
     e = m.exp_of(var)
-    rest = Mono.make({v: p for v, p in m.powers if v != var},
-                     {v: p for v, p in m.logs if v != var},
-                     {v: p for v, p in m.exps if v != var})
-    rest_cf = ClosedForm({rest: c})
+    powers, logs, exps = ({v: p for v, p in part if v != var} for part in m)
     if e and (k or q < 0 or q.denominator != 1):
         raise NotIntegrableError(f"cannot integrate {var}^{q} log^{k} e^({e}{var})")
     if q == -1:
-        return rest_cf * ClosedForm({Mono.make(None, {var: k + 1}): Fraction(1, k + 1)})
+        return ClosedForm({Mono.make(powers, {**logs, var: k + 1}, exps): c * Fraction(1, k + 1)})
     # repeated integration by parts, summed: with a = e, x^n e^{ax} integrates to
     # sum_j (-1)^(n-j) n!/j! a^(j-n-1) x^j e^{ax}; with a = q + 1 and n = k,
-    # x^q log^n x integrates to the same sum over x^{q+1} log^j x
+    # x^q log^n x integrates to the same sum over x^{q+1} log^j x (each term
+    # times c and the rest of m, written directly rather than as a product)
     n, a = (int(q), e) if e else (k, q + 1)
     terms = {}
-    coeff = Fraction(1) / a
+    coeff = c * (Fraction(1) / a)
     for j in range(n, -1, -1):
-        mono = Mono.make({var: j}, None, {var: e}) if e else Mono.make({var: q + 1}, {var: j})
+        mono = Mono.make({**powers, var: j}, logs, {**exps, var: e}) if e else \
+            Mono.make({**powers, var: q + 1}, {**logs, var: j}, exps)
         terms[mono] = coeff
         coeff = -coeff * j / a
-    return rest_cf * ClosedForm(terms)
+    return ClosedForm(terms)
 
 
 # -- convenience builders --------------------------------------------------

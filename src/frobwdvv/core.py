@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -62,17 +63,18 @@ class FrobeniusSpec:
         return 1 - Fraction(self.charge, 2) - self.mu[beta - 1]
 
     def euler_component(self, beta: int) -> ClosedForm:
-        shift = self.euler_shifts[beta - 1] if self.euler_shifts else Fraction(0)
-        out = cf_var(self.varnames[beta - 1]) * self.euler_linear(beta)
-        if shift:
-            out = out + ClosedForm.const(shift)
-        return out
+        d, r = self.euler_field[self.varnames[beta - 1]]
+        return cf_var(self.varnames[beta - 1]) * d + r
+
+    @cached_property
+    def euler_field(self) -> dict[str, tuple]:
+        """{v: (d_v, r_v)} for E = sum_v (d_v v + r_v) d/dv, built once per spec."""
+        shifts = self.euler_shifts or (0,) * self.n
+        return {v: (self.euler_linear(b), shifts[b - 1]) for b, v in enumerate(self.varnames, 1)}
 
     def euler_residual(self, f: ClosedForm, weight) -> ClosedForm:
         """E f - weight * f, term by term (ClosedForm.euler_residual)."""
-        shifts = self.euler_shifts or (0,) * self.n
-        return f.euler_residual({v: (self.euler_linear(b), shifts[b - 1])
-                                 for b, v in enumerate(self.varnames, 1)}, weight)
+        return f.euler_residual(self.euler_field, weight)
 
     def r_entry(self, s: int, alpha: int, beta: int) -> Fraction:
         mat = self.rmats.get(s)

@@ -431,10 +431,6 @@ def _pair_residual(rows1, rows2, eta_nz, n, depth, depth_cap):
     return out
 
 
-def _min_c_depth(rows):
-    return min((lo for lo, _ in rows.values()), default=None)
-
-
 def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> SlotSolution:
     """Impose associativity on the ansatz truncated at `max_level`, keep only
     equations provably unaffected by discarded slots, and solve for all slot
@@ -454,11 +450,19 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
     c_slots = {key: _c_rows(m, fam.varnames, fam.prefactors, fam.depth) for key, m in slots}
 
     depth_cap = fam.excluded_min_depth(max_level) - 1
-    # rigorous per-contribution lower bounds used to prune pair computations
-    d_fixed = _min_c_depth(c_fixed)
-    d_slot = {key: _min_c_depth(c) for key, c in c_slots.items()}
-    for key, dv in d_slot.items():
-        if dv is None:
+
+    def bounds(rows):   # each rho's least entry bound over a form's rows; inf where none
+        return [min((r[rho][0] for _, r in rows.values() if rho in r), default=math.inf)
+                for rho in range(n)]
+
+    def beyond_cap(lo1, lo2):   # every entry pair that eta pairs lies past the cap
+        return min((lo1[rho] + lo2[sig] for rho, row in enumerate(eta_nz) for sig, _ in row),
+                   default=math.inf) > depth_cap
+
+    lo_fixed = bounds(c_fixed)
+    lo_slot = {key: bounds(c) for key, c in c_slots.items()}
+    for key, lo in lo_slot.items():
+        if min(lo) == math.inf:
             raise InconsistentSystemError(f"{fam.name}: slot {key} has vanishing c-tensor")
 
     # equations: dict[(quad, pairing, mono)] -> {(sorted key tuple): scalar}
@@ -477,13 +481,13 @@ def solve_slot_family(fam: SlotFamily, max_level: int, target_levels: int) -> Sl
     # symmetrization
     add(_pair_residual(c_fixed, c_fixed, eta_nz, n, fam.depth, depth_cap), (), F(1, 2))
     for key, c in c_slots.items():
-        if d_fixed is not None and d_fixed + d_slot[key] > depth_cap:
+        if beyond_cap(lo_fixed, lo_slot[key]):
             continue
         add(_pair_residual(c_fixed, c, eta_nz, n, fam.depth, depth_cap), (key,), F(1))
     for i, (ki, _) in enumerate(slots):
         for j in range(i, len(slots)):
             kj, _ = slots[j]
-            if d_slot[ki] + d_slot[kj] > depth_cap:
+            if beyond_cap(lo_slot[ki], lo_slot[kj]):
                 continue
             add(_pair_residual(c_slots[ki], c_slots[kj], eta_nz, n, fam.depth, depth_cap),
                 tuple(sorted((ki, kj))), F(1, 2) if i == j else F(1))

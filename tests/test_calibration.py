@@ -10,7 +10,7 @@ from frobwdvv.calibration import (
     two_point_table,
 )
 from frobwdvv.closedform import ClosedForm, Mono, cf_var
-from frobwdvv.core import build_tensors
+from frobwdvv.core import FrobeniusSpec, build_tensors
 from frobwdvv.specs import BUILTIN_SPECS, load_spec
 
 from conftest import assert_normal_scalar, assert_same_types
@@ -240,6 +240,24 @@ def test_p2_order_4_forms_each_pairing_once(monkeypatch):
     monkeypatch.undo()
     assert check_homogeneity(tab)["pass"]
     assert len(cal.pairings) == 72
+
+
+def test_euler_field_is_built_once_per_spec(monkeypatch):
+    # every Euler rule reads the spec's cached field {v: (d_v, r_v)}; when each
+    # call built it afresh, one seed-3 structure-checks round made 2,483
+    # euler_linear calls
+    spec = load_spec("p2")
+    calls = [0]
+    real = FrobeniusSpec.euler_linear
+
+    def counting(self, beta):
+        calls[0] += 1
+        return real(self, beta)
+    monkeypatch.setattr(FrobeniusSpec, "euler_linear", counting)
+    cal = solve_calibration(spec, 4)
+    assert calls[0] <= spec.n
+    assert check_homogeneity(two_point_table(cal, 3))["pass"]
+    assert calls[0] <= spec.n
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "ccc_a111"])

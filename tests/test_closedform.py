@@ -1,11 +1,12 @@
 import cmath
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frobwdvv import closedform
-from frobwdvv.calibration import solve_calibration
+from frobwdvv.calibration import check_orthogonality, solve_calibration
 from frobwdvv.closedform import (
     BranchPointError, ClosedForm, Cutoff, Mono, NeedsFloatError, NotIntegrableError,
     cf_const, cf_exp, cf_log, cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
@@ -213,8 +214,9 @@ def test_sum_of_products_equals_filtered_sum(triples, depth, cap):
 
 
 def test_sum_of_products_forms_only_the_pairs_within_the_cap(monkeypatch):
-    # p1xp1's Hessian sums over the level-1 gradients: each formed pair costs
-    # three merges, and the pairs whose exp degree exceeds the cap cost none
+    # p1xp1's Hessian sums over the level-1 gradients: each formed pair merges
+    # its powers, and its logs and exponentials when both factors carry them;
+    # the pairs whose exp degree exceeds the cap cost no merge
     spec = load_spec("p1xp1")
     t = build_tensors(spec)
     cal = solve_calibration(spec, 1)
@@ -222,8 +224,10 @@ def test_sum_of_products_forms_only_the_pairs_within_the_cap(monkeypatch):
     n = spec.n
     sums = [[(1, t.c_mixed[sig][a][b], cal.grad(g, 1, sig + 1)) for sig in range(n)]
             for g in range(1, n + 1) for a in range(n) for b in range(a, n)]
-    pairs = [cut.depth(m1) + cut.depth(m2) <= cut.cap
-             for triples in sums for _, f, h in triples for m1 in f.terms for m2 in h.terms]
+    pairs = [(m1, m2) for triples in sums for _, f, h in triples
+             for m1 in f.terms for m2 in h.terms]
+    formed = [1 + bool(m1.logs and m2.logs) + bool(m1.exps and m2.exps)
+              for m1, m2 in pairs if cut.depth(m1) + cut.depth(m2) <= cut.cap]
     merges = [0]
     real = closedform._merge
 
@@ -233,8 +237,43 @@ def test_sum_of_products_forms_only_the_pairs_within_the_cap(monkeypatch):
     monkeypatch.setattr(closedform, "_merge", counting)
     for triples in sums:
         ClosedForm.sum_of_products(triples, cut)
-    assert 0 < sum(pairs) < len(pairs)
-    assert merges[0] == 3 * sum(pairs)
+    assert 0 < len(formed) < len(pairs)
+    assert merges[0] == sum(formed)
+
+
+def test_integer_views_and_depth_orders_are_built_once(monkeypatch):
+    # a calibration and its orthogonality check pair the same gradients again
+    # and again: each form's integer view, and its order under the spec's
+    # grading, is built on its first kernel use only
+    spec = load_spec("p1xp1")
+    forms, views, orders = {}, Counter(), Counter()
+    calls = [0]
+    real = ClosedForm._int_view
+
+    def counting(self, depth=None):
+        # a build is an entry of the form's cache that was not there before
+        forms[id(self)] = self      # kept alive, so that no id is reused
+        calls[0] += 1
+        before = dict(getattr(self, "_view", {}))
+        out = real(self, depth)
+        after = getattr(self, "_view", {})
+        if None not in after or after[None] is not before.get(None):
+            views[id(self)] += 1
+        if depth is not None and out is not before.get(depth):
+            orders[(id(self), depth)] += 1
+        return out
+    monkeypatch.setattr(ClosedForm, "_int_view", counting)
+    cal = solve_calibration(spec, 4)
+    assert check_orthogonality(cal)["pass"]
+    assert set(views.values()) == {1} and len(views) == len(forms)
+    assert set(orders.values()) == {1} and orders
+    assert calls[0] > len(forms)   # forms are reused, so a lost cache would show
+    # a second sum over the same factors builds nothing
+    triples = [(1, cal.grad(1, 3, b), cal.grad(2, 1, b)) for b in range(1, spec.n + 1)]
+    first = ClosedForm.sum_of_products(triples, spec.exp_filter())
+    built = sum(views.values()), sum(orders.values())
+    assert ClosedForm.sum_of_products(triples, spec.exp_filter()).terms == first.terms
+    assert (sum(views.values()), sum(orders.values())) == built
 
 
 @settings(max_examples=80, deadline=None)
@@ -461,12 +500,21 @@ def test_evaluate_exact_keeps_the_principal_branch():
 
 # -- the coefficient normal form ----------------------------------------------
 
+# denominators near the machine word and a large prime: the kernels' lcm of
+# such denominators runs far past 64 bits
+HUGE = [F(1, 2**61 - 1), F(-5, 2**61 - 1), F(1, 10**9 + 7), F(3, 2 * (10**9 + 7))]
+
+
 @st.composite
 def normal_coeffs(draw):
-    """An integral, a proper rational or a radical coefficient, as often each."""
-    kind = draw(st.sampled_from(["integral", "rational", "radical"]))
+    """An integral, a proper rational, a radical or a huge-denominator
+    coefficient (plain or times sqrt 2), as often each."""
+    kind = draw(st.sampled_from(["integral", "rational", "radical", "huge"]))
     if kind == "integral":
         return draw(st.integers(-6, 6).filter(bool))
+    if kind == "huge":
+        q = draw(st.sampled_from(HUGE))
+        return q * Exact.sqrt(2) if draw(st.booleans()) else q
     q = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6)
              .filter(lambda q: q.denominator != 1))
     return q if kind == "rational" else q * draw(radicals)
@@ -486,8 +534,8 @@ def mixed_forms(draw):
     return ClosedForm(terms)
 
 
-# rationals as callers pass them: ints, and Fractions that may be integral
-rationals = st.one_of(st.integers(-3, 3), small_rats)
+# rationals as callers pass them: ints, Fractions that may be integral, and huge ones
+rationals = st.one_of(st.integers(-3, 3), small_rats, st.sampled_from(HUGE))
 
 
 def fraction_terms(f):
@@ -570,6 +618,15 @@ def _ref_antiderivative(f, v):
        st.sampled_from([None, mono_exp_degree, signed_depth]),
        st.sampled_from([0, 1, F(3, 2), -1]), names,
        st.dictionaries(names, st.tuples(rationals, rationals)), rationals)
+@example(  # huge denominators, with and without sqrt 2, in every kernel at once
+    triples=[(HUGE[2], ClosedForm({Mono.make({"x": 1}): HUGE[0],
+                                   Mono.make({"y": 2}, {"x": 1}): HUGE[2] * Exact.sqrt(2)}),
+              ClosedForm({Mono.make({"x": -1}): HUGE[1], Mono.make(None, None, {"y": 1}): HUGE[3],
+                          Mono.make({"x": F(1, 2)}): Exact.sqrt(2) - HUGE[3]})),
+             (F(-1, 3), ClosedForm({Mono.make({"x": 1}): 7, Mono.make({"y": 2}, {"x": 1}): HUGE[1]}),
+              ClosedForm({Mono.make({"x": -1}): 2**61 - 1, Mono.make({"y": -2}): HUGE[0]}))],
+    depth=mono_exp_degree, cap=0, var="x",
+    field={"x": (HUGE[3], HUGE[0]), "y": (F(2), HUGE[2])}, weight=HUGE[1])
 def test_kernel_results_are_in_normal_form(triples, depth, cap, var, field, weight):
     # every kernel that stores a coefficient, against a reference that keeps
     # every coefficient a Fraction (or an Exact) and never normalizes

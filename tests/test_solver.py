@@ -280,7 +280,10 @@ def test_pruned_pair_residual_is_exact_at_every_cap(case):
 def test_slot_solver_work_is_pinned(monkeypatch):
     """Before the pairings were pruned by depth bounds, solve_ckl(8) made
     7,837 sum_of_products calls, 6,702 of them empty, and solve_a21(19) made
-    3,441, 1,781 of them empty, for the same 1,174 and 1,693 kept terms."""
+    3,441, 1,781 of them empty, for the same 1,174 and 1,693 kept terms.
+    Before slot pairs were skipped by their per-rho entry bounds, 401 of the
+    557 _pair_residual calls of solve_ckl(8) formed no product at all, 47 of
+    157 for solve_a21(19) and 24 of 170 for recursion_nkl(6)."""
     sizes = []
     kernel = ClosedForm.sum_of_products
 
@@ -289,16 +292,34 @@ def test_slot_solver_work_is_pinned(monkeypatch):
         sizes.append(len(out.terms))
         return out
 
+    idle = []
+    pair_residual = solver._pair_residual
+
+    def pairing(*args):
+        before = len(sizes)
+        out = pair_residual(*args)
+        idle.append(len(sizes) == before)
+        return out
+
     monkeypatch.setattr(ClosedForm, "sum_of_products", staticmethod(counted))
+    monkeypatch.setattr(solver, "_pair_residual", pairing)
     golden = Path(__file__).parent / "golden"
     for solve, bound, most, name in ((solver.solve_ckl, 8, 1200, "recursion_ckl_max_8.json"),
                                      (solver.solve_a21, 19, 1700, "recursion_a21_max_19.json")):
         sizes.clear()
+        idle.clear()
         out = solve(bound)
         assert len(sizes) <= most, len(sizes)
         assert sizes.count(0) <= len(sizes) / 100, sizes.count(0)
+        assert idle.count(True) <= len(idle) / 100, (idle.count(True), len(idle))
         table = json.loads((golden / name).read_text())["table"]
         assert [[str(k), str(v)] for k, v in out.values] == table
+    idle.clear()
+    out = recursion_nkl(6)
+    assert idle.count(True) <= len(idle) / 100, (idle.count(True), len(idle))
+    got = {str(k): str(v) for k, v in out.values}
+    table = json.loads((golden / "recursion_nkl_max_4.json").read_text())["table"]
+    assert all(got[k] == v for k, v in table)
 
 
 # every grading a product kernel truncates by: the spec exp degree and each
