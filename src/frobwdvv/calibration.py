@@ -32,10 +32,6 @@ class OrderExceededError(ValueError):
     pass
 
 
-def _filtered(f: ClosedForm, keep) -> ClosedForm:
-    return f.filter(keep) if keep else f
-
-
 def _constant(f: ClosedForm, message: str):
     """The constant that f is; ObstructionError(message) if f is not one."""
     if f.terms and set(f.terms) != {Mono((), (), ())}:
@@ -43,9 +39,9 @@ def _constant(f: ClosedForm, message: str):
     return f.constant_term()
 
 
-def _euler_rule(spec: FrobeniusSpec, f: ClosedForm, weight, sides, keep) -> ClosedForm:
+def _euler_rule(spec: FrobeniusSpec, f: ClosedForm, weight, sides) -> ClosedForm:
     """E f - weight f - sum over sides (g, ks, lower) of sum_{k in ks, rho}
-    (R_k)^rho_g lower(rho, k), cut by keep: the R-corrected Euler rule that every
+    (R_k)^rho_g lower(rho, k): the R-corrected Euler rule that every
     quasi-homogeneity equation of the levels and of the two-point table states."""
     parts = [(1, spec.euler_residual(f, weight))]
     for g, ks, lower in sides:
@@ -53,20 +49,29 @@ def _euler_rule(spec: FrobeniusSpec, f: ClosedForm, weight, sides, keep) -> Clos
             for rho in range(1, spec.n + 1):
                 if r := spec.r_entry(k, rho, g):
                     parts.append((-1, lower(rho, k) * r))
-    return _filtered(ClosedForm.signed_sum(parts), keep)
+    return ClosedForm.signed_sum(parts)
 
 
-def potential_from_gradient(grad: list[ClosedForm], varnames, keep) -> ClosedForm:
-    """Reconstruct f with df = grad, no integration constant; asserts closedness."""
-    out = ClosedForm.zero()
-    for i, v in enumerate(varnames):
-        rem = _filtered(grad[i] - out.diff(v), keep)
-        for w in varnames[:i]:
-            chk = _filtered(rem.diff(w), keep)
-            if not chk.is_zero():
-                raise ObstructionError(f"gradient system is not closed in {v},{w}")
-        out = out + rem.antiderivative(v)
-    return out
+def _potential_of_hessian(hess: dict, names) -> tuple[ClosedForm, list]:
+    """theta0 = sum_i int dv_i sum_{j >= i} int dv_j [terms of H_ij free of v_1..v_{j-1}]
+    for hess = {(a, b): H_ab, a <= b}: the potential of H with no constant in it or
+    in its gradient, and that gradient.  Each int dv_j gives terms whose first
+    variable is v_j, so both sums join disjoint dicts.  ObstructionError names the
+    (v_a, v_b) where the check d_a d_b theta0 == H_ab fails (H is not closed)."""
+    theta0 = {}
+    for i, vi in enumerate(names):
+        inner = {}
+        for j in range(i, len(names)):
+            earlier = set(names[:j])
+            part = hess[i, j].filter(lambda m: earlier.isdisjoint(v for side in m for v, _ in side))
+            inner.update(part.antiderivative(names[j]).terms)
+        theta0.update(ClosedForm(inner, _clean=True).antiderivative(vi).terms)
+    theta0 = ClosedForm(theta0, _clean=True)
+    grad = [theta0.diff(v) for v in names]
+    for (a, b), h in hess.items():
+        if grad[b].diff(names[a]).terms != h.terms:
+            raise ObstructionError(f"Hessian system is not closed in ({names[a]}, {names[b]})")
+    return theta0, grad
 
 
 @dataclass
@@ -133,27 +138,19 @@ def solve_calibration(spec: FrobeniusSpec, m_max: int, tensors: Tensors | None =
 
 
 def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
-    n = spec.n
-    names = spec.varnames
-    iota = spec.unity
-    level = m + 1
+    n, names, iota, level = spec.n, spec.varnames, spec.unity, m + 1
 
-    # Hessian H_{ab} = sum_s c^s_{ab} d theta_{g,m} / dv^s, built for a <= b and mirrored
+    # Hessian H_{ab} = sum_s c^s_{ab} d theta_{g,m} / dv^s for a <= b, cut to the spec's
+    # exponential degree: E, diff and antiderivative keep each term's exponentials
     grad_prev = [cal.grad(g, m, b) for b in range(1, n + 1)]
-    hess = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            hess[a][b] = hess[b][a] = ClosedForm.sum_of_products(
-                ((1, t.c_mixed[sig][a][b], grad_prev[sig]) for sig in range(n)), keep)
-
-    # grad[b - 1] is d theta0 / dv^b to the cutoff: potential_from_gradient checks closedness
-    grad = [potential_from_gradient([hess[a][b] for a in range(n)], names, keep)
-            for b in range(n)]
-    theta0 = potential_from_gradient(grad, names, keep)
+    hess = {(a, b): ClosedForm.sum_of_products(
+        ((1, t.c_mixed[sig][a][b], grad_prev[sig]) for sig in range(n)), keep)
+        for a in range(n) for b in range(a, n)}
+    theta0, grad = _potential_of_hessian(hess, names)   # grad[b - 1] = d theta0 / dv^b
 
     # unity-direction normalization: d theta / dv^iota = theta_{g,m}
     affine = {iota: _constant(
-        _filtered(cal.theta[(g, m)] - grad[iota - 1], keep),
+        cal.theta[(g, m)] - grad[iota - 1],
         f"{spec.name}: unity normalization fails at level {level} for index {g}")}
 
     # gradient quasi-homogeneity fixes the remaining linear coefficients
@@ -161,7 +158,7 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
         coeff = level + spec.mu[g - 1] + spec.mu[b - 1]
         cval = _constant(_euler_rule(
             spec, grad[b - 1], coeff,
-            [(g, range(1, level + 1), lambda rho, k: cal.grad(rho, level - k, b))], keep),
+            [(g, range(1, level + 1), lambda rho, k: cal.grad(rho, level - k, b))]),
             f"{spec.name}: homogeneity obstruction at level {level}, indices ({g},{b}); wrong R?")
         if b == iota:
             # already fixed; the equation must close on its own
@@ -187,7 +184,7 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
     cval = _constant(_euler_rule(
         spec, theta1, coeff_s,
         [(g, range(1, level + 1), lambda rho, k: cal.theta[(rho, level - k)]),
-         (g, (level + 1,), lambda rho, k: ClosedForm.const(t.eta[rho - 1][iota - 1]))], keep),
+         (g, (level + 1,), lambda rho, k: ClosedForm.const(t.eta[rho - 1][iota - 1]))]),
         f"{spec.name}: scalar homogeneity obstruction at level {level}, index {g}")
     if coeff_s == 0:
         if cval != 0:
@@ -221,7 +218,6 @@ def check_homogeneity(cal: Calibration) -> dict:
     """The R-corrected Euler rule on every two-point entry built on `cal`;
     exact (or to the cutoff)."""
     spec = cal.spec
-    keep = spec.exp_filter()
     failures = []
     for (a, m1, b, m2), om in sorted(cal.omega.items()):
         sides = [(a, range(1, m1 + 1), lambda g, k: cal.entry(g, m1 - k, b, m2)),
@@ -229,7 +225,7 @@ def check_homogeneity(cal: Calibration) -> dict:
                  (a, (m1 + m2 + 1,),
                   lambda g, k: ClosedForm.const(cal.tensors.eta[g - 1][b - 1] * (-1) ** m2))]
         weight = m1 + m2 + 1 + spec.mu[a - 1] + spec.mu[b - 1]
-        if not _euler_rule(spec, om, weight, sides, keep).is_zero():
+        if not _euler_rule(spec, om, weight, sides).is_zero():
             failures.append((a, m1, b, m2))
     return {"pass": not failures, "failures": failures, "entries": len(cal.omega)}
 
@@ -248,13 +244,14 @@ def theta_matrix_coefficients(cal: Calibration, m_max: int | None = None) -> lis
 
 
 def check_orthogonality(cal: Calibration) -> dict:
-    """<grad theta_a(z), grad theta_b(-z)> = eta_ab order by order in z."""
-    eta = cal.tensors.eta
-    n = cal.spec.n
+    """<grad theta_a(z), grad theta_b(-z)> = eta_ab order by order in z.  As P is stored
+    once for both orders, the (k, b, a) sum is (-1)^k times the (k, a, b) sum, so only
+    b >= a (b > a at odd k, where the sum is 0) is summed; (k, a, b) names both."""
+    eta, n = cal.tensors.eta, cal.spec.n
     failures = []
     for k in range(cal.m_max + 1):
         for a in range(1, n + 1):
-            for b in range(1, n + 1):
+            for b in range(a + k % 2, n + 1):
                 # (-1)^k times the z^k coefficient: it vanishes with it
                 s = _signed_pairings(cal.pairing, a, 0, b, k) - (eta[a - 1][b - 1] if k == 0 else 0)
                 if not s.is_zero():

@@ -445,17 +445,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_code(exc: Exception) -> int:
-    """Exit code of a failed run: 2 for a malformed or unknown spec or a
-    malformed option value (usage errors, as argparse reports its own), 4 for
-    a mathematical domain error (non-semisimple point, inadmissible line or
-    failed matching, singular Jacobian or centre), 3 for anything else."""
+    """Exit code of a failed run: 2 for a malformed, unknown or invalid spec or a
+    malformed option value (usage errors, as argparse reports its own), 4 for a
+    mathematical domain error (non-semisimple point, inadmissible line or failed
+    matching, singular Jacobian or centre, calibration obstruction), 3 otherwise."""
+    from .calibration import ObstructionError
+    from .core import SpecValidationError
     from .series import SingularCenterError, SingularJacobianError
     from .specs import SpecParseError
-    domain = (SingularJacobianError, SingularCenterError)
+    domain = (SingularJacobianError, SingularCenterError, ObstructionError)
     # monodromy's errors exist once it is loaded; loading it would import numpy
     if (mono := sys.modules.get("frobwdvv.monodromy")) is not None:
         domain += (mono.MatchingError, mono.NonSemisimpleError, mono.IntegrationError)
-    if isinstance(exc, (SpecParseError, UsageError)):
+    if isinstance(exc, (SpecParseError, SpecValidationError, UsageError)):
         return 2
     if isinstance(exc, domain):
         return 4

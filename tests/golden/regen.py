@@ -33,6 +33,10 @@ COMMANDS = [
     ["calibrate", "p1orb", "--order", "3", "--dump"],
     ["calibrate", "p1xp1", "--order", "2", "--dump"],
     ["calibrate", "ccc_a111", "--order", "2", "--dump"],
+    # the benchmark's order for p1xp1; twodim m = 3/2 is resonant, with a nilpotent R block
+    ["calibrate", "p1xp1", "--order", "4", "--dump"],
+    ["calibrate", "twodim", "--param", "m=3/2", "--param", "c=2", "--order", "4", "--dump"],
+    ["calibrate", "twodim", "--param", "m=-1", "--param", "c=1", "--order", "4", "--dump"],
     ["genus1-check", "p1"],
     ["genus1-check", "a2"],
     ["recursion", "nd", "--max", "6"],
@@ -62,7 +66,7 @@ SERIES = [
 
 
 def golden_name(argv: list[str]) -> str:
-    return "_".join(a.lstrip("-") for a in argv) + ".json"
+    return ("_".join(a.lstrip("-") for a in argv) + ".json").replace("/", "over")
 
 
 def render(argv: list[str]) -> tuple[int, str]:

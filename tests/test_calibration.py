@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from frobwdvv import calibration
 from frobwdvv.calibration import (
@@ -9,11 +10,12 @@ from frobwdvv.calibration import (
     check_homogeneity, check_orthogonality, solve_calibration, theta_matrix_coefficients,
     two_point_table,
 )
-from frobwdvv.closedform import ClosedForm, Mono, cf_var
+from frobwdvv.closedform import ClosedForm, Mono, cf_mono, cf_var
 from frobwdvv.core import FrobeniusSpec, build_tensors
 from frobwdvv.specs import BUILTIN_SPECS, load_spec
 
 from conftest import assert_normal_scalar, assert_same_types
+from test_closedform import coeffs, small_rats
 
 F = Fraction
 
@@ -228,6 +230,33 @@ def _count_sum_of_products(monkeypatch, is_counted=lambda triples: True):
     return calls
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Counts the calls of owner.name (a function, or a method of ClosedForm)."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, staticmethod(counting)
+                        if isinstance(owner.__dict__[name], staticmethod) else counting)
+    return calls
+
+
+def _per_level(monkeypatch, *counters):
+    """The rise of each counter over each _solve_next_level call."""
+    per_level = []
+    real = calibration._solve_next_level
+
+    def counting(*args):
+        before = [c[0] for c in counters]
+        out = real(*args)
+        per_level.append(tuple(c[0] - b for c, b in zip(counters, before)))
+        return out
+    monkeypatch.setattr(calibration, "_solve_next_level", counting)
+    return per_level
+
+
 def test_p2_order_4_forms_each_pairing_once(monkeypatch):
     # `calibrate p2 --order 4`: orthogonality to k = 4 and the two-point table
     # to m1 + m2 = 3 read the 72 unordered pairings with l1 + l2 <= 4, and
@@ -268,64 +297,179 @@ def test_hessian_is_built_on_the_upper_triangle(monkeypatch, name):
     structure = {id(f) for plane in t.c_mixed for row in plane for f in row}
     calls = _count_sum_of_products(
         monkeypatch, lambda triples: any(id(f) in structure for _, f, _ in triples))
-    per_level = []
-    real = calibration._solve_next_level
-
-    def counting(*args):
-        before = calls[0]
-        out = real(*args)
-        per_level.append(calls[0] - before)
-        return out
-    monkeypatch.setattr(calibration, "_solve_next_level", counting)
+    per_level = _per_level(monkeypatch, calls)
     solve_calibration(spec, 3, t)
-    assert per_level == [n * (n + 1) // 2] * (3 * n)
+    assert per_level == [(n * (n + 1) // 2,)] * (3 * n)
 
 
 def test_euler_residuals_take_no_derivative_or_product(monkeypatch):
-    # E f - w f is one pass over the terms of f. Per p2 level, the Euler rules
-    # read the gradient that potential_from_gradient built, so no derivative is
-    # taken outside the Hessian, the cached gradients and potential_from_gradient,
-    # and the Hessian sums are the only products
+    # E f - w f is one pass over the terms of f. Per p2 level, the level step
+    # takes n derivatives for the gradient of theta0 and n(n+1)/2 to check it
+    # against the Hessian; the Euler rules read that gradient and the cached
+    # ones, so they take none, and the Hessian sums are the only products
     spec = load_spec("p2")
     n = spec.n
     t = build_tensors(spec)
     hessian = {id(f) for plane in t.c_mixed for row in plane for f in row}
     products = _count_sum_of_products(
         monkeypatch, lambda triples: not any(id(f) in hessian for _, f, _ in triples))
-    diffs = [0]
-    real_diff = ClosedForm.diff
+    diffs = _count_calls(monkeypatch, ClosedForm, "diff")
 
-    def counting_diff(self, var):
-        diffs[0] += 1
-        return real_diff(self, var)
-    monkeypatch.setattr(ClosedForm, "diff", counting_diff)
-
-    def uncounted(real):
-        def run(*args):
-            saved = diffs[0], products[0]
-            out = real(*args)
-            diffs[0], products[0] = saved
-            return out
-        return run
-    monkeypatch.setattr(calibration, "potential_from_gradient",
-                        uncounted(calibration.potential_from_gradient))
-    monkeypatch.setattr(Calibration, "grad", uncounted(Calibration.grad))
-    per_level = []
-    real_level = calibration._solve_next_level
-
-    def counting_level(*args):
-        before = diffs[0], products[0]
-        out = real_level(*args)
-        per_level.append((diffs[0] - before[0], products[0] - before[1]))
+    def uncounted(*args):
+        saved = diffs[0], products[0]
+        out = real_grad(*args)
+        diffs[0], products[0] = saved
         return out
-    monkeypatch.setattr(calibration, "_solve_next_level", counting_level)
+    real_grad = Calibration.grad
+    monkeypatch.setattr(Calibration, "grad", uncounted)
+    in_rules = []
+    real_rule = calibration._euler_rule
+
+    def rule(*args):
+        before = diffs[0], products[0]
+        out = real_rule(*args)
+        in_rules.append((diffs[0] - before[0], products[0] - before[1]))
+        return out
+    monkeypatch.setattr(calibration, "_euler_rule", rule)
+    per_level = _per_level(monkeypatch, diffs, products)
     cal = solve_calibration(spec, 3, t)
-    assert per_level == [(0, 0)] * (3 * n)
+    assert per_level == [(n + n * (n + 1) // 2, 0)] * (3 * n)
+    assert in_rules == [(0, 0)] * ((n + 1) * 3 * n)
 
     diffs[0] = products[0] = 0
     for f in [spec.potential, *cal.theta.values()]:
         spec.euler_residual(f, F(1, 3))
     assert (diffs[0], products[0]) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p1xp1"])
+def test_level_integration_takes_two_antiderivative_passes(monkeypatch, name):
+    # a level integrates its Hessian once: n(n+1)/2 antiderivatives of its
+    # entries and n of their sums, which join disjoint terms, so no signed_sum
+    spec = load_spec(name)
+    n = spec.n
+    antiderivatives = _count_calls(monkeypatch, ClosedForm, "antiderivative")
+    sums = _count_calls(monkeypatch, ClosedForm, "signed_sum")
+    in_integration = []
+    real = calibration._potential_of_hessian
+
+    def integrating(*args):
+        before = sums[0]
+        out = real(*args)
+        in_integration.append(sums[0] - before)
+        return out
+    monkeypatch.setattr(calibration, "_potential_of_hessian", integrating)
+    per_level = _per_level(monkeypatch, antiderivatives)
+    solve_calibration(spec, 3)
+    assert len(per_level) == 3 * n
+    assert all(0 < k <= n * (n + 1) // 2 + n for k, in per_level)
+    assert in_integration == [0] * (3 * n)
+
+
+def _hessian(f, names):
+    return {(a, b): f.diff(names[a]).diff(names[b])
+            for a in range(len(names)) for b in range(a, len(names))}
+
+
+def _without_affine_part(f, names):
+    """f less its constant and the linear part of its gradient: the constant of
+    d_b f is the coefficient of v^b there (x log x has d_x = log x + 1, so x)."""
+    out = f - f.constant_term()
+    for v in names:
+        out = out - cf_var(v) * f.diff(v).constant_term()
+    return out
+
+
+@st.composite
+def integrable_terms(draw, names, first=None):
+    """One term c * prod_v v^q log^k v e^{cv}: a variable carries a rational power
+    with logs, or a natural power with an exponential, so that every derivative
+    of it stays integrable.  `first` forces a nonzero power of that variable."""
+    used = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names),
+                         unique=True))
+    if first is not None and first not in used:
+        used.append(first)
+    powers, logs, exps = {}, {}, {}
+    for v in used:
+        if draw(st.booleans()) and v != first:
+            powers[v] = draw(st.integers(0, 2))
+            exps[v] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2).filter(bool))
+        else:
+            q = draw(st.fractions(min_value=-2, max_value=3, max_denominator=2))
+            powers[v] = q if q or v != first else 1
+            logs[v] = draw(st.integers(0, 2))
+    return cf_mono(draw(coeffs()), powers, logs, exps)
+
+
+@st.composite
+def integrable_forms(draw):
+    names = ["x", "y", "z"][:draw(st.integers(2, 3))]
+    f = ClosedForm.const(draw(small_rats))
+    for _ in range(draw(st.integers(1, 4))):
+        f = f + draw(integrable_terms(names))
+    return f, names
+
+
+@settings(max_examples=60, deadline=None)
+@given(integrable_forms())
+@example((cf_mono(1, {"x": 1}, {"x": 1}) + cf_mono(2, {"x": 1, "y": 1}) + cf_var("y"), ["x", "y"]))
+def test_hessian_integrates_to_the_potential_less_its_affine_part(case):
+    f, names = case
+    theta0, grad = calibration._potential_of_hessian(_hessian(f, names), names)
+    want = _without_affine_part(f, names)
+    assert theta0.terms == want.terms
+    assert [g.terms for g in grad] == [want.diff(v).terms for v in names]
+    assert all(not g.constant_term() for g in grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integrable_forms(), st.data())
+def test_hessian_changed_by_one_term_is_obstructed_at_that_entry(case, data):
+    # H_ab (a < b) or H_bb changed by a term that carries v_a: theta0 takes from
+    # that entry only the terms free of v_1..v_{b-1}, so d d theta0 misses the
+    # change there and matches H everywhere else (a term free of v_1..v_{b-1}
+    # would be integrated into theta0 and show at another entry)
+    f, names = case
+    a, b = sorted(data.draw(st.lists(st.sampled_from(range(len(names))), min_size=2,
+                                     max_size=2, unique=True)))
+    i = b if data.draw(st.booleans(), label="diagonal") else a
+    hess = _hessian(f, names)
+    hess[i, b] = hess[i, b] + data.draw(integrable_terms(names, names[a]))
+    with pytest.raises(ObstructionError, match=rf"\({names[i]}, {names[b]}\)"):
+        calibration._potential_of_hessian(hess, names)
+
+
+def _perturbed(cal, alpha):
+    """cal with one theta_{alpha,2} coefficient off by one."""
+    terms = dict(cal.theta[(alpha, 2)].terms)
+    mono = min((m for m in terms if m != Mono((), (), ())), key=Mono.sort_key)
+    terms[mono] = terms[mono] + 1
+    return Calibration(cal.spec, cal.tensors, cal.m_max,
+                       {**cal.theta, (alpha, 2): ClosedForm(terms)})
+
+
+@pytest.mark.parametrize("name, m_max", [("p1", 4), ("p2", 4), ("p1xp1", 2)])
+def test_orthogonality_sums_skipped_by_symmetry(name, m_max):
+    # check_orthogonality sums b >= a only (b > a at odd k): from fresh products,
+    # each skipped (k, b, a) sum is (-1)^k times the (k, a, b) sum term for term,
+    # and the (k, a, a) sum at odd k is zero.  On a perturbed calibration it
+    # reports exactly the summed (k, a, b) whose fresh sum is off
+    cal = solve_calibration(load_spec(name), m_max)
+    n, eta = cal.spec.n, cal.tensors.eta
+    bad = _perturbed(cal, 1)
+    off = []
+    for k in range(m_max + 1):
+        levels = [((-1) ** (k - j), j, k - j) for j in range(k + 1)]
+        for a in range(1, n + 1):
+            if k % 2:
+                assert not _fresh_pairing_sum(cal, a, a, levels).terms, (k, a)
+            for b in range(a + 1, n + 1):
+                s_ab = _fresh_pairing_sum(cal, a, b, levels)
+                assert _fresh_pairing_sum(cal, b, a, levels).terms == (s_ab * (-1) ** k).terms
+            off += [(k, a, b) for b in range(a + k % 2, n + 1)
+                    if _fresh_pairing_sum(bad, a, b, levels) != (eta[a - 1][b - 1] if k == 0 else 0)]
+    assert check_orthogonality(cal)["pass"]
+    assert off and check_orthogonality(bad)["failures"] == off
 
 
 @pytest.mark.parametrize("name", ["p1", "p2"])
@@ -335,12 +479,7 @@ def test_perturbed_level_two_fails_both_checks(name):
     # each still see it
     cal = solve_calibration(load_spec(name), 4)
     for alpha in range(1, cal.spec.n + 1):
-        terms = dict(cal.theta[(alpha, 2)].terms)
-        mono = min((m for m in terms if m != Mono((), (), ())), key=Mono.sort_key)
-        terms[mono] = terms[mono] + 1
-        theta = dict(cal.theta)
-        theta[(alpha, 2)] = ClosedForm(terms)
-        bad = Calibration(cal.spec, cal.tensors, cal.m_max, theta)
+        bad = _perturbed(cal, alpha)
         assert not check_orthogonality(bad)["pass"], alpha
         assert not check_homogeneity(two_point_table(bad, 3))["pass"], alpha
 

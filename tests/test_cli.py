@@ -217,6 +217,31 @@ def test_malformed_spec_file_exit_code(tmp_path, capsys, change, field):
     assert "SpecParseError" in err and field in err
 
 
+def _p1_with_r1_entry(tmp_path, shifts):
+    # the bundled p1 spec with (R_1)^2_1 = 3 (p1's is 2) and the given Euler shifts
+    obj = json.loads(resources.files("frobwdvv").joinpath("specs/p1.json").read_text())
+    obj["R"] = [{"s": 1, "entries": [[2, 1, "3"]]}]
+    obj["euler"] = {**obj["euler"], "shifts": shifts}
+    path = tmp_path / "p1r3.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_invalid_spec_exit_code(tmp_path, capsys):
+    # the spec parses, but validate_spec rejects it: a usage error, not internal
+    assert main(["calibrate", _p1_with_r1_entry(tmp_path, ["0", "2"])]) == 2
+    err = capsys.readouterr().err
+    assert "SpecValidationError" in err and "Euler shift r^2 must equal (R_1)^2_iota" in err
+
+
+def test_calibration_obstruction_exit_code(tmp_path, capsys):
+    # shifts and R_1 agree, so the spec is valid, but this R does not fit p1's
+    # potential: the calibration is obstructed, a domain error
+    assert main(["calibrate", _p1_with_r1_entry(tmp_path, ["0", "3"])]) == 4
+    err = capsys.readouterr().err
+    assert "ObstructionError" in err and "homogeneity obstruction" in err
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     from frobwdvv import solver
 
