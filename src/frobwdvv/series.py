@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add, mul, sub
 
-from .closedform import ClosedForm
+from .closedform import ClosedForm, _times
 from .exact import Exact, as_exact_scalar, rational_power, scalar_is_exact
 from .linalg import SingularMatrixError, float_inv, mat_inv
 
@@ -24,6 +25,7 @@ __all__ = [
     "SingularCenterError", "SingularJacobianError", "CenterMismatchError",
     "localize", "invert_map",
 ]
+_EXACT = frozenset((int, Fraction, Exact))
 
 
 class SingularCenterError(ArithmeticError):
@@ -62,13 +64,14 @@ class TruncSeries:
     """Series sum_idx c_idx * prod (v_i - center_i)^{idx_i} over idx of total
     degree <= order."""
 
-    __slots__ = ("vars", "center", "coeffs", "grading")
+    __slots__ = ("vars", "center", "coeffs", "grading", "_view")
 
     def __init__(self, vars: tuple[str, ...], center: tuple, coeffs: dict, grading: Grading,
                  _clean: bool = False):
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "center", tuple(center))
         object.__setattr__(self, "grading", grading)
+        object.__setattr__(self, "_view", None)
         if _clean:
             object.__setattr__(self, "coeffs", coeffs)
             return
@@ -84,13 +87,34 @@ class TruncSeries:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TruncSeries is immutable")
 
+    def _kernel_view(self, ordered: bool, raw: bool) -> tuple:
+        """The kernels' view (D, items, degrees), built once and cached in `_view`:
+        (idx, c * D) over D, the lcm of the rational denominators (an Exact c is
+        carried as the Exact c * D), or, `raw`, (idx, c) over D = 1; in dict
+        order (degrees None) or, `ordered`, stably by degree with the degrees."""
+        if raw and not ordered:
+            return 1, self.coeffs.items(), None
+        if self._view is None:
+            object.__setattr__(self, "_view", {})
+        view = self._view.get((ordered, raw))
+        if view is None:
+            if ordered:
+                d, items, _ = self._kernel_view(False, raw)
+                items = sorted(items, key=lambda t: sum(t[0]))
+                view = (d, items, [sum(i) for i, _ in items])
+            else:
+                d = math.lcm(*[c.denominator for c in self.coeffs.values() if type(c) is Fraction])
+                view = (d, [(i, _times(c, d)) for i, c in self.coeffs.items()], None)
+            self._view[(ordered, raw)] = view
+        return view
+
     # -- helpers -------------------------------------------------------
     @property
     def nvars(self) -> int:
         return len(self.vars)
 
     def is_exact(self) -> bool:
-        return all(scalar_is_exact(c) for c in self.coeffs.values())
+        return _EXACT.issuperset(map(type, self.coeffs.values()))
 
     def same_frame(self, other: "TruncSeries") -> bool:
         return (self.vars == other.vars and self.center == other.center
@@ -134,11 +158,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Exact, float, complex)):
-            # the products are normalized and inside the cutoff; a float
-            # product may still underflow to zero
-            return TruncSeries(self.vars, self.center,
-                               {i: p for i, c in self.coeffs.items() if (p := c * other)},
-                               self.grading, _clean=True)
+            return _linear([(other, self)], self.vars, self.center, self.grading)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return TruncSeries.sum_of_products(((1, self, other),))
@@ -152,45 +172,46 @@ class TruncSeries:
         for sign, f in rest:
             if not f.same_frame(frame):
                 raise CenterMismatchError("series frames differ")
-            _add_into(out, f.coeffs.items() if sign > 0 else ((i, -c) for i, c in f.coeffs.items()))
+            for idx, c in f.coeffs.items():
+                prev, c = out.get(idx), c if sign > 0 else -c
+                s = c if prev is None else prev + c
+                if s:
+                    out[idx] = s
+                elif prev is not None:
+                    del out[idx]
         return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
 
     @staticmethod
     def sum_of_products(triples) -> "TruncSeries":
         """The sum of scale * f * g over one or more (scale, f, g) triples, built
-        in one dict.  Every series must share the frame of the first."""
-        out: dict = {}
-        frame = None
+        in one dict over the views (see `_fold`); a left term of degree d walks
+        g's terms by degree up to cutoff - d only.  Every series must share the
+        frame of the first."""
+        work, frame = [], None
         for scale, f, g in triples:
             if frame is None:
                 frame = f
             if not (f.same_frame(frame) and g.same_frame(frame)):
                 raise CenterMismatchError("series frames differ")
-            if not scale or not f.coeffs or not g.coeffs:
-                continue
-            # right factor's terms by degree: a left term of degree d pairs
-            # only with the buckets of degree <= cutoff - d
-            buckets: dict[int, list] = {}
-            for i2, c2 in g.coeffs.items():
-                buckets.setdefault(sum(i2), []).append((i2, c2))
-            degrees = sorted(buckets)
-            cut = frame.grading.cutoff
-            left = f.coeffs.items() if scale == 1 else \
-                [(i, c * scale) for i, c in f.coeffs.items()]
+            if scale and f.coeffs and g.coeffs:
+                work.append((scale, f, g))
+        den, ks, views = _fold(work, (False, True))
+        cut = frame.grading.cutoff
+        out: dict = {}
+        for k, ((_, left, _), (_, right, degrees)) in zip(ks, views):
             for i1, c1 in left:
-                room = cut - sum(i1)
-                for d in degrees:
-                    if d > room:
-                        break
-                    for i2, c2 in buckets[d]:
-                        idx = tuple(map(add, i1, i2))
-                        prev = out.get(idx)
-                        s = c1 * c2 if prev is None else prev + c1 * c2
-                        if s:
-                            out[idx] = s
-                        elif prev is not None:
-                            del out[idx]
-        return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
+                part = right[:bisect_right(degrees, cut - sum(i1))]
+                if k != 1:
+                    c1 = c1 * k
+                for i2, c2 in part:
+                    idx = tuple(map(add, i1, i2))
+                    prev = out.get(idx)
+                    s = c1 * c2 if prev is None else prev + c1 * c2
+                    if s:
+                        out[idx] = s
+                    elif prev is not None:
+                        del out[idx]
+        return TruncSeries(frame.vars, frame.center, _over(out, den), frame.grading, _clean=True)
 
     __rmul__ = __mul__
 
@@ -207,11 +228,12 @@ class TruncSeries:
         return out
 
     def diff(self, var: str) -> "TruncSeries":
-        # lowering the exponent of one variable is one-to-one on indices
+        # one-to-one on indices, inside the cutoff, and c * k is normal and nonzero
         i = self.vars.index(var)
         return TruncSeries(self.vars, self.center,
                            {idx[:i] + (k - 1,) + idx[i + 1:]: c * k
-                            for idx, c in self.coeffs.items() if (k := idx[i])}, self.grading)
+                            for idx, c in self.coeffs.items() if (k := idx[i])},
+                           self.grading, _clean=True)
 
     def truncate(self, order) -> "TruncSeries":
         g = Grading.total_degree(self.nvars, order)
@@ -261,15 +283,40 @@ class TruncSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def _add_into(out: dict, items) -> None:
-    """Add (index, coefficient) pairs into `out` in place, dropping zeros."""
-    for idx, c in items:
-        prev = out.get(idx)
-        s = c if prev is None else prev + c
-        if s:
-            out[idx] = s
-        elif prev is not None:
-            del out[idx]
+def _fold(work: list, ordered: tuple) -> tuple:
+    """Denominator, multipliers and views of a kernel call over (scale, *series)
+    entries: the lcm of each scale's denominator times its views' D, and each
+    scale as an int (an Exact for an Exact scale) over it; with any float or
+    complex scale or coefficient, raw views, the scales as they are and 0."""
+    raw = not all([type(e[0]) in _EXACT and all(map(TruncSeries.is_exact, e[1:])) for e in work])
+    views = [[f._kernel_view(o, raw) for f, o in zip(e[1:], ordered)] for e in work]
+    if raw:
+        return 0, [e[0] for e in work], views
+    dens = [math.prod([v[0] for v in vs]) for vs in views]
+    den = math.lcm(*[getattr(e[0], "denominator", 1) * d for e, d in zip(work, dens)])
+    return den, [_times(e[0], den // d) for e, d in zip(work, dens)], views
+
+
+def _over(out: dict, den: int) -> dict:
+    """Numerators over den in normal form, once each; raw ones (den 0) as they are."""
+    return {i: Fraction(c, den) if type(c) is int else c / den for i, c in out.items()} \
+        if den else out
+
+
+def _linear(pairs, vars, center, grading) -> TruncSeries:
+    """The sum of c * s over (c, s) pairs in one dict over the views (`_fold`)."""
+    den, ks, views = _fold(pairs, (False,))
+    out: dict = {}
+    for k, ((_, items, _),) in zip(ks, views):
+        for idx, b in items:
+            p = k * b
+            prev = out.get(idx)
+            s = p if prev is None else prev + p
+            if s:
+                out[idx] = s
+            elif prev is not None:
+                del out[idx]
+    return TruncSeries(vars, center, _over(out, den), grading, _clean=True)
 
 
 @dataclass(frozen=True)
@@ -320,10 +367,8 @@ def compose(f: TruncSeries, m: SeriesMap) -> TruncSeries:
         elif d:
             raise CenterMismatchError("map constant terms do not hit f's center")
     frame = m.components[0]
-    out: dict = {}
-    for idx, c in f.coeffs.items():
-        _add_into(out, ((j, c * b) for j, b in m.basis(idx).coeffs.items()))
-    return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
+    return _linear([(c, m.basis(idx)) for idx, c in f.coeffs.items()],
+                   frame.vars, frame.center, frame.grading)
 
 
 def invert_map(m: SeriesMap) -> SeriesMap:
@@ -375,8 +420,8 @@ def _units(n: int) -> tuple:
 
 def _offset_series(v: str, coefs: list, vars, center, grading: Grading) -> TruncSeries:
     """sum_j coefs[j] (v - c)^j, for a coefficient list already cut at the grading."""
-    i = vars.index(v)
-    return TruncSeries(vars, center, {tuple(j if k == i else 0 for k in range(len(vars))): a
+    i, zero = vars.index(v), (0,) * len(vars)
+    return TruncSeries(vars, center, {zero[:i] + (j,) + zero[i + 1:]: a
                                       for j, a in enumerate(coefs) if a}, grading, _clean=True)
 
 
@@ -402,13 +447,10 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple,
     so each monomial is expanded once.
     """
     memo = {} if memo is None else memo
-    total: dict = {}
-    for mono, coeff in f.terms.items():
-        unit = memo.get(mono)
-        if unit is None:
-            unit = memo[mono] = _expand_monomial(mono, vars, center, grading)
-        _add_into(total, ((j, coeff * b) for j, b in unit.coeffs.items()))
-    return TruncSeries(vars, center, total, grading, _clean=True)
+    for mono in f.terms:
+        if mono not in memo:
+            memo[mono] = _expand_monomial(mono, vars, center, grading)
+    return _linear([(c, memo[mono]) for mono, c in f.terms.items()], vars, center, grading)
 
 
 def _expand_monomial(mono, vars, center, grading) -> TruncSeries:
@@ -421,7 +463,7 @@ def _expand_monomial(mono, vars, center, grading) -> TruncSeries:
         if abs(complex(c)) == 0:
             if q.denominator != 1 or q < 0:
                 raise SingularCenterError(f"{v}^{q} at center {v}=0")
-            factors.append(_offset_series(v, [Fraction(j == q) for j in range(n + 1)],
+            factors.append(_offset_series(v, ([0] * int(q) + [Fraction(1)])[:n + 1],
                                           vars, center, grading))
             continue
         # a negative c has no real non-integer principal power
@@ -443,7 +485,8 @@ def _expand_monomial(mono, vars, center, grading) -> TruncSeries:
     for v, e in mono.exps:
         c = cmap[v]
         e0 = Fraction(1) if scalar_is_exact(c) and not c else cmath.exp(float(e) * complex(c))
-        coefs = [e0 * (Fraction(e) ** j / math.factorial(j)) for j in range(n + 1)]
+        u, w = Fraction(e).as_integer_ratio()
+        coefs = [e0 * Fraction(u ** j, w ** j * math.factorial(j)) for j in range(n + 1)]
         factors.append(_offset_series(v, coefs, vars, center, grading))
     return reduce(mul, factors) if factors else \
         TruncSeries.constant(Fraction(1), vars, center, grading)

@@ -53,7 +53,9 @@ COMMANDS = [
 # exercises the floor of the cutoff; the a2 series are rational (the sqrt(6)
 # of its printed hat potential cancels at h1 = 3/2), and twodim m = 7/2 at
 # v2 = 2 carries sqrt(2) coefficients; twodim m = 5/3 at v2 = 1 takes the
-# cube-root case of the exact powers (1^(p/3) = 1) and stays rational
+# cube-root case of the exact powers (1^(p/3) = 1) and stays rational; p2
+# kappa = 3 at t = 1/10 runs on complex floats, pinned by str(complex), the
+# shortest round-trip repr
 SERIES = [
     ("p1", None, 2, ("0", "0"), "8"),
     ("p1", None, 2, ("0", "0"), "15/2"),
@@ -62,6 +64,7 @@ SERIES = [
     ("p1orb", None, 2, ("0", "0", "0"), "6"),
     ("twodim", {"m": "7/2", "c": "1"}, 2, ("0", "2"), "8"),
     ("twodim", {"m": "5/3", "c": "-2/3"}, 2, ("0", "1"), "8"),
+    ("p2", None, 3, ("0", "0", "1/10"), "5"),
 ]
 
 
