@@ -79,6 +79,14 @@ def _values(spec, text: str, flag: str, parse=Fraction, what="rationals") -> tup
     return vals
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of a rational option: a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _sign(text: str) -> int:
     if int(text) not in (1, -1):
         raise ValueError(text)
@@ -236,40 +244,35 @@ def cmd_verify_omega(args) -> int:
 
 def cmd_recursion(args) -> int:
     from . import solver
-    name = args.name
-    max_n = args.max if args.max is not None else {"ckl": 8, "a21": 19}.get(name, 6)
-    _at_least("--max", max_n, {"ckl": 2, "a21": 5}.get(name, 1))   # first entries
-    if name == "nd":
-        out = solver.recursion_nd(max_n)
-        dual = solver.nd_via_ode_route(min(max_n, 6))
-        agree = all(dual.table()[k] == out.table()[k] for k in dual.table())
-        checks = [{"name": "dual-route-agreement", "pass": agree}]
-    elif name == "ck":
-        out = solver.recursion_ck(max_n)
-        checks = [{"name": "integrality-audit",
-                   "pass": all(out.audits["integrality"].values())}]
-    elif name == "mk":
-        out = solver.recursion_mk(max_n)
-        checks = [{"name": "two-integrality-audit",
-                   "pass": all(out.audits["two_integrality"].values())}]
-    elif name == "qk":
-        out = solver.recursion_qk(max_n)
-        checks = [{"name": "k-qk-integrality-audit",
-                   "pass": all(out.audits["k_qk_integral"].values())}]
-    elif name == "wk":
-        out = solver.recursion_wk(max_n)
-        checks = [{"name": "scaled-integrality-audit",
-                   "pass": all(out.audits["scaled_integrality"].values())}]
-    elif name == "nkl":
-        out = solver.recursion_nkl(max_n)
-        checks = [{"name": "symmetry", "pass": out.audits["symmetric"]}]
-    else:   # ckl or a21; argparse rejects any other name
-        out = solver.solve_ckl(max_n) if name == "ckl" else solver.solve_a21(max_n)
-        checks = [{"name": "pattern-audit", "pass": out.audits["pattern_as_expected"]}]
+
+    def every(key):     # the audit holds at every entry
+        return lambda out: all(out.audits[key].values())
+
+    def flag(key):
+        return lambda out: out.audits[key]
+
+    def nd_dual_route(out):     # the ODE route's first (up to six) counts agree
+        dual = solver.nd_via_ode_route(min(len(out.values), 6)).values
+        return all(out.table()[d] == v for d, v in dual)
+
+    # name: (solver, default --max, least --max (its first entry's), check, audit)
+    fn, default, least, check, audit = {
+        "nd": (solver.recursion_nd, 6, 1, "dual-route-agreement", nd_dual_route),
+        "ck": (solver.recursion_ck, 6, 1, "integrality-audit", every("integrality")),
+        "mk": (solver.recursion_mk, 6, 1, "two-integrality-audit", every("two_integrality")),
+        "qk": (solver.recursion_qk, 6, 1, "k-qk-integrality-audit", every("k_qk_integral")),
+        "wk": (solver.recursion_wk, 6, 1, "scaled-integrality-audit", every("scaled_integrality")),
+        "nkl": (solver.recursion_nkl, 6, 1, "symmetry", flag("symmetric")),
+        "ckl": (solver.solve_ckl, 8, 2, "pattern-audit", flag("pattern_as_expected")),
+        "a21": (solver.solve_a21, 19, 5, "pattern-audit", flag("pattern_as_expected")),
+    }[args.name]
+    max_n = default if args.max is None else args.max
+    _at_least("--max", max_n, least)
+    out = fn(max_n)
     report = {
-        "schema": SCHEMA, "command": f"recursion {name}", "max": max_n,
+        "schema": SCHEMA, "command": f"recursion {args.name}", "max": max_n,
         "table": [[str(k), str(v)] for k, v in out.values],
-        "checks": checks,
+        "checks": [{"name": check, "pass": audit(out)}],
     }
     _emit(report, args.output, args.format)
     return _exit(report)
@@ -395,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("legendre", help="transform and verify structural identities")
     sp.add_argument("spec")
     sp.add_argument("--kappa", type=int, required=True)
-    sp.add_argument("--order", type=Fraction, default=Fraction(8))
+    sp.add_argument("--order", type=_rational, default=Fraction(8))
     sp.add_argument("--m-max", type=int, default=4)
     sp.add_argument("--center", default=None, help="comma-separated rationals")
     sp.add_argument("--param", action="append")
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-omega", help="two-point transport identities")
     sp.add_argument("spec")
     sp.add_argument("--kappa", type=int, required=True)
-    sp.add_argument("--order", type=Fraction, default=Fraction(8))
+    sp.add_argument("--order", type=_rational, default=Fraction(8))
     sp.add_argument("--m-max", type=int, default=4)
     sp.add_argument("--table-order", type=int, default=2)
     sp.add_argument("--center", default=None)
@@ -466,8 +469,12 @@ def _error_code(exc: Exception) -> int:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Exit 0 when every check passes, 1 when one fails;
-    a run that raises exits as `_error_code` says."""
-    args = build_parser().parse_args(argv)
+    a run that raises exits as `_error_code` says, and a command line argparse
+    rejects exits 2, as from argparse itself (`--help` exits 0)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.fn(args)
     except Exception as exc:  # surface module errors with context, nonzero exit

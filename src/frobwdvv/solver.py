@@ -2,8 +2,8 @@
 
 Two layers:
 
-* univariate ODE reductions (displayed fourth/third order equations) solved by
-  pivot detection on truncated Laurent series with exact coefficients;
+* one-variable ODE reductions (displayed fourth/third order equations) solved
+  by pivot detection on exact truncated power series in one variable;
 
 * a generic "slot" solver that imposes associativity on a potential ansatz
   fixed part + sum of unknown coefficients times explicit monomials, collecting
@@ -51,82 +51,46 @@ class RecursionOutput:
 
 
 # ---------------------------------------------------------------------------
-# univariate truncated Laurent series over Fraction
+# one-variable frames on the series kernel
 # ---------------------------------------------------------------------------
 
-def umul(a: dict, b: dict, hi: int) -> dict:
-    out: dict = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            k = i + j
-            if k > hi:
-                continue
-            s = out.get(k, F(0)) + x * y
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+def _frame(var: str, hi: int) -> tuple:
+    """The offset x of the one-variable frame at centre 0 cut at x^hi, and a
+    builder of sum c_k x^k from {k: c_k}.  Through x the reductions reach the
+    kernel's static `sum_of_products`."""
+    # imported here, so that loading the solver (as the specs do) skips the kernel
+    from .series import Grading, TruncSeries
+    grading = Grading.total_degree(1, hi)
+
+    def series(cs: dict):
+        return TruncSeries((var,), (0,), {(k,): c for k, c in cs.items()}, grading)
+    return series({1: 1}), series
 
 
-def uadd(*series: dict) -> dict:
-    out: dict = {}
-    for s in series:
-        for i, x in s.items():
-            t = out.get(i, F(0)) + x
-            if t:
-                out[i] = t
-            else:
-                out.pop(i, None)
-    return out
+def _theta(s):
+    """The Euler operator x d/dx: each coefficient times its exponent."""
+    return type(s)(s.vars, s.center, {i: c * i[0] for i, c in s.coeffs.items() if i[0]},
+                   s.grading, _clean=True)
 
 
-def uscale(a: dict, c) -> dict:
-    c = F(c)
-    return {i: x * c for i, x in a.items()} if c else {}
-
-
-def ushift(a: dict, k: int, hi: int) -> dict:
-    return {i + k: x for i, x in a.items() if i + k <= hi}
-
-
-def uderiv(a: dict) -> dict:
-    return {i - 1: x * i for i, x in a.items() if i}
-
-
-def utheta(a: dict) -> dict:
-    return {i: x * i for i, x in a.items() if i}
-
-
-def _solve_univariate(name: str, residual: Callable[[dict], dict], indices: list[int],
-                      hi: int) -> dict:
+def _solve_univariate(name: str, residual: Callable, indices: list[int]) -> dict:
     """Determine coefficients c_k (k in increasing `indices`) so that the residual
-    vanishes; each step finds the pivot order where c_k first acts, asserts the
-    residual is affine in c_k there, and solves."""
+    series vanishes; each step finds the pivot order where c_k first acts, asserts
+    the residual is affine in c_k there, and solves."""
     coeffs: dict = {}
     for k in indices:
-        base = dict(coeffs)
-        base[k] = F(0)
-        r0 = residual(base)
-        base[k] = F(1)
-        r1 = residual(base)
-        base[k] = F(2)
-        r2 = residual(base)
-        diff = uadd(r1, uscale(r0, -1))
-        if not diff:
+        r0, r1, r2 = (residual({**coeffs, k: F(c)}) for c in (0, 1, 2))
+        diff = r1 - r0
+        if diff.is_zero():
             raise UnderdeterminedError(f"{name}: coefficient {k} never enters the equation")
-        pivot = min(diff)
-        lin_check = uadd(r2, uscale(r1, -2), r0)
-        if lin_check.get(pivot):
+        pivot = min(diff.coeffs)
+        if (r2 - r1 - diff).coeffs.get(pivot):
             raise InconsistentSystemError(f"{name}: equation not affine in coefficient {k}")
-        val = -r0.get(pivot, F(0)) / F(diff[pivot])
-        coeffs[k] = val
-        res = residual(coeffs)
-        for i in sorted(res):
-            if i > pivot:
-                break
+        coeffs[k] = -r0.coeffs.get(pivot, 0) / F(diff.coeffs[pivot])
+        res = residual(coeffs).coeffs
+        if res and (low := min(res)) <= pivot:
             raise InconsistentSystemError(
-                f"{name}: residual {res[i]} at order {i} after solving c_{k}")
+                f"{name}: residual {res[low]} at order {low[0]} after solving c_{k}")
     return coeffs
 
 
@@ -151,30 +115,22 @@ def recursion_nd(max_d: int) -> RecursionOutput:
 
 def nd_via_ode_route(max_d: int) -> RecursionOutput:
     """Same counts from the one-function reduction of associativity: setting
-    F = cubic + f(v^2 + 3 log v^3)/v^3 turns WDVV into a third-order ODE for f;
-    with f = sum a_d e^{ds}, derivatives act as the Euler operator d -> d*a_d."""
-    hi = max_d
+    F = cubic + f(v^2 + 3 log v^3)/v^3 turns WDVV into the third-order ODE
+    27 f''' - 3 f'' f''' + 2 f' f''' - f''^2 - 54 f'' + 33 f' - 6 f = 0 for f;
+    with f = sum a_d q^d, q = e^s, primes d/ds act as the Euler operator
+    q d/dq, a_d -> d a_d."""
+    x, series = _frame("q", max_d)
+    one = series({0: 1})
 
-    def residual(a: dict) -> dict:
-        f = dict(a)
-        f1 = utheta(f)
-        f2 = utheta(f1)
-        f3 = utheta(f2)
-        out = uadd(
-            uscale(f3, 27),
-            uscale(umul(f2, f3, hi), -3),
-            uscale(umul(f1, f3, hi), 2),
-            uscale(umul(f2, f2, hi), -1),
-            uscale(f2, -54),
-            uscale(f1, 33),
-            uscale(f, -6),
-        )
-        return out
+    def residual(a: dict):
+        f = series({1: F(1, 2), **a})   # N_1/(3*1-1)! = 1/2
+        f1 = _theta(f)
+        f2 = _theta(f1)
+        f3 = _theta(f2)
+        return x.sum_of_products(((27, f3, one), (-3, f2, f3), (2, f1, f3), (-1, f2, f2),
+                                  (-54, f2, one), (33, f1, one), (-6, f, one)))
 
-    seeds = {1: F(1, 2)}  # N_1/(3*1-1)! = 1/2
-    coeffs = _solve_univariate("nd-ode", lambda a: residual({**seeds, **a}),
-                               list(range(2, max_d + 1)), hi)
-    coeffs = {**seeds, **coeffs}
+    coeffs = {1: F(1, 2), **_solve_univariate("nd-ode", residual, list(range(2, max_d + 1)))}
     values = [(d, coeffs[d] * math.factorial(3 * d - 1)) for d in range(1, max_d + 1)]
     return RecursionOutput("nd-ode", values)
 
@@ -184,28 +140,25 @@ def nd_via_ode_route(max_d: int) -> RecursionOutput:
 # ---------------------------------------------------------------------------
 
 def recursion_ck(max_k: int) -> RecursionOutput:
-    """Coefficients of p(t) = sum C_k t^k/(3k)! from its fourth-order reduction."""
-    hi = max_k
+    """Coefficients of p(t) = sum C_k t^k/(3k)! from its fourth-order reduction
+    144 t^4 p''' p'' + 24 t^3 (p''' p' + 12 p''^2) + 27 t^2 (p''' p + 3 p' p'')
+    + 6 t (9 p p'' + p'^2) + 6 p p' = 1 (primes = d/dt)."""
+    x, series = _frame("t", max_k)
+    one, x2, x3, x4 = series({0: 1}), x ** 2, x ** 3, x ** 4
 
-    def residual(pd: dict) -> dict:
-        p = dict(pd)
-        p1 = uderiv(p)
-        p2 = uderiv(p1)
-        p3 = uderiv(p2)
-        out = uadd(
-            ushift(uscale(umul(p3, p2, hi), 144), 4, hi),
-            ushift(uscale(uadd(umul(p3, p1, hi), uscale(umul(p2, p2, hi), 12)), 24), 3, hi),
-            ushift(uscale(uadd(umul(p3, p, hi), uscale(umul(p1, p2, hi), 3)), 27), 2, hi),
-            ushift(uscale(uadd(uscale(umul(p, p2, hi), 9), umul(p1, p1, hi)), 6), 1, hi),
-            uscale(umul(p, p1, hi), 6),
-            {0: F(-1)},
-        )
-        return out
+    def residual(c: dict):
+        p = series({0: 1, **c})     # C_0 = 1
+        p1 = p.diff("t")
+        p2 = p1.diff("t")
+        p3 = p2.diff("t")
+        return x.sum_of_products((
+            (144, x4 * p3, p2),
+            (24, x3 * p3, p1), (288, x3 * p2, p2),
+            (27, x2 * p3, p), (81, x2 * p1, p2),
+            (54, x * p, p2), (6, x * p1, p1),
+            (6, p, p1), (-1, one, one)))
 
-    seeds = {0: F(1)}  # C_0 = 1
-    coeffs = _solve_univariate("ck", lambda a: residual({**seeds, **a}),
-                               list(range(1, max_k + 1)), hi)
-    coeffs = {**seeds, **coeffs}
+    coeffs = {0: F(1), **_solve_univariate("ck", residual, list(range(1, max_k + 1)))}
     values = [(k, coeffs[k] * math.factorial(3 * k)) for k in range(0, max_k + 1)]
     audits = {"integrality": {k: v.denominator == 1 for k, v in values}}
     return RecursionOutput("ck", values, audits)
@@ -213,23 +166,22 @@ def recursion_ck(max_k: int) -> RecursionOutput:
 
 def recursion_mk(max_k: int) -> RecursionOutput:
     """Coefficients of m(r) = sum 4^{k-1} M_k r^k/(3k+1)! from the third-order
-    reduction in the Euler operator r d/dr."""
-    hi = max_k
+    reduction 9 (3 + 2m' + 6m'') m''' - 3 (4m' + 3m'') m'' - 3 (1 + m') m'
+    = r (8m''' - 2m' + 1), primes = the Euler operator r d/dr."""
+    x, series = _frame("r", max_k)
+    one = series({0: 1})
 
-    def residual(md: dict) -> dict:
-        m = dict(md)
-        m1 = utheta(m)
-        m2 = utheta(m1)
-        m3 = utheta(m2)
-        lhs = uadd(
-            uscale(umul(uadd({0: F(3)}, uscale(m1, 2), uscale(m2, 6)), m3, hi), 9),
-            uscale(umul(uadd(uscale(m1, 4), uscale(m2, 3)), m2, hi), -3),
-            uscale(umul(uadd({0: F(1)}, m1), m1, hi), -3),
-        )
-        rhs = ushift(uadd(uscale(m3, 8), uscale(m1, -2), {0: F(1)}), 1, hi)
-        return uadd(lhs, uscale(rhs, -1))
+    def residual(c: dict):
+        m1 = _theta(series(c))
+        m2 = _theta(m1)
+        m3 = _theta(m2)
+        return x.sum_of_products((
+            (27, one, m3), (18, m1, m3), (54, m2, m3),
+            (-12, m1, m2), (-9, m2, m2),
+            (-3, one, m1), (-3, m1, m1),
+            (-8, x, m3), (2, x, m1), (-1, x, one)))
 
-    coeffs = _solve_univariate("mk", residual, list(range(1, max_k + 1)), hi)
+    coeffs = _solve_univariate("mk", residual, list(range(1, max_k + 1)))
     values = [(k, coeffs[k] * math.factorial(3 * k + 1) / F(4) ** (k - 1))
               for k in range(1, max_k + 1)]
     audits = {"two_integrality": {k: _denominator_is_power_of_two(v) for k, v in values}}
@@ -244,21 +196,21 @@ def _denominator_is_power_of_two(q: Fraction) -> bool:
 def recursion_qk(max_k: int) -> RecursionOutput:
     """Tail coefficients Q_k of p(t) = 1/(24t) + (1/2) log t - 3/4 + sum Q_k t^k.
 
-    Euler-operator derivatives of the fixed part are Laurent polynomials, so
-    the reduction 12 t (p' + 3p'')(2p' + 3p'' + p''') = 1 (primes = t d/dt)
-    closes over Laurent series."""
-    hi = max_k + 1
+    The reduction 12 t (p' + 3p'')(2p' + 3p'' + p''') = 1 (primes = t d/dt) is
+    Laurent from t^-1.  Times t it reads 12 A B = t in the power series
+    A = t(p' + 3p'') and B = t(2p' + 3p'' + p''').  t times the first three
+    primes of the fixed part is -1/24 + t/2, 1/24 and -1/24; on the tail,
+    t th^j p = (th - 1)^j (t p) = sum k^j Q_k t^(k+1).  The frame is cut at
+    t^(max_k + 2), the Laurent form's cut t^(max_k + 1) times t."""
+    x, series = _frame("t", max_k + 2)
 
-    def residual(qd: dict) -> dict:
-        t1 = uadd({-1: F(-1, 24), 0: F(1, 2)}, {k: k * v for k, v in qd.items()})
-        t2 = uadd({-1: F(1, 24)}, {k: k ** 2 * v for k, v in qd.items()})
-        t3 = uadd({-1: F(-1, 24)}, {k: k ** 3 * v for k, v in qd.items()})
-        a = uadd(t1, uscale(t2, 3))
-        b = uadd(uscale(t1, 2), uscale(t2, 3), t3)
-        lhs = ushift(uscale(umul(a, b, hi), 12), 1, hi)
-        return uadd(lhs, {0: F(-1)})
+    def residual(q: dict):
+        t1, t2, t3 = (series({k + 1: k ** j * v for k, v in q.items()}) for j in (1, 2, 3))
+        a = t1 + 3 * t2 + series({0: F(1, 12), 1: F(1, 2)})
+        b = 2 * t1 + 3 * t2 + t3 + x
+        return 12 * a * b - x
 
-    coeffs = _solve_univariate("qk", residual, list(range(1, max_k + 1)), hi)
+    coeffs = _solve_univariate("qk", residual, list(range(1, max_k + 1)))
     values = [(k, coeffs[k]) for k in range(1, max_k + 1)]
     audits = {"k_qk_integral": {k: (v * k).denominator == 1 for k, v in values}}
     return RecursionOutput("qk", values, audits)
@@ -268,22 +220,20 @@ def recursion_wk(max_k: int) -> RecursionOutput:
     """Tail coefficients W_k of m(r) = (1/2) log r + sum W_k r^k from the
     reduction 32 th(m) th^2(1+th)(m) - 16 th^2(m) th^2(13-12 th)(m)
     = 3 r th(3th-1)(3th-2)(m), th = r d/dr."""
-    hi = max_k + 1
+    x, series = _frame("r", max_k + 1)
 
-    def residual(wd: dict) -> dict:
-        t1 = uadd({0: F(1, 2)}, {k: k * v for k, v in wd.items()})
-        t2 = {k: k ** 2 * v for k, v in wd.items()}
-        t3 = {k: k ** 3 * v for k, v in wd.items()}
-        lhs = uadd(
-            uscale(umul(t1, uadd(t2, t3), hi), 32),
-            uscale(umul(t2, uadd(uscale(t2, 13), uscale(t3, -12)), hi), -16),
-        )
+    def residual(c: dict):
+        w1 = _theta(series(c))
+        m1 = w1 + F(1, 2)
+        m2 = _theta(w1)
+        m3 = _theta(m2)
         # 3 th(3th-1)(3th-2) m = 27 th^3 m - 27 th^2 m + 6 th m
-        rhs_core = uadd(uscale(t3, 27), uscale(t2, -27), uscale(t1, 6))
-        rhs = ushift(rhs_core, 1, hi)
-        return uadd(lhs, uscale(rhs, -1))
+        return x.sum_of_products((
+            (32, m1, m2), (32, m1, m3),
+            (-208, m2, m2), (192, m2, m3),
+            (-27, x, m3), (27, x, m2), (-6, x, m1)))
 
-    coeffs = _solve_univariate("wk", residual, list(range(1, max_k + 1)), hi)
+    coeffs = _solve_univariate("wk", residual, list(range(1, max_k + 1)))
     values = [(k, coeffs[k]) for k in range(1, max_k + 1)]
     audits = {"scaled_integrality": {
         k: (F(2) ** (6 * k) * k * v / 6).denominator == 1 for k, v in values}}
@@ -311,13 +261,14 @@ def gamma_series(max_m: int) -> dict:
 
 
 def chazy_residual_orders(max_m: int) -> dict:
-    """Residual of gamma''' = 6 gamma gamma'' - 9 gamma'^2 through e-degree max_m."""
-    g = gamma_series(max_m)
-    g1 = utheta(g)
-    g2 = utheta(g1)
-    g3 = utheta(g2)
-    res = uadd(g3, uscale(umul(g, g2, max_m), -6), uscale(umul(g1, g1, max_m), 9))
-    return res
+    """Residual of gamma''' = 6 gamma gamma'' - 9 gamma'^2 through e-degree max_m,
+    as {order: coefficient} over its nonzero orders."""
+    x, series = _frame("q", max_m)
+    g = series(gamma_series(max_m))
+    g1 = _theta(g)
+    g2 = _theta(g1)
+    res = x.sum_of_products(((1, _theta(g2), series({0: 1})), (-6, g, g2), (9, g1, g1)))
+    return {i: c for (i,), c in res.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------

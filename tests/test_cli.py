@@ -123,6 +123,8 @@ def test_monodromy_at_wide_spread(capsys):
     (["monodromy", "a2", "--point", "0,3", "--phi", "2.35", "--tol", "nan"], "--tol"),
     (["verify-omega", "p1", "--kappa", "2", "--m-max", "2", "--table-order", "5",
       "--order", "4"], "--table-order"),
+    (["legendre", "p1", "--kappa", "2", "--order", "1/0"], "--order"),
+    (["verify-omega", "p1", "--kappa", "2", "--order", "1/0"], "--order"),
 ])
 def test_malformed_option_values_exit_2(capsys, argv, flag):
     assert main(argv) == 2

@@ -376,22 +376,103 @@ def test_round_loop_substitutes_only_into_equations_with_new_values(monkeypatch)
     assert len(fresh) == 4 + len(eqs) and all(fresh[:-len(eqs)])
 
 
-def test_univariate_pivot_divides_exactly_with_ints(monkeypatch):
-    # uadd and uscale return Fractions; with int-keeping ones the pivot step
-    # divides an int residual by an int slope, which must stay exact
-    def int_add(*series):
-        out = {}
-        for s in series:
-            for i, x in s.items():
-                out[i] = out.get(i, 0) + x
-        return {i: x for i, x in out.items() if x}
-
-    monkeypatch.setattr(solver, "uadd", int_add)
-    monkeypatch.setattr(solver, "uscale", lambda a, c: {i: x * c for i, x in a.items()})
+def test_univariate_pivot_divides_exactly_with_ints():
+    # the kernel keeps a coefficient as an int when it is handed one; the pivot
+    # step then divides an int residual by an int slope, which must stay exact
+    from frobwdvv.series import Grading, TruncSeries
+    grading = Grading.total_degree(1, 0)
 
     def residual(a):    # 3 - 2 c_1, an int whenever c_1 is integral
         r = 3 - 2 * a[1]
-        return {0: r.numerator if r.denominator == 1 else r} if r else {}
+        r = r.numerator if r.denominator == 1 else r
+        return TruncSeries(("t",), (0,), {(0,): r} if r else {}, grading, _clean=True)
 
-    got = solver._solve_univariate("t", residual, [1], 0)
+    got = solver._solve_univariate("t", residual, [1])
     assert got == {1: F(3, 2)} and type(got[1]) is Fraction
+
+
+def test_univariate_work_is_pinned(monkeypatch):
+    """The one-variable reductions below made 44,233 Fractions when they ran on
+    their own dict series that added and multiplied one Fraction at a time;
+    on the series kernel's integer views they make about 3,700."""
+    made = [0]
+    real = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    nd_via_ode_route(8), recursion_ck(6), recursion_mk(6), recursion_qk(4), recursion_wk(10)
+    monkeypatch.undo()
+    assert made[0] <= 6000, made[0]
+
+
+# -- sympy as an independent oracle for the one-variable reductions ------------
+
+def _reduction_oracles(sympy):
+    """name -> (solver, order through which the displayed equation must vanish
+    for a table of size n, equation of a table as a sympy expression in t).
+    Each equation is the one its solver's docstring displays, with its
+    normalisation of the table's entries."""
+    t, R = sympy.Symbol("t", positive=True), sympy.Rational
+    th = lambda e: sympy.expand(t * sympy.diff(e, t))    # the Euler operator
+    d = lambda e: sympy.diff(e, t)
+    q = lambda v: R(v.numerator, v.denominator)
+    fact = sympy.factorial
+
+    def nd(tab):
+        f = sum(q(v) * t ** k / fact(3 * k - 1) for k, v in tab.items())
+        f1, f2, f3 = th(f), th(th(f)), th(th(th(f)))
+        return 27 * f3 - 3 * f2 * f3 + 2 * f1 * f3 - f2 ** 2 - 54 * f2 + 33 * f1 - 6 * f
+
+    def ck(tab):
+        p = sum(q(v) * t ** k / fact(3 * k) for k, v in tab.items())
+        p1, p2, p3 = d(p), d(d(p)), d(d(d(p)))
+        return (144 * t ** 4 * p3 * p2 + 24 * t ** 3 * (p3 * p1 + 12 * p2 ** 2)
+                + 27 * t ** 2 * (p3 * p + 3 * p1 * p2) + 6 * t * (9 * p * p2 + p1 ** 2)
+                + 6 * p * p1 - 1)
+
+    def mk(tab):
+        m = sum(4 ** (k - 1) * q(v) * t ** k / fact(3 * k + 1) for k, v in tab.items())
+        m1, m2, m3 = th(m), th(th(m)), th(th(th(m)))
+        return (9 * (3 + 2 * m1 + 6 * m2) * m3 - 3 * (4 * m1 + 3 * m2) * m2
+                - 3 * (1 + m1) * m1 - t * (8 * m3 - 2 * m1 + 1))
+
+    def qk(tab):    # the Laurent form, not the power series the solver runs on
+        p = 1 / (24 * t) + sympy.log(t) / 2 - R(3, 4) + sum(q(v) * t ** k for k, v in tab.items())
+        p1, p2, p3 = th(p), th(th(p)), th(th(th(p)))
+        return 12 * t * (p1 + 3 * p2) * (2 * p1 + 3 * p2 + p3) - 1
+
+    def wk(tab):
+        m = sympy.log(t) / 2 + sum(q(v) * t ** k for k, v in tab.items())
+        m1, m2, m3 = th(m), th(th(m)), th(th(th(m)))
+        # 3 th(3th-1)(3th-2) m = 27 th^3 m - 27 th^2 m + 6 th m
+        return (32 * m1 * (m2 + m3) - 16 * m2 * (13 * m2 - 12 * m3)
+                - 3 * t * (9 * m3 - 9 * m2 + 2 * m1))
+
+    return t, {"nd": (nd_via_ode_route, lambda n: n, nd),
+               "ck": (recursion_ck, lambda n: n - 1, ck),
+               "mk": (recursion_mk, lambda n: n, mk),
+               "qk": (recursion_qk, lambda n: n, qk),
+               "wk": (recursion_wk, lambda n: n, wk)}
+
+
+@pytest.mark.parametrize("name", ["nd", "ck", "mk", "qk", "wk"])
+def test_reductions_solve_their_displayed_equations(name):
+    """The returned table, as a truncated series in the displayed equation,
+    leaves no residual at any order up to the one where its last entry first
+    acts; with any one entry changed by 1, some such order is left."""
+    sympy = pytest.importorskip("sympy")
+    t, oracles = _reduction_oracles(sympy)
+    fn, cut, equation = oracles[name]
+    n = 5
+    table = fn(n).table()
+
+    def residual_orders(tab):
+        e = sympy.expand(equation(tab))
+        return [j for j in range(-2, cut(n) + 1) if e.coeff(t, j) != 0]
+
+    assert residual_orders(table) == []
+    for k in table:
+        assert residual_orders({**table, k: table[k] + 1}), k
