@@ -103,10 +103,6 @@ def _check_kappa(spec, kappa: int) -> None:
         raise UsageError(f"--kappa must be in 1..{spec.n}, got {kappa}")
 
 
-def _exit(report: dict) -> int:
-    return 0 if all(c["pass"] for c in report.get("checks", [])) else 1
-
-
 def _parse_params(items):
     out = {}
     for item in items or []:
@@ -120,25 +116,23 @@ def _load(args):
     return load_spec(args.spec, _parse_params(getattr(args, "param", None)))
 
 
-def cmd_wdvv_check(args) -> int:
+def cmd_wdvv_check(args) -> dict:
     from .core import build_tensors, check_wdvv, euler_report
     spec = _load(args)
     t = build_tensors(spec)
     w = check_wdvv(spec, t)
     e = euler_report(spec, t)
-    report = {
-        "schema": SCHEMA, "command": "wdvv-check", "spec": spec.name,
+    return {
+        "command": "wdvv-check", "spec": spec.name,
         "checks": [
             {"name": "associativity", "pass": w.ok, "checked": w.checked,
              "first_failure": w.first_failure},
             {"name": "euler-scaling", "pass": e.ok},
         ],
     }
-    _emit(report, args.output, args.format)
-    return _exit(report)
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> dict:
     from .calibration import (check_homogeneity, check_orthogonality,
                               solve_calibration, two_point_table)
     _at_least("--order", args.order, 1)
@@ -148,7 +142,7 @@ def cmd_calibrate(args) -> int:
     tab = two_point_table(cal, max(0, args.order - 1))
     hom = check_homogeneity(tab)
     report = {
-        "schema": SCHEMA, "command": "calibrate", "spec": spec.name,
+        "command": "calibrate", "spec": spec.name,
         "order": args.order,
         "checks": [
             {"name": "orthogonality", "pass": orth["pass"]},
@@ -158,11 +152,10 @@ def cmd_calibrate(args) -> int:
     }
     if args.dump:
         report["calibration"] = cal.to_json_obj()
-    _emit(report, args.output, args.format)
-    return _exit(report)
+    return report
 
 
-def cmd_legendre(args) -> int:
+def cmd_legendre(args) -> dict:
     from .legendre import (check_gradient_identity, check_metric_transport,
                            check_unity_rule, round_trip, transform,
                            transport_calibration, verify_euler_hat)
@@ -181,16 +174,14 @@ def cmd_legendre(args) -> int:
         {"name": "unity-rule", **_pp(check_unity_rule(res, thetas))},
         {"name": "round-trip", **_pp(round_trip(res))},
     ]
-    report = {
-        "schema": SCHEMA, "command": "legendre", "spec": spec.name,
+    return {
+        "command": "legendre", "spec": spec.name,
         "kappa": args.kappa, "order": str(args.order),
         "center": [str(c) for c in center],
         "charge_hat": str(res.hat_charge),
         "hat_shifts": [str(s) for s in res.hat_shifts],
         "checks": checks,
     }
-    _emit(report, args.output, args.format)
-    return _exit(report)
 
 
 def _pp(d: dict) -> dict:
@@ -219,7 +210,7 @@ def _default_center(spec, arg):
     return tuple(Fraction(0) for _ in spec.varnames)
 
 
-def cmd_verify_omega(args) -> int:
+def cmd_verify_omega(args) -> dict:
     from .legendre import transform, verify_omega_transport
     _at_least("--order", args.order, 1)
     # the check reads levels up to --m-max - 1; an entry needs level m1 + m2 + 1
@@ -232,17 +223,15 @@ def cmd_verify_omega(args) -> int:
     center = _default_center(spec, args.center)
     res = transform(spec, args.kappa, center, args.order, m_max=args.m_max)
     rep = verify_omega_transport(res, args.table_order, args.m_max - 1)
-    report = {
-        "schema": SCHEMA, "command": "verify-omega", "spec": spec.name,
+    return {
+        "command": "verify-omega", "spec": spec.name,
         "kappa": args.kappa,
         "checks": [{"name": "two-point-transport", **_pp(rep),
                     "checked": rep["checked"]}],
     }
-    _emit(report, args.output, args.format)
-    return _exit(report)
 
 
-def cmd_recursion(args) -> int:
+def cmd_recursion(args) -> dict:
     from . import solver
 
     def every(key):     # the audit holds at every entry
@@ -269,16 +258,14 @@ def cmd_recursion(args) -> int:
     max_n = default if args.max is None else args.max
     _at_least("--max", max_n, least)
     out = fn(max_n)
-    report = {
-        "schema": SCHEMA, "command": f"recursion {args.name}", "max": max_n,
+    return {
+        "command": f"recursion {args.name}", "max": max_n,
         "table": [[str(k), str(v)] for k, v in out.values],
         "checks": [{"name": check, "pass": audit(out)}],
     }
-    _emit(report, args.output, args.format)
-    return _exit(report)
 
 
-def cmd_genus1(args) -> int:
+def cmd_genus1(args) -> dict:
     from . import jets
     fam = args.family
     if fam == "p1":
@@ -294,17 +281,15 @@ def cmd_genus1(args) -> int:
                              "and --param c=<rational>") from None
         data = jets.genus1_twodim_family(m, c)
     rep = jets.genus1_report(data)
-    report = {
-        "schema": SCHEMA, "command": "genus1-check", "family": fam,
+    return {
+        "command": "genus1-check", "family": fam,
         "constant": rep.get("constant"),
         "checks": [{"name": "jet-independence", "pass": rep["pass"],
                     "failures": rep["failures"]}],
     }
-    _emit(report, args.output, args.format)
-    return _exit(report)
 
 
-def cmd_monodromy(args) -> int:
+def cmd_monodromy(args) -> dict:
     from .core import build_tensors
     from .monodromy import monodromy_identities, stokes_and_connection
     if not 0 < args.tol < 1:    # it gates errors in entries of size about 1
@@ -317,8 +302,8 @@ def cmd_monodromy(args) -> int:
                                sign_choices=signs, tol=args.tol)
     ids = monodromy_identities(md, t.eta)
     ok_res = all(v < args.tol for k, v in md.residuals.items())
-    report = {
-        "schema": SCHEMA, "command": "monodromy", "spec": spec.name,
+    return {
+        "command": "monodromy", "spec": spec.name,
         "point": [str(x) for x in point], "phi": args.phi, "tol": args.tol,
         "stokes": [[md.stokes[i, j] for j in range(spec.n)] for i in range(spec.n)],
         "central": [[md.central[i, j] for j in range(spec.n)] for i in range(spec.n)],
@@ -333,43 +318,51 @@ def cmd_monodromy(args) -> int:
              "max_residual": ids["stokes_from_central_residual"]},
         ],
     }
-    _emit(report, args.output, args.format)
-    return _exit(report)
 
 
-_EXACT_MONODROMY = {
-    # printed exact data for the quantum cohomology of the line
-    "p1": {
-        "mu": [Fraction(-1, 2), Fraction(1, 2)],
-        "R": [[Fraction(0), Fraction(0)], [Fraction(2), Fraction(0)]],
-        "S": [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]],
-        "marked": 1,
-    },
-}
+# printed data: the Stokes matrix of the quantum cohomology of the line
+_PRINTED_STOKES = {"p1": [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]}
 
 
-def cmd_tensor_monodromy(args) -> int:
+def cmd_tensor_monodromy(args) -> dict:
+    """Kronecker data of two factors: mu and R_1 from their bundled specs,
+    compared exactly with the spec <left>x<right>; S from the printed data."""
     from .monodromy import tensor_monodromy
-    left = _EXACT_MONODROMY.get(args.left)
-    right = _EXACT_MONODROMY.get(args.right)
-    if left is None or right is None:
-        print("exact monodromy data bundled only for: " +
-              ", ".join(_EXACT_MONODROMY), file=sys.stderr)
-        return 2
-    eye = [[Fraction(int(i == j)) for j in range(2)] for i in range(2)]
-    out = tensor_monodromy(left["mu"], left["R"], left["S"], eye, left["marked"],
-                           right["mu"], right["R"], right["S"], eye, right["marked"])
-    report = {
-        "schema": SCHEMA, "command": "tensor-monodromy",
+    from .specs import load_spec
+    for flag, name in (("--left", args.left), ("--right", args.right)):
+        if name not in _PRINTED_STOKES:
+            raise UsageError(f"{flag}: no printed Stokes matrix for {name!r} "
+                             f"(printed for: {', '.join(_PRINTED_STOKES)})")
+    left, right, product = (load_spec(name) for name in
+                            (args.left, args.right, f"{args.left}x{args.right}"))
+
+    def r1(spec):
+        return [[spec.r_entry(1, a, b) for b in range(1, spec.n + 1)] for a in range(1, spec.n + 1)]
+
+    def factor(spec):   # (mu, R_1, S, C, marked); C is not reported: 1 stands in
+        eye = [[Fraction(int(i == j)) for j in range(spec.n)] for i in range(spec.n)]
+        return spec.mu, r1(spec), _PRINTED_STOKES[spec.name], eye, spec.unity
+
+    def fuchsian(mu, r):    # entry name -> value, 1-based
+        return {**{f"mu[{i}]": m for i, m in enumerate(mu, 1)},
+                **{f"R1[{a},{b}]": x for a, row in enumerate(r, 1) for b, x in enumerate(row, 1)}}
+
+    out = tensor_monodromy(*factor(left), *factor(right))
+    mu = [out["mu"][i][i] for i in range(len(out["mu"]))]
+    got, want = fuchsian(mu, out["R"]), fuchsian(product.mu, r1(product))
+    failures = [f"{k}: {got.get(k)} vs {want.get(k)}" for k in {**got, **want}
+                if got.get(k) != want.get(k)]
+    return {
+        "command": "tensor-monodromy",
         "factors": [args.left, args.right],
-        "mu": [str(out["mu"][i][i]) for i in range(len(out["mu"]))],
+        "mu": [str(m) for m in mu],
         "R": [[str(x) for x in row] for row in out["R"]],
         "S": [[str(x) for x in row] for row in out["S"]],
+        "S_source": "printed",
         "marked": list(out["marked"]),
-        "checks": [{"name": "kronecker", "pass": True}],
+        "checks": [{"name": "kronecker", "product": product.name, "pass": not failures,
+                    "failures": failures}],
     }
-    _emit(report, args.output, args.format)
-    return _exit(report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +444,8 @@ def _error_code(exc: Exception) -> int:
     """Exit code of a failed run: 2 for a malformed, unknown or invalid spec or a
     malformed option value (usage errors, as argparse reports its own), 4 for a
     mathematical domain error (non-semisimple point, inadmissible line or failed
-    matching, singular Jacobian or centre, calibration obstruction), 3 otherwise."""
+    matching, singular Jacobian or centre, calibration or hat-Hessian obstruction),
+    3 otherwise."""
     from .calibration import ObstructionError
     from .core import SpecValidationError
     from .series import SingularCenterError, SingularJacobianError
@@ -468,18 +462,21 @@ def _error_code(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Exit 0 when every check passes, 1 when one fails;
-    a run that raises exits as `_error_code` says, and a command line argparse
-    rejects exits 2, as from argparse itself (`--help` exits 0)."""
+    """Run one subcommand, which returns its report, and write the report with
+    its schema.  Exit 0 when every check passes, 1 when one fails; a run that
+    raises exits as `_error_code` says, and a command line argparse rejects
+    exits 2, as from argparse itself (`--help` exits 0)."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:
-        return args.fn(args)
+        report = {"schema": SCHEMA, **args.fn(args)}
+        _emit(report, args.output, args.format)
     except Exception as exc:  # surface module errors with context, nonzero exit
         print(f"frobwdvv: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _error_code(exc)
+    return 0 if all(c["pass"] for c in report.get("checks", [])) else 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import specs
-from .calibration import Calibration, OrderExceededError, _signed_pairings, solve_calibration
+from .calibration import (Calibration, ObstructionError, OrderExceededError, _signed_pairings,
+                          solve_calibration)
 from .closedform import ClosedForm
 from .core import FrobeniusSpec, Tensors, build_tensors, hat_point
 from .linalg import raise_index
@@ -20,7 +21,7 @@ __all__ = [
     "LegendreResult", "transform", "transform_series", "transport_calibration",
     "verify_omega_transport", "verify_euler_hat", "round_trip", "verify_pointwise",
     "series_equal_mod_quadratic", "hat_tensors_series", "check_metric_transport",
-    "check_gradient_identity", "check_unity_rule", "pullback", "InconsistentHessianError",
+    "check_gradient_identity", "check_unity_rule", "pullback",
     "hat_omega_from_thetas", "check_structure_transport", "check_product_identity",
 ]
 
@@ -29,11 +30,6 @@ F = Fraction
 _FLOAT_TOL = 1e-8           # zero gate of the float path in the checks
 _DEPTH_THRESHOLD = 1e-15    # a materialization term below this moves no Hessian entry
 _DEPTH_MAX_EXTRA = 16       # degrees probed beyond a truncated spec's own cutoff
-
-
-class InconsistentHessianError(ArithmeticError):
-    """Transported second derivatives disagree: the series data are not yet
-    accurate enough (the accuracy gate of truncated specs)."""
 
 
 @dataclass
@@ -61,59 +57,47 @@ class LegendreResult:
         return raise_index(self.hat_lower_forms(), self.tensors.eta_inv)
 
 
-def _potential_from_hessian_series(w, vars, center, grading) -> TruncSeries:
-    """Series F with d2 F = w, vanishing constant and linear part; asserts the
-    mixed-derivative consistency of the input."""
-    n = len(vars)
+def _potential_from_hessian_series(hess: dict, vars, center, grading) -> TruncSeries:
+    """Series F with d_a d_b F = H_ab and no constant or linear part, for
+    hess = {(a, b): H_ab, a <= b} in row-major order, by the rule of
+    `calibration._potential_of_hessian`: F's coefficient at t is the quotient
+    of the first entry that reaches t, (a, b) with a the first variable of t
+    and b that of t - e_a.  Every later entry's quotient must equal it (within
+    1e-9 on the float path), or ObstructionError names its (v_a, v_b) and t."""
+    def step(idx, a, b, s):     # idx + s (e_a + e_b)
+        return tuple(k + s * ((i == a) + (i == b)) for i, k in enumerate(idx))
+
+    # targets in order of first appearance: the float sums downstream follow it
+    targets = dict.fromkeys(t for (a, b), h in hess.items()
+                            for t in (step(idx, a, b, 1) for idx in h.coeffs)
+                            if sum(t) <= grading.cutoff)
     coeffs = {}
-    # collect candidate indices from all entries
-    for a in range(n):
-        for b in range(n):
-            for idx, c in w[a][b].coeffs.items():
-                target = list(idx)
-                target[a] += 1
-                target[b] += 1
-                if sum(target) > grading.cutoff:
-                    continue
-                coeffs.setdefault(tuple(target), None)
-    for idx in list(coeffs):
-        val = None
-        for a in range(n):
-            if idx[a] == 0:
-                continue
-            ia = list(idx)
-            ia[a] -= 1
-            for b in range(n):
-                if ia[b] == 0:
-                    continue
-                ib = list(ia)
-                ib[b] -= 1
-                cand = w[a][b].coeffs.get(tuple(ib), F(0)) / F(idx[a] * ia[b])
-                if val is None:
-                    val = cand
-                else:
-                    d = val - cand
-                    bad = (abs(complex(d)) > 1e-9) if isinstance(d, (float, complex)) else bool(d)
-                    if bad:
-                        raise InconsistentHessianError(
-                            f"inconsistent Hessian data at {idx}: {val} vs {cand}")
-        coeffs[idx] = val
-    coeffs = {i: c for i, c in coeffs.items() if c}
+    for t in targets:
+        (_, _, val), *rest = [(a, b, h.coeffs.get(step(t, a, b, -1), F(0)) / F(t[a] * k))
+                              for (a, b), h in hess.items() if t[a] and (k := t[b] - (a == b))]
+        for a, b, cand in rest:
+            d = val - cand
+            if (abs(complex(d)) > 1e-9) if isinstance(d, (float, complex)) else d:
+                raise ObstructionError(f"Hessian system is not closed in ({vars[a]}, {vars[b]})"
+                                       f" at {t}: {val} vs {cand}")
+        if val:
+            coeffs[t] = val
     return TruncSeries(vars, center, coeffs, grading)
 
 
 def _hat_step(hessian, eta_inv, kappa: int):
     """The one S_kappa construction on Hessian series hessian(a, b) (0-based
     indices): hat coordinates eta^{ab} d_kappa d_b F, their inverse map, and
-    F-hat from the Hessian transported along it.  The kappa column is built
-    and inverted before any other entry, so a singular Jacobian costs only n
-    entries (and, in `transform`, no calibration level past 1); returns
-    (inverse map, hat potential)."""
-    n = len(eta_inv)
-    col = [hessian(a, kappa - 1) for a in range(n)]
+    F-hat integrated, as a calibration level is, from the upper triangle of the
+    Hessian transported along it.  The kappa column is built and inverted first,
+    so a singular Jacobian costs only n entries (and, in `transform`, no
+    calibration level past 1); it is the kappa row too.  Returns (inverse map,
+    hat potential)."""
+    n, k = len(eta_inv), kappa - 1
+    col = [hessian(a, k) for a in range(n)]
     inverse = invert_map(SeriesMap(tuple(raise_index(col, eta_inv))))
-    what = [[compose(col[a] if b == kappa - 1 else hessian(a, b), inverse)
-             for b in range(n)] for a in range(n)]
+    what = {(a, b): compose(col[a] if b == k else col[b] if a == k else hessian(a, b), inverse)
+            for a in range(n) for b in range(a, n)}
     hat = inverse.components[0]
     return inverse, _potential_from_hessian_series(what, hat.vars, hat.center, hat.grading)
 
@@ -129,10 +113,11 @@ def transform(spec: FrobeniusSpec, kappa: int, center: Sequence, order,
     """Build the kappa-direction transform at a center, as exact series data.
 
     A generator-backed truncated spec is re-materialized once, to the degree
-    `_needed_depth` finds for the requested series order; the Hessian
-    cross-consistency check is the accuracy gate of that materialization.
-    Raises SingularJacobianError where the kappa direction is not invertible,
-    before any calibration level past 1: those are solved once the inverse exists."""
+    `_needed_depth` finds for the requested series order; the closedness check
+    of the hat Hessian (ObstructionError) is the accuracy gate of that
+    materialization.  Raises SingularJacobianError where the kappa direction is
+    not invertible, before any calibration level past 1: those are solved once
+    the inverse exists."""
     if spec.exp_cutoff is not None and spec.generator is not None:
         spec = specs.deepen_spec(spec, _needed_depth(spec, center, order, m_max))
     t = build_tensors(spec)

@@ -201,8 +201,8 @@ def recursion_qk(max_k: int) -> RecursionOutput:
     A = t(p' + 3p'') and B = t(2p' + 3p'' + p''').  t times the first three
     primes of the fixed part is -1/24 + t/2, 1/24 and -1/24; on the tail,
     t th^j p = (th - 1)^j (t p) = sum k^j Q_k t^(k+1).  The frame is cut at
-    t^(max_k + 2), the Laurent form's cut t^(max_k + 1) times t."""
-    x, series = _frame("t", max_k + 2)
+    t^(max_k + 1), where Q_(max_k) first enters."""
+    x, series = _frame("t", max_k + 1)
 
     def residual(q: dict):
         t1, t2, t3 = (series({k + 1: k ** j * v for k, v in q.items()}) for j in (1, 2, 3))
@@ -219,8 +219,9 @@ def recursion_qk(max_k: int) -> RecursionOutput:
 def recursion_wk(max_k: int) -> RecursionOutput:
     """Tail coefficients W_k of m(r) = (1/2) log r + sum W_k r^k from the
     reduction 32 th(m) th^2(1+th)(m) - 16 th^2(m) th^2(13-12 th)(m)
-    = 3 r th(3th-1)(3th-2)(m), th = r d/dr."""
-    x, series = _frame("r", max_k + 1)
+    = 3 r th(3th-1)(3th-2)(m), th = r d/dr, in a frame cut at r^max_k, where
+    W_(max_k) first enters."""
+    x, series = _frame("r", max_k)
 
     def residual(c: dict):
         w1 = _theta(series(c))

@@ -4,7 +4,9 @@ Each entry of COMMANDS is one `frobwdvv` invocation whose JSON report is
 deterministic byte for byte; `tests/test_golden.py` re-runs it and compares
 the bytes with the stored file.  The CLI's `legendre` report carries only
 pass flags, so each entry of SERIES is one Legendre transform whose hat
-potential and inverse-map components are stored coefficient by coefficient.
+potential and inverse-map components are stored coefficient by coefficient,
+and each entry of ROUND_TRIPS is one whose hat potential is transformed back
+in the unity direction, with the back-transformed potential stored.
 Regenerate the files (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -67,6 +69,12 @@ SERIES = [
     ("p2", None, 3, ("0", "0", "1/10"), "5"),
 ]
 
+# the float path's back transform: its sums in `compose` and `invert_map` follow
+# the dict order of the hat Hessian's coefficients, which this pins bit for bit
+ROUND_TRIPS = [
+    ("p2", None, 3, ("0", "1/2", "1/5"), "6"),
+]
+
 
 def golden_name(argv: list[str]) -> str:
     return ("_".join(a.lstrip("-") for a in argv) + ".json").replace("/", "over")
@@ -81,22 +89,31 @@ def render(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def series_name(entry: tuple) -> str:
+def series_name(entry: tuple, kind: str = "series") -> str:
     spec, params, kappa, center, order = entry
     tag = "".join(f"_{k}_{v}" for k, v in sorted((params or {}).items()))
-    return (f"series_{spec}{tag}_kappa_{kappa}_at_{'_'.join(center)}"
+    return (f"{kind}_{spec}{tag}_kappa_{kappa}_at_{'_'.join(center)}"
             f"_order_{order}.json").replace("/", "over")
 
 
-def render_series(entry: tuple) -> str:
-    """Hat potential and inverse map of one transform, as series JSON."""
-    from frobwdvv.legendre import transform
+def round_trip_name(entry: tuple) -> str:
+    return series_name(entry, "round_trip")
+
+
+def render_series(entry: tuple, back: bool = False) -> str:
+    """Hat potential and inverse map of one transform, as series JSON; with
+    `back`, the hat potential transformed back in the unity direction."""
+    from frobwdvv.legendre import transform, transform_series
     from frobwdvv.specs import load_spec
     spec, params, kappa, center, order = entry
     res = transform(load_spec(spec, params), kappa, tuple(Fraction(c) for c in center),
                     Fraction(order))
-    obj = {"hat_potential": res.hat_potential.to_json_obj(),
-           "inverse_map": [c.to_json_obj() for c in res.inverse_map.components]}
+    if back:
+        _, f_back = transform_series(res.hat_potential, res.tensors.eta_inv, res.spec.unity)
+        obj = {"back_potential": f_back.to_json_obj()}
+    else:
+        obj = {"hat_potential": res.hat_potential.to_json_obj(),
+               "inverse_map": [c.to_json_obj() for c in res.inverse_map.components]}
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
@@ -111,6 +128,9 @@ def main() -> int:
     for entry in SERIES:
         (GOLDEN_DIR / series_name(entry)).write_text(render_series(entry))
         print(f"wrote {series_name(entry)}")
+    for entry in ROUND_TRIPS:
+        (GOLDEN_DIR / round_trip_name(entry)).write_text(render_series(entry, back=True))
+        print(f"wrote {round_trip_name(entry)}")
     return 0
 
 

@@ -125,6 +125,7 @@ def test_monodromy_at_wide_spread(capsys):
       "--order", "4"], "--table-order"),
     (["legendre", "p1", "--kappa", "2", "--order", "1/0"], "--order"),
     (["verify-omega", "p1", "--kappa", "2", "--order", "1/0"], "--order"),
+    (["tensor-monodromy", "--left", "a2"], "--left"),
 ])
 def test_malformed_option_values_exit_2(capsys, argv, flag):
     assert main(argv) == 2
@@ -138,6 +139,24 @@ def test_tensor_monodromy_command(capsys):
     assert rep["mu"] == ["-1", "0", "0", "1"]
     assert rep["S"] == [["1", "2", "2", "4"], ["0", "1", "0", "2"],
                         ["0", "0", "1", "2"], ["0", "0", "0", "1"]]
+
+
+def test_tensor_monodromy_compares_with_the_product_spec(capsys, monkeypatch):
+    # the Kronecker mu and R_1 of two p1 factors are p1xp1's own; change one R_1
+    # entry of an in-memory p1xp1 and the check fails there
+    import dataclasses
+    import frobwdvv.specs as specs
+    load = specs.load_spec
+    p1xp1 = load("p1xp1")
+    r1 = [list(row) for row in p1xp1.rmats[1]]
+    r1[3][1] += 1
+    bad = dataclasses.replace(p1xp1, rmats={1: tuple(map(tuple, r1))})
+    monkeypatch.setattr(specs, "load_spec", lambda name, *a: bad if name == "p1xp1"
+                        else load(name, *a))
+    code, out = run(capsys, "tensor-monodromy")
+    assert code == 1
+    check, = json.loads(out)["checks"]
+    assert check["product"] == "p1xp1" and check["failures"] == ["R1[4,2]: 2 vs 3"]
 
 
 def test_genus1_command(capsys):

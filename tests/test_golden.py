@@ -22,3 +22,9 @@ def test_golden_report(argv):
 @pytest.mark.parametrize("entry", regen.SERIES, ids=regen.series_name)
 def test_golden_series(entry):
     assert regen.render_series(entry) == (regen.GOLDEN_DIR / regen.series_name(entry)).read_text()
+
+
+@pytest.mark.parametrize("entry", regen.ROUND_TRIPS, ids=regen.round_trip_name)
+def test_golden_round_trip(entry):
+    text = regen.render_series(entry, back=True)
+    assert text == (regen.GOLDEN_DIR / regen.round_trip_name(entry)).read_text()

@@ -120,7 +120,8 @@ def test_potential_from_an_int_hessian_divides_exactly():
     frame = (("x", "y"), (F(0), F(0)))
     zero = TruncSeries(*frame, {}, g)
     wxx = TruncSeries(*frame, {(1, 0): 1}, g, _clean=True)
-    pot = legendre._potential_from_hessian_series([[wxx, zero], [zero, zero]], *frame, g)
+    pot = legendre._potential_from_hessian_series({(0, 0): wxx, (0, 1): zero, (1, 1): zero},
+                                                  *frame, g)
     assert pot.coeffs == {(3, 0): F(1, 6)} and type(pot.coeffs[(3, 0)]) is Fraction
 
 
@@ -162,7 +163,7 @@ def test_singular_direction_raises():
 
 @pytest.mark.parametrize("name, kappa, center, order, error", [
     pytest.param("ccc_a111", 2, (0, 0, 0), 4, SingularJacobianError, id="ccc_a111"),
-    pytest.param("p2", 3, (0, 2, 1), 4, legendre.InconsistentHessianError, id="p2"),
+    pytest.param("p2", 3, (0, 2, 1), 4, calibration.ObstructionError, id="p2"),
 ])
 def test_singular_jacobian_is_not_retried(monkeypatch, name, kappa, center, order, error):
     # a truncated spec is materialized once; neither a singular Jacobian nor a
@@ -224,18 +225,45 @@ def test_transform_ends_with_the_full_calibration(name, center, m_max):
 
 def test_transform_expands_the_calibration_two_point_entries(monkeypatch):
     # the Hessian of the hat step is Omega_{a,0;b,0} = d_a d_b F, kept on the
-    # result's calibration
+    # result's calibration: the kappa column and the upper triangle off the kappa row
     forms = []
     orig = legendre.localize
     monkeypatch.setattr(legendre, "localize", lambda f, *a: forms.append(f) or orig(f, *a))
-    res = transform(load_spec("a2"), 2, (F(0), F(3)), 6, m_max=3)
+    kappa = 2
+    res = transform(load_spec("a2"), kappa, (F(0), F(3)), 6, m_max=3)
     spec, n = res.spec, res.spec.n
-    assert set(res.cal.omega) == {(a, 0, b, 0) for a in range(1, n + 1) for b in range(1, n + 1)}
+    assert set(res.cal.omega) == (
+        {(a, 0, kappa, 0) for a in range(1, n + 1)}
+        | {(a, 0, b, 0) for a in range(1, n + 1) for b in range(a, n + 1) if a != kappa})
     assert {id(f) for f in forms} == {id(f) for f in res.cal.omega.values()}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             hess = spec.potential.diff(spec.varnames[a - 1]).diff(spec.varnames[b - 1])
             assert res.cal.entry(a, 0, b, 0) == hess
+
+
+@pytest.mark.parametrize("name, kappa, center, entries", [
+    pytest.param("p1orb", 2, (0, 0, 0), 6, id="p1orb"),
+    pytest.param("a2", 2, (0, 3), 3, id="a2"),
+])
+def test_hat_step_composes_the_upper_triangle(monkeypatch, name, kappa, center, entries):
+    # n(n + 1)/2 Hessian entries are transported, as a calibration level integrates
+    calls = []
+    orig = legendre.compose
+    monkeypatch.setattr(legendre, "compose", lambda *a: calls.append(a) or orig(*a))
+    transform(load_spec(name), kappa, tuple(F(c) for c in center), 6, m_max=2)
+    assert len(calls) == entries
+
+
+def test_hat_hessian_that_is_not_closed_is_an_obstruction(capsys):
+    # p2 at (0,2,1): the accuracy gate of the materialized tail fails first at
+    # (2,2,0), where the (y2, y2) entry's quotient disagrees with the (y1, y1) one
+    with pytest.raises(calibration.ObstructionError, match=r"\(y2, y2\) at \(2, 2, 0\)"):
+        transform(load_spec("p2"), 3, (F(0), F(2), F(1)), 4, m_max=2)
+    from frobwdvv.cli import main
+    assert main(["legendre", "p2", "--kappa", "3", "--center", "0,2,1", "--order", "4",
+                 "--m-max", "2"]) == 4
+    assert "ObstructionError" in capsys.readouterr().err
 
 
 def test_float_transform_does_not_import_numpy():
