@@ -13,7 +13,7 @@ from . import specs
 from .calibration import (Calibration, ObstructionError, OrderExceededError, _signed_pairings,
                           solve_calibration)
 from .closedform import ClosedForm
-from .core import FrobeniusSpec, Tensors, build_tensors, hat_point
+from .core import FrobeniusSpec, Tensors, build_tensors
 from .linalg import raise_index
 from .series import Grading, SeriesMap, TruncSeries, compose, invert_map, localize
 
@@ -382,23 +382,28 @@ def verify_pointwise(spec: FrobeniusSpec, kappa: int, hat_potential: ClosedForm,
     hat_names = [f"h{i+1}" for i in range(n)]
     if set(hat_potential.variables()) - set(hat_names):
         raise ValueError("hat potential must use variables h1..hn")
-    sec = [[spec.potential.diff(names[a]).diff(names[b]) for b in range(n)]
-           for a in range(n)]
-    hat_sec = [[hat_potential.diff(hat_names[a]).diff(hat_names[b]) for b in range(n)]
-               for a in range(n)]
+    # each symmetric Hessian entry is differentiated and evaluated once, a <= b
+    upper = [(a, b) for a in range(n) for b in range(a, n)]
+    sec = {(a, b): spec.potential.diff(names[a]).diff(names[b]) for a, b in upper}
+    hat_sec = {(a, b): hat_potential.diff(hat_names[a]).diff(hat_names[b]) for a, b in upper}
+
+    def values(forms, point):
+        out = [[None] * n for _ in range(n)]
+        for (a, b), f in forms.items():
+            out[a][b] = out[b][a] = f.evaluate(point)
+        return out
 
     def check_point(pt):
-        vpt = dict(zip(names, [complex(x) for x in pt]))
-        hat_pt = dict(zip(hat_names, hat_point(sec[kappa - 1], t.eta_inv, vpt)))
+        want = values(sec, dict(zip(names, [complex(x) for x in pt])))
+        got = values(hat_sec, dict(zip(hat_names, raise_index(want[kappa - 1], t.eta_inv))))
         worst_pt = 0.0
         fails = []
         for a in range(n):
             for b in range(n):
-                want = sec[a][b].evaluate(vpt)
-                got = hat_sec[a][b].evaluate(hat_pt)
+                g = got[a][b]
                 if hessian_offset is not None:
-                    got += complex(hessian_offset[a][b])
-                err = abs(got - want) / max(1.0, abs(want))
+                    g += complex(hessian_offset[a][b])
+                err = abs(g - want[a][b]) / max(1.0, abs(want[a][b]))
                 worst_pt = max(worst_pt, err)
                 if err > tol:
                     fails.append((pt, a + 1, b + 1, err))

@@ -568,9 +568,22 @@ def p1xp1_family(max_level: int) -> SlotFamily:
 
 
 def recursion_nkl(max_total: int) -> RecursionOutput:
-    sol = solve_slot_family(p1xp1_family(max_total + 1), max_total + 1, max_total)
-    values = sorted(((key[1], key[2]), v) for key, v in sol.values.items()
-                    if key[0] == "N" and key[1] + key[2] <= max_total)
+    """Bidegree-(k, l) rational curve counts on the quadric, k + l <= max_total,
+    from WDVV at indices (2, 2, 3, 3) of `p1xp1_family`'s ansatz (whose slot
+    solve is the second route): 2 k l N_kl = sum N_k1l1 N_k2l2 k1^2 l2^2 (k1 l - l1 k)
+    C(2s - 2, 2 s1 - 1) over (k1, l1) + (k2, l2) = (k, l), s = k + l, s1 = k1 + l1."""
+    n = {}
+    for s in range(1, max_total + 1):
+        for k in range(s + 1):
+            l = s - k
+            if not k * l:   # only the two line classes have k or l zero
+                n[k, l] = F(int(s == 1))
+                continue
+            total = sum(n[k1, l1] * n[k - k1, l - l1] * k1 ** 2 * (l - l1) ** 2
+                        * (k1 * l - l1 * k) * math.comb(2 * s - 2, 2 * (k1 + l1) - 1)
+                        for k1 in range(k + 1) for l1 in range(l + 1) if 0 < k1 + l1 < s)
+            n[k, l] = total / (2 * k * l)
+    values = sorted(n.items())
     table = dict(values)
     symmetric = all(table.get((l, k)) == v for (k, l), v in values)
     return RecursionOutput("nkl", values, {"symmetric": symmetric})

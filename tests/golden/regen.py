@@ -44,6 +44,8 @@ COMMANDS = [
     ["recursion", "nd", "--max", "6"],
     ["recursion", "ck", "--max", "4"],
     ["recursion", "nkl", "--max", "4"],
+    # past max 4, through N_{3,4} = 87544
+    ["recursion", "nkl", "--max", "7"],
     ["recursion", "ckl", "--max", "8"],
     ["recursion", "a21", "--max", "19"],
     ["legendre", "p1", "--kappa", "2", "--order", "8"],

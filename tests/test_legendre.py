@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from frobwdvv.closedform import cf_exp, cf_log, cf_mono
+from frobwdvv.closedform import ClosedForm, cf_exp, cf_log, cf_mono
 from frobwdvv.core import build_tensors
 from frobwdvv.exact import Exact
 import frobwdvv.calibration as calibration
@@ -317,17 +318,28 @@ def test_pointwise_p1():
     assert rep["pass"], rep
 
 
-def test_pointwise_p2_s2():
+def test_pointwise_p2_s2(monkeypatch):
+    """The c_k candidate passes, and each point evaluates the n(n+1)/2 entries
+    a <= b of the straight and of the hat Hessian once: the hat point comes
+    from the straight kappa row."""
     spec = load_spec("p2")
     ck = recursion_ck(6).table()
     cand = cf_mono(F(1, 6), {"h2": 3}) + cf_mono(F(1), {"h1": 1, "h2": 1, "h3": 1})
-    import math
     for k in range(0, 7):
         cand = cand + cf_mono(ck[k] / math.factorial(3 * k), {"h1": 3 * k},
                               None, {"h3": 1 - 2 * k})
+    calls = []
+    evaluate = ClosedForm.evaluate
+
+    def counted(self, point):
+        calls.append(1)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(ClosedForm, "evaluate", counted)
     pts = [(0.4, 0.1, 0.2), (-0.3, -0.1, 0.15), (0.9, 0.25, 0.1)]
     rep = verify_pointwise(spec, 2, cand, pts, tol=1e-8)
     assert rep["pass"], rep
+    assert len(calls) == 12 * len(pts)
 
 
 def test_pointwise_ccc_s3():

@@ -93,6 +93,20 @@ def test_nkl_values_and_symmetry():
     assert out.audits["symmetric"]
 
 
+def test_nkl_two_routes_agree():
+    """The scalar WDVV recursion and the solve of the whole slot family give the
+    same N_{k,l} table, in value and in type, at every cut."""
+    assert recursion_nkl(0).values == []
+    for m in range(1, 8):
+        sol = solve_slot_family(p1xp1_family(m + 1), m + 1, m)
+        slot = sorted((key[1:], v) for key, v in sol.values.items() if sum(key[1:]) <= m)
+        got = recursion_nkl(m).values
+        assert got == slot
+        assert [type(v) for _, v in got] == [type(v) for _, v in slot]
+    t = recursion_nkl(7).table()
+    assert [t[2, 2], t[2, 3], t[2, 4], t[3, 3], t[3, 4]] == [12, 96, 640, 3510, 87544]
+
+
 def test_nkl_prefix_stability():
     small = recursion_nkl(3).table()
     large = recursion_nkl(4).table()
@@ -283,7 +297,8 @@ def test_slot_solver_work_is_pinned(monkeypatch):
     3,441, 1,781 of them empty, for the same 1,174 and 1,693 kept terms.
     Before slot pairs were skipped by their per-rho entry bounds, 401 of the
     557 _pair_residual calls of solve_ckl(8) formed no product at all, 47 of
-    157 for solve_a21(19) and 24 of 170 for recursion_nkl(6)."""
+    157 for solve_a21(19) and 24 of 170 for the quadric's slot route at
+    N_{k,l}, k + l <= 6 (the family cut at level 7)."""
     sizes = []
     kernel = ClosedForm.sum_of_products
 
@@ -315,9 +330,9 @@ def test_slot_solver_work_is_pinned(monkeypatch):
         table = json.loads((golden / name).read_text())["table"]
         assert [[str(k), str(v)] for k, v in out.values] == table
     idle.clear()
-    out = recursion_nkl(6)
-    assert idle.count(True) <= len(idle) / 100, (idle.count(True), len(idle))
-    got = {str(k): str(v) for k, v in out.values}
+    sol = solve_slot_family(p1xp1_family(7), 7, 6)
+    assert idle and idle.count(True) <= len(idle) / 100, (idle.count(True), len(idle))
+    got = {str(key[1:]): str(v) for key, v in sol.values.items()}
     table = json.loads((golden / "recursion_nkl_max_4.json").read_text())["table"]
     assert all(got[k] == v for k, v in table)
 
