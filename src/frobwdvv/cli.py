@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -294,6 +295,8 @@ def cmd_monodromy(args) -> dict:
     from .monodromy import monodromy_identities, stokes_and_connection
     if not 0 < args.tol < 1:    # it gates errors in entries of size about 1
         raise UsageError(f"--tol must lie in (0, 1), got {args.tol}")
+    if not math.isfinite(args.phi):
+        raise UsageError(f"--phi must be finite, got {args.phi}")
     spec = _load(args)
     point = _values(spec, args.point, "--point")
     signs = _values(spec, args.signs, "--signs", _sign, "signs (1 or -1)") if args.signs else None
@@ -444,13 +447,14 @@ def _error_code(exc: Exception) -> int:
     """Exit code of a failed run: 2 for a malformed, unknown or invalid spec or a
     malformed option value (usage errors, as argparse reports its own), 4 for a
     mathematical domain error (non-semisimple point, inadmissible line or failed
-    matching, singular Jacobian or centre, calibration or hat-Hessian obstruction),
-    3 otherwise."""
+    matching, singular Jacobian or centre, calibration or hat-Hessian obstruction,
+    an exact value outside the radical field), 3 otherwise."""
     from .calibration import ObstructionError
+    from .closedform import NeedsFloatError
     from .core import SpecValidationError
     from .series import SingularCenterError, SingularJacobianError
     from .specs import SpecParseError
-    domain = (SingularJacobianError, SingularCenterError, ObstructionError)
+    domain = (SingularJacobianError, SingularCenterError, ObstructionError, NeedsFloatError)
     # monodromy's errors exist once it is loaded; loading it would import numpy
     if (mono := sys.modules.get("frobwdvv.monodromy")) is not None:
         domain += (mono.MatchingError, mono.NonSemisimpleError, mono.IntegrationError)

@@ -14,7 +14,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .closedform import ClosedForm, cf_mono, cf_var
+from .closedform import ClosedForm, NeedsFloatError, cf_mono, cf_var
 from .core import FrobeniusSpec, Tensors, build_tensors
 from .exact import Exact, rational_power
 from .specs import load_spec, twodim_spec
@@ -153,7 +153,8 @@ def genus1_twodim_family(m: Fraction, c: Fraction) -> dict:
     base, expo = c * m * (m - 1), F(-1) / (m - 2)
     kconst = rational_power(base, expo)
     if kconst is None:
-        raise ValueError(f"cannot represent {base}^{expo} exactly")
+        raise NeedsFloatError(f"m = {m}, c = {c}: the hat constant "
+                              f"(c m (m - 1))^(-1/(m - 2)) = ({base})^({expo}) is not exact")
     qh = (cf_mono(F(1), {"h2_1": 2})
           - cf_mono(kconst * F(1) / (m - 2), {"h1": -(m - 3) / (m - 2), "h1_1": 2}))
     fhat1: LogCombo = [(F(1, 24), qh)]

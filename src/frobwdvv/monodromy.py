@@ -35,7 +35,6 @@ KMAX = 20       # terms of the formal series at the seed radius
 M_THETA = 14    # levels of the Fuchsian-point solution, numeric past the resonant ones
 RTOL, ATOL = 1e-11, 1e-14   # DOP853 tolerances of one column alone
 ADMISSIBLE_MARGIN = 1e-8    # least |Re(e^{i phi}(u_i - u_j))| of an admissible line
-NEWTON_MAXIT, NEWTON_TOL = 40, 1e-12   # flat point from canonical coordinates
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5): the nodes, the rows
 # of the stage matrix (the last one is the 8th-order weights), and the weights
@@ -564,7 +563,7 @@ def tensor_monodromy(mu1, r1, s1, c1, marked1, mu2, r2, s2, c2, marked2) -> dict
     }
 
 
-def align_frame(ss: SemisimplePoint, u_ref, psi_ref=None) -> SemisimplePoint:
+def align_frame(ss: SemisimplePoint, u_ref, psi_ref) -> SemisimplePoint:
     """Permute the canonical labels to track a reference eigenvalue vector, then
     flip row signs toward a reference frame (stencil continuity)."""
     n = len(ss.u)
@@ -577,11 +576,10 @@ def align_frame(ss: SemisimplePoint, u_ref, psi_ref=None) -> SemisimplePoint:
         perm.append(j)
     psi = ss.psi[perm, :].copy()
     signs = [ss.sign_choices[p] for p in perm]
-    if psi_ref is not None:
-        for i in range(n):
-            if np.abs(psi[i] - psi_ref[i]).max() > np.abs(-psi[i] - psi_ref[i]).max():
-                psi[i] = -psi[i]
-                signs[i] = -signs[i]
+    for i in range(n):
+        if np.abs(psi[i] - psi_ref[i]).max() > np.abs(-psi[i] - psi_ref[i]).max():
+            psi[i] = -psi[i]
+            signs[i] = -signs[i]
     v_mat = ss.v_mat[np.ix_(perm, perm)]
     flips = np.diag([1.0 if s == t else -1.0
                      for s, t in zip(signs, (ss.sign_choices[p] for p in perm))])
@@ -590,27 +588,13 @@ def align_frame(ss: SemisimplePoint, u_ref, psi_ref=None) -> SemisimplePoint:
                            tuple(signs), ss.residual_frame)
 
 
-def _flat_from_canonical(spec, tensors, u_target, v_guess, psi_reference=None):
-    """Newton solve for the flat point whose canonical coordinates are u_target."""
-    v = np.array([complex(x) for x in v_guess])
-    for _ in range(NEWTON_MAXIT):
-        ss = semisimple_at(spec, tuple(v), tensors)
-        ss = align_frame(ss, u_target, psi_reference)
-        err = ss.u - u_target
-        if np.abs(err).max() < NEWTON_TOL:
-            return tuple(v), ss
-        # du_i / dv^a = psi_{ia} / psi_{i iota}
-        jac = np.array([[ss.psi[i, a] / ss.psi[i, spec.unity - 1]
-                         for a in range(spec.n)] for i in range(spec.n)])
-        v = v - np.linalg.solve(jac, err)
-    raise IntegrationError("canonical-coordinate Newton iteration did not converge")
-
-
 def hamiltonians_and_closedness(spec: FrobeniusSpec, point, h: float = 1e-4,
                                 tensors: Tensors | None = None) -> dict:
-    """Finite-difference check that the isomonodromic hamiltonian one-form is
-    closed, and that the canonical-direction derivatives of V are the expected
-    commutators."""
+    """Finite-difference check of the isomonodromic equations in the flat
+    coordinates: central differences at v +- h e_a (h is a step in v), each
+    frame aligned to the one at v.  With J_ia = du_i/dv^a = psi_ia / psi_i,iota
+    at v, the one-form sum_i H_i du_i is closed iff K = (dH/dv)^T J is
+    symmetric, and dV/dv^a = sum_i J_ia [V_i, V]."""
     t = tensors or build_tensors(spec)
     n = spec.n
     base = semisimple_at(spec, point, t)
@@ -625,37 +609,30 @@ def hamiltonians_and_closedness(spec: FrobeniusSpec, point, h: float = 1e-4,
                          for j in range(n) if j != i) / 2
         return out
 
-    def at_u(u_target):
-        v, ss = _flat_from_canonical(spec, t, u_target, base.point,
-                                     psi_reference=base.psi)
-        return ss
-
-    u0 = base.u
-    # dH_i/du_j by central differences
-    grads = np.zeros((n, n), dtype=complex)
-    dv = [np.zeros((n, n), dtype=complex) for _ in range(n)]
-    for j in range(n):
-        up = at_u(u0 + h * np.eye(n)[j])
-        dn = at_u(u0 - h * np.eye(n)[j])
-        grads[:, j] = (h_vec(up) - h_vec(dn)) / (2 * h)
-        dv[j] = (up.v_mat - dn.v_mat) / (2 * h)
-    closed = max(abs(grads[i, j] - grads[j, i])
-                 for i in range(n) for j in range(i + 1, n))
+    v0 = np.array([complex(x) for x in point])
+    # dH_i/dv^a and dV/dv^a by central differences
+    dh = np.zeros((n, n), dtype=complex)
+    dv = []
+    for a in range(n):
+        up, dn = (align_frame(semisimple_at(spec, tuple(v0 + s * h * np.eye(n)[a]), t),
+                              base.u, base.psi) for s in (1, -1))
+        dh[:, a] = (h_vec(up) - h_vec(dn)) / (2 * h)
+        dv.append((up.v_mat - dn.v_mat) / (2 * h))
+    jac = base.psi / base.psi[:, [spec.unity - 1]]
+    k = dh.T @ jac
+    closed = float(np.abs(k - k.T).max())
 
     # dV/du_i = [V_i, V] with V_i = ad_U^{-1}([E_i, V])
-    veq = 0.0
-    for i in range(n):
-        vi = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                com = (1 if a == i else 0) * base.v_mat[i, b] - base.v_mat[a, i] * (1 if b == i else 0)
-                vi[a, b] = com / (base.u[a] - base.u[b])
-        bracket = vi @ base.v_mat - base.v_mat @ vi
-        veq = max(veq, float(np.abs(dv[i] - bracket).max()))
+    vm = base.v_mat
+    gaps = np.subtract.outer(base.u, base.u)
+    np.fill_diagonal(gaps, 1.0)   # [E_i, V] vanishes on the diagonal
+    brackets = []
+    for e_i in np.eye(n):
+        vi = (e_i[:, None] * vm - vm * e_i[None, :]) / gaps
+        brackets.append(vi @ vm - vm @ vi)
+    veq = float(np.abs(np.array(dv) - np.einsum("ia,ibc->abc", jac, brackets)).max())
     return {"pass": bool(closed < 1e-6 and veq < 1e-5),
-            "closedness_residual": float(closed), "veq_residual": float(veq)}
+            "closedness_residual": closed, "veq_residual": veq}
 
 
 def frame_invariance_report(spec_m: FrobeniusSpec, spec_hat: FrobeniusSpec,

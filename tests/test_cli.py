@@ -126,6 +126,8 @@ def test_monodromy_at_wide_spread(capsys):
     (["legendre", "p1", "--kappa", "2", "--order", "1/0"], "--order"),
     (["verify-omega", "p1", "--kappa", "2", "--order", "1/0"], "--order"),
     (["tensor-monodromy", "--left", "a2"], "--left"),
+    (["monodromy", "p1", "--point", "0,0", "--phi", "nan"], "--phi"),
+    (["monodromy", "p1", "--point", "0,0", "--phi", "inf"], "--phi"),
 ])
 def test_malformed_option_values_exit_2(capsys, argv, flag):
     assert main(argv) == 2
@@ -162,6 +164,14 @@ def test_tensor_monodromy_compares_with_the_product_spec(capsys, monkeypatch):
 def test_genus1_command(capsys):
     code, out = run(capsys, "genus1-check", "a2")
     assert code == 0
+
+
+def test_genus1_unrepresentable_constant_exits_4(capsys):
+    # (c m (m - 1))^(-1/(m - 2)) = (35/4)^(-2/3) has no exact value
+    code = main(["genus1-check", "twodim", "--param", "m=7/2", "--param", "c=1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "NeedsFloatError" in err and "m = 7/2, c = 1" in err
 
 
 def test_output_file_atomic(tmp_path, capsys):

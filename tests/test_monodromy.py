@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -538,6 +539,52 @@ def test_hamiltonian_reports():
                         charge=F(0), mu=(F(0),))
     rep = hamiltonians_and_closedness(one, (0.5,))
     assert rep["pass"] and rep["closedness_residual"] == 0.0
+
+
+HAMILTONIAN_POINTS = [("a2", (0, 3), 1e-12), ("p1", (0, 0), 1e-12),
+                      ("p1orb", (0, F(3, 10), F(1, 5)), 1e-8),
+                      ("p1xp1", (0, F(2, 5), F(-3, 10), 0), 1e-8)]
+
+
+@pytest.mark.parametrize("name, point, bound", HAMILTONIAN_POINTS,
+                         ids=[case[0] for case in HAMILTONIAN_POINTS])
+def test_hamiltonians_differentiate_in_flat_coordinates(monkeypatch, name, point, bound):
+    """One frame at the point and two per flat direction; at n >= 3 neither
+    check holds trivially (p1xp1 at v4 = 0, where its truncation is exact)."""
+    spec = load_spec(name)
+    t = build_tensors(spec)
+    calls = []
+    frame = monodromy.semisimple_at
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return frame(*args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "semisimple_at", counted)
+    rep = hamiltonians_and_closedness(spec, point, h=1e-4, tensors=t)
+    assert len(calls) == 2 * spec.n + 1
+    assert rep["pass"], rep
+    assert rep["closedness_residual"] < bound and rep["veq_residual"] < bound
+
+
+@pytest.mark.parametrize("name, point", [case[:2] for case in HAMILTONIAN_POINTS[2:]],
+                         ids=[case[0] for case in HAMILTONIAN_POINTS[2:]])
+def test_hamiltonians_catch_a_v_off_the_isomonodromic_flow(monkeypatch, name, point):
+    # V_12 += 0.01 v^2 and V_21 -= 0.01 v^2 keep V skew but break both equations
+    spec = load_spec(name)
+    frame = monodromy.semisimple_at
+
+    def mutant(spec, point, *args, **kwargs):
+        ss = frame(spec, point, *args, **kwargs)
+        v = ss.v_mat.copy()
+        v[0, 1] += 0.01 * complex(point[1])
+        v[1, 0] -= 0.01 * complex(point[1])
+        return dataclasses.replace(ss, v_mat=v)
+
+    monkeypatch.setattr(monodromy, "semisimple_at", mutant)
+    rep = hamiltonians_and_closedness(spec, point, h=1e-4)
+    assert not rep["pass"]
+    assert rep["closedness_residual"] > 1e-6 and rep["veq_residual"] > 1e-5
 
 
 def test_identities_on_toy_data():
