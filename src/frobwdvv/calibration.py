@@ -230,13 +230,12 @@ def check_homogeneity(cal: Calibration) -> dict:
     return {"pass": not failures, "failures": failures, "entries": len(cal.omega)}
 
 
-def theta_matrix_coefficients(cal: Calibration, m_max: int | None = None) -> list:
-    """Theta_m matrices with (Theta_m)^a_b = eta^{a rho} d theta_{b,m}/dv^rho; they
-    supply the resonant levels of the Fuchsian-point solution in `monodromy`."""
+def theta_matrix_coefficients(cal: Calibration) -> list:
+    """Theta_m matrices, m <= cal.m_max, with (Theta_m)^a_b = eta^{a rho} d theta_{b,m}/dv^rho;
+    they supply the resonant levels of the Fuchsian-point solution in `monodromy`."""
     n = cal.spec.n
-    m_top = cal.m_max if m_max is None else m_max
     out = []
-    for m in range(m_top + 1):
+    for m in range(cal.m_max + 1):
         cols = [raise_index([cal.grad(b + 1, m, rho + 1) for rho in range(n)], cal.tensors.eta_inv)
                 for b in range(n)]
         out.append([[cols[b][a] for b in range(n)] for a in range(n)])

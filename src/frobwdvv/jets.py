@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .closedform import ClosedForm, NeedsFloatError, cf_mono, cf_var
 from .core import FrobeniusSpec, Tensors, build_tensors
-from .exact import Exact, rational_power
+from .exact import rational_power
 from .specs import load_spec, twodim_spec
 
 __all__ = [
@@ -178,14 +178,8 @@ def p1_family_data() -> dict:
 
 
 def a2_family_data() -> dict:
-    spec = load_spec("a2")
-    qm = cf_mono(F(1), {"v1_1": 2}) - cf_mono(F(1, 3), {"v2": 1, "v2_1": 2})
-    fm1 = [(F(1, 24), qm)]
-    qh = (cf_mono(F(1), {"h2_1": 2})
-          - cf_mono(Exact({6: F(1, 2)}), {"h1": F(-1, 2), "h1_1": 2}))
-    fhat1 = [(F(1, 24), qh), (F(-1, 48), cf_var("h1"))]
-    hat_map = {"h1": cf_mono(F(1, 6), {"v2": 2}), "h2": cf_var("v1")}
-    return {"spec": spec, "fm1": fm1, "fhat1": fhat1, "hat_map": hat_map}
+    """Genus-one data of a2, the member (1/2) v1^2 v2 + v2^4 / 72 of the general family."""
+    return genus1_twodim_family(F(4), F(1, 72))
 
 
 GENUS1_KAPPA = 2    # the hat direction of every bundled genus-one family

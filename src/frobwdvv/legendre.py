@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 from . import specs
@@ -22,7 +23,7 @@ __all__ = [
     "verify_omega_transport", "verify_euler_hat", "round_trip", "verify_pointwise",
     "series_equal_mod_quadratic", "hat_tensors_series", "check_metric_transport",
     "check_gradient_identity", "check_unity_rule", "pullback",
-    "hat_omega_from_thetas", "check_structure_transport", "check_product_identity",
+    "check_structure_transport", "check_product_identity",
 ]
 
 F = Fraction
@@ -183,6 +184,24 @@ def _vanishes(s: TruncSeries) -> bool:
     return s.max_abs_coeff() < _FLOAT_TOL
 
 
+def _agrees(lhs: TruncSeries, rhs, k: int) -> bool:
+    """The comparison rule of the series checks: lhs = rhs below the order that
+    is left after k derivatives of a series cut at lhs's order."""
+    d = lhs - rhs
+    return _vanishes(d.truncate(d.grading.order - k))
+
+
+def _cut_vanishes(spec: FrobeniusSpec, f: ClosedForm) -> bool:
+    """The comparison rule of the closed-form checks: f is exactly zero after
+    the spec's exponential cut."""
+    keep = spec.exp_filter()
+    return (f.filter(keep) if keep else f).is_zero()
+
+
+def _report(failures: list, **extra) -> dict:
+    return {"pass": not failures, "failures": failures, **extra}
+
+
 def pullback(result: LegendreResult, f: ClosedForm) -> TruncSeries:
     """Expand a straight-variable closed form and transport it to hat series."""
     s = localize(f, result.spec.varnames, result.center, result.grading, result.localized)
@@ -199,160 +218,111 @@ def transport_calibration(result: LegendreResult, m_max: int) -> dict:
 
 
 def check_gradient_identity(result: LegendreResult, hat_thetas: dict) -> dict:
-    """Hat gradients of the transported calibration match the straight gradients;
-    the derivative loses one order at the series cutoff."""
-    failures = []
-    for (a, m), th in sorted(hat_thetas.items()):
-        for b in range(1, result.spec.n + 1):
-            lhs = th.diff(result.hat_vars[b - 1])
-            rhs = pullback(result, result.cal.grad(a, m, b))
-            diff = (lhs - rhs).truncate(lhs.grading.order - 1)
-            if not _vanishes(diff):
-                failures.append((a, m, b))
-    return {"pass": not failures, "failures": failures}
+    """Hat gradients of the transported calibration match the straight gradients."""
+    hv, cal = result.hat_vars, result.cal
+    return _report([(a, m, b) for (a, m), th in sorted(hat_thetas.items())
+                    for b in range(1, result.spec.n + 1)
+                    if not _agrees(th.diff(hv[b - 1]), pullback(result, cal.grad(a, m, b)), 1)])
 
 
 def check_unity_rule(result: LegendreResult, hat_thetas: dict) -> dict:
     """d theta-hat_{a,m+1} / d vhat^kappa = theta-hat_{a,m}."""
-    failures = []
     kap = result.hat_vars[result.kappa - 1]
-    for (a, m), th in sorted(hat_thetas.items()):
-        if (a, m + 1) not in hat_thetas:
-            continue
-        lhs = hat_thetas[(a, m + 1)].diff(kap)
-        diff = (lhs - th).truncate(lhs.grading.order - 1)
-        if not _vanishes(diff):
-            failures.append((a, m))
-    return {"pass": not failures, "failures": failures}
-
-
-def hat_omega_from_thetas(result: LegendreResult, hat_thetas: dict,
-                          a: int, m1: int, b: int, m2: int) -> TruncSeries:
-    """Two-point entry of the hat structure computed from hat data only: the
-    straight table's signed sum, over pairings of hat gradients."""
-    hv = result.hat_vars
-
-    def pairing(alpha, l1, beta, l2):
-        return TruncSeries.sum_of_products(
-            (e, hat_thetas[(alpha, l1)].diff(hv[rho]), hat_thetas[(beta, l2)].diff(hv[sig]))
-            for rho, row in enumerate(result.tensors.eta_inv) for sig, e in enumerate(row) if e)
-
-    return _signed_pairings(pairing, a, m1 + 1, b, m2)
+    return _report([(a, m) for (a, m), th in sorted(hat_thetas.items())
+                    if (a, m + 1) in hat_thetas
+                    and not _agrees(hat_thetas[(a, m + 1)].diff(kap), th, 1)])
 
 
 def verify_omega_transport(result: LegendreResult, order: int, m_max: int) -> dict:
     """Hat two-point functions equal the straight ones after the coordinate map,
-    for every entry of order m1 + m2 <= order; that needs level order + 1 <= m_max."""
+    for every entry of order m1 + m2 <= order; that needs level order + 1 <= m_max.
+    The hat side is the straight table's signed sum over pairings of hat
+    gradients, and each theta-hat is differentiated once."""
     if order + 1 > m_max:
         raise OrderExceededError(f"table order {order} needs level {order + 1} > m_max {m_max}")
-    hat_thetas = transport_calibration(result, m_max)
-    failures = []
-    checked = 0
-    for m1 in range(order + 1):
-        for m2 in range(order + 1 - m1):
-            for a in range(1, result.spec.n + 1):
-                for b in range(1, result.spec.n + 1):
-                    lhs = hat_omega_from_thetas(result, hat_thetas, a, m1, b, m2)
-                    rhs = pullback(result, result.cal.entry(a, m1, b, m2))
-                    diff = (lhs - rhs).truncate(lhs.grading.order - 1)
-                    checked += 1
-                    if not _vanishes(diff):
-                        failures.append((a, m1, b, m2))
-    return {"pass": not failures, "failures": failures, "checked": checked}
+    grads = {key: [th.diff(y) for y in result.hat_vars]
+             for key, th in transport_calibration(result, m_max).items()}
+
+    def pairing(alpha, l1, beta, l2):
+        return TruncSeries.sum_of_products(
+            (e, grads[(alpha, l1)][rho], grads[(beta, l2)][sig])
+            for rho, row in enumerate(result.tensors.eta_inv) for sig, e in enumerate(row) if e)
+
+    n = result.spec.n
+    entries = [(a, m1, b, m2) for m1 in range(order + 1) for m2 in range(order + 1 - m1)
+               for a in range(1, n + 1) for b in range(1, n + 1)]
+    return _report([(a, m1, b, m2) for a, m1, b, m2 in entries
+                    if not _agrees(_signed_pairings(pairing, a, m1 + 1, b, m2),
+                                   pullback(result, result.cal.entry(a, m1, b, m2)), 1)],
+                   checked=len(entries))
 
 
 def verify_euler_hat(result: LegendreResult) -> dict:
     """Exact identity: the Euler field in hat coordinates is linear-plus-shift
     with the transformed charge and with shifts from the nilpotent block."""
     spec = result.spec
-    keep = spec.exp_filter()
     upper = result.hat_upper_forms()
-    failures = []
-    for b in range(1, spec.n + 1):
-        weight = 1 - Fraction(result.hat_charge, 2) - spec.mu[b - 1]
-        diff = spec.euler_residual(upper[b - 1], weight) - result.hat_shifts[b - 1]
-        if keep:
-            diff = diff.filter(keep)
-        if not diff.is_zero():
-            failures.append(b)
-    return {"pass": not failures, "failures": failures,
-            "hat_charge": result.hat_charge, "hat_shifts": result.hat_shifts}
+    weights = [1 - Fraction(result.hat_charge, 2) - mu for mu in spec.mu]
+    return _report([b for b in range(1, spec.n + 1)
+                    if not _cut_vanishes(spec, spec.euler_residual(upper[b - 1], weights[b - 1])
+                                         - result.hat_shifts[b - 1])],
+                   hat_charge=result.hat_charge, hat_shifts=result.hat_shifts)
 
 
 def check_metric_transport(result: LegendreResult) -> dict:
     """Jacobian identity: the hat-coordinate differentials pair to the same
     constant metric (equivalently d vhat_a / dv_b = c^b_{kappa a})."""
     spec, t = result.spec, result.tensors
-    n = spec.n
-    low = result.hat_lower_forms()
-    keep = spec.exp_filter()
     failures = []
-    for a in range(n):
+    for a, low in enumerate(result.hat_lower_forms()):
         # eta^{b rho} d vhat_a / d v^rho = c^b_{kappa a}
-        lhs = raise_index([low[a].diff(v) for v in spec.varnames], t.eta_inv)
-        for b in range(n):
-            diff = lhs[b] - t.c_mixed[b][result.kappa - 1][a]
-            if keep:
-                diff = diff.filter(keep)
-            if not diff.is_zero():
-                failures.append((a + 1, b + 1))
-    return {"pass": not failures, "failures": failures}
+        lhs = raise_index([low.diff(v) for v in spec.varnames], t.eta_inv)
+        failures += [(a + 1, b + 1) for b in range(spec.n)
+                     if not _cut_vanishes(spec, lhs[b] - t.c_mixed[b][result.kappa - 1][a])]
+    return _report(failures)
+
+
+def _hat_structure(result: LegendreResult, columns) -> list:
+    """chat^g_{ab} = (dv^rho/dvhat^a) c^g_{rho b} for the columns b (0-based), as
+    chat[g][a][j] for b = columns[j]: each c^g_{rho b} is pulled back once."""
+    n, c = result.spec.n, result.tensors.c_mixed
+    dv = [[comp.diff(y) for y in result.hat_vars] for comp in result.inverse_map.components]
+    cpull = [[[pullback(result, c[g][rho][b]) for b in columns] for rho in range(n)]
+             for g in range(n)]
+    return [[[TruncSeries.sum_of_products((1, dv[rho][a], cpull[g][rho][j]) for rho in range(n))
+              for j in range(len(columns))] for a in range(n)] for g in range(n)]
 
 
 def hat_tensors_series(result: LegendreResult) -> list:
     """Hat structure constants as series: chat^g_{ab} = (dv^rho/dvhat^a) c^g_{rho b}."""
-    spec, t = result.spec, result.tensors
-    n = spec.n
-    inv = result.inverse_map
-    dv = [[inv.components[r].diff(result.hat_vars[a]) for a in range(n)] for r in range(n)]
-    cmix = [[[pullback(result, t.c_mixed[g][rho][b]) for b in range(n)] for rho in range(n)]
-            for g in range(n)]
-    return [[[TruncSeries.sum_of_products((1, dv[rho][a], cmix[g][rho][b]) for rho in range(n))
-              for b in range(n)] for a in range(n)] for g in range(n)]
+    return _hat_structure(result, range(result.spec.n))
 
 
 def check_structure_transport(result: LegendreResult) -> dict:
     """The hat structure constants computed two ways agree: third derivatives of
-    the transported potential versus the chain-rule transport of c."""
-    n = result.spec.n
-    t = result.tensors
+    the transported potential versus the chain-rule transport of c.  F-hat is
+    differentiated along sorted index prefixes, once per index multiset."""
+    n, hv = result.spec.n, result.hat_vars
     chat = hat_tensors_series(result)
-    order_guard = result.grading.order - 3
-    # lower the transported mixed tensor with eta and compare with the third
-    # derivatives of the hat potential
-    lowered = [[raise_index([chat[rho][a][b] for rho in range(n)], t.eta) for b in range(n)]
-               for a in range(n)]
-    failures = []
-    for g in range(n):
-        for a in range(n):
-            for b in range(n):
-                third = result.hat_potential.diff(result.hat_vars[a]) \
-                    .diff(result.hat_vars[b]).diff(result.hat_vars[g])
-                if not _vanishes((lowered[a][b][g] - third).truncate(order_guard)):
-                    failures.append((a + 1, b + 1, g + 1))
-    return {"pass": not failures, "failures": failures}
+    # lower the transported mixed tensor with eta: lowered[a][b][g] = chat_{gab}
+    lowered = [[raise_index([chat[rho][a][b] for rho in range(n)], result.tensors.eta)
+                for b in range(n)] for a in range(n)]
+    derivs = {(): result.hat_potential}
+    for k in (1, 2, 3):
+        for idx in combinations_with_replacement(range(n), k):
+            derivs[idx] = derivs[idx[:-1]].diff(hv[idx[-1]])
+    return _report([(a + 1, b + 1, g + 1) for g in range(n) for a in range(n) for b in range(n)
+                    if not _agrees(lowered[a][b][g], derivs[tuple(sorted((a, b, g)))], 3)])
 
 
 def check_product_identity(result: LegendreResult) -> dict:
     """Multiplication by the transform direction sends hat coordinate fields to
-    the lowered straight ones:  sum_s c^g_{kappa s} dv^s/dvhat_a = eta^{g a}."""
-    spec, t = result.spec, result.tensors
-    n = spec.n
-    inv = result.inverse_map
-    order_guard = result.grading.order - 2
-    # d v^sig / d vhat_a = eta^{a b} d inv^sig / d yhat^b
-    dv = [raise_index([comp.diff(y) for y in result.hat_vars], t.eta_inv)
-          for comp in inv.components]
-    cmix = [[pullback(result, t.c_mixed[g][result.kappa - 1][sig]) for sig in range(n)]
-            for g in range(n)]
-    failures = []
-    for a in range(n):
-        for g in range(n):
-            s = TruncSeries.sum_of_products((1, cmix[g][sig], dv[sig][a]) for sig in range(n))
-            diff = (s - t.eta_inv[g][a]).truncate(order_guard)
-            if not _vanishes(diff):
-                failures.append((a + 1, g + 1))
-    return {"pass": not failures, "failures": failures}
+    the lowered straight ones:  eta^{ab} chat^g_{b kappa} = eta^{g a}."""
+    n, eta_inv = result.spec.n, result.tensors.eta_inv
+    chat = _hat_structure(result, [result.kappa - 1])
+    prod = [raise_index([chat[g][b][0] for b in range(n)], eta_inv) for g in range(n)]
+    return _report([(a + 1, g + 1) for a in range(n) for g in range(n)
+                    if not _agrees(prod[g][a], eta_inv[g][a], 2)])
 
 
 def round_trip(result: LegendreResult) -> dict:

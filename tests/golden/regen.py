@@ -50,6 +50,9 @@ COMMANDS = [
     ["recursion", "a21", "--max", "19"],
     ["legendre", "p1", "--kappa", "2", "--order", "8"],
     ["verify-omega", "p1", "--kappa", "2", "--order", "6"],
+    # the two-point transport off the origin, on rational a2 series, through table order 3
+    ["verify-omega", "a2", "--kappa", "2", "--center", "0,3", "--order", "8", "--m-max", "5",
+     "--table-order", "3"],
 ]
 
 

@@ -123,7 +123,7 @@ def test_theta_matrices_match_explicit_index_raising(p1_cal, a2_cal):
     # reference: the eta^{a rho} sum written out entry by entry
     for cal in (p1_cal, a2_cal):
         t, n = cal.tensors, cal.spec.n
-        mats = theta_matrix_coefficients(cal, 4)
+        mats = theta_matrix_coefficients(cal)
         for m in range(5):
             for a in range(n):
                 for b in range(n):

@@ -92,7 +92,10 @@ def test_genus1_sampled_family():
 
 
 def test_a2_is_family_instance():
-    r1 = genus1_report(a2_family_data())
+    a2 = load_spec("a2")
+    data = a2_family_data()
+    assert (data["spec"].potential, data["spec"].mu) == (a2.potential, a2.mu)
+    r1 = genus1_report(data)
     r2 = genus1_report(genus1_twodim_family(F(4), F(1, 72)))
     assert abs(r1["constant"] - r2["constant"]) < 1e-12
 

@@ -15,8 +15,8 @@ import frobwdvv.calibration as calibration
 import frobwdvv.legendre as legendre
 import frobwdvv.series as series
 from frobwdvv.legendre import (
-    check_gradient_identity, check_metric_transport, check_product_identity, check_unity_rule,
-    hat_tensors_series,
+    check_gradient_identity, check_metric_transport, check_product_identity,
+    check_structure_transport, check_unity_rule, hat_tensors_series,
     round_trip, series_equal_mod_quadratic, transform, transform_series,
     transport_calibration, verify_euler_hat, verify_omega_transport, verify_pointwise,
 )
@@ -472,3 +472,91 @@ def test_each_mixed_entry_is_pulled_back_once(a2_res, monkeypatch):
     calls.clear()
     assert check_product_identity(a2_res)["pass"]
     assert len(calls) == 4
+
+
+def _p1_result():
+    # a fresh result per mutant: some of them edit the calibration's table
+    return transform(load_spec("p1"), 2, (F(0), F(0)), 8, m_max=5)
+
+
+def _hat_monomial(res, idx, coeff):
+    return TruncSeries(res.hat_vars, res.hat_center, {idx: coeff}, res.hat_potential.grading)
+
+
+def test_hat_checks_catch_a_theta_off_the_hat_gradient():
+    # theta-hat_{1,2} + x1^2/7: its x1 gradient and the x2 gradient of theta-hat_{1,3}
+    res = _p1_result()
+    thetas = transport_calibration(res, 3)
+    thetas[(1, 2)] = thetas[(1, 2)] + _hat_monomial(res, (2, 0), F(1, 7))
+    grad, unity = check_gradient_identity(res, thetas), check_unity_rule(res, thetas)
+    assert not grad["pass"] and grad["failures"] == [(1, 2, 1)]
+    assert not unity["pass"] and unity["failures"] == [(1, 2)]
+
+
+def test_two_point_transport_catches_one_wrong_entry():
+    res = _p1_result()
+    cal = res.cal
+    cal.omega[(1, 0, 1, 1)] = cal.entry(1, 0, 1, 1) + cf_mono(F(1, 3), {"v1": 1})
+    rep = verify_omega_transport(res, 2, 4)
+    assert not rep["pass"] and rep["failures"] == [(1, 0, 1, 1)] and rep["checked"] == 24
+
+
+def test_structure_transport_catches_a_wrong_hat_potential():
+    res = _p1_result()
+    res.hat_potential = res.hat_potential + _hat_monomial(res, (2, 1), F(1, 5))
+    rep = check_structure_transport(res)
+    assert not rep["pass"] and rep["failures"] == [(1, 2, 1), (2, 1, 1), (1, 1, 2)]
+
+
+def test_product_identity_catches_a_wrong_inverse_map():
+    res = _p1_result()
+    first, *rest = res.inverse_map.components
+    res.inverse_map = series.SeriesMap((first + _hat_monomial(res, (0, 2), F(1, 9)), *rest))
+    rep = check_product_identity(res)
+    assert not rep["pass"] and rep["failures"] == [(1, 2)]
+
+
+def test_euler_hat_catches_a_wrong_shift():
+    res = _p1_result()
+    res.hat_shifts = (0, 1)
+    rep = verify_euler_hat(res)
+    assert not rep["pass"] and rep["failures"] == [2]
+
+
+def test_metric_transport_catches_a_wrong_hat_coordinate():
+    res = _p1_result()
+    cal = res.cal
+    cal.omega[(1, 0, 2, 0)] = cal.entry(1, 0, 2, 0) + cf_mono(F(1, 2), {"v2": 2})
+    rep = check_metric_transport(res)
+    assert not rep["pass"] and rep["failures"] == [(1, 1)]
+
+
+@pytest.mark.parametrize("name, kappa, center, order, m_max", [
+    pytest.param("p1orb", 2, (0, 0, 0), 6, 4, id="p1orb-kappa2"),
+    pytest.param("p1orb", 3, (0, 0, 0), 6, 4, id="p1orb-kappa3"),
+    pytest.param("nls", 1, (1, 0), 8, 4, id="nls-kappa1"),
+])
+def test_hat_structure_checks_past_the_plane(name, kappa, center, order, m_max):
+    # n = 3 and a kappa = 1 transform reach the structure, product and two-point checks
+    res = transform(load_spec(name), kappa, tuple(F(c) for c in center), order, m_max=m_max)
+    assert check_structure_transport(res)["pass"]
+    assert check_product_identity(res)["pass"]
+    rep = verify_omega_transport(res, 2, 3)
+    assert rep["pass"] and rep["checked"] == 6 * res.spec.n ** 2
+
+
+def test_hat_checks_differentiate_each_series_once(p1_res, a2_res, monkeypatch):
+    # the two-point check takes the n hat gradients of each of the n(m_max + 1)
+    # theta-hats once; the structure check takes dv/dvhat (n^2) and F-hat's
+    # derivatives along sorted index prefixes: n + n(n+1)/2 + n(n+1)(n+2)/6
+    calls = []
+    diff = TruncSeries.diff
+    monkeypatch.setattr(TruncSeries, "diff", lambda s, var: calls.append(var) or diff(s, var))
+    assert verify_omega_transport(p1_res, 3, 4)["pass"]
+    assert len(calls) == 20
+    calls.clear()
+    assert verify_omega_transport(a2_res, 2, 4)["pass"]
+    assert len(calls) == 20
+    calls.clear()
+    assert check_structure_transport(a2_res)["pass"]
+    assert len(calls) == 4 + 2 + 3 + 4
