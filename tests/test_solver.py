@@ -7,14 +7,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slot_oracle
 from frobwdvv import solver
+from frobwdvv.cli import main
 from frobwdvv.closedform import ClosedForm, Mono, _merge, mono_exp_degree
 from frobwdvv.linalg import mat_inv
 from frobwdvv.solver import (
-    InconsistentSystemError, _c_rows, _pair_residual, chazy_residual_orders, divisor_sigma,
-    nd_via_ode_route, p1xp1_family, p2_family, p2_s2_hat_family, recursion_ck, recursion_mk,
-    recursion_nd, recursion_nkl, recursion_qk, recursion_wk, s21_family, s22_family,
-    solve_ckl_and_a, solve_slot_family,
+    InconsistentSystemError, _a21_output, _ckl_output, chazy_residual_orders, divisor_sigma,
+    nd_via_ode_route, recursion_ck, recursion_mk, recursion_nd, recursion_nkl, recursion_qk,
+    recursion_wk, solve_a21, solve_ckl, solve_ckl_and_a,
+)
+from slot_oracle import (
+    _c_rows, _pair_residual, p1xp1_family, p2_family, p2_s2_hat_family, s21_family,
+    s22_family, slot_a21, slot_ckl, solve_slot_family,
 )
 
 F = Fraction
@@ -114,6 +119,52 @@ def test_nkl_prefix_stability():
         assert large[k] == v
 
 
+def test_ckl_two_routes_agree():
+    """The scalar WDVV recursion and the slot solve of the whole s22 ansatz
+    give the same c_{k,l} table and audit, in value and in type, at every
+    bound from the least the CLI takes to the golden's, and at 11 and 14,
+    past the first products of two unequal slots (k + l = 11)."""
+    for m in [*range(2, 9), 11, 14]:
+        got, slot = solve_ckl(m), slot_ckl(m)
+        assert got.values == slot.values and got.audits == slot.audits, m
+        assert [type(v) for _, v in got.values] == [type(v) for _, v in slot.values], m
+
+
+def test_a21_two_routes_agree():
+    """As above for a_{m1,m2} and the s21 ansatz, zeros included, at every
+    bound up to the golden's and at 23: below 21 every nonzero product in the
+    sum has o2 = 1, so the o2^2 of the displayed equation counts from 21."""
+    for m in [*range(5, 20), 23]:
+        got, slot = solve_a21(m), slot_a21(m)
+        assert got.values == slot.values and got.audits == slot.audits, m
+        assert [type(v) for _, v in got.values] == [type(v) for _, v in slot.values], m
+        assert all(type(v) is Fraction for _, v in got.values), m
+
+
+def test_ckl_and_a21_prefix_stability():
+    for fn, small, large in ((solve_ckl, 8, 14), (solve_a21, 19, 31)):
+        got, deeper = fn(small).values, fn(large).table()
+        assert got and all(deeper[k] == v for k, v in got), fn.__name__
+
+
+def test_ckl_and_a21_take_no_closed_form_products(monkeypatch, capsys):
+    """The two tables are scalar recursions: neither the solvers nor the
+    commands form a ClosedForm product, and no slot solver is left in src."""
+    calls = []
+    kernel = ClosedForm.sum_of_products
+
+    def counted(triples, cut=None):
+        calls.append(1)
+        return kernel(triples, cut)
+
+    monkeypatch.setattr(ClosedForm, "sum_of_products", staticmethod(counted))
+    solve_ckl(8), solve_a21(19)
+    assert main(["recursion", "ckl"]) == 0 and main(["recursion", "a21"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert not hasattr(solver, "solve_slot_family")
+
+
 @pytest.fixture(scope="module")
 def hat_families():
     return solve_ckl_and_a(max_ckl_level=8, max_a_level=19)
@@ -140,7 +191,6 @@ def test_a21_printed_values(hat_families):
 def test_wrong_ansatz_is_inconsistent():
     # pinning a coefficient off the value forced by the seeds must surface as
     # an inconsistent overdetermined system (rescalings cannot absorb it)
-    from frobwdvv.solver import p1xp1_family
     fam = p1xp1_family(4)
     fam.seeds[("N", 1, 1)] = F(5)
     with pytest.raises(InconsistentSystemError):
@@ -292,13 +342,14 @@ def test_pruned_pair_residual_is_exact_at_every_cap(case):
 
 
 def test_slot_solver_work_is_pinned(monkeypatch):
-    """Before the pairings were pruned by depth bounds, solve_ckl(8) made
-    7,837 sum_of_products calls, 6,702 of them empty, and solve_a21(19) made
-    3,441, 1,781 of them empty, for the same 1,174 and 1,693 kept terms.
-    Before slot pairs were skipped by their per-rho entry bounds, 401 of the
-    557 _pair_residual calls of solve_ckl(8) formed no product at all, 47 of
-    157 for solve_a21(19) and 24 of 170 for the quadric's slot route at
-    N_{k,l}, k + l <= 6 (the family cut at level 7)."""
+    """Before the pairings were pruned by depth bounds, the slot solve of
+    s22_family to c_{k,l}, k + l <= 8 (the family cut at level 10), made
+    7,837 sum_of_products calls, 6,702 of them empty, and that of s21_family
+    to level 19 made 3,441, 1,781 of them empty, for the same 1,174 and 1,693
+    kept terms.  Before slot pairs were skipped by their per-rho entry bounds,
+    401 of the 557 _pair_residual calls of the s22 solve formed no product at
+    all, 47 of 157 for the s21 solve and 24 of 170 for the quadric's slot
+    route at N_{k,l}, k + l <= 6 (the family cut at level 7)."""
     sizes = []
     kernel = ClosedForm.sum_of_products
 
@@ -308,7 +359,7 @@ def test_slot_solver_work_is_pinned(monkeypatch):
         return out
 
     idle = []
-    pair_residual = solver._pair_residual
+    pair_residual = slot_oracle._pair_residual
 
     def pairing(*args):
         before = len(sizes)
@@ -317,16 +368,18 @@ def test_slot_solver_work_is_pinned(monkeypatch):
         return out
 
     monkeypatch.setattr(ClosedForm, "sum_of_products", staticmethod(counted))
-    monkeypatch.setattr(solver, "_pair_residual", pairing)
+    monkeypatch.setattr(slot_oracle, "_pair_residual", pairing)
     golden = Path(__file__).parent / "golden"
-    for solve, bound, most, name in ((solver.solve_ckl, 8, 1200, "recursion_ckl_max_8.json"),
-                                     (solver.solve_a21, 19, 1700, "recursion_a21_max_19.json")):
+    for fam, level, output, bound, most, name in (
+            (s22_family(), 10, _ckl_output, 8, 1200, "recursion_ckl_max_8.json"),
+            (s21_family(), 19, _a21_output, 19, 1700, "recursion_a21_max_19.json")):
         sizes.clear()
         idle.clear()
-        out = solve(bound)
+        sol = solve_slot_family(fam, level, bound)
         assert len(sizes) <= most, len(sizes)
         assert sizes.count(0) <= len(sizes) / 100, sizes.count(0)
         assert idle.count(True) <= len(idle) / 100, (idle.count(True), len(idle))
+        out = output({key[1:]: v for key, v in sol.values.items()}, bound)
         table = json.loads((golden / name).read_text())["table"]
         assert [[str(k), str(v)] for k, v in out.values] == table
     idle.clear()
@@ -379,14 +432,14 @@ def test_round_loop_substitutes_only_into_equations_with_new_values(monkeypatch)
            {("v",): F(1), (): F(-3)},           # v = 3
            {("x", "y"): F(1), ("z",): F(1)}]    # never reduced
     fresh = []
-    substitute = solver._poly_substitute
+    substitute = slot_oracle._poly_substitute
 
     def spy(poly, known):
         fresh.append(any(k in known for ukeys in poly for k in ukeys))
         return substitute(poly, known)
 
-    monkeypatch.setattr(solver, "_poly_substitute", spy)
-    known = solver._solve_polynomial_equations("toy", eqs, ["u", "v", "w", "x", "y", "z"], {})
+    monkeypatch.setattr(slot_oracle, "_poly_substitute", spy)
+    known = slot_oracle._solve_polynomial_equations("toy", eqs, ["u", "v", "w", "x", "y", "z"], {})
     assert known == {"u": F(1, 2), "v": F(3), "w": F(-3, 2)}
     assert len(fresh) == 4 + len(eqs) and all(fresh[:-len(eqs)])
 
@@ -491,3 +544,74 @@ def test_reductions_solve_their_displayed_equations(name):
     assert residual_orders(table) == []
     for k in table:
         assert residual_orders({**table, k: table[k] + 1}), k
+
+
+def _hat_table_equations(sympy):
+    """name -> (solver, bound, raw coefficients of its table, [(displayed
+    equation of the raw coefficients, the monomials at which it must
+    vanish)]).  Each equation is one that its solver's docstring displays,
+    in the flat coordinate u; e^t is written T, with d/dt = T d/dT."""
+    u, y, z, T = sympy.symbols("u y z T", positive=True)
+    R, d = sympy.Rational, sympy.diff
+    q = lambda v: R(v.numerator, v.denominator)
+
+    def ckl_raw(out, n):        # undo the table's scaling by ((2s + 5)/3)!
+        tab = out.table()
+        return {(k, s - k): q(tab.get((k, s - k), 0))
+                / (math.factorial((2 * s + 5) // 3) if s % 3 == 2 else 1)
+                for s in range(n + 1) for k in range(s + 1)}
+
+    def ckl(c):
+        G = sum(v * u ** R(2 * (k + l) + 5, 3) * y ** -k * z ** -l for (k, l), v in c.items())
+        eq = (d(G, u, u, u) - 1 / (y * z) - d(G, u, y, y) / z - d(G, u, z, z) / y
+              + d(G, u, u, y) * d(G, y, z, z) + d(G, u, u, z) * d(G, y, y, z)
+              - d(G, u, y, y) * d(G, u, z, z) - d(G, u, y, z) ** 2)
+        return [(eq, [(R(2 * (k + l) - 4, 3), -k, -l, 0) for k, l in c])]
+
+    def a21(a):
+        n = max(m1 + 4 * m2 for m1, m2 in a)
+        G = sum(v * u ** R(3 - m1 - 2 * m2, 2) * y ** m1 * T ** m2 for (m1, m2), v in a.items())
+        th = lambda e: T * d(e, T)
+        Gt, Gtt, Gttt = th(G), th(th(G)), th(th(th(G)))
+        wytt = Gttt / u - d(Gt, y, y) + d(G, u, u, y) * Gttt - d(Gt, u, u) * d(Gtt, y)
+        wwtt = -y * Gttt / u ** 2 - 2 * d(Gt, u, y) + d(G, u, u, u) * Gttt - d(Gt, u, u) * d(Gtt, u)
+        return [(wytt, [(R(1 - j, 2) - m, j, 0, m) for m in range(1, n)
+                        for j in range(n) if j + 2 + 4 * m <= n]),
+                (wwtt, [(-m, 0, 0, m) for m in range(2, n) if 1 + 4 * m <= n])]
+
+    def residual(eq, at):
+        """The monomials of `at` where the expanded equation is not zero."""
+        got = {}
+        for term in sympy.Add.make_args(sympy.expand(eq)):
+            c, mono = term.as_independent(u, y, z, T)
+            powers = mono.as_powers_dict()
+            key = tuple(powers.get(v, 0) for v in (u, y, z, T))
+            got[key] = got.get(key, 0) + c
+        return [key for key in at if got.get(key, 0) != 0]
+
+    return residual, {
+        "ckl": (solve_ckl, 8, ckl_raw, ckl, [(0, 0), (3, 2), (4, 4)]),
+        "a21": (solve_a21, 13, lambda out, n: {k: q(v) for k, v in out.values}, a21,
+                [(2, 1), (1, 2), (5, 2)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["ckl", "a21"])
+def test_hat_tables_solve_their_displayed_equations(name):
+    """The table, as the coefficients of the displayed hat potential, leaves
+    each displayed WDVV equation no residual at any monomial where it pins an
+    entry.  Changed by 1, an entry with no product term, one pinned by a
+    linear term and one pinned by products of lower entries each leave a
+    residual; so, for a21, does the bottom entry a_{1,2} in (u, u, t, t)."""
+    sympy = pytest.importorskip("sympy")
+    residual, oracles = _hat_table_equations(sympy)
+    fn, n, raw, equations, changed = oracles[name]
+    coeffs = raw(fn(n), n)
+    for eq, at in equations(coeffs):
+        assert at and residual(eq, at) == []
+    for key in changed:
+        broken = equations({**coeffs, key: coeffs[key] + 1})
+        assert any(residual(eq, at) for eq, at in broken), key
+    if name == "a21":   # (u, y, t, t) only ties a_{1,2} to a_{3,2}
+        wwtt, at = equations({**coeffs, (1, 2): coeffs[1, 2] + 1})[1]
+        assert residual(wwtt, at) == [(-2, 0, 0, 2)]
