@@ -48,7 +48,7 @@ def _euler_rule(spec: FrobeniusSpec, f: ClosedForm, weight, sides) -> ClosedForm
         for k in ks:
             for rho in range(1, spec.n + 1):
                 if r := spec.r_entry(k, rho, g):
-                    parts.append((-1, lower(rho, k) * r))
+                    parts.append((-r, lower(rho, k)))
     return ClosedForm.signed_sum(parts)
 
 
@@ -174,10 +174,8 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
         else:
             affine[b] = cval / F(coeff)
 
-    theta1 = theta0
-    for b, ab in affine.items():
-        if ab:
-            theta1 = theta1 + cf_var(names[b - 1]) * ab
+    theta1 = ClosedForm.signed_sum(
+        [(1, theta0), *((ab, cf_var(names[b - 1])) for b, ab in affine.items() if ab)])
 
     # scalar quasi-homogeneity pins the additive constant
     coeff_s = level + 1 + spec.mu[g - 1] + spec.mu[iota - 1]
@@ -192,13 +190,15 @@ def _solve_next_level(spec, t, cal, g, m, keep) -> ClosedForm:
                 f"{spec.name}: resonant scalar obstruction at level {level}, index {g}")
     else:
         theta1 = theta1 + ClosedForm.const(cval / F(coeff_s))
+    for b in range(1, n + 1):   # d theta1 / dv^b, kept so that no level is differentiated again
+        cal.grads[(g, level, b)] = grad[b - 1] + affine[b]
     return theta1
 
 
 def _signed_pairings(pairing, alpha: int, l: int, beta: int, m: int):
     """sum_{j=0}^{m} (-1)^j P(alpha, l + j; beta, m - j) for a pairing P(alpha, l1;
     beta, l2): the calibration's table, or the hat series pairing in `legendre`,
-    added up in one dict by the pairing type's `signed_sum`."""
+    added up by the pairing type's `signed_sum` into a copy of the j = 0 pairing."""
     parts = [((-1) ** j, pairing(alpha, l + j, beta, m - j)) for j in range(m + 1)]
     return type(parts[0][1]).signed_sum(parts)
 

@@ -130,12 +130,12 @@ def _merge(a: tuple, b: tuple) -> tuple:
 
 
 def _acc(out: dict, m: Mono, c) -> None:
-    """out[m] += c, stored in normal form and dropped when it cancels."""
+    """out[m] += c, dropped when it cancels; the kernel normalizes each output term once."""
     if c:
         s = out.get(m)
         s = c if s is None else s + c
         if s:
-            out[m] = normal_scalar(s)
+            out[m] = s
         else:
             out.pop(m, None)
 
@@ -145,10 +145,11 @@ def _times(c, k: int):
     return c.numerator * (k // c.denominator) if type(c) is Fraction else c * k
 
 
-def _normal_terms(out: dict, d: int) -> dict:
-    """The nonzero numerators in out over the int d > 0, each normalized once."""
-    return {m: (c // d if c % d == 0 else Fraction(c, d)) if type(c) is int
-            else normal_scalar(c / d) for m, c in out.items() if c}
+def _ratio(c, d: int):
+    """The numerator c (int, Fraction or Exact) over the int d > 0, in normal form."""
+    if type(c) is int:
+        return c // d if c % d == 0 else Fraction(c, d)
+    return normal_scalar(c / d)
 
 
 class ClosedForm:
@@ -229,13 +230,25 @@ class ClosedForm:
 
     @staticmethod
     def signed_sum(pairs) -> "ClosedForm":
-        """The sum of sign * f over (sign, f) pairs, sign +1 or -1, in one dict
-        that starts as a copy of the first."""
-        (sign, first), *rest = pairs
-        out = dict(first.terms) if sign > 0 else {m: -c for m, c in first.terms.items()}
-        for sign, f in rest:
-            for m, c in f.terms.items():
-                _acc(out, m, c if sign > 0 else -c)
+        """The sum of scale * f over (scale, f) pairs, each scale an int, Fraction or
+        Exact: a copy of the first summand's terms, into which the others add their
+        integer views over one denominator, normalizing each key they touch once."""
+        (scale, first), *rest = pairs
+        out = dict(first.terms if scale == 1 else (first * scale).terms)
+        work = [(scale, f._int_view()) for scale, f in rest if scale and f.terms]
+        den = lcm(*(v[0] * getattr(scale, "denominator", 1) for scale, v in work))
+        acc: dict[Mono, object] = {}
+        for scale, (d, items, _) in work:
+            k = _times(scale, den // d)
+            for m, c in items:
+                _acc(acc, m, c * k)
+        for m, c in acc.items():
+            c0 = out.get(m, 0)
+            q = getattr(c0, "denominator", 1)   # fold c0 in, over den times its denominator
+            if c := _ratio(c * q + _times(c0, den * q), den * q):
+                out[m] = c
+            else:
+                del out[m]
         return ClosedForm(out, _clean=True)
 
     @staticmethod
@@ -265,7 +278,7 @@ class ClosedForm:
                                              _merge(l1, l2) if l1 and l2 else l1 or l2,
                                              _merge(x1, x2) if x1 and x2 else x1 or x2))
                     out[m] = out.get(m, 0) + c1 * c2
-        return ClosedForm(_normal_terms(out, den), _clean=True)
+        return ClosedForm({m: _ratio(c, den) for m, c in out.items() if c}, _clean=True)
 
     __rmul__ = __mul__
 
@@ -330,9 +343,10 @@ class ClosedForm:
 
     # -- calculus -------------------------------------------------------
     def diff(self, var: str) -> "ClosedForm":
+        d0, items, _ = self._int_view()
         out: dict[Mono, object] = {}
         down = ((var, -1),)
-        for m, c in self.terms.items():
+        for m, c in items:
             q = m.pow_of(var)
             k = m.log_of(var)
             e = m.exp_of(var)
@@ -344,7 +358,7 @@ class ClosedForm:
                     _acc(out, Mono(shifted, _merge(m.logs, down), m.exps), c * k)
             if e:
                 _acc(out, m, c * e)
-        return ClosedForm(out, _clean=True)
+        return ClosedForm({m: _ratio(c, d0) for m, c in out.items() if c}, _clean=True)
 
     def diff_multi(self, variables: Iterable[str]) -> "ClosedForm":
         f = self
@@ -362,7 +376,7 @@ class ClosedForm:
                     _acc(out, m2, c2)
             else:   # the pure power c v^q, written directly
                 _acc(out, Mono(_merge(m.powers, ((var, 1),)), m.logs, m.exps), c / Fraction(q + 1))
-        return ClosedForm(out, _clean=True)
+        return ClosedForm(out)
 
     def euler_residual(self, field: dict[str, tuple], weight) -> "ClosedForm":
         """E f - weight * f for E = sum_v (d_v v + r_v) d/dv, field = {v: (d_v, r_v)}, in one
@@ -392,7 +406,7 @@ class ClosedForm:
                 if d:
                     _acc(out, Mono(_merge(powers, ((v, 1),)), logs, exps), c * (d * e))
             _acc(out, m, c * w)
-        return ClosedForm(_normal_terms(out, d0 * lam), _clean=True)
+        return ClosedForm({m: _ratio(c, d0 * lam) for m, c in out.items() if c}, _clean=True)
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, point: dict[str, complex]) -> complex:
@@ -493,16 +507,13 @@ class ClosedForm:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ClosedForm":
-        out = ClosedForm.zero()
+        out: dict[Mono, object] = {}
         for t in obj["terms"]:
-            c = Fraction(t["coeff"])
-            rad = int(t.get("radical", 1))
-            coeff = Exact({rad: c})
             m = Mono.make({v: Fraction(e) for v, e in t.get("powers", {}).items()},
                           {v: int(e) for v, e in t.get("logs", {}).items()},
                           {v: Fraction(e) for v, e in t.get("exps", {}).items()})
-            out = out + ClosedForm({m: coeff})
-        return out
+            _acc(out, m, Exact({int(t.get("radical", 1)): Fraction(t["coeff"])}))
+        return ClosedForm(out)
 
     def __repr__(self):
         if not self.terms:

@@ -236,17 +236,21 @@ def check_unity_rule(result: LegendreResult, hat_thetas: dict) -> dict:
 def verify_omega_transport(result: LegendreResult, order: int, m_max: int) -> dict:
     """Hat two-point functions equal the straight ones after the coordinate map,
     for every entry of order m1 + m2 <= order; that needs level order + 1 <= m_max.
-    The hat side is the straight table's signed sum over pairings of hat
-    gradients, and each theta-hat is differentiated once."""
+    The hat side is the straight table's signed sum over pairings of hat gradients;
+    each theta-hat it reads is differentiated once, and each pairing formed once."""
     if order + 1 > m_max:
         raise OrderExceededError(f"table order {order} needs level {order + 1} > m_max {m_max}")
     grads = {key: [th.diff(y) for y in result.hat_vars]
-             for key, th in transport_calibration(result, m_max).items()}
+             for key, th in transport_calibration(result, order + 1).items()}
+    pairings = {}
 
-    def pairing(alpha, l1, beta, l2):
-        return TruncSeries.sum_of_products(
-            (e, grads[(alpha, l1)][rho], grads[(beta, l2)][sig])
-            for rho, row in enumerate(result.tensors.eta_inv) for sig, e in enumerate(row) if e)
+    def pairing(*key):
+        key = min(key, key[2:] + key[:2])   # one entry for both orders, as in Calibration
+        if key not in pairings:
+            pairings[key] = TruncSeries.sum_of_products(
+                (e, grads[key[:2]][rho], grads[key[2:]][sig])
+                for rho, row in enumerate(result.tensors.eta_inv) for sig, e in enumerate(row) if e)
+        return pairings[key]
 
     n = result.spec.n
     entries = [(a, m1, b, m2) for m1 in range(order + 1) for m2 in range(order + 1 - m1)

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -340,6 +341,53 @@ def test_euler_residuals_take_no_derivative_or_product(monkeypatch):
     for f in [spec.potential, *cal.theta.values()]:
         spec.euler_residual(f, F(1, 3))
     assert (diffs[0], products[0]) == (0, 0)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_level_gradients_are_the_derivatives_of_the_levels(name):
+    # the level step keeps d theta0/dv^b plus its linear coefficient as the
+    # gradient: it must be theta's own derivative, term for term and in order
+    spec = load_spec(name, {"m": "4", "c": "1/72"} if name == "twodim" else None)
+    cal = solve_calibration(spec, 4)
+    assert len(cal.grads) == 5 * spec.n ** 2     # levels 0-4
+    for (g, m, b), grad in cal.grads.items():
+        want = cal.theta[(g, m)].diff(spec.varnames[b - 1])
+        assert list(grad.terms.items()) == list(want.terms.items()), (g, m, b)
+        assert_same_types(grad, want.terms)
+
+
+def test_level_gradients_keep_the_linear_coefficients():
+    # at charge 1 the unity coordinate theta_{1,0} of p1 may take a constant;
+    # then theta_{1,1} has the linear term v1 / 3 that the Hessian leaves out,
+    # and its stored gradient must carry the constant 1/3
+    spec = load_spec("p1")
+    cal = solve_calibration(spec, 0)
+    cal.theta[(1, 0)] = cal.theta[(1, 0)] + F(1, 3)
+    solve_calibration(spec, 3, cal=cal)
+    assert cal.grads[(1, 1, 1)].constant_term() == F(1, 3)
+    for (g, m, b), grad in cal.grads.items():
+        want = cal.theta[(g, m)].diff(spec.varnames[b - 1])
+        assert list(grad.terms.items()) == list(want.terms.items()), (g, m, b)
+
+
+def test_only_level_zero_gradients_are_differentiated(monkeypatch):
+    # levels 1-4 keep the gradients their step built, so `Calibration.grad`
+    # differentiates the n^2 level-0 gradients only; when it differentiated
+    # every level, p1xp1 took n^2 = 16 derivatives at each of the five
+    spec = load_spec("p1xp1")
+    diffs = _count_calls(monkeypatch, ClosedForm, "diff")
+    per_level = Counter()
+    real = Calibration.grad
+
+    def counting(self, alpha, m, beta):
+        before = diffs[0]
+        out = real(self, alpha, m, beta)
+        per_level[m] += diffs[0] - before
+        return out
+    monkeypatch.setattr(Calibration, "grad", counting)
+    cal = solve_calibration(spec, 4)
+    assert check_orthogonality(cal)["pass"]
+    assert dict(per_level) == {m: 16 * (m == 0) for m in range(5)}
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "p1xp1"])

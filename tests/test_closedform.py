@@ -244,14 +244,18 @@ def test_sum_of_products_forms_only_the_pairs_within_the_cap(monkeypatch):
 def test_integer_views_and_depth_orders_are_built_once(monkeypatch):
     # a calibration and its orthogonality check pair the same gradients again
     # and again: each form's integer view, and its order under the spec's
-    # grading, is built on its first kernel use only
+    # grading, is built on its first kernel use only.  Only the forms that
+    # reach the patch with no view count as new: `load_spec` differentiates the
+    # potential, and so builds its view, before the patch is installed
     spec = load_spec("p1xp1")
-    forms, views, orders = {}, Counter(), Counter()
+    forms, fresh, views, orders = {}, set(), Counter(), Counter()
     calls = [0]
     real = ClosedForm._int_view
 
     def counting(self, depth=None):
         # a build is an entry of the form's cache that was not there before
+        if id(self) not in forms and getattr(self, "_view", None) is None:
+            fresh.add(id(self))
         forms[id(self)] = self      # kept alive, so that no id is reused
         calls[0] += 1
         before = dict(getattr(self, "_view", {}))
@@ -265,7 +269,7 @@ def test_integer_views_and_depth_orders_are_built_once(monkeypatch):
     monkeypatch.setattr(ClosedForm, "_int_view", counting)
     cal = solve_calibration(spec, 4)
     assert check_orthogonality(cal)["pass"]
-    assert set(views.values()) == {1} and len(views) == len(forms)
+    assert set(views.values()) == {1} and set(views) == fresh
     assert set(orders.values()) == {1} and orders
     assert calls[0] > len(forms)   # forms are reused, so a lost cache would show
     # a second sum over the same factors builds nothing
@@ -564,9 +568,9 @@ def _ref_sum_of_products(triples, cut):
 
 def _ref_signed_sum(pairs):
     out = {}
-    for sign, f in pairs:
+    for scale, f in pairs:
         for m, c in fraction_terms(f).items():
-            _ref_acc(out, m, F(sign) * c)
+            _ref_acc(out, m, as_exact_scalar(scale) * c)
     return _ref_done(out)
 
 
@@ -612,9 +616,17 @@ def _ref_antiderivative(f, v):
     return _ref_done(out)
 
 
+# a form of many terms, every coefficient type among them
+_BIG = ClosedForm({Mono.make({"x": k}, None, {"y": k % 2}): c for k, c in enumerate(
+    [1, F(2, 3), -5, HUGE[0], Exact.sqrt(2), F(-7, 4), 3 * Exact.sqrt(3) + 1, HUGE[2], 9])})
+_SOME = ClosedForm({Mono.make({"x": 1}): 2, Mono.make({"y": 1}): F(1, 3)})
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.one_of(normal_coeffs(), small_rats), mixed_forms(), mixed_forms()),
                 min_size=1, max_size=3),
+       st.lists(st.tuples(st.one_of(rationals, normal_coeffs(), st.just(0)), mixed_forms()),
+                min_size=1, max_size=4),
        st.sampled_from([None, mono_exp_degree, signed_depth]),
        st.sampled_from([0, 1, F(3, 2), -1]), names,
        st.dictionaries(names, st.tuples(rationals, rationals)), rationals)
@@ -625,9 +637,20 @@ def _ref_antiderivative(f, v):
                           Mono.make({"x": F(1, 2)}): Exact.sqrt(2) - HUGE[3]})),
              (F(-1, 3), ClosedForm({Mono.make({"x": 1}): 7, Mono.make({"y": 2}, {"x": 1}): HUGE[1]}),
               ClosedForm({Mono.make({"x": -1}): 2**61 - 1, Mono.make({"y": -2}): HUGE[0]}))],
+    summands=[(HUGE[1], ClosedForm({Mono.make({"x": 1}): HUGE[0]})),
+              (Exact.sqrt(2), ClosedForm({Mono.make({"x": 1}): HUGE[2] * Exact.sqrt(2)}))],
     depth=mono_exp_degree, cap=0, var="x",
     field={"x": (HUGE[3], HUGE[0]), "y": (F(2), HUGE[2])}, weight=HUGE[1])
-def test_kernel_results_are_in_normal_form(triples, depth, cap, var, field, weight):
+@example(  # a many-term form plus a one-term form that lands on one of its keys
+    triples=[(1, _SOME, _SOME)],
+    summands=[(1, _BIG), (F(-1, 3), ClosedForm({Mono.make({"x": 1}, None, {"y": 1}): F(3, 5)}))],
+    depth=None, cap=0, var="x", field={}, weight=1)
+@example(  # keys that cancel and then come back: the first summand's x and y,
+    # and every key of _BIG among the other summands
+    triples=[(1, _SOME, _SOME)],
+    summands=[(1, _SOME), (-1, _SOME), (F(1, 2), _BIG), (F(-1, 2), _BIG), (2, _SOME + _BIG)],
+    depth=None, cap=0, var="y", field={}, weight=1)
+def test_kernel_results_are_in_normal_form(triples, summands, depth, cap, var, field, weight):
     # every kernel that stores a coefficient, against a reference that keeps
     # every coefficient a Fraction (or an Exact) and never normalizes
     cut = None if depth is None else Cutoff(depth, cap)
@@ -635,8 +658,7 @@ def test_kernel_results_are_in_normal_form(triples, depth, cap, var, field, weig
     cases = [
         (ClosedForm.sum_of_products(triples), _ref_sum_of_products(triples, None)),
         (ClosedForm.sum_of_products(triples, cut), _ref_sum_of_products(triples, cut)),
-        (ClosedForm.signed_sum([(1, f), (-1, g), (1, f)]),
-         _ref_signed_sum([(1, f), (-1, g), (1, f)])),
+        (ClosedForm.signed_sum(summands), _ref_signed_sum(summands)),
         (f * scale, _ref_done({m: c * as_exact_scalar(scale)
                                for m, c in fraction_terms(f).items()})),
         (f.diff(var), _ref_diff(f, var)),

@@ -114,6 +114,31 @@ def test_omega_transport_past_the_levels_raises(p1_res):
         verify_omega_transport(p1_res, 4, 4)
 
 
+def test_omega_transport_forms_each_hat_pairing_once(p1_res, monkeypatch):
+    # the order-3 table reads 80 hat pairings, 30 of them distinct up to the
+    # (alpha, l1) <-> (beta, l2) swap; each is formed once
+    products, reads, formed = [0], [], []
+    real_products, real_signed = TruncSeries.sum_of_products, legendre._signed_pairings
+
+    def counting_products(triples):
+        products[0] += 1
+        return real_products(triples)
+
+    def signed(pairing, *args):
+        def read(*key):
+            before = products[0]
+            out = pairing(*key)
+            reads.append(key)
+            formed.extend([key] * (products[0] - before))
+            return out
+        return real_signed(read, *args)
+    monkeypatch.setattr(TruncSeries, "sum_of_products", staticmethod(counting_products))
+    monkeypatch.setattr(legendre, "_signed_pairings", signed)
+    assert verify_omega_transport(p1_res, 3, 4)["pass"]
+    assert len(reads) == 80 and len(formed) == 30
+    assert len({min(k, k[2:] + k[:2]) for k in formed}) == 30
+
+
 def test_potential_from_an_int_hessian_divides_exactly():
     # the Hessian entry x (int coefficient 1) integrates to x^3 / 6 by dividing
     # the int coefficient by the int 3 * 2
@@ -546,9 +571,10 @@ def test_hat_structure_checks_past_the_plane(name, kappa, center, order, m_max):
 
 
 def test_hat_checks_differentiate_each_series_once(p1_res, a2_res, monkeypatch):
-    # the two-point check takes the n hat gradients of each of the n(m_max + 1)
-    # theta-hats once; the structure check takes dv/dvhat (n^2) and F-hat's
-    # derivatives along sorted index prefixes: n + n(n+1)/2 + n(n+1)(n+2)/6
+    # the two-point check takes the n hat gradients of each of the n(order + 2)
+    # theta-hats it reads once, so (a2, order 2, m_max 4) leaves level 4 alone;
+    # the structure check takes dv/dvhat (n^2) and F-hat's derivatives along
+    # sorted index prefixes: n + n(n+1)/2 + n(n+1)(n+2)/6
     calls = []
     diff = TruncSeries.diff
     monkeypatch.setattr(TruncSeries, "diff", lambda s, var: calls.append(var) or diff(s, var))
@@ -556,7 +582,7 @@ def test_hat_checks_differentiate_each_series_once(p1_res, a2_res, monkeypatch):
     assert len(calls) == 20
     calls.clear()
     assert verify_omega_transport(a2_res, 2, 4)["pass"]
-    assert len(calls) == 20
+    assert len(calls) == 16
     calls.clear()
     assert check_structure_transport(a2_res)["pass"]
     assert len(calls) == 4 + 2 + 3 + 4
