@@ -33,41 +33,12 @@ R_MATCH = 1.5   # Stokes matching radius, repeated at twice it
 R_SMALL = 0.35  # central matching radius, repeated at 1.6 times it
 KMAX = 20       # terms of the formal series at the seed radius
 M_THETA = 14    # levels of the Fuchsian-point solution, numeric past the resonant ones
-RTOL, ATOL = 1e-11, 1e-14   # DOP853 tolerances of one column alone
 ADMISSIBLE_MARGIN = 1e-8    # least |Re(e^{i phi}(u_i - u_j))| of an admissible line
-
-# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5): the nodes, the rows
-# of the stage matrix (the last one is the 8th-order weights), and the weights
-# of the 5th- and 3rd-order error estimates
-_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-      1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0)
-_A = [np.array(row) for row in (
-    (),
-    (0.05260015195876773,),
-    (0.0197250569845379, 0.0591751709536137),
-    (0.02958758547680685, 0, 0.08876275643042054),
-    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
-    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
-    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
-    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
-     -0.015319437748624402, 0.008273789163814023),
-    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
-     20.154067550477894, -43.48988418106996),
-    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
-     15.279233632882423, -33.28821096898486, -0.020331201708508627),
-    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
-     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
-    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
-     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
-     0.6433927460157636),
-    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
-     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
-     0.04471061572777259))]
-_E5 = np.array((0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
-                1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
-                0.08192320648511571, -0.022355307863886294))
-_E3 = _A[12] - np.array((0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0,
-                         0.022058823529411766))
+# Taylor steps of the sectorial columns; see `solve_ivp`
+STEP_RHO = 0.35   # |t| <= STEP_RHO |z0|: the pole at z = 0 bounds the series
+STEP_TAU = 2.5    # |t| max|u_i - u_j| <= STEP_TAU: the exponentials bound it too
+TERM_GATE = 1.0   # a step's sum stops at terms below TERM_GATE units of roundoff
+TERM_CAP = 80     # terms of one step before IntegrationError
 
 
 class NonSemisimpleError(ArithmeticError):
@@ -103,7 +74,7 @@ class MonodromyData:
     marked_index: int
     conventions: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
-    # work: right-hand-side evaluations and stack width per stacked
+    # work: Taylor terms (operator applications) and stack width per stacked
     # integration, their total, the numbers of radial and arc segments, and
     # the levels of Theta from the exact calibration and in all
     work: dict = field(default_factory=dict)
@@ -222,110 +193,90 @@ def _recessive_angle(u, lo: float, hi: float, col: int) -> float:
     """Angle inside (lo, hi) where column `col` decays fastest relative to every
     other exponential.  Seeding there keeps the truncated asymptotics faithful:
     integration noise can only excite dominant solutions with exponentially
-    small coefficients, so the column stays clean when carried inward."""
-    best, best_val = None, math.inf
-    for k in range(1, 240):
-        th = lo + (hi - lo) * k / 240
-        val = max(((cmath.exp(1j * th) * (u[col] - u[j])).real
-                   for j in range(len(u)) if j != col), default=-1.0)
-        if val < best_val:
-            best, best_val = th, val
-    if best_val >= 0:
+    small coefficients, so the column stays clean when carried inward.  The
+    angle is the first of lo + (hi - lo) k / 240, 0 < k < 240, with the least
+    max_j Re(e^{i th} (u_col - u_j))."""
+    th = lo + (hi - lo) * np.arange(1, 240) / 240
+    gaps = u[col] - np.delete(u, col)
+    vals = (np.exp(1j * th)[:, None] * gaps).real.max(axis=1, initial=-np.inf)
+    best = int(np.argmin(vals))
+    if vals[best] >= 0:
         raise MatchingError(f"no recessive angle for column {col} in ({lo}, {hi})")
-    return best
+    return float(th[best])
 
 
 class IvpResult(NamedTuple):
-    y: np.ndarray   # the state at s = 1
-    nfev: int       # right-hand-side evaluations
+    y: np.ndarray   # the stack at the end of the path
+    nfev: int       # Taylor terms: applications of the operator to the stack
 
 
-def _rms(x) -> float:
-    # norms go through np.linalg.norm, as in scipy's DOP853, so that the two
-    # take the same steps and end bit for bit equal on the matching stacks
-    return np.linalg.norm(x) / x.size ** 0.5
+def solve_ivp(d, v, path, y0) -> IvpResult:
+    """Taylor steps of z w' = (z D + V) w for every column of the n x m stack
+    y0, with D = diag(d[:, c]) for column c and V (n x n) shared.  Column c
+    goes from path[0, c] to path[-1, c] in straight steps through the
+    path[j, c], every column in the same number.
 
-
-def solve_ivp(fun, y0, *, rtol: float, atol: float) -> IvpResult:
-    """DOP853 over s in [0, 1] of y' = fun(s, y), y an array of any shape.
-
-    The step control is that of Hairer, Norsett & Wanner (Solving ODEs I,
-    II.4-II.5) as scipy's DOP853 implements it: the II.4 initial step (one
-    extra evaluation), the 5th- and 3rd-order error estimates combined into
-    one RMS norm over the whole array, and the step scaled by 0.9 err^(-1/8)
-    within [0.2, 10] (no growth right after a rejection).  A step below 10
-    ulp of s raises IntegrationError, so a right-hand side that goes NaN
-    fails after a bounded number of evaluations."""
-    y = np.array(y0, dtype=np.result_type(y0, float))
-    f = fun(0.0, y)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
-    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
-    h = min(100 * h0, 1.0, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
-            else (0.01 / max(d1, d2)) ** (1 / 8))
-    nfev, s = 2, 0.0
-    k = np.empty((12,) + y.shape, y.dtype)
-    kk = k.reshape(12, -1)
-    while s < 1.0:
-        min_step = 10 * math.ulp(s)
-        h, rejected = max(h, min_step), False
-        while True:
-            if not h >= min_step:
-                raise IntegrationError(f"DOP853 step {h} below 10 ulp of s = {s}")
-            s_new = min(s + h, 1.0)
-            h = s_new - s
-            k[0] = f
-            for i in range(1, 12):
-                k[i] = fun(s + _C[i] * h, y + h * (_A[i] @ kk[:i]).reshape(y.shape))
-            y_new = y + h * (_A[12] @ kk).reshape(y.shape)
-            f_new = fun(s + h, y_new)
-            nfev += 12
-            scale = (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol).ravel()
-            e5 = np.linalg.norm(_E5 @ kk / scale) ** 2
-            e3 = np.linalg.norm(_E3 @ kk / scale) ** 2
-            err = h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size) if e5 or e3 else 0.0
-            if err < 1:
-                factor = min(10.0, 0.9 * err ** (-1 / 8)) if err else 10.0
-                h *= min(1.0, factor) if rejected else factor
+    A step t from z0 sums w(z0 + t) = sum_k a_k with a_0 = w(z0) and
+    a_{k+1} = t / (z0 (k+1)) ((z0 D - k) a_k + V a_k + t D a_{k-1}), one
+    application of the operator to the stack per term (Corliss & Chang, ACM
+    TOMS 8, 1982).  Two consecutive terms fix all later ones, so the sum
+    stops once two are below TERM_GATE units of roundoff of the stack's
+    largest entry at the step's start.  A step that gets there in no
+    TERM_CAP terms, as a NaN stack never does, raises IntegrationError."""
+    y = np.asarray(y0, dtype=complex)
+    nfev = 0
+    for z0, z1 in zip(path[:-1], path[1:]):
+        t = z1 - z0
+        zd, td, h = z0 * d, t * d, t / z0
+        cut = TERM_GATE * 2.0 ** -53 * np.abs(y).max()
+        prev, term, out, last = 0, y, y, math.inf
+        for k in range(TERM_CAP):
+            term, prev = (h / (k + 1)) * ((zd - k) * term + v @ term + td * prev), term
+            out = out + term
+            size = np.abs(term).max()
+            if max(size, last) <= cut:
                 break
-            h *= max(0.2, 0.9 * err ** (-1 / 8))   # 0.2 when err is NaN
-            rejected = True
-        s, y, f = s_new, y_new, f_new
+            last = size
+        else:
+            raise IntegrationError(f"Taylor step from |z| = {np.abs(z0).min():.3g}: "
+                                   f"no term below the gate in {TERM_CAP}")
+        nfev += k + 1
+        y = out
     return IvpResult(y, nfev)
 
 
-def _stacked_ivp(f, y0: np.ndarray):
-    """One DOP853 run over s in [0, 1] of the n x m stack `y0`, one path per
-    column.  RTOL and ATOL are divided by sqrt(m): the RMS error norm over
-    the stack is then the root-sum-square of the columns' own norms, so no
-    column is held to less than it would be alone (DOP853 also weighs in a
-    third-order estimate, which makes this close rather than exact).  Returns
-    the end stack and the number of right-hand-side evaluations (IvpResult)."""
-    scale = math.sqrt(y0.shape[1])
-    return solve_ivp(f, y0, rtol=RTOL / scale, atol=ATOL / scale)
+def _radii(r_from: float, r_to: float, spread: float) -> np.ndarray:
+    """The step radii from r_from down to r_to: each step at most STEP_RHO
+    times its start radius and STEP_TAU / spread, so the steps are uniform
+    far out and geometric near the pole."""
+    radii = [r_from]
+    while radii[-1] > r_to:
+        radii.append(max(radii[-1] - min(STEP_RHO * radii[-1], STEP_TAU / spread), r_to))
+    return np.array(radii)
 
 
 def _sectorial_solutions(ss, phis, sectors, z_far):
     """Fundamental solutions on every sector ((lo, hi), targets) at each
     r * e^{i th} of its targets.
 
-    Column l of a sector solves w' = (U - u_l + V/z) w on its own path; the
-    exponential e^{z u_l} is carried analytically, which keeps every state
-    O(1) and the error control meaningful.  Each column is seeded once from
-    the truncated asymptotics on the ray where it is recessive.  All columns
-    of all sectors go inward together, one stacked integration per distinct
-    target radius (z = r e^{i th_l} on a shared parameter), and a column
-    leaves the stack after its sector's smallest radius.  Every radius is a
-    segment endpoint, so no match reads the dense-output interpolant.  One
-    last stacked integration carries each (column, target) arc from its ray
-    to the target angle.
+    Column l of a sector solves z w' = (z (U - u_l) + V) w on its own path;
+    the exponential e^{z u_l} is carried analytically, which keeps every
+    state O(1) and the term gate of `solve_ivp` meaningful.  Each column is
+    seeded once from the truncated asymptotics on the ray where it is
+    recessive.  All columns of all sectors go inward together, one stacked
+    integration per distinct target radius, every column on its ray through
+    the same step radii (`_radii`), and a column leaves the stack after its
+    sector's smallest radius.  Every radius is a step endpoint.  One last
+    stacked integration carries each (column, target) arc from its ray to
+    the target angle in equal angle steps along their chords, as many as
+    the longest arc needs under the step rule.
 
     Returns the solutions of each sector keyed by (r, th), and the work:
-    right-hand-side evaluations and stack width per integration (radial
-    segments in order, then the arcs), their total, and the numbers of
-    radial and arc segments."""
+    Taylor terms and stack width per integration (radial segments in order,
+    then the arcs), their total, and the numbers of radial and arc
+    segments."""
     n = len(ss.u)
+    spread = float(np.abs(np.subtract.outer(ss.u, ss.u)).max())
     cols = [(k, l, _recessive_angle(ss.u, lo, hi, l), min(r for r, _ in targets))
             for k, ((lo, hi), targets) in enumerate(sectors) for l in range(n)]
     shift = np.array([ss.u[l] for _, l, _, _ in cols])
@@ -333,7 +284,6 @@ def _sectorial_solutions(ss, phis, sectors, z_far):
     ray = np.exp(1j * th_col)
     r_min = np.array([r for _, _, _, r in cols])
     d = ss.u[:, None] - shift[None, :]
-    vmat = ss.v_mat
 
     def seed(l, z):
         return sum(phis[k][:, l] / z ** k for k in range(len(phis)))
@@ -347,32 +297,24 @@ def _sectorial_solutions(ss, phis, sectors, z_far):
     for r in radii:
         keep = r_min[active] <= r
         active, y = active[keep], y[:, keep]
-        dr = r - r_from
-        # dz/ds = e^{i th} dr on every ray, and (dz/ds) / z = dr / (r_from + s dr)
-        d_ray = d[:, active] * (dr * ray[active])[None, :]
-
-        def radial(s, w, d_ray=d_ray, r_from=r_from, dr=dr):
-            return d_ray * w + (dr / (r_from + s * dr)) * (vmat @ w)
-
-        y, nfev = _stacked_ivp(radial, y)
+        path = _radii(r_from, r, spread)[:, None] * ray[active]
+        y, nfev = solve_ivp(d[:, active], ss.v_mat, path, y)
         evals.append(nfev)
         widths.append(len(active))
         for j, c in enumerate(active):
             at_radius[c, r] = y[:, j]
         r_from = r
 
-    # z = r e^{i (th_c + s dth)}: dz/ds = i dth z, and (dz/ds) / z = i dth
+    # a chord of angle a at radius r has length 2 r sin(a / 2)
     arcs = [(c, r, th) for c, (k, _, _, _) in enumerate(cols) for r, th in sectors[k][1]]
     arc_c = np.array([c for c, _, _ in arcs])
     arc_r = np.array([r for _, r, _ in arcs])
     dth = np.array([th for _, _, th in arcs]) - th_col[arc_c]
-    i_dth = 1j * dth
-    d_arc = d[:, arc_c] * (i_dth * arc_r * ray[arc_c])[None, :]
-
-    def arc(s, w):
-        return d_arc * np.exp(i_dth * s)[None, :] * w + i_dth[None, :] * (vmat @ w)
-
-    y, nfev = _stacked_ivp(arc, np.column_stack([at_radius[c, r] for c, r, _ in arcs]))
+    reach = 2 * np.arcsin(np.minimum(STEP_RHO, STEP_TAU / (spread * arc_r)) / 2)
+    steps = max(1, math.ceil((np.abs(dth) / reach).max()))
+    path = arc_r * np.exp(1j * (th_col[arc_c] + np.outer(np.arange(steps + 1) / steps, dth)))
+    y, nfev = solve_ivp(d[:, arc_c], ss.v_mat, path,
+                        np.column_stack([at_radius[c, r] for c, r, _ in arcs]))
     evals.append(nfev)
     widths.append(len(arcs))
 

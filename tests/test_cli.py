@@ -202,6 +202,20 @@ def test_domain_error_exit_code(capsys):
     assert "MatchingError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # one column of the left sector has no recessive ray at this angle
+    (["p2", "--point", "0,0,0", "--phi", "0.3"],
+     "MatchingError: no recessive angle for column 0 in (0.32, 3.421592653589793)"),
+    # the seed radius follows the largest canonical gap, the series the least
+    (["p1xp1", "--point", "0,1,-1,0", "--phi", "0.3"],
+     "MatchingError: seed truncation too large at z_far = 5.32"),
+], ids=["p2", "p1xp1"])
+def test_monodromy_fails_before_integrating(capsys, argv, message):
+    code = main(["monodromy", *argv])
+    assert code == 4
+    assert message in capsys.readouterr().err
+
+
 def test_singular_jacobian_exits_4_without_numpy_or_scipy():
     # the exit code is classified without importing monodromy (numpy, scipy)
     code = """

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import namedtuple
@@ -185,7 +186,9 @@ def test_small_spread_matches_the_gamma_references(name, point, want_stokes, wan
 
 
 @pytest.mark.parametrize("constant, value, message", [
-    ("RTOL", 1e-6, "Stokes matrix unstable"),
+    # a gate of 1e8 units of roundoff stops each step's sum near 1e-8 of its
+    # start, and the Stokes stability residual is 2.3e-5 (3.7e-6 at 1e7)
+    ("TERM_GATE", 1e8, "Stokes matrix unstable"),
     ("R_SMALL", 0.9, "central connection matrix unstable"),
     # at z_far = 12 the last term is 2.9e-6 for 3 terms and 1.8e-7 for 4
     ("KMAX", 3, "seed truncation"),
@@ -237,9 +240,9 @@ def _columns_alone(ss, phis, sectors, rtol=1e-11, atol=1e-14):
     return out
 
 
-# one recorded solve_ivp call: start and end stacks (n x width), nfev,
-# tolerances, and the right-hand side
-IvpCall = namedtuple("IvpCall", "start end nfev rtol atol fun")
+# one recorded solve_ivp call: start and end stacks (n x width), Taylor
+# terms, and the operator (d, v) and path
+IvpCall = namedtuple("IvpCall", "start end nfev d v path")
 
 
 @pytest.fixture(scope="module")
@@ -249,9 +252,9 @@ def a2_ivp_calls(a2):
     calls = []
     solve_ivp = monodromy.solve_ivp
 
-    def recording(fun, y0, **kwargs):
-        sol = solve_ivp(fun, y0, **kwargs)
-        calls.append(IvpCall(y0, sol.y, sol.nfev, kwargs["rtol"], kwargs["atol"], fun))
+    def recording(d, v, path, y0):
+        sol = solve_ivp(d, v, path, y0)
+        calls.append(IvpCall(y0, sol.y, sol.nfev, d, v, path))
         return sol
 
     monodromy.solve_ivp = recording
@@ -276,22 +279,33 @@ def test_work_counts_every_rhs_evaluation(a2_ivp_calls):
     assert not set(work) & set(md.residuals)
 
 
-def test_stack_tolerances_scale_with_width(a2_ivp_calls):
-    """rtol and atol over sqrt(width): the stack's RMS norm then bounds every
-    column's own error norm at the tolerances of a column alone."""
+def test_stack_steps_obey_the_step_rule(a2, a2_ivp_calls):
+    """Every step t from z0 has |t| <= STEP_RHO |z0| and |t| spread <=
+    STEP_TAU; the radial stacks share their radii across columns and the arc
+    stack takes equal angle steps."""
+    spec, t = a2
     _, calls = a2_ivp_calls
+    u = semisimple_at(spec, (F(0), F(3)), t).u
+    spread = np.abs(np.subtract.outer(u, u)).max()
     for c in calls:
-        assert c.rtol == pytest.approx(1e-11 / math.sqrt(c.start.shape[1]), rel=1e-12)
-        assert c.atol == pytest.approx(1e-14 / math.sqrt(c.start.shape[1]), rel=1e-12)
+        assert c.path.shape[1] == c.start.shape[1]
+        step = np.abs(np.diff(c.path, axis=0))
+        assert (step <= monodromy.STEP_RHO * np.abs(c.path[:-1]) * (1 + 1e-12)).all()
+        assert (step * spread <= monodromy.STEP_TAU * (1 + 1e-12)).all()
+    for c in calls[:-1]:
+        assert np.ptp(np.abs(c.path), axis=1).max() < 1e-12
+    angles = np.diff(np.unwrap(np.angle(calls[-1].path), axis=0), axis=0)
+    assert np.ptp(angles, axis=0).max() < 1e-12
 
 
 def test_stacked_work_is_pinned(a2_ivp_calls):
-    """28 solve_ivp calls and 22,736 evaluations before the columns shared a
-    stack; 5,734 evaluations with every column seeded at z = 30 from 8 series
-    terms."""
+    """28 DOP853 integrations and 22,736 right-hand-side evaluations before
+    the columns shared a stack; 3,310 evaluations of the stacked DOP853 with
+    the seed radius scaled by the spread; 733 Taylor terms now."""
     md, calls = a2_ivp_calls
     assert len(calls) <= 5
-    assert md.work["rhs_evals_total"] <= 3310
+    assert md.work["rhs_evals"] == [214, 65, 79, 44, 331]
+    assert md.work["rhs_evals_total"] == 733
 
 
 def test_each_column_ray_is_integrated_once(a2, a2_ivp_calls):
@@ -343,41 +357,114 @@ def test_stacked_states_match_columns_integrated_alone(name, point):
             assert np.abs(got - want).max() < 1e-9
 
 
-def test_dop853_matches_scipy_on_the_a2_stacks(a2_ivp_calls):
+def _along_path(d, v, path, y0):
+    """scipy's DOP853 at rtol 1e-13 on z w' = (z D + V) w, column by column,
+    along the straight steps of `path`."""
+    out = []
+    for c in range(y0.shape[1]):
+        w = y0[:, c]
+        for z0, z1 in zip(path[:-1, c], path[1:, c]):
+            def f(s, y, z0=z0, t=z1 - z0):
+                return t * (d[:, c] * y + v @ y / (z0 + s * t))
+            sol = scipy_solve_ivp(f, (0.0, 1.0), w, method="DOP853", rtol=1e-13, atol=1e-16)
+            assert sol.success
+            w = sol.y[:, -1]
+        out.append(w)
+    return np.column_stack(out)
+
+
+def test_taylor_stacks_match_scipy_dop853(a2_ivp_calls):
     """The radial and arc stacks of a2 at (0,3), each integrated again by
-    scipy's DOP853 on the raveled stack: the same step sequence (equal
-    evaluation counts) and the same end states up to rounding."""
+    scipy's DOP853 at rtol 1e-13 along the same path."""
     _, calls = a2_ivp_calls
     for c in calls:
-        shape = c.start.shape
-        sol = scipy_solve_ivp(lambda s, y: c.fun(s, y.reshape(shape)).ravel(), (0.0, 1.0),
-                              c.start.ravel(), method="DOP853", rtol=c.rtol, atol=c.atol)
-        assert sol.success
-        assert c.nfev == sol.nfev
-        assert np.abs(sol.y[:, -1].reshape(shape) - c.end).max() <= 1e-12 * np.abs(c.end).max()
+        want = _along_path(c.d, c.v, c.path, c.start)
+        assert np.abs(c.end - want).max() <= 1e-11 * np.abs(want).max()
 
 
-def test_dop853_integrates_a_complex_exponential():
-    lam = -0.7 + 3.1j
+def test_taylor_steps_give_the_exponential_when_v_vanishes():
+    """V = 0: w(z1) = e^{D (z1 - z0)} w(z0), here over |D t| up to 9 in 12 steps."""
+    d = np.array([[-0.7 + 3.1j, 2.0], [0.5j, -1.5 + 0.2j]])
     y0 = np.array([[1.0, 2.0 - 1.0j], [0.5j, -3.0]])
-    out = monodromy.solve_ivp(lambda s, y: lam * y, y0, rtol=1e-11, atol=1e-14)
-    assert out.y.shape == y0.shape
-    assert np.abs(out.y - y0 * cmath.exp(lam)).max() <= 1e-10 * np.abs(y0 * cmath.exp(lam)).max()
+    z0, z1 = np.array([3.0, 2.0j]), np.array([5.0 + 1j, -1.0 + 4.0j])
+    path = z0 + np.linspace(0, 1, 13)[:, None] * (z1 - z0)
+    out = monodromy.solve_ivp(d, np.zeros((2, 2)), path, y0)
+    want = np.exp(d * (z1 - z0)) * y0
+    assert np.abs(out.y - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("nan_from", [0.0, 0.5])
-def test_dop853_raises_on_a_nan_right_hand_side(nan_from):
-    """NaN from the start (the initial step is NaN) or from s = 1/2 on (every
-    step there is rejected until it falls below 10 ulp of s)."""
-    evals = []
+def test_taylor_steps_give_the_power_when_d_vanishes():
+    """D = 0: z w' = V w gives w(z1) = exp(V log(z1 / z0)) w(z0), along a
+    quarter circle and then inward, checked against scipy's expm."""
+    v = np.array([[0.0, 0.8 - 0.3j], [-0.8 + 0.3j, 0.0]]) + np.diag([0.25, -0.25])
+    y0 = np.array([[1.0, 0.3j], [-0.5, 2.0]])
+    arc = 2.0 * np.exp(1j * np.linspace(0, math.pi / 2, 9))
+    path = np.concatenate([arc, 2j * np.linspace(1, 0.5, 5)[1:]])[:, None] * np.ones(2)
+    out = monodromy.solve_ivp(np.zeros((2, 2)), v, path, y0)
+    want = expm(v * (math.log(0.5) + 1j * math.pi / 2)) @ y0
+    assert np.abs(out.y - want).max() <= 1e-14 * np.abs(want).max()
 
-    def rhs(s, y):
-        evals.append(s)
-        return np.full_like(y, np.nan) if s >= nan_from else y
 
+@pytest.mark.parametrize("where", ["stack", "path"])
+def test_taylor_stepper_raises_on_a_nan_stack(where):
+    """A NaN in the stack, or a NaN point in the middle of the path, makes
+    every later term NaN: the step raises after TERM_CAP terms."""
+    terms = []
+
+    class Counted:   # V = 0, counting the terms
+        def __matmul__(self, w):
+            terms.append(w)
+            return np.zeros_like(w)
+
+    y0 = np.ones((2, 3), dtype=complex)
+    path = np.linspace(1.0, 2.0, 5)[:, None] * np.ones(3)
+    if where == "stack":
+        y0[1, 2] = np.nan
+    else:
+        path[2, 0] = np.nan
     with pytest.raises(monodromy.IntegrationError), np.errstate(invalid="ignore"):
-        monodromy.solve_ivp(rhs, np.ones((2, 3), dtype=complex), rtol=1e-11, atol=1e-14)
-    assert len(evals) < 2000
+        monodromy.solve_ivp(np.ones((2, 3)), Counted(), path, y0)
+    assert monodromy.TERM_CAP <= len(terms) <= 2 * monodromy.TERM_CAP
+
+
+def _recessive_angle_loop(u, lo, hi, col):
+    """The angle scan one angle at a time: the index k of the first of
+    lo + (hi - lo) k / 240, 0 < k < 240, with the least max_j Re(e^{i th}
+    (u_col - u_j)), or MatchingError."""
+    best, best_val = None, math.inf
+    for k in range(1, 240):
+        th = lo + (hi - lo) * k / 240
+        val = max(((cmath.exp(1j * th) * (u[col] - u[j])).real
+                   for j in range(len(u)) if j != col), default=-1.0)
+        if val < best_val:
+            best, best_val = k, val
+    if best_val >= 0:
+        raise MatchingError(f"no recessive angle for column {col} in ({lo}, {hi})")
+    return best
+
+
+# the a2 and p1 points the monodromy-sweep benchmark draws at seeds 3, 5 and
+# 7, the first of them a2 at (0,3)
+BENCH_POINTS = [("a2", (0, 3)), ("p1", (1, -1)), ("a2", (-1, F(9, 4))), ("p1", (-1, F(-1, 4))),
+                ("a2", (-1, 3)), ("p1", (F(1, 2), F(-1, 4)))]
+
+
+@pytest.mark.parametrize("name, point", [("p1", (0, 0)), *BENCH_POINTS, ("p2", (0, 0, 0))])
+def test_recessive_angle_matches_the_scan_one_angle_at_a_time(name, point):
+    """The same angle index on both sectors of every column, and on p2 at the
+    origin, where one column has no recessive ray, the same error."""
+    spec = load_spec(name)
+    u = semisimple_at(spec, tuple(F(x) for x in point)).u
+    phi = 0.3 if name == "p2" else PHI
+    for (lo, hi), _ in monodromy._matching_sectors(phi, 1.5, 0.35):
+        for col in range(len(u)):
+            try:
+                k = _recessive_angle_loop(u, lo, hi, col)
+            except MatchingError as exc:
+                with pytest.raises(MatchingError, match=re.escape(str(exc))):
+                    monodromy._recessive_angle(u, lo, hi, col)
+                continue
+            assert monodromy._recessive_angle(u, lo, hi, col) == lo + (hi - lo) * k / 240
 
 
 def _bundled_specs():
@@ -420,7 +507,7 @@ print(md.work["rhs_evals_total"], sorted(m for m in sys.modules if m.split(".")[
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
-    assert proc.stdout.strip() == "3310 []", proc.stderr[-2000:]
+    assert proc.stdout.strip() == "733 []", proc.stderr[-2000:]
 
 
 def test_sign_flip_conjugates_everything(a2):
@@ -496,6 +583,23 @@ def test_p1_central_matrix_is_the_gamma_hat_class(point, phi, ks, want_stokes):
     off[1, 0] += 1e-6
     err_off = _error_up_to_column_signs(md.stokes, off, want_stokes, want)
     assert err_off >= 1e-10, f"perturbed C passed: error {err_off:.2e}"
+
+
+@pytest.mark.parametrize("spec, point, d", [
+    (load_spec("p1"), (0, 0), F(1)), (load_spec("a2"), (0, 3), F(1, 3)),
+    *[(twodim_spec(F(m), F(1)), (0, 2), (F(m) - 3) / (F(m) - 1)) for m in ("5", "7/2", "3/2", "-1")]],
+    ids=["p1", "a2", "twodim-m5", "twodim-m7/2", "twodim-m3/2", "twodim-m-1"])
+def test_stokes_entry_is_the_closed_form(spec, point, d):
+    """At n = 2 the flat sections are sqrt(z)-scaled modified Bessel functions
+    of order nu with |nu| = (1 - d) / 2, and the Stokes entry is
+    2 cos(pi nu) = 2 sin(pi d / 2).  Convention: at phi = 3 pi / 4, with u in
+    the canonical order, S is lower unitriangular, and the entry is S[1, 0];
+    flipping one frame sign conjugates S by diag(1, -1), so its sign is the
+    frame's and is not compared."""
+    md = stokes_and_connection(spec, tuple(F(x) for x in point), PHI)
+    entry = 2 * math.sin(math.pi * float(d) / 2)
+    sign = 1.0 if md.stokes[1, 0].real >= 0 else -1.0
+    assert np.abs(md.stokes - np.array([[1, 0], [sign * entry, 1]])).max() < 1e-12
 
 
 @pytest.mark.parametrize("point", [(0, 2), (0, 3), (1, 4)])
