@@ -11,17 +11,18 @@ that occur here (power, power times log^k, polynomial times exponential).
 from __future__ import annotations
 
 import cmath
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
+from . import kernel
 from .exact import Exact, normal_scalar, rational_power
+from .kernel import acc as _acc, times as _times
 
 __all__ = [
     "Mono", "Cutoff", "ClosedForm", "BranchPointError", "NotIntegrableError", "NeedsFloatError",
-    "cf_var", "cf_const", "cf_log", "cf_exp", "cf_mono",
+    "cf_var", "cf_log", "cf_exp", "cf_mono",
 ]
 
 
@@ -129,20 +130,12 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _acc(out: dict, m: Mono, c) -> None:
-    """out[m] += c, dropped when it cancels; the kernel normalizes each output term once."""
-    if c:
-        s = out.get(m)
-        s = c if s is None else s + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-
-
-def _times(c, k: int):
-    """c * k for an int k that c's denominator divides: an int when c is rational."""
-    return c.numerator * (k // c.denominator) if type(c) is Fraction else c * k
+def _product(a: Mono, b: Mono) -> Mono:
+    """The monomial a * b, the key product of the kernel's `sum_of_products`."""
+    p1, l1, x1 = a
+    p2, l2, x2 = b
+    return tuple.__new__(Mono, (_merge(p1, p2), _merge(l1, l2) if l1 and l2 else l1 or l2,
+                                _merge(x1, x2) if x1 and x2 else x1 or x2))
 
 
 def _ratio(c, d: int):
@@ -171,20 +164,6 @@ class ClosedForm:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ClosedForm is immutable")
-
-    def _int_view(self, depth=None) -> tuple:
-        """The kernels' integer view (D, [(mono, c * D)], depths), D the lcm of the
-        rational denominators; under a grading `depth` the items ascend in depth,
-        listed in depths.  Built once per form and grading, cached in `_view`."""
-        views = getattr(self, "_view", None)
-        if views is None:
-            d = lcm(*[c.denominator for c in self.terms.values() if type(c) is Fraction])
-            views = {None: (d, [(m, _times(c, d)) for m, c in self.terms.items()], None)}
-            object.__setattr__(self, "_view", views)
-        if depth not in views:
-            items = sorted(views[None][1], key=lambda t: depth(t[0]))
-            views[depth] = (views[None][0], items, [depth(m) for m, _ in items])
-        return views[depth]
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -220,65 +199,24 @@ class ClosedForm:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Exact)):
-            if not other:
-                return ClosedForm.zero()
-            other = normal_scalar(other)    # the constructor normalizes each product
-            return ClosedForm({m: c * other for m, c in self.terms.items()})
+            return ClosedForm.signed_sum(((other, self),))
         if not isinstance(other, ClosedForm):
             return NotImplemented
         return ClosedForm.sum_of_products(((1, self, other),))
 
     @staticmethod
     def signed_sum(pairs) -> "ClosedForm":
-        """The sum of scale * f over (scale, f) pairs, each scale an int, Fraction or
-        Exact: a copy of the first summand's terms, into which the others add their
-        integer views over one denominator, normalizing each key they touch once."""
-        (scale, first), *rest = pairs
-        out = dict(first.terms if scale == 1 else (first * scale).terms)
-        work = [(scale, f._int_view()) for scale, f in rest if scale and f.terms]
-        den = lcm(*(v[0] * getattr(scale, "denominator", 1) for scale, v in work))
-        acc: dict[Mono, object] = {}
-        for scale, (d, items, _) in work:
-            k = _times(scale, den // d)
-            for m, c in items:
-                _acc(acc, m, c * k)
-        for m, c in acc.items():
-            c0 = out.get(m, 0)
-            q = getattr(c0, "denominator", 1)   # fold c0 in, over den times its denominator
-            if c := _ratio(c * q + _times(c0, den * q), den * q):
-                out[m] = c
-            else:
-                del out[m]
-        return ClosedForm(out, _clean=True)
+        """The sum of scale * f over (scale, f) pairs, scales exact (`kernel.scaled_sum`)."""
+        return ClosedForm(kernel.scaled_sum(pairs, "terms", _ratio), _clean=True)
 
     @staticmethod
     def sum_of_products(triples: Iterable[tuple], cut: Cutoff | None = None) -> "ClosedForm":
-        """The sum of scale * f * g over (scale, f, g) triples, built in one dict
-        over the integer views: each triple's scale and denominators fold into
-        one multiplier over a common lcm, pairs accumulate in int arithmetic,
-        and each output term is normalized once.  With a `cut`, only products
-        of depth <= cut.cap are formed: the depth is additive under products
-        (see Cutoff), so a left term of depth d walks only the right terms of
-        depth <= cap - d in the right factor's cached depth order.  This equals
-        filtering the finished sum by `cut`, without forming a pair it would drop."""
+        """The sum of scale * f * g over (scale, f, g) triples (`kernel.sum_of_products`)."""
         depth = cut.depth if cut else None
-        work = [(scale, f._int_view(depth), g._int_view(depth))
-                for scale, f, g in triples if scale and f.terms and g.terms]
-        den = lcm(*(v1[0] * v2[0] * getattr(scale, "denominator", 1) for scale, v1, v2 in work))
-        out: dict[Mono, object] = {}
-        for scale, (d1, left, depths1), (d2, right, depths2) in work:
-            k = _times(scale, den // (d1 * d2))
-            for i, ((p1, l1, x1), c1) in enumerate(left):
-                part = right if cut is None else right[:bisect_right(depths2, cut.cap - depths1[i])]
-                if not part:
-                    break   # the left terms ahead are deeper still
-                c1 *= k
-                for (p2, l2, x2), c2 in part:
-                    m = tuple.__new__(Mono, (_merge(p1, p2),
-                                             _merge(l1, l2) if l1 and l2 else l1 or l2,
-                                             _merge(x1, x2) if x1 and x2 else x1 or x2))
-                    out[m] = out.get(m, 0) + c1 * c2
-        return ClosedForm({m: _ratio(c, den) for m, c in out.items() if c}, _clean=True)
+        return ClosedForm(kernel.sum_of_products(
+            [(scale, kernel.view(f, "terms", depth), kernel.view(g, "terms", depth))
+             for scale, f, g in triples if scale and f.terms and g.terms], _product, _ratio, cut),
+            _clean=True)
 
     __rmul__ = __mul__
 
@@ -289,14 +227,7 @@ class ClosedForm:
             if len(self.terms) == 1:
                 return self.mono_pow(Fraction(n))
             raise NotIntegrableError("negative power of a non-monomial closed form")
-        out = ClosedForm.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return kernel.power(self, n, ClosedForm.const(1))
 
     def mono_pow(self, q: Fraction) -> "ClosedForm":
         """Raise a single-monomial form (no logs) to a rational power."""
@@ -343,7 +274,7 @@ class ClosedForm:
 
     # -- calculus -------------------------------------------------------
     def diff(self, var: str) -> "ClosedForm":
-        d0, items, _ = self._int_view()
+        d0, items, _ = kernel.view(self, "terms")
         out: dict[Mono, object] = {}
         down = ((var, -1),)
         for m, c in items:
@@ -382,7 +313,7 @@ class ClosedForm:
         """E f - weight * f for E = sum_v (d_v v + r_v) d/dv, field = {v: (d_v, r_v)}, in one
         pass: v^q log^k e^{cv} goes to itself times d q + r c, and to r q v^{q-1},
         d k log^{k-1}, r k v^{q-1} log^{k-1} and d c v^{q+1} (times the rest of the term)."""
-        d0, items, _ = self._int_view()
+        d0, items, _ = kernel.view(self, "terms")
         lam = lcm(*(getattr(x, "denominator", 1) for x in (weight, *sum(field.values(), ()))))
         field = {v: (_times(d, lam), _times(r, lam)) for v, (d, r) in field.items()}
         neg_weight = -_times(weight, lam)
@@ -560,10 +491,6 @@ def _integrate_term(m: Mono, c, var: str) -> ClosedForm:
 
 def cf_var(name: str, power=1) -> ClosedForm:
     return ClosedForm({Mono.make({name: Fraction(power)}): Fraction(1)})
-
-
-def cf_const(c) -> ClosedForm:
-    return ClosedForm.const(c)
 
 
 def cf_log(name: str, k: int = 1) -> ClosedForm:

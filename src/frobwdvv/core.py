@@ -191,11 +191,6 @@ def wdvv_pairing(tensors: Tensors, x: int, y: int, z: int, w: int,
          for rho in range(len(tensors.eta))), cut)
 
 
-def wdvv_residual(tensors: Tensors, a: int, b: int, g: int, d: int) -> ClosedForm:
-    """Associativity residual of the quartic identity for (a, b, g, d), 0-based."""
-    return wdvv_pairing(tensors, a, b, g, d) - wdvv_pairing(tensors, d, b, g, a)
-
-
 def check_wdvv(spec: FrobeniusSpec, tensors: Tensors | None = None) -> WDVVReport:
     """Associativity holds iff the pairing A(xy|zw) is totally symmetric; it is
     already symmetric within and across pairs, so per index multiset it suffices

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .exact import as_exact_scalar
 
-__all__ = ["mat_inv", "float_inv", "solve_affine", "SingularMatrixError",
+__all__ = ["mat_inv", "float_inv", "SingularMatrixError",
            "InconsistentSystemError", "kron", "raise_index"]
 
 
@@ -55,16 +55,6 @@ def _sub_multiple(row: dict, f, other: dict, skip) -> None:
                 row[k] = s
             else:
                 row.pop(k, None)
-
-
-def solve_affine(rows: list) -> dict:
-    """Unknowns pinned by affine rows {(): const, (u,): coef} (each row = 0);
-    an underdetermined system yields only the unknowns it fixes."""
-    out = {}
-    for (u,), row in _eliminate(rows, bool).items():
-        if len(row) == 1 + (() in row):
-            out[u] = -row.get((), Fraction(0))
-    return out
 
 
 def mat_inv(a):
@@ -117,11 +107,14 @@ def kron(a, b):
 
 def raise_index(low: list, eta_inv) -> list:
     """Upper components eta^{ab} low_b of lowered ones (or, given eta, the
-    lowered components of upper ones); the entries are ClosedForms,
-    TruncSeries or numbers."""
+    lowered components of upper ones).  ClosedForm or TruncSeries entries are
+    summed by one `signed_sum` of their type per row; numbers one by one."""
+    if hasattr(type(low[0]), "signed_sum"):
+        return [type(low[0]).signed_sum([(e, low[b]) for b, e in enumerate(row) if e])
+                for row in eta_inv]
     out = []
     for row in eta_inv:
-        s = low[0] * 0      # zero in the entries' own type and frame
+        s = low[0] * 0      # zero in the entries' own type
         for b, e in enumerate(row):
             if e:
                 s = s + low[b] * e

@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add, mul, sub
 
-from .closedform import ClosedForm, _times
+from . import kernel
+from .closedform import ClosedForm, Cutoff
 from .exact import Exact, as_exact_scalar, rational_power, scalar_is_exact
 from .linalg import SingularMatrixError, float_inv, mat_inv
 
@@ -71,7 +72,6 @@ class TruncSeries:
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "center", tuple(center))
         object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "_view", None)
         if _clean:
             object.__setattr__(self, "coeffs", coeffs)
             return
@@ -86,27 +86,6 @@ class TruncSeries:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TruncSeries is immutable")
-
-    def _kernel_view(self, ordered: bool, raw: bool) -> tuple:
-        """The kernels' view (D, items, degrees), built once and cached in `_view`:
-        (idx, c * D) over D, the lcm of the rational denominators (an Exact c is
-        carried as the Exact c * D), or, `raw`, (idx, c) over D = 1; in dict
-        order (degrees None) or, `ordered`, stably by degree with the degrees."""
-        if raw and not ordered:
-            return 1, self.coeffs.items(), None
-        if self._view is None:
-            object.__setattr__(self, "_view", {})
-        view = self._view.get((ordered, raw))
-        if view is None:
-            if ordered:
-                d, items, _ = self._kernel_view(False, raw)
-                items = sorted(items, key=lambda t: sum(t[0]))
-                view = (d, items, [sum(i) for i, _ in items])
-            else:
-                d = math.lcm(*[c.denominator for c in self.coeffs.values() if type(c) is Fraction])
-                view = (d, [(i, _times(c, d)) for i, c in self.coeffs.items()], None)
-            self._view[(ordered, raw)] = view
-        return view
 
     # -- helpers -------------------------------------------------------
     @property
@@ -158,74 +137,58 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Exact, float, complex)):
-            return _linear([(other, self)], self.vars, self.center, self.grading)
+            return TruncSeries.signed_sum(((other, self),))
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return TruncSeries.sum_of_products(((1, self, other),))
 
     @staticmethod
     def signed_sum(pairs) -> "TruncSeries":
-        """The sum of sign * f over (sign, f) pairs, sign +1 or -1, in one dict.
-        Every series must share the frame of the first."""
-        (sign, frame), *rest = pairs
-        out = dict(frame.coeffs) if sign > 0 else {i: -c for i, c in frame.coeffs.items()}
-        for sign, f in rest:
-            if not f.same_frame(frame):
-                raise CenterMismatchError("series frames differ")
-            for idx, c in f.coeffs.items():
-                prev, c = out.get(idx), c if sign > 0 else -c
-                s = c if prev is None else prev + c
-                if s:
-                    out[idx] = s
-                elif prev is not None:
-                    del out[idx]
+        """The sum of scale * f over (scale, f) pairs in the frame of the first: by
+        the kernel's `scaled_sum` when all is exact, else by the raw branch, which
+        adds c or -c for an int scale of 1 or -1, as (-1) * z is not -z for -0.0."""
+        (scale, frame), *rest = pairs
+        if not all(f.same_frame(frame) for _, f in rest):
+            raise CenterMismatchError("series frames differ")
+        if all(type(k) in _EXACT and f.is_exact() for k, f in pairs):
+            out = kernel.scaled_sum(pairs, "coeffs", _fraction)
+        else:
+            out = {}
+            for k, f in pairs:
+                sign = k if type(k) is int and k in (1, -1) else 0
+                for idx, c in f.coeffs.items():
+                    kernel.acc(out, idx, c if sign == 1 else -c if sign else k * c)
         return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
 
     @staticmethod
     def sum_of_products(triples) -> "TruncSeries":
-        """The sum of scale * f * g over one or more (scale, f, g) triples, built
-        in one dict over the views (see `_fold`); a left term of degree d walks
-        g's terms by degree up to cutoff - d only.  Every series must share the
-        frame of the first."""
-        work, frame = [], None
-        for scale, f, g in triples:
-            if frame is None:
-                frame = f
-            if not (f.same_frame(frame) and g.same_frame(frame)):
-                raise CenterMismatchError("series frames differ")
-            if scale and f.coeffs and g.coeffs:
-                work.append((scale, f, g))
-        den, ks, views = _fold(work, (False, True))
-        cut = frame.grading.cutoff
+        """The sum of scale * f * g over (scale, f, g) triples in the frame of the first, cut at
+        total degree: by `kernel.sum_of_products` when all is exact, else by the raw branch."""
+        triples = list(triples)
+        frame = triples[0][1]
+        if not all(f.same_frame(frame) and g.same_frame(frame) for _, f, g in triples):
+            raise CenterMismatchError("series frames differ")
+        work = [(k, f, g) for k, f, g in triples if k and f.coeffs and g.coeffs]
+        cut = Cutoff(sum, frame.grading.cutoff)
+        if all(type(k) in _EXACT and f.is_exact() and g.is_exact() for k, f, g in work):
+            return TruncSeries(frame.vars, frame.center, kernel.sum_of_products(
+                [(k, kernel.view(f, "coeffs"), kernel.view(g, "coeffs", sum)) for k, f, g in work],
+                lambda a, b: tuple(map(add, a, b)), _fraction, cut), frame.grading, _clean=True)
         out: dict = {}
-        for k, ((_, left, _), (_, right, degrees)) in zip(ks, views):
-            for i1, c1 in left:
-                part = right[:bisect_right(degrees, cut - sum(i1))]
-                if k != 1:
-                    c1 = c1 * k
-                for i2, c2 in part:
-                    idx = tuple(map(add, i1, i2))
-                    prev = out.get(idx)
-                    s = c1 * c2 if prev is None else prev + c1 * c2
-                    if s:
-                        out[idx] = s
-                    elif prev is not None:
-                        del out[idx]
-        return TruncSeries(frame.vars, frame.center, _over(out, den), frame.grading, _clean=True)
+        for k, f, g in work:
+            _, right, degrees = kernel.view(g, "coeffs", sum, raw=True)
+            for i1, c1 in f.coeffs.items():
+                c1 = c1 if k == 1 else c1 * k
+                for i2, c2 in right[:bisect_right(degrees, cut.cap - sum(i1))]:
+                    kernel.acc(out, tuple(map(add, i1, i2)), c1 * c2)
+        return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = TruncSeries.constant(Fraction(1), self.vars, self.center, self.grading)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return kernel.power(self, n, TruncSeries.constant(1, self.vars, self.center, self.grading))
 
     def diff(self, var: str) -> "TruncSeries":
         # one-to-one on indices, inside the cutoff, and c * k is normal and nonzero
@@ -283,40 +246,9 @@ class TruncSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def _fold(work: list, ordered: tuple) -> tuple:
-    """Denominator, multipliers and views of a kernel call over (scale, *series)
-    entries: the lcm of each scale's denominator times its views' D, and each
-    scale as an int (an Exact for an Exact scale) over it; with any float or
-    complex scale or coefficient, raw views, the scales as they are and 0."""
-    raw = not all([type(e[0]) in _EXACT and all(map(TruncSeries.is_exact, e[1:])) for e in work])
-    views = [[f._kernel_view(o, raw) for f, o in zip(e[1:], ordered)] for e in work]
-    if raw:
-        return 0, [e[0] for e in work], views
-    dens = [math.prod([v[0] for v in vs]) for vs in views]
-    den = math.lcm(*[getattr(e[0], "denominator", 1) * d for e, d in zip(work, dens)])
-    return den, [_times(e[0], den // d) for e, d in zip(work, dens)], views
-
-
-def _over(out: dict, den: int) -> dict:
-    """Numerators over den in normal form, once each; raw ones (den 0) as they are."""
-    return {i: Fraction(c, den) if type(c) is int else c / den for i, c in out.items()} \
-        if den else out
-
-
-def _linear(pairs, vars, center, grading) -> TruncSeries:
-    """The sum of c * s over (c, s) pairs in one dict over the views (`_fold`)."""
-    den, ks, views = _fold(pairs, (False,))
-    out: dict = {}
-    for k, ((_, items, _),) in zip(ks, views):
-        for idx, b in items:
-            p = k * b
-            prev = out.get(idx)
-            s = p if prev is None else prev + p
-            if s:
-                out[idx] = s
-            elif prev is not None:
-                del out[idx]
-    return TruncSeries(vars, center, _over(out, den), grading, _clean=True)
+def _fraction(c, den: int):
+    """A numerator over den, as a series keeps it: a Fraction, or an Exact."""
+    return Fraction(c, den) if type(c) is int else c / den
 
 
 @dataclass(frozen=True)
@@ -366,9 +298,8 @@ def compose(f: TruncSeries, m: SeriesMap) -> TruncSeries:
                 raise CenterMismatchError("map constant terms do not hit f's center")
         elif d:
             raise CenterMismatchError("map constant terms do not hit f's center")
-    frame = m.components[0]
-    return _linear([(c, m.basis(idx)) for idx, c in f.coeffs.items()],
-                   frame.vars, frame.center, frame.grading)
+    return TruncSeries.signed_sum([(c, m.basis(idx)) for idx, c in f.coeffs.items()]
+                                  or [(0, m.components[0])])
 
 
 def invert_map(m: SeriesMap) -> SeriesMap:
@@ -450,7 +381,8 @@ def localize(f: ClosedForm, vars: tuple[str, ...], center: tuple,
     for mono in f.terms:
         if mono not in memo:
             memo[mono] = _expand_monomial(mono, vars, center, grading)
-    return _linear([(c, memo[mono]) for mono, c in f.terms.items()], vars, center, grading)
+    return TruncSeries.signed_sum([(c, memo[mono]) for mono, c in f.terms.items()]
+                                  or [(0, TruncSeries(vars, center, {}, grading))])
 
 
 def _expand_monomial(mono, vars, center, grading) -> TruncSeries:

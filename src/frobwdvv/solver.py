@@ -25,7 +25,7 @@ from .linalg import InconsistentSystemError
 __all__ = [
     "RecursionOutput", "InconsistentSystemError", "UnderdeterminedError",
     "recursion_nd", "nd_via_ode_route", "recursion_ck", "recursion_mk",
-    "recursion_qk", "recursion_wk", "divisor_sigma", "chazy_residual_orders",
+    "recursion_qk", "recursion_wk", "divisor_sigma",
     "recursion_nkl", "solve_ckl_and_a", "solve_ckl", "solve_a21",
 ]
 
@@ -255,17 +255,6 @@ def gamma_series(max_m: int) -> dict:
     for m in range(1, max_m + 1):
         out[m] = F(-4) * divisor_sigma(m)
     return out
-
-
-def chazy_residual_orders(max_m: int) -> dict:
-    """Residual of gamma''' = 6 gamma gamma'' - 9 gamma'^2 through e-degree max_m,
-    as {order: coefficient} over its nonzero orders."""
-    x, series = _frame("q", max_m)
-    g = series(gamma_series(max_m))
-    g1 = _theta(g)
-    g2 = _theta(g1)
-    res = x.sum_of_products(((1, _theta(g2), series({0: 1})), (-6, g, g2), (9, g1, g1)))
-    return {i: c for (i,), c in res.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------

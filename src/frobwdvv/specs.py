@@ -12,7 +12,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .closedform import ClosedForm, cf_mono
+from .closedform import ClosedForm, Mono, cf_mono
 from .core import FrobeniusSpec, build_tensors, validate_spec
 from .solver import gamma_series, recursion_nd, recursion_nkl
 
@@ -38,31 +38,30 @@ class SpecParseError(ValueError):
 def p2_gw_potential(max_degree: int) -> ClosedForm:
     nd = recursion_nd(max_degree).table()
     import math
-    f = cf_mono(F(1, 2), {"v1": 2, "v3": 1}) + cf_mono(F(1, 2), {"v1": 1, "v2": 2})
+    terms = {Mono.make({"v1": 2, "v3": 1}): F(1, 2), Mono.make({"v1": 1, "v2": 2}): F(1, 2)}
     for d in range(1, max_degree + 1):
-        f = f + cf_mono(nd[d] / math.factorial(3 * d - 1), {"v3": 3 * d - 1},
-                        None, {"v2": d})
-    return f
+        terms[Mono.make({"v3": 3 * d - 1}, None, {"v2": d})] = nd[d] / math.factorial(3 * d - 1)
+    return ClosedForm(terms)
 
 
 def p1xp1_gw_potential(max_degree: int) -> ClosedForm:
     import math
     nkl = recursion_nkl(max_degree).table()
-    f = cf_mono(F(1, 2), {"v1": 2, "v4": 1}) + cf_mono(F(1), {"v1": 1, "v2": 1, "v3": 1})
+    terms = {Mono.make({"v1": 2, "v4": 1}): F(1, 2), Mono.make({"v1": 1, "v2": 1, "v3": 1}): F(1)}
     for (k, l), v in sorted(nkl.items()):
         if v and k + l >= 1:
             s = k + l
-            f = f + cf_mono(v / math.factorial(2 * s - 1), {"v4": 2 * s - 1},
-                            None, {"v2": k, "v3": l})
-    return f
+            terms[Mono.make({"v4": 2 * s - 1}, None, {"v2": k, "v3": l})] = \
+                v / math.factorial(2 * s - 1)
+    return ClosedForm(terms)
 
 
 def ccc_potential(max_degree: int) -> ClosedForm:
     g = gamma_series(max_degree)
-    f = cf_mono(F(1, 2), {"v1": 2, "v3": 1}) + cf_mono(F(1, 2), {"v1": 1, "v2": 2})
+    terms = {Mono.make({"v1": 2, "v3": 1}): F(1, 2), Mono.make({"v1": 1, "v2": 2}): F(1, 2)}
     for m, c in sorted(g.items()):
-        f = f - cf_mono(c / 16, {"v2": 4}, None, {"v3": m} if m else None)
-    return f
+        terms[Mono.make({"v2": 4}, None, {"v3": m} if m else None)] = -c / 16
+    return ClosedForm(terms)
 
 
 _GENERATORS = {

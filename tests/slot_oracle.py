@@ -22,10 +22,20 @@ from typing import Callable, Optional
 
 from frobwdvv.closedform import ClosedForm, Cutoff, Mono, cf_exp, cf_mono, mono_exp_degree
 from frobwdvv.exact import Exact
-from frobwdvv.linalg import InconsistentSystemError, mat_inv, solve_affine
+from frobwdvv.linalg import InconsistentSystemError, _eliminate, mat_inv
 from frobwdvv.solver import UnderdeterminedError, _a21_output, _ckl_output
 
 F = Fraction
+
+
+def solve_affine(rows: list) -> dict:
+    """Unknowns pinned by affine rows {(): const, (u,): coef} (each row = 0);
+    an underdetermined system yields only the unknowns it fixes."""
+    out = {}
+    for (u,), row in _eliminate(rows, bool).items():
+        if len(row) == 1 + (() in row):
+            out[u] = -row.get((), Fraction(0))
+    return out
 
 
 @dataclass

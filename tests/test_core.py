@@ -7,7 +7,7 @@ from frobwdvv.calibration import solve_calibration
 from frobwdvv.closedform import ClosedForm, cf_exp, cf_mono, cf_var
 from frobwdvv.core import (
     FrobeniusSpec, NonConstantMetricError, SpecValidationError, build_tensors,
-    check_wdvv, euler_report, u_matrix, validate_spec, wdvv_residual,
+    check_wdvv, euler_report, u_matrix, validate_spec, wdvv_pairing,
 )
 from frobwdvv.specs import BUILTIN_SPECS, load_spec, twodim_spec
 
@@ -63,6 +63,11 @@ def test_wdvv_detects_failure():
                    + cf_mono(F(1), {"v2": 3, "v3": 1})),
         charge=F(0), mu=(F(-1, 2), F(0), F(1, 2)))
     assert not check_wdvv(bad).ok
+
+
+def wdvv_residual(tensors, a: int, b: int, g: int, d: int) -> ClosedForm:
+    """Associativity residual of the quartic identity for (a, b, g, d), 0-based."""
+    return wdvv_pairing(tensors, a, b, g, d) - wdvv_pairing(tensors, d, b, g, a)
 
 
 def test_wdvv_residual_antisymmetry(all_specs):

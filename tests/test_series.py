@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from frobwdvv import kernel
 from frobwdvv.closedform import cf_exp, cf_log, cf_mono, cf_var
 from frobwdvv.exact import Exact, as_exact_scalar
 from frobwdvv.series import (
@@ -622,37 +623,61 @@ def test_log_away_from_one_is_a_mixed_series():
                                 (2, 0): (F, F(-1, 8)), (3, 0): (F, F(1, 24))}
 
 
+def test_raw_negation_keeps_signed_zeros():
+    # (-1) * z is a complex product, which turns the -0.0 of -z into 0.0: the
+    # raw branch negates a float or complex coefficient as it is
+    b = TruncSeries(("x", "y"), (0, 0), {(1, 0): complex(1.0, 0.0)}, g(2, 2))
+    a = TruncSeries(("x", "y"), (0, 0), {(0, 1): complex(2.0, 0.0)}, g(2, 2))
+    for s in (-b, a - b):
+        assert s.coeffs[(1, 0)] == -1
+        assert math.copysign(1.0, s.coeffs[(1, 0)].imag) == -1.0
+
+
 def test_kernel_views_are_built_once(monkeypatch):
     # a transform, its transported calibration and its round trip read the
     # same Hessian entries, offset powers and expansions again and again:
-    # each view of a series is built on its first kernel use only
+    # each view of a series is built on its first kernel use only.  The views
+    # that scaled sums read are counted apart from the products' views
     from frobwdvv.legendre import pullback, round_trip, transform, transport_calibration
     from frobwdvv.specs import load_spec
-    kept, builds, calls = {}, Counter(), [0]
-    real = TruncSeries._kernel_view
+    kept, builds, calls, built_in = {}, Counter(), Counter(), Counter()
+    where = ["product"]
+    real_view, real_sum = kernel.view, kernel.scaled_sum
 
-    def counting(self, ordered, raw):
-        kept[id(self)] = self       # kept alive, so that no id is reused
-        calls[0] += 1
-        before = dict(self._view or {})
-        out = real(self, ordered, raw)
-        # a raw view in dict order is the coefficients' own items, never built
-        if (ordered or not raw) and out is not before.get((ordered, raw)):
-            builds[(id(self), ordered, raw)] += 1
+    def counting(form, attr, depth=None, raw=False):
+        kept[id(form)] = form       # kept alive, so that no id is reused
+        calls[where[0]] += 1
+        before = (getattr(form, "_view", None) or {}).get((depth, raw))
+        # a build is a view that was not in the series' cache before the call
+        if (out := real_view(form, attr, depth, raw)) is not before:
+            builds[(id(form), depth, raw)] += 1
+            built_in[where[0]] += 1
         return out
 
-    monkeypatch.setattr(TruncSeries, "_kernel_view", counting)
+    def summing(pairs, attr, ratio):
+        where[0] = "sum"
+        try:
+            return real_sum(pairs, attr, ratio)
+        finally:
+            where[0] = "product"
+
+    monkeypatch.setattr(kernel, "view", counting)
+    monkeypatch.setattr(kernel, "scaled_sum", summing)
     spec = load_spec("a2")
     res = transform(spec, 2, (F(0), F(3)), 10)
     transport_calibration(res, 3)
     assert round_trip(res)["exact"]
     assert set(builds.values()) == {1}
-    assert calls[0] > 2 * len(builds)   # views are reused, so a lost cache would show
-    # a second pullback through the same map builds no view
+    # views are reused, so a lost cache would show
+    assert calls["product"] > 2 * built_in["product"]
+    assert calls["sum"] > built_in["sum"]
+    # a second pullback through the same map builds no view (`==` subtracts,
+    # and so reads views of its own)
     first = pullback(res, spec.potential)
     built = sum(builds.values())
-    assert pullback(res, spec.potential) == first
+    second = pullback(res, spec.potential)
     assert sum(builds.values()) == built
+    assert second == first
 
 
 def test_series_work_is_pinned(monkeypatch):

@@ -13,8 +13,8 @@ from frobwdvv.cli import main
 from frobwdvv.closedform import ClosedForm, Mono, _merge, mono_exp_degree
 from frobwdvv.linalg import mat_inv
 from frobwdvv.solver import (
-    InconsistentSystemError, _a21_output, _ckl_output, chazy_residual_orders, divisor_sigma,
-    nd_via_ode_route, recursion_ck, recursion_mk, recursion_nd, recursion_nkl, recursion_qk,
+    InconsistentSystemError, _a21_output, _ckl_output, _frame, _theta, divisor_sigma,
+    gamma_series, nd_via_ode_route, recursion_ck, recursion_mk, recursion_nd, recursion_nkl, recursion_qk,
     recursion_wk, solve_a21, solve_ckl, solve_ckl_and_a,
 )
 from slot_oracle import (
@@ -82,6 +82,17 @@ def test_wk_seed_and_integrality():
     assert t[2] == F(3, 4096)
     assert t[3] == F(1, 65536)
     assert all(out.audits["scaled_integrality"].values())
+
+
+def chazy_residual_orders(max_m: int) -> dict:
+    """Residual of gamma''' = 6 gamma gamma'' - 9 gamma'^2 through e-degree max_m,
+    as {order: coefficient} over its nonzero orders."""
+    x, series = _frame("q", max_m)
+    g = series(gamma_series(max_m))
+    g1 = _theta(g)
+    g2 = _theta(g1)
+    res = x.sum_of_products(((1, _theta(g2), series({0: 1})), (-6, g, g2), (9, g1, g1)))
+    return {i: c for (i,), c in res.coeffs.items()}
 
 
 def test_chazy_series():
