@@ -22,7 +22,7 @@ from .kernel import acc as _acc, times as _times
 
 __all__ = [
     "Mono", "Cutoff", "ClosedForm", "BranchPointError", "NotIntegrableError", "NeedsFloatError",
-    "cf_var", "cf_log", "cf_exp", "cf_mono",
+    "cf_var", "cf_exp", "cf_mono",
 ]
 
 
@@ -101,41 +101,66 @@ def _exponent(e) -> int | Fraction:
     return e if type(e) is int else normal_scalar(Fraction(e))
 
 
-def _merge(a: tuple, b: tuple) -> tuple:
-    """Linear merge of two sorted (variable, exponent) tuples, adding the
-    exponents of shared variables and dropping those that cancel."""
-    if not b:
-        return a
-    if not a:
-        return b
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, vb = a[i][0], b[j][0]
-        if va == vb:
-            e = a[i][1] + b[j][1]
+def _shift(part: tuple, v: str, s: int) -> tuple:
+    """A sorted (variable, exponent) tuple with s added to v's exponent, dropped at 0."""
+    for i, (u, e) in enumerate(part):
+        if u >= v:
+            e = e + s if u == v else s
+            return part[:i] + (((v, e if type(e) is int or e.denominator != 1 else e.numerator),)
+                               if e else ()) + part[i + (u == v):]
+    return part + ((v, s),)
+
+
+_FIELD, _HALF = 32, 1 << 31    # bits of a packed exponent, and half its range
+
+
+class _Rescale(Exception):
+    """An exponent denominator that the packing's scale lacks."""
+
+
+class _MonoKeys(kernel.Keys):
+    """Monomials packed as ints: slot i, a (kind, variable) of the powers, logs or exps, holds
+    the exponent times `scale` (the lcm of the exponent denominators met) as a signed field at
+    bit _FIELD * i, within a quarter of its range, so that a product's field decodes uniquely."""
+    slots: dict = {}        # (kind, variable): bit, shared by every packing
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def pack(self, m: Mono) -> int:
+        k = 0
+        for kind, part in enumerate(m):
+            for v, e in part:
+                if (e := e * self.scale) != int(e):
+                    raise _Rescale(self.scale * e.denominator)
+                if not -_HALF < 2 * e < _HALF:
+                    raise OverflowError(f"exponent {e}/{self.scale} of {v} in {m} too large")
+                k += int(e) << self.slots.setdefault((kind, v), _FIELD * len(self.slots))
+        return k
+
+    def unpack(self, k: int) -> Mono:
+        parts: tuple = ([], [], [])
+        for kind, v in self.slots:
+            e = (k + _HALF & 2 * _HALF - 1) - _HALF     # the low field, signed
+            k = (k - e) >> _FIELD
             if e:
-                out.append((va, e if type(e) is int or e.denominator != 1 else e.numerator))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+                parts[kind].append((v, e // self.scale if e % self.scale == 0
+                                    else Fraction(e, self.scale)))
+        return Mono(*(tuple(sorted(p)) for p in parts))
 
 
-def _product(a: Mono, b: Mono) -> Mono:
-    """The monomial a * b, the key product of the kernel's `sum_of_products`."""
-    p1, l1, x1 = a
-    p2, l2, x2 = b
-    return tuple.__new__(Mono, (_merge(p1, p2), _merge(l1, l2) if l1 and l2 else l1 or l2,
-                                _merge(x1, x2) if x1 and x2 else x1 or x2))
+_KEYS = _MonoKeys(1)    # the packing in use
+
+
+def _packed(run: Callable):
+    """run(keys) under the packing in use, again under a wider one while the kernel meets an
+    exponent denominator new to it, which it does before it sums anything."""
+    global _KEYS
+    while True:
+        try:
+            return run(_KEYS)
+        except _Rescale as new:
+            _KEYS = _MonoKeys(*new.args)
 
 
 def _ratio(c, d: int):
@@ -207,16 +232,18 @@ class ClosedForm:
     @staticmethod
     def signed_sum(pairs) -> "ClosedForm":
         """The sum of scale * f over (scale, f) pairs, scales exact (`kernel.scaled_sum`)."""
-        return ClosedForm(kernel.scaled_sum(pairs, "terms", _ratio), _clean=True)
+        pairs = list(pairs)
+        return ClosedForm(_packed(lambda keys: kernel.scaled_sum(pairs, "terms", keys, _ratio)),
+                          _clean=True)
 
     @staticmethod
     def sum_of_products(triples: Iterable[tuple], cut: Cutoff | None = None) -> "ClosedForm":
         """The sum of scale * f * g over (scale, f, g) triples (`kernel.sum_of_products`)."""
         depth = cut.depth if cut else None
-        return ClosedForm(kernel.sum_of_products(
-            [(scale, kernel.view(f, "terms", depth), kernel.view(g, "terms", depth))
-             for scale, f, g in triples if scale and f.terms and g.terms], _product, _ratio, cut),
-            _clean=True)
+        triples = [(scale, f, g) for scale, f, g in triples if scale and f.terms and g.terms]
+        return ClosedForm(_packed(lambda keys: kernel.sum_of_products(
+            [(scale, kernel.view(f, "terms", depth, keys), kernel.view(g, "terms", depth, keys))
+             for scale, f, g in triples], keys, _ratio, cut)), _clean=True)
 
     __rmul__ = __mul__
 
@@ -276,17 +303,16 @@ class ClosedForm:
     def diff(self, var: str) -> "ClosedForm":
         d0, items, _ = kernel.view(self, "terms")
         out: dict[Mono, object] = {}
-        down = ((var, -1),)
         for m, c in items:
             q = m.pow_of(var)
             k = m.log_of(var)
             e = m.exp_of(var)
             if q or k:
-                shifted = _merge(m.powers, down)
+                shifted = _shift(m.powers, var, -1)
                 if q:
                     _acc(out, Mono(shifted, m.logs, m.exps), c * q)
                 if k:
-                    _acc(out, Mono(shifted, _merge(m.logs, down), m.exps), c * k)
+                    _acc(out, Mono(shifted, _shift(m.logs, var, -1), m.exps), c * k)
             if e:
                 _acc(out, m, c * e)
         return ClosedForm({m: _ratio(c, d0) for m, c in out.items() if c}, _clean=True)
@@ -306,7 +332,7 @@ class ClosedForm:
                 for m2, c2 in _integrate_term(m, c, var).terms.items():
                     _acc(out, m2, c2)
             else:   # the pure power c v^q, written directly
-                _acc(out, Mono(_merge(m.powers, ((var, 1),)), m.logs, m.exps), c / Fraction(q + 1))
+                _acc(out, Mono(_shift(m.powers, var, 1), m.logs, m.exps), c / Fraction(q + 1))
         return ClosedForm(out)
 
     def euler_residual(self, field: dict[str, tuple], weight) -> "ClosedForm":
@@ -325,17 +351,17 @@ class ClosedForm:
                 d, r = field.get(v, (0, 0))
                 w += d * q
                 if r:
-                    _acc(out, Mono(_merge(powers, ((v, -1),)), logs, exps), c * (r * q))
+                    _acc(out, Mono(_shift(powers, v, -1), logs, exps), c * (r * q))
             for v, k in logs:
                 d, r = field.get(v, (0, 0))
-                down = ((v, -1),)
-                _acc(out, Mono(powers, _merge(logs, down), exps), c * (d * k))
-                _acc(out, Mono(_merge(powers, down), _merge(logs, down), exps), c * (r * k))
+                down = _shift(logs, v, -1)
+                _acc(out, Mono(powers, down, exps), c * (d * k))
+                _acc(out, Mono(_shift(powers, v, -1), down, exps), c * (r * k))
             for v, e in exps:
                 d, r = field.get(v, (0, 0))
                 w += r * e
                 if d:
-                    _acc(out, Mono(_merge(powers, ((v, 1),)), logs, exps), c * (d * e))
+                    _acc(out, Mono(_shift(powers, v, 1), logs, exps), c * (d * e))
             _acc(out, m, c * w)
         return ClosedForm({m: _ratio(c, d0 * lam) for m, c in out.items() if c}, _clean=True)
 
@@ -491,10 +517,6 @@ def _integrate_term(m: Mono, c, var: str) -> ClosedForm:
 
 def cf_var(name: str, power=1) -> ClosedForm:
     return ClosedForm({Mono.make({name: Fraction(power)}): Fraction(1)})
-
-
-def cf_log(name: str, k: int = 1) -> ClosedForm:
-    return ClosedForm({Mono.make(None, {name: k}): Fraction(1)})
 
 
 def cf_exp(name: str, c=1) -> ClosedForm:

@@ -21,7 +21,7 @@ from .series import Grading, SeriesMap, TruncSeries, compose, invert_map, locali
 __all__ = [
     "LegendreResult", "transform", "transform_series", "transport_calibration",
     "verify_omega_transport", "verify_euler_hat", "round_trip", "verify_pointwise",
-    "series_equal_mod_quadratic", "hat_tensors_series", "check_metric_transport",
+    "hat_tensors_series", "check_metric_transport",
     "check_gradient_identity", "check_unity_rule", "pullback",
     "check_structure_transport", "check_product_identity",
 ]
@@ -154,25 +154,13 @@ def _needed_depth(spec: FrobeniusSpec, center, order, m_max) -> int:
     fcenter = tuple(complex(c) for c in center)
     window = Fraction(order) + 2 * max(0, m_max - 1)
     grading = Grading.total_degree(spec.n, window)
-    prev = specs.generator_potential(spec.generator[0], base)
-    depth = base
+    names = spec.varnames
     for d in range(base + 1, base + _DEPTH_MAX_EXTRA + 1):
-        nxt = specs.generator_potential(spec.generator[0], d)
-        delta = nxt - prev
-        impact = 0.0
-        for i, a in enumerate(spec.varnames):
-            for b in spec.varnames[i:]:     # the Hessian is symmetric
-                s = localize(delta.diff(a).diff(b), spec.varnames, fcenter, grading)
-                impact = max(impact, s.max_abs_coeff())
-        prev = nxt
-        if impact < _DEPTH_THRESHOLD:
-            break
-        depth = d
-    return depth
-
-
-def series_equal_mod_quadratic(a: TruncSeries, b: TruncSeries) -> bool:
-    return (a - b).drop_low_degree(3).is_zero()
+        delta = specs.generator_potential(spec.generator[0], d, d)    # the degree-d terms
+        if max(localize(delta.diff(a).diff(b), names, fcenter, grading).max_abs_coeff()
+               for i, a in enumerate(names) for b in names[i:]) < _DEPTH_THRESHOLD:  # symmetric
+            return d - 1
+    return base + _DEPTH_MAX_EXTRA
 
 
 def _vanishes(s: TruncSeries) -> bool:

@@ -13,8 +13,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add, mul, sub
+from functools import cache, cached_property, reduce
+from operator import mul, sub
 
 from . import kernel
 from .closedform import ClosedForm, Cutoff
@@ -151,7 +151,8 @@ class TruncSeries:
         if not all(f.same_frame(frame) for _, f in rest):
             raise CenterMismatchError("series frames differ")
         if all(type(k) in _EXACT and f.is_exact() for k, f in pairs):
-            out = kernel.scaled_sum(pairs, "coeffs", _fraction)
+            out = kernel.scaled_sum(pairs, "coeffs", _IndexKeys(frame.nvars, frame.grading.cutoff),
+                                    _fraction)
         else:
             out = {}
             for k, f in pairs:
@@ -169,19 +170,22 @@ class TruncSeries:
         if not all(f.same_frame(frame) and g.same_frame(frame) for _, f, g in triples):
             raise CenterMismatchError("series frames differ")
         work = [(k, f, g) for k, f, g in triples if k and f.coeffs and g.coeffs]
-        cut = Cutoff(sum, frame.grading.cutoff)
+        keys = _IndexKeys(frame.nvars, frame.grading.cutoff)
+        cut = Cutoff(keys.degree, frame.grading.cutoff)
         if all(type(k) in _EXACT and f.is_exact() and g.is_exact() for k, f, g in work):
             return TruncSeries(frame.vars, frame.center, kernel.sum_of_products(
-                [(k, kernel.view(f, "coeffs"), kernel.view(g, "coeffs", sum)) for k, f, g in work],
-                lambda a, b: tuple(map(add, a, b)), _fraction, cut), frame.grading, _clean=True)
+                [(k, kernel.view(f, "coeffs", None, keys), kernel.view(g, "coeffs", sum, keys))
+                 for k, f, g in work], keys, _fraction, cut), frame.grading, _clean=True)
         out: dict = {}
         for k, f, g in work:
-            _, right, degrees = kernel.view(g, "coeffs", sum, raw=True)
-            for i1, c1 in f.coeffs.items():
+            _, left, _ = kernel.view(f, "coeffs", None, keys, raw=True)
+            _, right, degrees = kernel.view(g, "coeffs", sum, keys, raw=True)
+            for i1, c1 in left:
                 c1 = c1 if k == 1 else c1 * k
-                for i2, c2 in right[:bisect_right(degrees, cut.cap - sum(i1))]:
-                    kernel.acc(out, tuple(map(add, i1, i2)), c1 * c2)
-        return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
+                for i2, c2 in right[:bisect_right(degrees, cut.cap - keys.degree(i1))]:
+                    kernel.acc(out, i1 + i2, c1 * c2)
+        return TruncSeries(frame.vars, frame.center, {keys[i]: c for i, c in out.items()},
+                           frame.grading, _clean=True)
 
     __rmul__ = __mul__
 
@@ -244,6 +248,26 @@ class TruncSeries:
     def __repr__(self):
         parts = [f"{c}*x^{idx}" for idx, c in sorted(self.coeffs.items())]
         return " + ".join(parts) if parts else "0"
+
+
+@cache     # one packing per (variable count, cutoff)
+class _IndexKeys(kernel.Keys):
+    """Indices of n variables packed in base 2^b > cutoff, the total degree in a top field:
+    within the cutoff no pair carries, and a key's degree is one shift."""
+
+    def __init__(self, n: int, cutoff: int):
+        self.n, self.cutoff, self.b = n, cutoff, max(cutoff, 1).bit_length()
+
+    def pack(self, idx: tuple) -> int:
+        if (d := sum(idx)) > self.cutoff or min(idx) < 0:
+            raise OverflowError(f"index {idx} outside the cutoff {self.cutoff}")
+        return sum(i << self.b * j for j, i in enumerate((*idx, d)))
+
+    def unpack(self, k: int) -> tuple:
+        return tuple(k >> self.b * j & (1 << self.b) - 1 for j in range(self.n))
+
+    def degree(self, k: int) -> int:
+        return k >> self.b * self.n
 
 
 def _fraction(c, den: int):

@@ -8,6 +8,7 @@ total exponential degree.  The two-parameter family is built from parameters.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -35,32 +36,35 @@ class SpecParseError(ValueError):
 # potential generators for the truncated families
 # ---------------------------------------------------------------------------
 
-def p2_gw_potential(max_degree: int) -> ClosedForm:
+_CUBIC = {Mono.make({"v1": 2, "v3": 1}): F(1, 2), Mono.make({"v1": 1, "v2": 2}): F(1, 2)}
+
+
+def p2_gw_potential(max_degree: int, lowest: int = 0) -> ClosedForm:
     nd = recursion_nd(max_degree).table()
-    import math
-    terms = {Mono.make({"v1": 2, "v3": 1}): F(1, 2), Mono.make({"v1": 1, "v2": 2}): F(1, 2)}
-    for d in range(1, max_degree + 1):
+    terms = {} if lowest else dict(_CUBIC)
+    for d in range(max(lowest, 1), max_degree + 1):
         terms[Mono.make({"v3": 3 * d - 1}, None, {"v2": d})] = nd[d] / math.factorial(3 * d - 1)
     return ClosedForm(terms)
 
 
-def p1xp1_gw_potential(max_degree: int) -> ClosedForm:
-    import math
+def p1xp1_gw_potential(max_degree: int, lowest: int = 0) -> ClosedForm:
     nkl = recursion_nkl(max_degree).table()
-    terms = {Mono.make({"v1": 2, "v4": 1}): F(1, 2), Mono.make({"v1": 1, "v2": 1, "v3": 1}): F(1)}
+    terms = {} if lowest else {Mono.make({"v1": 2, "v4": 1}): F(1, 2),
+                               Mono.make({"v1": 1, "v2": 1, "v3": 1}): F(1)}
     for (k, l), v in sorted(nkl.items()):
-        if v and k + l >= 1:
+        if v and k + l >= max(lowest, 1):
             s = k + l
             terms[Mono.make({"v4": 2 * s - 1}, None, {"v2": k, "v3": l})] = \
                 v / math.factorial(2 * s - 1)
     return ClosedForm(terms)
 
 
-def ccc_potential(max_degree: int) -> ClosedForm:
+def ccc_potential(max_degree: int, lowest: int = 0) -> ClosedForm:
     g = gamma_series(max_degree)
-    terms = {Mono.make({"v1": 2, "v3": 1}): F(1, 2), Mono.make({"v1": 1, "v2": 2}): F(1, 2)}
+    terms = {} if lowest else dict(_CUBIC)
     for m, c in sorted(g.items()):
-        terms[Mono.make({"v2": 4}, None, {"v3": m} if m else None)] = -c / 16
+        if m >= lowest:
+            terms[Mono.make({"v2": 4}, None, {"v3": m} if m else None)] = -c / 16
     return ClosedForm(terms)
 
 
@@ -157,9 +161,10 @@ def spec_from_json_obj(obj: dict, params: dict | None = None) -> FrobeniusSpec:
         raise SpecParseError(f"malformed spec: {exc}") from exc
 
 
-def generator_potential(name: str, degree: int) -> ClosedForm:
-    """Materialize a registered truncated-family potential at a given degree."""
-    return _GENERATORS[name](degree)
+def generator_potential(name: str, degree: int, lowest: int = 0) -> ClosedForm:
+    """Materialize a registered truncated-family potential at a given degree, keeping only
+    its terms of exponential degree >= lowest (p2's and ccc's cubic part is `_CUBIC`)."""
+    return _GENERATORS[name](degree, lowest)
 
 
 def deepen_spec(spec: FrobeniusSpec, degree: int) -> FrobeniusSpec:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobwdvv.closedform import cf_mono
+from frobwdvv.closedform import ClosedForm, Mono, cf_mono
 from frobwdvv.core import FrobeniusSpec
 from frobwdvv.exact import Exact
 
@@ -28,6 +28,42 @@ def assert_same_types(got, want):
     assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
     for c in (*got.values(), *want.values()):
         assert_normal_scalar(c)
+
+
+def merge(a, b):
+    """Linear merge of two sorted (variable, exponent) tuples, adding the exponents of
+    shared variables and dropping those that cancel: the key product the sparse kernel
+    ran before its keys were packed."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va == vb:
+            if e := ea + eb:
+                out.append((va, e if type(e) is int or e.denominator != 1 else e.numerator))
+            i, j = i + 1, j + 1
+        elif va < vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out + list(a[i:]) + list(b[j:]))
+
+
+def merge_product(m1, m2):
+    """The monomial m1 * m2, by merging its three exponent tuples."""
+    return Mono(*(merge(a, b) for a, b in zip(m1, m2)))
+
+
+def cf_log(name, k=1):
+    """The closed form log(name)^k."""
+    return ClosedForm({Mono.make(None, {name: k}): Fraction(1)})
+
+
+def series_equal_mod_quadratic(a, b):
+    """a and b agree in every term of total degree 3 or more."""
+    return (a - b).drop_low_degree(3).is_zero()
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,9 @@ in the unity direction, with the back-transformed potential stored.
 Regenerate the files (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/golden/regen.py
+
+and, with `--check`, write nothing: list the files whose bytes would change, and
+exit 1 if any would.
 """
 
 from __future__ import annotations
@@ -122,22 +125,34 @@ def render_series(entry: tuple, back: bool = False) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
-def main() -> int:
+def rendered():
+    """(file name, text) of every golden file, as the code renders it now."""
     for argv in COMMANDS:
         code, text = render(argv)
         if code != 0:
-            print(f"{' '.join(argv)}: exit {code}", file=sys.stderr)
-            return 1
-        (GOLDEN_DIR / golden_name(argv)).write_text(text)
-        print(f"wrote {golden_name(argv)}")
+            raise SystemExit(f"{' '.join(argv)}: exit {code}")
+        yield golden_name(argv), text
     for entry in SERIES:
-        (GOLDEN_DIR / series_name(entry)).write_text(render_series(entry))
-        print(f"wrote {series_name(entry)}")
+        yield series_name(entry), render_series(entry)
     for entry in ROUND_TRIPS:
-        (GOLDEN_DIR / round_trip_name(entry)).write_text(render_series(entry, back=True))
-        print(f"wrote {round_trip_name(entry)}")
-    return 0
+        yield round_trip_name(entry), render_series(entry, back=True)
+
+
+def main(argv: list[str]) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        raise SystemExit("usage: regen.py [--check]")
+    changed = 0
+    for name, text in rendered():
+        path = GOLDEN_DIR / name
+        if not check:
+            path.write_text(text)
+            print(f"wrote {name}")
+        elif not path.exists() or path.read_text() != text:
+            changed += 1
+            print(f"would change {name}")
+    return int(changed > 0)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

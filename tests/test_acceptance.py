@@ -17,7 +17,7 @@ from frobwdvv.core import build_tensors, check_wdvv
 from frobwdvv.exact import Exact
 from frobwdvv.jets import a2_family_data, genus1_report, genus1_twodim_family, p1_family_data
 from frobwdvv.legendre import (
-    round_trip, series_equal_mod_quadratic, transform, transport_calibration,
+    round_trip, transform, transport_calibration,
     verify_euler_hat, verify_omega_transport,
 )
 from frobwdvv.monodromy import (
@@ -31,6 +31,8 @@ from frobwdvv.solver import (
     recursion_qk, recursion_wk, solve_ckl_and_a,
 )
 from frobwdvv.specs import BUILTIN_SPECS, load_spec
+
+from conftest import series_equal_mod_quadratic
 
 F = Fraction
 

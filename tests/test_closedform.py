@@ -9,13 +9,13 @@ from frobwdvv import closedform, kernel
 from frobwdvv.calibration import check_orthogonality, solve_calibration
 from frobwdvv.closedform import (
     BranchPointError, ClosedForm, Cutoff, Mono, NeedsFloatError, NotIntegrableError,
-    cf_exp, cf_log, cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
+    cf_exp, cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
 )
 from frobwdvv.core import build_tensors
 from frobwdvv.exact import Exact, as_exact_scalar, normal_scalar
 from frobwdvv.specs import load_spec
 
-from conftest import assert_normal_scalar, assert_same_types
+from conftest import assert_normal_scalar, assert_same_types, cf_log, merge_product
 
 F = Fraction
 
@@ -214,9 +214,9 @@ def test_sum_of_products_equals_filtered_sum(triples, depth, cap):
 
 
 def test_sum_of_products_forms_only_the_pairs_within_the_cap(monkeypatch):
-    # p1xp1's Hessian sums over the level-1 gradients: each formed pair merges
-    # its powers, and its logs and exponentials when both factors carry them;
-    # the pairs whose exp degree exceeds the cap cost no merge
+    # p1xp1's Hessian sums over the level-1 gradients: each formed pair adds
+    # its two packed keys once; the pairs whose exp degree exceeds the cap form
+    # no key.  A fresh packing whose keys count their additions builds every view
     spec = load_spec("p1xp1")
     t = build_tensors(spec)
     cal = solve_calibration(spec, 1)
@@ -226,19 +226,80 @@ def test_sum_of_products_forms_only_the_pairs_within_the_cap(monkeypatch):
             for g in range(1, n + 1) for a in range(n) for b in range(a, n)]
     pairs = [(m1, m2) for triples in sums for _, f, h in triples
              for m1 in f.terms for m2 in h.terms]
-    formed = [1 + bool(m1.logs and m2.logs) + bool(m1.exps and m2.exps)
-              for m1, m2 in pairs if cut.depth(m1) + cut.depth(m2) <= cut.cap]
-    merges = [0]
-    real = closedform._merge
+    formed = [(m1, m2) for m1, m2 in pairs if cut.depth(m1) + cut.depth(m2) <= cut.cap]
+    added = [0]
 
-    def counting(a, b):
-        merges[0] += 1
-        return real(a, b)
-    monkeypatch.setattr(closedform, "_merge", counting)
+    class Counted(int):
+        def __add__(self, other):
+            added[0] += 1
+            return int.__add__(self, other)
+
+    class CountingKeys(closedform._MonoKeys):
+        def pack(self, m):
+            return Counted(super().pack(m))
+    monkeypatch.setattr(closedform, "_KEYS", CountingKeys(closedform._KEYS.scale))
     for triples in sums:
         ClosedForm.sum_of_products(triples, cut)
     assert 0 < len(formed) < len(pairs)
-    assert merges[0] == sum(formed)
+    assert added[0] == len(formed)
+
+
+# negative, 1/2 and 1/3 exponents, which a packing meets in the order drawn
+packing_exponents = st.sampled_from([1, 2, -1, -3, F(1, 2), F(-1, 2), F(5, 2), F(1, 3),
+                                     F(-2, 3)])
+
+
+@st.composite
+def packed_pairs(draw):
+    """Two monomials in powers, logs and exps, the second cancelling some of the
+    first's exponents."""
+    def part(values):
+        return draw(st.dictionaries(st.sampled_from("xyz"), values, max_size=3))
+    m1 = Mono.make(part(packing_exponents), part(st.integers(0, 2)), part(packing_exponents))
+    flip = draw(st.sets(st.sampled_from("xyz")))
+    return m1, Mono.make(part(packing_exponents) | {v: -e for v, e in m1.powers if v in flip},
+                         part(st.integers(0, 2)),
+                         part(packing_exponents) | {v: -e for v, e in m1.exps if v in flip})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(packed_pairs(), min_size=1, max_size=6))
+@example([(Mono.make({"x": 2}, {"y": 1}), Mono.make({"x": -2}, None, {"y": 3})),
+          (Mono.make({"x": F(1, 2)}), Mono.make({"x": F(1, 2)}, None, {"z": F(-1, 3)})),
+          (Mono.make({"y": F(2, 3)}, {"x": 2}), Mono.make({"y": F(1, 3)}, {"x": 1}))])
+def test_packed_products_decode_to_merged_monomials(pairs):
+    # a fresh packing starts at scale 1, so the 1/2 and 1/3 exponents first
+    # appear mid-run; the second pass reads views packed under older scales
+    forms = [(ClosedForm({m1: 1}), ClosedForm({m2: 1})) for m1, m2 in pairs]
+    saved = closedform._KEYS
+    closedform._KEYS = closedform._MonoKeys(1)
+    try:
+        for _ in range(2):
+            for (m1, m2), (f, g) in zip(pairs, forms):
+                want = merge_product(m1, m2)
+                # repr shows the exponent types too: int when integral, else Fraction
+                assert [repr(m) for m in (f * g).terms] == [repr(want)]
+                keys = closedform._KEYS
+                assert repr(keys[keys[m1] + keys[m2]]) == repr(want)
+    finally:
+        closedform._KEYS = saved
+
+
+def test_an_exponent_too_large_for_its_field_raises(monkeypatch):
+    # a packed exponent stays within a quarter of its field, so that a
+    # product's field, the sum of two, decodes uniquely
+    monkeypatch.setattr(closedform, "_KEYS", closedform._MonoKeys(1))
+    big = 2 ** 30 - 1
+    for e in (big, -big):
+        assert (cf_var("x", e) * cf_var("x", e)).terms == {Mono.make({"x": 2 * e}): 1}
+        assert (cf_exp("x", e) * cf_exp("x", e)).terms == {Mono.make(None, None, {"x": 2 * e}): 1}
+    for f, g in ((cf_var("x", 2 ** 30), cf_var("x")), (cf_var("y", -2 ** 30), cf_var("x")),
+                 (cf_exp("x", 2 ** 30), cf_var("x")), (cf_var("x", 2 * big), cf_var("x"))):
+        with pytest.raises(OverflowError):
+            f * g
+    # under a scale of 2, the bound holds for the scaled exponent
+    with pytest.raises(OverflowError):
+        cf_var("x", F(1, 2)) * cf_var("y", 2 ** 29)
 
 
 def test_integer_views_and_depth_orders_are_built_once(monkeypatch):
@@ -252,7 +313,7 @@ def test_integer_views_and_depth_orders_are_built_once(monkeypatch):
     calls = [0]
     real = kernel.view
 
-    def counting(form, attr, depth=None, raw=False):
+    def counting(form, attr, depth=None, keys=None, raw=False):
         # a build is an entry of the form's cache that was not there before
         cache = getattr(form, "_view", None) or {}
         if id(form) not in forms:
@@ -260,22 +321,22 @@ def test_integer_views_and_depth_orders_are_built_once(monkeypatch):
             seen.update({(id(form), *key): v for key, v in cache.items()})
         forms[id(form)] = form      # kept alive, so that no id is reused
         calls[0] += 1
-        out = real(form, attr, depth, raw)
-        for (d, r), v in form._view.items():
-            if seen.get((id(form), d, r)) is not v:
-                seen[(id(form), d, r)] = v
+        out = real(form, attr, depth, keys, raw)
+        for (d, k, r), v in form._view.items():
+            if seen.get((id(form), d, k, r)) is not v:
+                seen[(id(form), d, k, r)] = v
                 if d is None:
-                    views[id(form)] += 1
+                    views[(id(form), k)] += 1
                 else:
-                    orders[(id(form), d)] += 1
+                    orders[(id(form), d, k)] += 1
         return out
     monkeypatch.setattr(kernel, "view", counting)
     cal = solve_calibration(spec, 4)
     assert check_orthogonality(cal)["pass"]
-    assert set(views.values()) == {1} and set(views) == fresh
+    # views are per packing: (form, packing) for the plain and packed views
+    assert set(views.values()) == {1} and {f for f, _ in views} | {f for f, *_ in orders} == fresh
     assert set(orders.values()) == {1} and orders
-    # forms are reused, so a lost cache would show; building an order calls the
-    # patch once more, for the plain view
+    # forms are reused, so a lost cache would show
     assert calls[0] - sum(orders.values()) > len(forms)
     # a second sum over the same factors builds nothing
     triples = [(1, cal.grad(1, 3, b), cal.grad(2, 1, b)) for b in range(1, spec.n + 1)]

@@ -28,3 +28,15 @@ def test_golden_series(entry):
 def test_golden_round_trip(entry):
     text = regen.render_series(entry, back=True)
     assert text == (regen.GOLDEN_DIR / regen.round_trip_name(entry)).read_text()
+
+
+def test_check_lists_the_files_that_would_change_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    for path in regen.GOLDEN_DIR.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    stale = tmp_path / regen.series_name(regen.SERIES[0])
+    stale.write_text(stale.read_text().replace("1", "2", 1))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    assert regen.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"would change {stale.name}"]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from frobwdvv.closedform import cf_exp, cf_log, cf_mono, cf_var
+from frobwdvv.closedform import cf_exp, cf_mono, cf_var
 from frobwdvv.jets import (
     JetOrderOverflow, a2_family_data, check_constant_combo, combo_value,
     flow_derivation, genus1_report, genus1_twodim_family, jet_name,
     p1_family_data, total_x,
 )
 from frobwdvv.specs import load_spec
+
+from conftest import cf_log
 
 F = Fraction
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from frobwdvv.closedform import ClosedForm, cf_exp, cf_log, cf_mono
+from frobwdvv.closedform import ClosedForm, cf_exp, cf_mono
 from frobwdvv.core import build_tensors
 from frobwdvv.exact import Exact
 import frobwdvv.calibration as calibration
@@ -17,13 +17,15 @@ import frobwdvv.series as series
 from frobwdvv.legendre import (
     check_gradient_identity, check_metric_transport, check_product_identity,
     check_structure_transport, check_unity_rule, hat_tensors_series,
-    round_trip, series_equal_mod_quadratic, transform, transform_series,
+    round_trip, transform, transform_series,
     transport_calibration, verify_euler_hat, verify_omega_transport, verify_pointwise,
 )
 from frobwdvv.series import Grading, SingularJacobianError, TruncSeries, localize
 from frobwdvv.solver import recursion_ck, recursion_wk, solve_ckl_and_a
 from frobwdvv.specs import ccc_potential, load_spec
 from frobwdvv.core import FrobeniusSpec
+
+from conftest import cf_log, series_equal_mod_quadratic
 
 F = Fraction
 

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from frobwdvv import kernel
-from frobwdvv.closedform import cf_exp, cf_log, cf_mono, cf_var
+from frobwdvv import kernel, series
+from frobwdvv.closedform import cf_exp, cf_mono, cf_var
 from frobwdvv.exact import Exact, as_exact_scalar
 from frobwdvv.series import (
     CenterMismatchError, Grading, SeriesMap, SingularCenterError, SingularJacobianError,
     TruncSeries, compose, invert_map, localize,
 )
+
+from conftest import cf_log
 
 F = Fraction
 
@@ -633,6 +635,58 @@ def test_raw_negation_keeps_signed_zeros():
         assert math.copysign(1.0, s.coeffs[(1, 0)].imag) == -1.0
 
 
+def test_index_keys_add_within_a_fractional_order():
+    # order 15/2 cuts at total degree 7: three bits a field, and the degree in
+    # the top field, so every pair within the cut adds without a carry
+    gr = g(2, F(15, 2))
+    keys = series._IndexKeys(2, gr.cutoff)
+    kept = [(i, j) for i in range(8) for j in range(8) if i + j <= 7]
+    for i1 in kept:
+        assert keys[keys[i1]] == i1 and keys.degree(keys[i1]) == sum(i1)
+        for i2 in kept:
+            idx = (i1[0] + i2[0], i1[1] + i2[1])
+            if sum(idx) <= 7:
+                assert keys.unpack(keys[i1] + keys[i2]) == idx
+                assert keys.degree(keys[i1] + keys[i2]) == sum(idx)
+    # dense products at that order, exact and on the float path
+    for c in (F(1, 3), complex(0.5, -1)):
+        a = TruncSeries(("x", "y"), (F(0), F(0)), {i: c * (1 + i[0]) for i in kept}, gr)
+        b = TruncSeries(("x", "y"), (F(0), F(0)), {i: F(i[1] - 2, 5) for i in kept}, gr)
+        assert _typed((a * b).coeffs) == _typed(_reference_product(a, b))
+
+
+def test_an_index_past_the_cutoff_raises():
+    # a series whose constructor was told its terms are clean, but one is not:
+    # its index would carry into the next field, so packing refuses it
+    bad = TruncSeries(("x", "y"), (F(0), F(0)), {(4, 0): F(1)}, g(2, 3), _clean=True)
+    for s in (bad, TruncSeries(("x", "y"), (0j, 0j), {(4, 0): 1j}, g(2, 3), _clean=True)):
+        with pytest.raises(OverflowError):
+            s * s
+
+
+def test_power_forms_only_the_products_its_bits_need(monkeypatch):
+    # one product per set bit of n and one squaring per bit after the first:
+    # nothing squares the base after the last bit
+    forms = [cf_var("x") + cf_exp("y"),
+             TruncSeries(("x",), (F(0),), {(0,): F(1), (1,): F(2)}, g(1, 9))]
+    want = {n: [f ** n for f in forms] for n in range(1, 9)}
+    products = [0]
+    real = kernel.sum_of_products
+
+    def counting(*args):
+        products[0] += 1
+        return real(*args)
+    monkeypatch.setattr(kernel, "sum_of_products", counting)
+    for n in range(1, 9):
+        for f, w in zip(forms, want[n]):
+            products[0] = 0
+            assert f ** n == w
+            assert products[0] == bin(n).count("1") + n.bit_length() - 1, (n, f)
+    monkeypatch.undo()
+    for f, w in zip(forms, want[3]):
+        assert w == f * f * f
+
+
 def test_kernel_views_are_built_once(monkeypatch):
     # a transform, its transported calibration and its round trip read the
     # same Hessian entries, offset powers and expansions again and again:
@@ -644,20 +698,20 @@ def test_kernel_views_are_built_once(monkeypatch):
     where = ["product"]
     real_view, real_sum = kernel.view, kernel.scaled_sum
 
-    def counting(form, attr, depth=None, raw=False):
+    def counting(form, attr, depth=None, keys=None, raw=False):
         kept[id(form)] = form       # kept alive, so that no id is reused
         calls[where[0]] += 1
-        before = (getattr(form, "_view", None) or {}).get((depth, raw))
+        before = (getattr(form, "_view", None) or {}).get((depth, keys, raw))
         # a build is a view that was not in the series' cache before the call
-        if (out := real_view(form, attr, depth, raw)) is not before:
-            builds[(id(form), depth, raw)] += 1
+        if (out := real_view(form, attr, depth, keys, raw)) is not before:
+            builds[(id(form), depth, keys, raw)] += 1
             built_in[where[0]] += 1
         return out
 
-    def summing(pairs, attr, ratio):
+    def summing(pairs, attr, keys, ratio):
         where[0] = "sum"
         try:
-            return real_sum(pairs, attr, ratio)
+            return real_sum(pairs, attr, keys, ratio)
         finally:
             where[0] = "product"
 

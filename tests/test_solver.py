@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import slot_oracle
 from frobwdvv import solver
 from frobwdvv.cli import main
-from frobwdvv.closedform import ClosedForm, Mono, _merge, mono_exp_degree
+from frobwdvv.closedform import ClosedForm, Mono, mono_exp_degree
 from frobwdvv.linalg import mat_inv
 from frobwdvv.solver import (
     InconsistentSystemError, _a21_output, _ckl_output, _frame, _theta, divisor_sigma,
@@ -21,6 +21,8 @@ from slot_oracle import (
     _c_rows, _pair_residual, p1xp1_family, p2_family, p2_s2_hat_family, s21_family,
     s22_family, slot_a21, slot_ckl, solve_slot_family,
 )
+
+from conftest import merge_product
 
 F = Fraction
 
@@ -429,8 +431,7 @@ def mono_pairs(draw, varnames):
 def test_gradings_are_additive_under_products(grading, data):
     _, depth, varnames = grading
     m1, m2 = data.draw(mono_pairs(varnames))
-    prod = Mono(_merge(m1.powers, m2.powers), _merge(m1.logs, m2.logs),
-                _merge(m1.exps, m2.exps))
+    prod = merge_product(m1, m2)
     assert depth(prod) == depth(m1) + depth(m2)
 
 
