@@ -94,9 +94,16 @@ def _sign(text: str) -> int:
     return int(text)
 
 
-def _at_least(flag: str, value, low) -> None:
+# the largest --order of calibrate, of legendre and verify-omega, their largest --m-max, and
+# the largest float spacing of --phi; the largest run they allow takes under 60 s (README)
+CALIBRATE_ORDER_MAX, ORDER_MAX, M_MAX_MAX, PHI_ULP_MAX = 32, 20, 8, 1e-12
+
+
+def _bounded(flag: str, value, low, high) -> None:
     if not value >= low:
         raise UsageError(f"{flag} must be at least {low}, got {value}")
+    if value > high:
+        raise UsageError(f"{flag} must be at most {high}, got {value}")
 
 
 def _check_kappa(spec, kappa: int) -> None:
@@ -136,7 +143,7 @@ def cmd_wdvv_check(args) -> dict:
 def cmd_calibrate(args) -> dict:
     from .calibration import (check_homogeneity, check_orthogonality,
                               solve_calibration, two_point_table)
-    _at_least("--order", args.order, 1)
+    _bounded("--order", args.order, 1, CALIBRATE_ORDER_MAX)
     spec = _load(args)
     cal = solve_calibration(spec, args.order)
     orth = check_orthogonality(cal)
@@ -161,8 +168,8 @@ def cmd_legendre(args) -> dict:
                            check_unity_rule, round_trip, transform,
                            transport_calibration, verify_euler_hat)
     # below order 3 the round trip's hat Hessian is empty
-    _at_least("--order", args.order, 3)
-    _at_least("--m-max", args.m_max, 1)
+    _bounded("--order", args.order, 3, ORDER_MAX)
+    _bounded("--m-max", args.m_max, 1, M_MAX_MAX)
     spec = _load(args)
     _check_kappa(spec, args.kappa)
     center = _default_center(spec, args.center)
@@ -213,12 +220,10 @@ def _default_center(spec, arg):
 
 def cmd_verify_omega(args) -> dict:
     from .legendre import transform, verify_omega_transport
-    _at_least("--order", args.order, 1)
+    _bounded("--order", args.order, 1, ORDER_MAX)
     # the check reads levels up to --m-max - 1; an entry needs level m1 + m2 + 1
-    _at_least("--m-max", args.m_max, 2)
-    _at_least("--table-order", args.table_order, 0)
-    if args.table_order > args.m_max - 2:
-        raise UsageError(f"--table-order must be at most --m-max - 2, got {args.table_order}")
+    _bounded("--m-max", args.m_max, 2, M_MAX_MAX)
+    _bounded("--table-order", args.table_order, 0, args.m_max - 2)
     spec = _load(args)
     _check_kappa(spec, args.kappa)
     center = _default_center(spec, args.center)
@@ -245,19 +250,20 @@ def cmd_recursion(args) -> dict:
         dual = solver.nd_via_ode_route(min(len(out.values), 6)).values
         return all(out.table()[d] == v for d, v in dual)
 
-    # name: (solver, default --max, least --max (its first entry's), check, audit)
-    fn, default, least, check, audit = {
-        "nd": (solver.recursion_nd, 6, 1, "dual-route-agreement", nd_dual_route),
-        "ck": (solver.recursion_ck, 6, 1, "integrality-audit", every("integrality")),
-        "mk": (solver.recursion_mk, 6, 1, "two-integrality-audit", every("two_integrality")),
-        "qk": (solver.recursion_qk, 6, 1, "k-qk-integrality-audit", every("k_qk_integral")),
-        "wk": (solver.recursion_wk, 6, 1, "scaled-integrality-audit", every("scaled_integrality")),
-        "nkl": (solver.recursion_nkl, 6, 1, "symmetry", flag("symmetric")),
-        "ckl": (solver.solve_ckl, 8, 2, "pattern-audit", flag("pattern_as_expected")),
-        "a21": (solver.solve_a21, 19, 5, "pattern-audit", flag("pattern_as_expected")),
+    # name: (solver, default --max, least --max (its first entry's), largest --max, check, audit)
+    fn, default, least, most, check, audit = {
+        "nd": (solver.recursion_nd, 6, 1, 500, "dual-route-agreement", nd_dual_route),
+        "ck": (solver.recursion_ck, 6, 1, 100, "integrality-audit", every("integrality")),
+        "mk": (solver.recursion_mk, 6, 1, 100, "two-integrality-audit", every("two_integrality")),
+        "qk": (solver.recursion_qk, 6, 1, 120, "k-qk-integrality-audit", every("k_qk_integral")),
+        "wk": (solver.recursion_wk, 6, 1, 120, "scaled-integrality-audit",
+               every("scaled_integrality")),
+        "nkl": (solver.recursion_nkl, 6, 1, 50, "symmetry", flag("symmetric")),
+        "ckl": (solver.solve_ckl, 8, 2, 50, "pattern-audit", flag("pattern_as_expected")),
+        "a21": (solver.solve_a21, 19, 5, 100, "pattern-audit", flag("pattern_as_expected")),
     }[args.name]
     max_n = default if args.max is None else args.max
-    _at_least("--max", max_n, least)
+    _bounded("--max", max_n, least, most)
     out = fn(max_n)
     return {
         "command": f"recursion {args.name}", "max": max_n,
@@ -295,8 +301,8 @@ def cmd_monodromy(args) -> dict:
     from .monodromy import monodromy_identities, stokes_and_connection
     if not 0 < args.tol < 1:    # it gates errors in entries of size about 1
         raise UsageError(f"--tol must lie in (0, 1), got {args.tol}")
-    if not math.isfinite(args.phi):
-        raise UsageError(f"--phi must be finite, got {args.phi}")
+    if not math.ulp(args.phi) <= PHI_ULP_MAX:     # an angle that its float pins down
+        raise UsageError(f"--phi must have float spacing at most {PHI_ULP_MAX}, got {args.phi}")
     spec = _load(args)
     point = _values(spec, args.point, "--point")
     signs = _values(spec, args.signs, "--signs", _sign, "signs (1 or -1)") if args.signs else None

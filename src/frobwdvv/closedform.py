@@ -6,6 +6,12 @@ set of named variables.  Coefficients are int, Fraction or Exact (rational plus
 square roots), in the normal form of `exact.normal_scalar`.  The ring is closed
 under +, *, partial differentiation, and antidifferentiation for the shapes
 that occur here (power, power times log^k, polynomial times exponential).
+
+`evaluate` runs from a plan that each form builds once: its coefficients as complex, and its
+terms' factors as keys (kind, variable, exponent) into a table {key: value} that the forms
+evaluated at one point share, so each distinct factor is computed once per point.  A value has
+the bits of the per-term loop: the same factors multiply in the same order, terms add in dict
+order, v^n (n > 0) at v = 0 sets the running product to 0j, and a branch point raises alike.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .kernel import acc as _acc, times as _times
 
 __all__ = [
     "Mono", "Cutoff", "ClosedForm", "BranchPointError", "NotIntegrableError", "NeedsFloatError",
-    "cf_var", "cf_exp", "cf_mono",
+    "cf_var", "cf_mono",
 ]
 
 
@@ -163,6 +169,32 @@ def _packed(run: Callable):
             _KEYS = _MonoKeys(*new.args)
 
 
+class _Zero:
+    """The factor v^n (n > 0 integral) at v = 0: it sets the running product to 0j, and the
+    term's later factors multiply on."""
+
+    def __rmul__(self, val):
+        return 0j
+
+
+_ZERO = _Zero()
+
+
+def _factor(key: tuple, point: dict):
+    """The value of the factor `key` at the point; raises BranchPointError at a branch point."""
+    kind, v, q = key
+    z = complex(point[v])
+    if kind == 2:
+        return cmath.exp(float(q) * z)
+    if z == 0:
+        if kind == 0 and q.denominator == 1 and q > 0:
+            return _ZERO
+        raise BranchPointError(f"log {v} at {v}=0" if kind else f"{v}^{q} at {v}=0")
+    if kind == 1:
+        return cmath.log(z) ** q
+    return z ** int(q) if q.denominator == 1 else cmath.exp(float(q) * cmath.log(z))
+
+
 def _ratio(c, d: int):
     """The numerator c (int, Fraction or Exact) over the int d > 0, in normal form."""
     if type(c) is int:
@@ -173,7 +205,7 @@ def _ratio(c, d: int):
 class ClosedForm:
     """Immutable normal-form sum {monomial: coefficient}; zero coeffs dropped."""
 
-    __slots__ = ("terms", "_view")
+    __slots__ = ("terms", "_view", "_plan")
 
     def __init__(self, terms: dict[Mono, object] | None = None, _clean: bool = False):
         if _clean:
@@ -366,30 +398,27 @@ class ClosedForm:
         return ClosedForm({m: _ratio(c, d0 * lam) for m, c in out.items() if c}, _clean=True)
 
     # -- evaluation -------------------------------------------------------
-    def evaluate(self, point: dict[str, complex]) -> complex:
-        """Numeric evaluation, principal branches (cmath conventions)."""
-        total = 0.0 + 0.0j
-        for m, c in self.terms.items():
-            val = complex(c)
-            for v, q in m.powers:
-                z = complex(point[v])
-                if z == 0:
-                    if q.denominator == 1 and q > 0:
-                        val = 0.0j
-                        continue
-                    raise BranchPointError(f"{v}^{q} at {v}=0")
-                if q.denominator == 1:
-                    val *= z ** int(q)
-                else:
-                    val *= cmath.exp(float(q) * cmath.log(z))
-            for v, k in m.logs:
-                z = complex(point[v])
-                if z == 0:
-                    raise BranchPointError(f"log {v} at {v}=0")
-                val *= cmath.log(z) ** k
-            for v, e in m.exps:
-                val *= cmath.exp(float(e) * complex(point[v]))
-            total += val
+    def evaluate(self, point: dict[str, complex], factors: dict | None = None) -> complex:
+        """Numeric evaluation, principal branches (cmath conventions), from the form's plan;
+        `factors` is the point's factor table, shared by the forms evaluated there."""
+        if (plan := getattr(self, "_plan", None)) is None:
+            firsts: dict = {}
+            terms = [(complex(c), tuple(firsts.setdefault((kind, v, e), len(firsts))
+                                        for kind, part in enumerate(m) for v, e in part))
+                     for m, c in self.terms.items()]
+            object.__setattr__(self, "_plan", plan := (tuple(firsts), terms))
+        order, terms = plan
+        factors = {} if factors is None else factors
+        vals = []
+        for key in order:
+            if (f := factors.get(key)) is None:
+                f = factors[key] = _factor(key, point)
+            vals.append(f)
+        total = 0j
+        for c, idx in terms:
+            for i in idx:
+                c *= vals[i]
+            total += c
         return total
 
     def evaluate_exact(self, point: dict[str, Fraction]):
@@ -517,10 +546,6 @@ def _integrate_term(m: Mono, c, var: str) -> ClosedForm:
 
 def cf_var(name: str, power=1) -> ClosedForm:
     return ClosedForm({Mono.make({name: Fraction(power)}): Fraction(1)})
-
-
-def cf_exp(name: str, c=1) -> ClosedForm:
-    return ClosedForm({Mono.make(None, None, {name: Fraction(c)}): Fraction(1)})
 
 
 def cf_mono(coeff, powers=None, logs=None, exps=None) -> ClosedForm:

@@ -246,4 +246,5 @@ def u_matrix(spec: FrobeniusSpec, tensors: Tensors | None = None):
 def hat_point(row: list[ClosedForm], eta_inv, point: dict) -> list:
     """Numeric coordinates eta^{ab} d_kappa d_b F of the kappa-direction
     Legendre transform at a point, from the kappa row of second derivatives."""
-    return raise_index([f.evaluate(point) for f in row], eta_inv)
+    factors: dict = {}
+    return raise_index([f.evaluate(point, factors) for f in row], eta_inv)

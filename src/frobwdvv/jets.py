@@ -126,9 +126,9 @@ def check_constant_combo(combo: LogCombo) -> dict:
 
 
 def combo_value(combo: LogCombo, point: dict) -> complex:
-    total = 0j
+    total, factors = 0j, {}
     for q, p in combo:
-        total += float(q) * cmath.log(p.evaluate(point))
+        total += float(q) * cmath.log(p.evaluate(point, factors))
     return total
 
 

@@ -351,8 +351,9 @@ def verify_pointwise(spec: FrobeniusSpec, kappa: int, hat_potential: ClosedForm,
 
     def values(forms, point):
         out = [[None] * n for _ in range(n)]
+        factors: dict = {}
         for (a, b), f in forms.items():
-            out[a][b] = out[b][a] = f.evaluate(point)
+            out[a][b] = out[b][a] = f.evaluate(point, factors)
         return out
 
     def check_point(pt):

@@ -82,7 +82,8 @@ class MonodromyData:
 
 def _at_point(spec: FrobeniusSpec, mats, point) -> np.ndarray:
     pt = {v: complex(x) for v, x in zip(spec.varnames, point)}
-    return np.array([[m.evaluate(pt) for m in row] for row in mats])
+    factors: dict = {}
+    return np.array([[m.evaluate(pt, factors) for m in row] for row in mats])
 
 
 def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,

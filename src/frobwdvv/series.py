@@ -440,7 +440,10 @@ def _expand_monomial(mono, vars, center, grading) -> TruncSeries:
         factors.append(_offset_series(v, coefs, vars, center, grading) ** k)
     for v, e in mono.exps:
         c = cmap[v]
-        e0 = Fraction(1) if scalar_is_exact(c) and not c else cmath.exp(float(e) * complex(c))
+        try:
+            e0 = Fraction(1) if scalar_is_exact(c) and not c else cmath.exp(float(e) * complex(c))
+        except OverflowError:
+            raise SingularCenterError(f"e^({e}{v}) overflows a float at center {v}={c}") from None
         u, w = Fraction(e).as_integer_ratio()
         coefs = [e0 * Fraction(u ** j, w ** j * math.factorial(j)) for j in range(n + 1)]
         factors.append(_offset_series(v, coefs, vars, center, grading))

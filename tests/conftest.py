@@ -1,8 +1,9 @@
+import cmath
 from fractions import Fraction
 
 import pytest
 
-from frobwdvv.closedform import ClosedForm, Mono, cf_mono
+from frobwdvv.closedform import BranchPointError, ClosedForm, Mono, cf_mono
 from frobwdvv.core import FrobeniusSpec
 from frobwdvv.exact import Exact
 
@@ -59,6 +60,39 @@ def merge_product(m1, m2):
 def cf_log(name, k=1):
     """The closed form log(name)^k."""
     return ClosedForm({Mono.make(None, {name: k}): Fraction(1)})
+
+
+def cf_exp(name, c=1):
+    """The closed form e^{c name}."""
+    return ClosedForm({Mono.make(None, None, {name: Fraction(c)}): Fraction(1)})
+
+
+def evaluate_reference(form, point):
+    """`ClosedForm.evaluate` as a per-term loop, each coefficient converted and each factor
+    computed where it is met: the oracle that the planned evaluation matches bit for bit."""
+    total = 0.0 + 0.0j
+    for m, c in form.terms.items():
+        val = complex(c)
+        for v, q in m.powers:
+            z = complex(point[v])
+            if z == 0:
+                if q.denominator == 1 and q > 0:
+                    val = 0.0j
+                    continue
+                raise BranchPointError(f"{v}^{q} at {v}=0")
+            if q.denominator == 1:
+                val *= z ** int(q)
+            else:
+                val *= cmath.exp(float(q) * cmath.log(z))
+        for v, k in m.logs:
+            z = complex(point[v])
+            if z == 0:
+                raise BranchPointError(f"log {v} at {v}=0")
+            val *= cmath.log(z) ** k
+        for v, e in m.exps:
+            val *= cmath.exp(float(e) * complex(point[v]))
+        total += val
+    return total
 
 
 def series_equal_mod_quadratic(a, b):

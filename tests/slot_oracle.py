@@ -20,10 +20,12 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
 
-from frobwdvv.closedform import ClosedForm, Cutoff, Mono, cf_exp, cf_mono, mono_exp_degree
+from frobwdvv.closedform import ClosedForm, Cutoff, Mono, cf_mono, mono_exp_degree
 from frobwdvv.exact import Exact
 from frobwdvv.linalg import InconsistentSystemError, _eliminate, mat_inv
 from frobwdvv.solver import UnderdeterminedError, _a21_output, _ckl_output
+
+from conftest import cf_exp
 
 F = Fraction
 

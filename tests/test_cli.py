@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -128,10 +129,46 @@ def test_monodromy_at_wide_spread(capsys):
     (["tensor-monodromy", "--left", "a2"], "--left"),
     (["monodromy", "p1", "--point", "0,0", "--phi", "nan"], "--phi"),
     (["monodromy", "p1", "--point", "0,0", "--phi", "inf"], "--phi"),
+    # a float so coarse that it fixes no angle
+    (["monodromy", "p1", "--point", "0,0", "--phi", "1e300"], "--phi"),
+    (["monodromy", "p1", "--point", "0,0", "--phi", "8192"], "--phi"),
+    # each order option has a largest value
+    (["calibrate", "p1", "--order", "33"], "--order"),
+    (["legendre", "p1", "--kappa", "2", "--order", "41/2"], "--order"),
+    (["legendre", "p1", "--kappa", "2", "--m-max", "9"], "--m-max"),
+    (["verify-omega", "p1", "--kappa", "2", "--order", "21"], "--order"),
+    (["verify-omega", "p1", "--kappa", "2", "--m-max", "9"], "--m-max"),
+    (["recursion", "nd", "--max", "501"], "--max"),
+    (["recursion", "a21", "--max", "101"], "--max"),
 ])
 def test_malformed_option_values_exit_2(capsys, argv, flag):
     assert main(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "p1", "--order", "100000"],
+    ["recursion", "nd", "--max", "100000"],
+    ["legendre", "p1", "--kappa", "2", "--order", "1e3"],
+])
+def test_orders_past_their_bound_exit_2_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "must be at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, variable", [
+    (["legendre", "ccc_a111", "--kappa", "2", "--order", "4", "--center", "1/10,1e-3,300"], "v3"),
+    (["verify-omega", "p1xp1", "--kappa", "2", "--order", "5", "--m-max", "3",
+      "--table-order", "1", "--center", "5,1/2,300,-1"], "v3"),
+    (["legendre", "p1", "--kappa", "2", "--order", "4", "--center",
+      "0,99999999999999999999999/7"], "v2"),
+])
+def test_a_float_overflow_at_the_center_exits_4(capsys, argv, variable):
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "SingularCenterError" in err and f"at center {variable}=" in err
 
 
 def test_tensor_monodromy_command(capsys):

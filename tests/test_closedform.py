@@ -1,4 +1,6 @@
 import cmath
+import numbers
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -9,13 +11,15 @@ from frobwdvv import closedform, kernel
 from frobwdvv.calibration import check_orthogonality, solve_calibration
 from frobwdvv.closedform import (
     BranchPointError, ClosedForm, Cutoff, Mono, NeedsFloatError, NotIntegrableError,
-    cf_exp, cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
+    cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
 )
 from frobwdvv.core import build_tensors
 from frobwdvv.exact import Exact, as_exact_scalar, normal_scalar
 from frobwdvv.specs import load_spec
 
-from conftest import assert_normal_scalar, assert_same_types, cf_log, merge_product
+from conftest import (
+    assert_normal_scalar, assert_same_types, cf_exp, cf_log, evaluate_reference, merge_product,
+)
 
 F = Fraction
 
@@ -55,6 +59,97 @@ def test_evaluate_branch_point():
     with pytest.raises(BranchPointError):
         cf_var("u", F(1, 2)).evaluate({"u": 0.0})
     assert cf_var("u", 3).evaluate({"u": 0.0}) == 0
+
+
+def bits(z):
+    """The bits of a complex value: signed zeros and NaNs compare as bits."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def outcome(run):
+    """run()'s bits, or the type and text of what it raised."""
+    try:
+        return bits(run())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# zeros of both signs, the branch cut, an exponential that overflows at 400, and
+# powers of 1e150 whose product is infinite before a zero factor sets it to 0j
+coords = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 400.0, 1e150,
+                          0.7 + 0.31j, -1.3 - 0.2j, -2.0 + 0.0j, -2.0 - 0.0j, 1e-300])
+
+
+@st.composite
+def evaluated_forms(draw):
+    """Forms in x, y and z with int, Fraction and Exact coefficients, integral and
+    rational powers, logs and exponentials."""
+    f = ClosedForm.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        powers = draw(st.dictionaries(st.sampled_from("xyz"), st.one_of(
+            st.integers(-3, 4), st.fractions(min_value=-2, max_value=3, max_denominator=3))))
+        logs = draw(st.dictionaries(st.sampled_from("xyz"), st.integers(0, 2), max_size=1))
+        exps = draw(st.dictionaries(st.sampled_from("xyz"), st.fractions(
+            min_value=-2, max_value=3, max_denominator=2), max_size=2))
+        f = f + cf_mono(draw(st.one_of(coeffs(), st.integers(-5, 5))), powers, logs, exps)
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(evaluated_forms(), min_size=1, max_size=4),
+       st.fixed_dictionaries({v: coords for v in "xyz"}))
+@example([cf_var("x", 2) * cf_exp("y", -1) + cf_mono(F(1, 3), {"x": 1}, {"y": 1}),
+          cf_var("x", 3) * cf_var("y", F(1, 2))], {"x": 0.0, "y": -0.0, "z": 1.0})
+@example([cf_mono(F(1, 3), {"x": 2, "y": 2, "z": 1}), cf_mono(2, {"x": 1, "y": 2})],
+         {"x": 1e150, "y": 1e150, "z": 0.0})
+def test_evaluate_matches_the_per_term_loop_bit_for_bit(fs, point):
+    """Each value, alone and through a table that the forms before it filled, has
+    the bits of the per-term loop, or raises what it raises."""
+    want = [outcome(lambda: evaluate_reference(f, point)) for f in fs]
+    assert [outcome(lambda: ClosedForm(f.terms).evaluate(point)) for f in fs] == want
+    table: dict = {}
+    assert [outcome(lambda: f.evaluate(point, table)) for f in fs] == want
+    assert [outcome(lambda: f.evaluate(point, table)) for f in reversed(fs)] == want[::-1]
+
+
+def test_evaluate_raises_at_a_branch_point_on_both_routes():
+    f = cf_var("x", 2) + cf_var("x", F(-1, 2)) + cf_log("y")
+    for point in ({"x": 0.0, "y": 1.0}, {"x": 1.0, "y": -0.0}):
+        want = outcome(lambda: evaluate_reference(f, point))
+        assert want[0] is BranchPointError
+        assert outcome(lambda: f.evaluate(point)) == want
+        assert outcome(lambda: f.evaluate(point, {})) == want
+
+
+def test_evaluate_converts_each_coefficient_once_and_each_factor_once_per_point(monkeypatch):
+    """Over 50 points, each form converts its coefficients on its first evaluation
+    only, and forms that share a point's table compute each distinct factor once."""
+    fs = [cf_mono(F(1, 3), {"x": 2}, None, {"y": -1}) + cf_mono(F(2, 7), {"x": F(1, 2)}),
+          cf_mono(F(5, 3), {"x": 2, "y": 1}) + cf_mono(F(-1, 6), {"x": F(1, 2)}, {"y": 1}),
+          cf_mono(F(3, 4), None, {"x": 1}, {"y": -1}) + cf_mono(F(1, 9), {"y": 3})]
+    distinct = {(kind, v, e) for f in fs for m in f.terms
+                for kind, part in enumerate(m) for v, e in part}
+    points = [{"x": 0.5 + 0.01 * i, "y": -1.0 - 0.02 * i} for i in range(50)]
+    want = [[bits(evaluate_reference(f, point)) for f in fs] for point in points]
+    converted, computed = Counter(), Counter()
+    real_complex, factor = numbers.Real.__complex__, closedform._factor
+
+    def counting_complex(self):
+        converted[self] += 1
+        return real_complex(self)
+
+    def counting_factor(key, point):
+        computed[key, point["x"], point["y"]] += 1
+        return factor(key, point)
+
+    monkeypatch.setattr(numbers.Real, "__complex__", counting_complex)
+    monkeypatch.setattr(closedform, "_factor", counting_factor)
+    for point, values in zip(points, want):
+        table: dict = {}
+        assert [bits(f.evaluate(point, table)) for f in fs] == values
+    assert converted == Counter(c for f in fs for c in f.terms.values())
+    assert len(computed) == len(distinct) * len(points)
+    assert set(computed.values()) == {1}
 
 
 def test_equal_mod_quadratic():

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from frobwdvv.calibration import solve_calibration
-from frobwdvv.closedform import ClosedForm, cf_exp, cf_mono, cf_var
+from frobwdvv.closedform import ClosedForm, cf_mono, cf_var
 from frobwdvv.core import (
     FrobeniusSpec, NonConstantMetricError, SpecValidationError, build_tensors,
     check_wdvv, euler_report, u_matrix, validate_spec, wdvv_pairing,
 )
 from frobwdvv.specs import BUILTIN_SPECS, load_spec, twodim_spec
 
-from conftest import assert_same_types
+from conftest import assert_same_types, cf_exp
 
 F = Fraction
 

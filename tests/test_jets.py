@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobwdvv.closedform import cf_exp, cf_mono, cf_var
+from frobwdvv.closedform import cf_mono, cf_var
 from frobwdvv.jets import (
     JetOrderOverflow, a2_family_data, check_constant_combo, combo_value,
     flow_derivation, genus1_report, genus1_twodim_family, jet_name,
@@ -11,7 +11,7 @@ from frobwdvv.jets import (
 )
 from frobwdvv.specs import load_spec
 
-from conftest import cf_log
+from conftest import cf_exp, cf_log
 
 F = Fraction
 

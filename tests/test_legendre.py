@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from frobwdvv.closedform import ClosedForm, cf_exp, cf_mono
+from frobwdvv.closedform import ClosedForm, cf_mono
 from frobwdvv.core import build_tensors
 from frobwdvv.exact import Exact
 import frobwdvv.calibration as calibration
@@ -25,7 +25,7 @@ from frobwdvv.solver import recursion_ck, recursion_wk, solve_ckl_and_a
 from frobwdvv.specs import ccc_potential, load_spec
 from frobwdvv.core import FrobeniusSpec
 
-from conftest import cf_log, series_equal_mod_quadratic
+from conftest import cf_exp, cf_log, series_equal_mod_quadratic
 
 F = Fraction
 
@@ -358,9 +358,9 @@ def test_pointwise_p2_s2(monkeypatch):
     calls = []
     evaluate = ClosedForm.evaluate
 
-    def counted(self, point):
+    def counted(self, point, factors=None):
         calls.append(1)
-        return evaluate(self, point)
+        return evaluate(self, point, factors)
 
     monkeypatch.setattr(ClosedForm, "evaluate", counted)
     pts = [(0.4, 0.1, 0.2), (-0.3, -0.1, 0.15), (0.9, 0.25, 0.1)]

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from frobwdvv import kernel, series
-from frobwdvv.closedform import cf_exp, cf_mono, cf_var
+from frobwdvv.closedform import cf_mono, cf_var
 from frobwdvv.exact import Exact, as_exact_scalar
 from frobwdvv.series import (
     CenterMismatchError, Grading, SeriesMap, SingularCenterError, SingularJacobianError,
     TruncSeries, compose, invert_map, localize,
 )
 
-from conftest import cf_log
+from conftest import cf_exp, cf_log
 
 F = Fraction
 
