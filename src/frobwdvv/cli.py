@@ -80,7 +80,7 @@ def _values(spec, text: str, flag: str, parse=Fraction, what="rationals") -> tup
     return vals
 
 
-def _rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> Fraction:
     """argparse type of a rational option: a zero denominator is a usage error too."""
     try:
         return Fraction(text)
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("legendre", help="transform and verify structural identities")
     sp.add_argument("spec")
     sp.add_argument("--kappa", type=int, required=True)
-    sp.add_argument("--order", type=_rational, default=Fraction(8))
+    sp.add_argument("--order", type=_parse_rational, default=Fraction(8))
     sp.add_argument("--m-max", type=int, default=4)
     sp.add_argument("--center", default=None, help="comma-separated rationals")
     sp.add_argument("--param", action="append")
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-omega", help="two-point transport identities")
     sp.add_argument("spec")
     sp.add_argument("--kappa", type=int, required=True)
-    sp.add_argument("--order", type=_rational, default=Fraction(8))
+    sp.add_argument("--order", type=_parse_rational, default=Fraction(8))
     sp.add_argument("--m-max", type=int, default=4)
     sp.add_argument("--table-order", type=int, default=2)
     sp.add_argument("--center", default=None)

@@ -3,7 +3,8 @@
 A generalized monomial is a product of rational powers v^q, nonnegative
 integer powers of log(v), and exponentials e^{c v} with rational c, over a
 set of named variables.  Coefficients are int, Fraction or Exact (rational plus
-square roots), in the normal form of `exact.normal_scalar`.  The ring is closed
+square roots), in the normal form of `exact.as_exact_scalar`, which the constructor
+applies and which each kernel output term gets from `exact.ratio`.  The ring is closed
 under +, *, partial differentiation, and antidifferentiation for the shapes
 that occur here (power, power times log^k, polynomial times exponential).
 
@@ -23,8 +24,9 @@ from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
 from . import kernel
-from .exact import Exact, normal_scalar, rational_power
-from .kernel import acc as _acc, times as _times
+from .exact import (EXACT_TYPES, Exact, as_exact_scalar, power, rational_power, ratio,
+                    sqrt_fraction, times)
+from .kernel import acc as _acc
 
 __all__ = [
     "Mono", "Cutoff", "ClosedForm", "BranchPointError", "NotIntegrableError", "NeedsFloatError",
@@ -103,8 +105,8 @@ class Cutoff(NamedTuple):
 
 
 def _exponent(e) -> int | Fraction:
-    """An exponent in normal form (`normal_scalar`): int when integral, else Fraction."""
-    return e if type(e) is int else normal_scalar(Fraction(e))
+    """An exponent in normal form (`as_exact_scalar`): int when integral, else Fraction."""
+    return e if type(e) is int else as_exact_scalar(Fraction(e))
 
 
 def _shift(part: tuple, v: str, s: int) -> tuple:
@@ -195,13 +197,6 @@ def _factor(key: tuple, point: dict):
     return z ** int(q) if q.denominator == 1 else cmath.exp(float(q) * cmath.log(z))
 
 
-def _ratio(c, d: int):
-    """The numerator c (int, Fraction or Exact) over the int d > 0, in normal form."""
-    if type(c) is int:
-        return c // d if c % d == 0 else Fraction(c, d)
-    return normal_scalar(c / d)
-
-
 class ClosedForm:
     """Immutable normal-form sum {monomial: coefficient}; zero coeffs dropped."""
 
@@ -214,7 +209,7 @@ class ClosedForm:
         clean: dict[Mono, object] = {}
         if terms:
             for m, c in terms.items():
-                c = normal_scalar(c)
+                c = as_exact_scalar(c)
                 if c:
                     clean[m] = c
         object.__setattr__(self, "terms", clean)
@@ -245,7 +240,7 @@ class ClosedForm:
 
     def _plus(self, other, sign: int):
         """self + sign * other in one pass over the terms of other."""
-        if isinstance(other, (int, Fraction, Exact)):
+        if isinstance(other, EXACT_TYPES):
             other = ClosedForm.const(other)
         if not isinstance(other, ClosedForm):
             return NotImplemented
@@ -255,7 +250,7 @@ class ClosedForm:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Exact)):
+        if isinstance(other, EXACT_TYPES):
             return ClosedForm.signed_sum(((other, self),))
         if not isinstance(other, ClosedForm):
             return NotImplemented
@@ -265,7 +260,7 @@ class ClosedForm:
     def signed_sum(pairs) -> "ClosedForm":
         """The sum of scale * f over (scale, f) pairs, scales exact (`kernel.scaled_sum`)."""
         pairs = list(pairs)
-        return ClosedForm(_packed(lambda keys: kernel.scaled_sum(pairs, "terms", keys, _ratio)),
+        return ClosedForm(_packed(lambda keys: kernel.scaled_sum(pairs, "terms", keys)),
                           _clean=True)
 
     @staticmethod
@@ -275,7 +270,7 @@ class ClosedForm:
         triples = [(scale, f, g) for scale, f, g in triples if scale and f.terms and g.terms]
         return ClosedForm(_packed(lambda keys: kernel.sum_of_products(
             [(scale, kernel.view(f, "terms", depth, keys), kernel.view(g, "terms", depth, keys))
-             for scale, f, g in triples], keys, _ratio, cut)), _clean=True)
+             for scale, f, g in triples], keys, cut)), _clean=True)
 
     __rmul__ = __mul__
 
@@ -286,7 +281,7 @@ class ClosedForm:
             if len(self.terms) == 1:
                 return self.mono_pow(Fraction(n))
             raise NotIntegrableError("negative power of a non-monomial closed form")
-        return kernel.power(self, n, ClosedForm.const(1))
+        return power(self, n, ClosedForm.const(1))
 
     def mono_pow(self, q: Fraction) -> "ClosedForm":
         """Raise a single-monomial form (no logs) to a rational power."""
@@ -304,7 +299,7 @@ class ClosedForm:
         return ClosedForm({mono: cq})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Exact)):
+        if isinstance(other, EXACT_TYPES):
             other = ClosedForm.const(other)
         if not isinstance(other, ClosedForm):
             return NotImplemented
@@ -347,7 +342,7 @@ class ClosedForm:
                     _acc(out, Mono(shifted, _shift(m.logs, var, -1), m.exps), c * k)
             if e:
                 _acc(out, m, c * e)
-        return ClosedForm({m: _ratio(c, d0) for m, c in out.items() if c}, _clean=True)
+        return ClosedForm({m: ratio(c, d0) for m, c in out.items() if c}, _clean=True)
 
     def diff_multi(self, variables: Iterable[str]) -> "ClosedForm":
         f = self
@@ -373,8 +368,8 @@ class ClosedForm:
         d k log^{k-1}, r k v^{q-1} log^{k-1} and d c v^{q+1} (times the rest of the term)."""
         d0, items, _ = kernel.view(self, "terms")
         lam = lcm(*(getattr(x, "denominator", 1) for x in (weight, *sum(field.values(), ()))))
-        field = {v: (_times(d, lam), _times(r, lam)) for v, (d, r) in field.items()}
-        neg_weight = -_times(weight, lam)
+        field = {v: (times(d, lam), times(r, lam)) for v, (d, r) in field.items()}
+        neg_weight = -times(weight, lam)
         out: dict[Mono, object] = {}
         for m, c in items:
             powers, logs, exps = m
@@ -395,7 +390,7 @@ class ClosedForm:
                 if d:
                     _acc(out, Mono(_shift(powers, v, 1), logs, exps), c * (d * e))
             _acc(out, m, c * w)
-        return ClosedForm({m: _ratio(c, d0 * lam) for m, c in out.items() if c}, _clean=True)
+        return ClosedForm({m: ratio(c, d0 * lam) for m, c in out.items() if c}, _clean=True)
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, point: dict[str, complex], factors: dict | None = None) -> complex:
@@ -493,12 +488,16 @@ class ClosedForm:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ClosedForm":
+        """Inverse of `to_json_obj`: a coefficient is coeff * sqrt(radical), an int >= 1."""
         out: dict[Mono, object] = {}
         for t in obj["terms"]:
             m = Mono.make({v: Fraction(e) for v, e in t.get("powers", {}).items()},
                           {v: int(e) for v, e in t.get("logs", {}).items()},
                           {v: Fraction(e) for v, e in t.get("exps", {}).items()})
-            _acc(out, m, Exact({int(t.get("radical", 1)): Fraction(t["coeff"])}))
+            rad = t.get("radical", 1)
+            if type(rad) is not int or rad < 1:
+                raise ValueError(f"radical must be an integer >= 1, got {rad!r}")
+            _acc(out, m, Fraction(t["coeff"]) * sqrt_fraction(rad))
         return ClosedForm(out)
 
     def __repr__(self):

@@ -1,8 +1,9 @@
 """Exact scalars: rationals extended by square roots of positive integers.
 
 A value is a finite sum  sum_m  q_m * sqrt(m)  with q_m rational and m
-square-free positive.  Products normalize via square-free factorization
-(sqrt(a)*sqrt(b) = s*sqrt(m) with a*b = s^2 * m), so the set is a field.
+square-free positive, a field whose arithmetic factors nothing: only
+`sqrt_fraction` splits an integer, up to SPLIT_MAX.  The module also owns the one
+normal form of every stored exact coefficient and exponent (`as_exact_scalar`).
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ import math
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
-__all__ = ["Exact", "ExactZeroDivision", "sqrt_fraction", "nth_root_fraction", "rational_power",
-           "as_exact_scalar", "normal_scalar", "scalar_is_exact"]
+__all__ = ["Exact", "ExactZeroDivision", "EXACT_TYPES", "SPLIT_MAX", "sqrt_fraction",
+           "nth_root_fraction", "rational_power", "as_exact_scalar", "ratio", "times", "power",
+           "scalar_is_exact"]
+
+SPLIT_MAX = 10 ** 15    # the largest integer `sqrt_fraction` splits: trial division to 10^5
 
 
 class ExactZeroDivision(ZeroDivisionError):
@@ -20,10 +24,13 @@ class ExactZeroDivision(ZeroDivisionError):
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
-    """n = s^2 * m with m square-free; returns (s, m) for n >= 1."""
+    """(s, m) with n = s^2 * m and m square-free, for 1 <= n <= SPLIT_MAX (ValueError above):
+    past the cube root of what is left, the rest is 1, p, p*q or p^2, which isqrt tells."""
+    if n > SPLIT_MAX:
+        raise ValueError(f"radicand {n} is above the split bound {SPLIT_MAX}")
     s, m = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
@@ -32,7 +39,8 @@ def _square_free_split(n: int) -> tuple[int, int]:
         if e % 2:
             m *= d
         d += 1 if d == 2 else 2
-    return s, m * n
+    r = math.isqrt(n)
+    return (s * r, m) if r * r == n else (s, m * n)
 
 
 def _iroot(n: int, d: int) -> int:
@@ -68,11 +76,12 @@ def nth_root_fraction(q: Fraction, d: int) -> Fraction | None:
 
 
 def sqrt_fraction(q: Fraction) -> "Exact":
-    """Exact square root of a nonnegative rational: sqrt(p/q) = sqrt(p*q)/q."""
+    """Exact square root of a nonnegative rational: sqrt(p/q) = sqrt(p*q)/q.  Raises
+    ValueError for a negative q, or for p*q above SPLIT_MAX."""
     if q < 0:
         raise ValueError("sqrt of negative rational is not representable")
     if q == 0:
-        return Exact.zero()
+        return Exact({})
     n = q.numerator * q.denominator
     s, m = _square_free_split(n)
     return Exact({m: Fraction(s, q.denominator)})
@@ -86,11 +95,14 @@ def rational_power(c, q):
     q = p/d with d > 1 takes a rational c only: the rational d-th root of c
     (the real one for a negative c and an odd d) to the power p, or, for an
     even d and c > 0, the square root of the rational (d/2)-th root to the
-    power p; d = 2 is the square-root case.  Every other case gives None.
+    power p; d = 2 is the square-root case.  Every other case gives None, and
+    so does a square root whose radicand is above SPLIT_MAX.
     """
     if not scalar_is_exact(c):
         return None
     c, q = as_exact_scalar(c), Fraction(q)
+    if type(c) is int:
+        c = Fraction(c)     # int ** -n is a float
     p, d = q.numerator, q.denominator
     if d == 1:
         return c ** p
@@ -99,7 +111,8 @@ def rational_power(c, q):
     root = nth_root_fraction(c, d)
     if root is not None:
         return root ** p
-    if d % 2 == 0 and c > 0 and (root := nth_root_fraction(c, d // 2)) is not None:
+    if d % 2 == 0 and c > 0 and (root := nth_root_fraction(c, d // 2)) is not None \
+            and root.numerator * root.denominator <= SPLIT_MAX:
         return sqrt_fraction(root) ** p
     return None
 
@@ -120,23 +133,11 @@ class Exact:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Exact is immutable")
 
-    # -- constructors ------------------------------------------------
-    @staticmethod
-    def zero() -> "Exact":
-        return Exact({})
-
-    @staticmethod
-    def rational(q) -> "Exact":
-        return Exact({1: Fraction(q)})
-
     @staticmethod
     def sqrt(n) -> "Exact":
         return sqrt_fraction(Fraction(n))
 
     # -- predicates / conversions ------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_rational(self) -> bool:
         return all(m == 1 for m in self.terms)
 
@@ -189,12 +190,14 @@ class Exact:
         o = _terms(other)
         if o is None:
             return _inexact(mul, self, other)
-        # sqrt(m1)*sqrt(m2) = s*sqrt(m) with m1*m2 = s^2*m
+        # sqrt(m1)*sqrt(m2) = g*sqrt((m1/g)(m2/g)) for g = gcd(m1, m2): the cofactors
+        # are coprime and square-free, so their product is square-free
         out: dict[int, Fraction] = {}
         for m1, q1 in self.terms.items():
             for m2, q2 in o.items():
-                s, m = _square_free_split(m1 * m2)
-                out[m] = out.get(m, Fraction(0)) + q1 * q2 * s
+                g = math.gcd(m1, m2)
+                m = (m1 // g) * (m2 // g)
+                out[m] = out.get(m, Fraction(0)) + q1 * q2 * g
         return _normal({m: q for m, q in out.items() if q})
 
     __rmul__ = __mul__
@@ -217,16 +220,7 @@ class Exact:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return _invert(self.terms) ** (-n)
-        out = Fraction(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(_invert(self.terms) if n < 0 else self, abs(n), Fraction(1))
 
     def __eq__(self, other):
         o = _terms(other)
@@ -296,37 +290,56 @@ def _invert(terms: dict):
     rads = [m for m in terms if m != 1]
     if not rads:
         return 1 / terms[1]
-    # pick a prime dividing some radical and rationalize it away:
-    # x = a + sqrt(p)*b with neither a nor b involving p
-    m0 = rads[0]
-    p = 2
-    while m0 % p:
-        p += 1
+    # rationalize sqrt(p) away for a p > 1 that divides the first radicand and shares
+    # with every other radicand either p or nothing (gcds shrink it to one):
+    # x = a + sqrt(p)*b with every radicand of a and b prime to p
+    p = rads[0]
+    for m in rads:
+        if 1 < (g := math.gcd(p, m)) < p:
+            p = g
     a = _normal({m: q for m, q in terms.items() if m % p})
     b = _normal({m // p: q for m, q in terms.items() if m % p == 0})
     denom = a * a - p * b * b
     return (a - Exact({p: Fraction(1)}) * b) * (Fraction(1) / denom)
 
 
+EXACT_TYPES = (int, Fraction, Exact)
+
+
 def as_exact_scalar(x):
-    """Normalize an exact scalar: Exact that is purely rational becomes Fraction."""
-    if isinstance(x, Exact):
-        return x.as_fraction() if x.is_rational() else x
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
-
-
-def normal_scalar(x):
-    """Normal form of closed-form coefficients and exponents: int when integral, Fraction
+    """The normal form of a stored coefficient or exponent: int when integral, Fraction
     when a proper rational, Exact only while a radical is left; others pass through."""
     t = type(x)
     if t is Fraction:
         return x if x.denominator != 1 else x.numerator
     if t is Exact and x.is_rational():
-        return normal_scalar(x.as_fraction())
+        return as_exact_scalar(x.as_fraction())
     return x
 
 
+def ratio(c, d: int):
+    """The numerator c (int, Fraction or Exact) over the int d > 0, in normal form."""
+    if type(c) is int:
+        return c // d if c % d == 0 else Fraction(c, d)
+    return as_exact_scalar(c / d)
+
+
+def times(c, k: int):
+    """c * k for an int k that c's denominator divides: an int when c is rational."""
+    return c.numerator * (k // c.denominator) if type(c) is Fraction else c * k
+
+
+def power(base, n: int, one):
+    """base ** n for an int n >= 0, by repeated squaring from `one` while n has bits left:
+    the one power of exact scalars, closed forms and series."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        if n := n >> 1:
+            base = base * base
+    return out
+
+
 def scalar_is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, Exact))
+    return isinstance(x, EXACT_TYPES)

@@ -1,12 +1,29 @@
-"""Sums and products of {key: coefficient} dicts over integer numerators and packed int
-keys, for `ClosedForm` (keys `Mono`) and `TruncSeries` (exponent tuples), which pass in
-their `Keys` and `ratio`: a numerator over a denominator, in their scalar type."""
+"""The sparse kernel: sums and products of {key: coefficient} dicts over integer numerators and
+packed int keys, for `ClosedForm` (keys `Mono`) and `TruncSeries` (exponent tuples).
+
+A form type passes in only its packing, a `Keys` table that packs a key into an int whose sum
+with another is the key of their product (Kronecker substitution; Monagan and Pearce, J. Symb.
+Comput. 46, 2011): `closedform._MonoKeys`, a signed field per (kind, variable) holding the
+exponent times the lcm of the denominators met (`closedform._packed` widens it), or
+`series._IndexKeys`, the index components and total degree in fields above the cutoff.  A `view`
+holds a form's coefficients as numerators over the lcm of its denominators, in a fixed key
+order, built once per form and (depth, keys, raw) in its `_view` slot.  A product forms each
+pair's key by one int addition and its coefficient in int arithmetic, and `exact.ratio` divides
+each output term once into the normal form of `exact.as_exact_scalar`.  A cut's depth is
+additive under products, so a left term of depth d walks only right terms of depth <= cap - d.
+A scaled sum copies a first summand of scale 1 as it is (many sums add small forms to a large
+one).  Output order is part of the contract, as float sums downstream follow it: a product keeps
+a key at its first pair and drops zeros at the end; a sum keeps the copied summand's order and
+appends new keys as the others reach them.  A series with a float or complex scale or
+coefficient takes the raw branch of `TruncSeries` instead, which adds value by value."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
+
+from .exact import ratio, times
 
 
 class Keys(dict):
@@ -22,11 +39,6 @@ class Keys(dict):
         return y
 
 
-def times(c, k: int):
-    """c * k for an int k that c's denominator divides: an int when c is rational."""
-    return c.numerator * (k // c.denominator) if type(c) is Fraction else c * k
-
-
 def acc(out: dict, key, c) -> None:
     """out[key] += c, dropped when it cancels."""
     if c:
@@ -36,17 +48,6 @@ def acc(out: dict, key, c) -> None:
             out[key] = s
         else:
             out.pop(key, None)
-
-
-def power(base, n: int, one):
-    """base ** n for an int n >= 0, by repeated squaring from `one` while n has bits left."""
-    out = one
-    while n:
-        if n & 1:
-            out = out * base
-        if n := n >> 1:
-            base = base * base
-    return out
 
 
 def view(form, attr: str, depth=None, keys: Keys | None = None, raw: bool = False) -> tuple:
@@ -66,7 +67,7 @@ def view(form, attr: str, depth=None, keys: Keys | None = None, raw: bool = Fals
     return out
 
 
-def sum_of_products(work: list, keys: Keys, ratio, cut=None) -> dict:
+def sum_of_products(work: list, keys: Keys, cut=None) -> dict:
     """The sum of scale * f * g over work = [(scale, f's view, g's view)], packed by `keys`, as
     {key: ratio(num, den)}, den the lcm of all denominators.  A `cut` (g's view in depth order)
     keeps the pairs of depth <= cut.cap; a left view in depth order stops at its first term
@@ -87,7 +88,7 @@ def sum_of_products(work: list, keys: Keys, ratio, cut=None) -> dict:
     return {keys[m]: ratio(c, den) for m, c in out.items() if c}
 
 
-def scaled_sum(pairs, attr: str, keys: Keys, ratio) -> dict:
+def scaled_sum(pairs, attr: str, keys: Keys) -> dict:
     """The sum of scale * f over (scale, f) pairs, f's dict its attribute `attr`: the others
     add their views, packed by `keys`, into a copy of the first summand if its scale is 1."""
     (scale, first), *rest = pairs

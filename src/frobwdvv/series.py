@@ -1,9 +1,10 @@
 """Multivariate truncated power series anchored at an expansion center.
 
-Coefficients are exact (Fraction/Exact) or numeric (float/complex); a series
-is stored in the local offsets x_i = v_i - center_i.  Truncation is by total
-degree, and arithmetic treats the cutoff as an ideal: a term is kept when the
-sum of its exponents is at most floor(order).
+Coefficients are exact, in the normal form of `exact.as_exact_scalar` (int,
+Fraction or Exact), or numeric (float/complex); a series is stored in the local
+offsets x_i = v_i - center_i.  Truncation is by total degree, and arithmetic
+treats the cutoff as an ideal: a term is kept when the sum of its exponents is
+at most floor(order).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import mul, sub
 
 from . import kernel
 from .closedform import ClosedForm, Cutoff
-from .exact import Exact, as_exact_scalar, rational_power, scalar_is_exact
+from .exact import EXACT_TYPES, as_exact_scalar, power, rational_power, scalar_is_exact
 from .linalg import SingularMatrixError, float_inv, mat_inv
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "SingularCenterError", "SingularJacobianError", "CenterMismatchError",
     "localize", "invert_map",
 ]
-_EXACT = frozenset((int, Fraction, Exact))
 
 
 class SingularCenterError(ArithmeticError):
@@ -93,7 +93,7 @@ class TruncSeries:
         return len(self.vars)
 
     def is_exact(self) -> bool:
-        return _EXACT.issuperset(map(type, self.coeffs.values()))
+        return {*map(type, self.coeffs.values())}.issubset(EXACT_TYPES)
 
     def same_frame(self, other: "TruncSeries") -> bool:
         return (self.vars == other.vars and self.center == other.center
@@ -126,7 +126,7 @@ class TruncSeries:
 
     def _plus(self, other, sign: int):
         """self + sign * other in one pass over the terms of other."""
-        if isinstance(other, (int, Fraction, Exact, float, complex)):
+        if isinstance(other, (*EXACT_TYPES, float, complex)):
             other = TruncSeries.constant(other, self.vars, self.center, self.grading)
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -136,7 +136,7 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Exact, float, complex)):
+        if isinstance(other, (*EXACT_TYPES, float, complex)):
             return TruncSeries.signed_sum(((other, self),))
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -144,21 +144,21 @@ class TruncSeries:
 
     @staticmethod
     def signed_sum(pairs) -> "TruncSeries":
-        """The sum of scale * f over (scale, f) pairs in the frame of the first: by
-        the kernel's `scaled_sum` when all is exact, else by the raw branch, which
-        adds c or -c for an int scale of 1 or -1, as (-1) * z is not -z for -0.0."""
+        """The sum of scale * f over (scale, f) pairs in the frame of the first: by the kernel's
+        `scaled_sum` when all is exact, else by the raw branch, which adds c or -c for an int
+        scale of 1 or -1, as (-1) * z is not -z for -0.0, and normalizes each output term."""
         (scale, frame), *rest = pairs
         if not all(f.same_frame(frame) for _, f in rest):
             raise CenterMismatchError("series frames differ")
-        if all(type(k) in _EXACT and f.is_exact() for k, f in pairs):
-            out = kernel.scaled_sum(pairs, "coeffs", _IndexKeys(frame.nvars, frame.grading.cutoff),
-                                    _fraction)
+        if all(type(k) in EXACT_TYPES and f.is_exact() for k, f in pairs):
+            out = kernel.scaled_sum(pairs, "coeffs", _IndexKeys(frame.nvars, frame.grading.cutoff))
         else:
-            out = {}
+            raw: dict = {}
             for k, f in pairs:
                 sign = k if type(k) is int and k in (1, -1) else 0
                 for idx, c in f.coeffs.items():
-                    kernel.acc(out, idx, c if sign == 1 else -c if sign else k * c)
+                    kernel.acc(raw, idx, c if sign == 1 else -c if sign else k * c)
+            out = {idx: as_exact_scalar(c) for idx, c in raw.items()}
         return TruncSeries(frame.vars, frame.center, out, frame.grading, _clean=True)
 
     @staticmethod
@@ -172,10 +172,10 @@ class TruncSeries:
         work = [(k, f, g) for k, f, g in triples if k and f.coeffs and g.coeffs]
         keys = _IndexKeys(frame.nvars, frame.grading.cutoff)
         cut = Cutoff(keys.degree, frame.grading.cutoff)
-        if all(type(k) in _EXACT and f.is_exact() and g.is_exact() for k, f, g in work):
+        if all(type(k) in EXACT_TYPES and f.is_exact() and g.is_exact() for k, f, g in work):
             return TruncSeries(frame.vars, frame.center, kernel.sum_of_products(
                 [(k, kernel.view(f, "coeffs", None, keys), kernel.view(g, "coeffs", sum, keys))
-                 for k, f, g in work], keys, _fraction, cut), frame.grading, _clean=True)
+                 for k, f, g in work], keys, cut), frame.grading, _clean=True)
         out: dict = {}
         for k, f, g in work:
             _, left, _ = kernel.view(f, "coeffs", None, keys, raw=True)
@@ -184,7 +184,8 @@ class TruncSeries:
                 c1 = c1 if k == 1 else c1 * k
                 for i2, c2 in right[:bisect_right(degrees, cut.cap - keys.degree(i1))]:
                     kernel.acc(out, i1 + i2, c1 * c2)
-        return TruncSeries(frame.vars, frame.center, {keys[i]: c for i, c in out.items()},
+        return TruncSeries(frame.vars, frame.center,
+                           {keys[i]: as_exact_scalar(c) for i, c in out.items()},
                            frame.grading, _clean=True)
 
     __rmul__ = __mul__
@@ -192,13 +193,13 @@ class TruncSeries:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        return kernel.power(self, n, TruncSeries.constant(1, self.vars, self.center, self.grading))
+        return power(self, n, TruncSeries.constant(1, self.vars, self.center, self.grading))
 
     def diff(self, var: str) -> "TruncSeries":
-        # one-to-one on indices, inside the cutoff, and c * k is normal and nonzero
+        # one-to-one on indices, inside the cutoff, and c * k is nonzero
         i = self.vars.index(var)
         return TruncSeries(self.vars, self.center,
-                           {idx[:i] + (k - 1,) + idx[i + 1:]: c * k
+                           {idx[:i] + (k - 1,) + idx[i + 1:]: as_exact_scalar(c * k)
                             for idx, c in self.coeffs.items() if (k := idx[i])},
                            self.grading, _clean=True)
 
@@ -225,16 +226,6 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self.same_frame(other) and (self - other).is_zero()
-
-    def evaluate(self, point: dict[str, complex]) -> complex:
-        total = 0j
-        offs = [complex(point[v]) - complex(c) for v, c in zip(self.vars, self.center)]
-        for idx, c in self.coeffs.items():
-            val = complex(c)
-            for x, k in zip(offs, idx):
-                val *= x ** k
-            total += val
-        return total
 
     def to_json_obj(self) -> dict:
         return {
@@ -268,11 +259,6 @@ class _IndexKeys(kernel.Keys):
 
     def degree(self, k: int) -> int:
         return k >> self.b * self.n
-
-
-def _fraction(c, den: int):
-    """A numerator over den, as a series keeps it: a Fraction, or an Exact."""
-    return Fraction(c, den) if type(c) is int else c / den
 
 
 @dataclass(frozen=True)
@@ -376,7 +362,7 @@ def _units(n: int) -> tuple:
 def _offset_series(v: str, coefs: list, vars, center, grading: Grading) -> TruncSeries:
     """sum_j coefs[j] (v - c)^j, for a coefficient list already cut at the grading."""
     i, zero = vars.index(v), (0,) * len(vars)
-    return TruncSeries(vars, center, {zero[:i] + (j,) + zero[i + 1:]: a
+    return TruncSeries(vars, center, {zero[:i] + (j,) + zero[i + 1:]: as_exact_scalar(a)
                                       for j, a in enumerate(coefs) if a}, grading, _clean=True)
 
 

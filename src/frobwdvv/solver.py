@@ -64,9 +64,9 @@ def _frame(var: str, hi: int) -> tuple:
 
 
 def _theta(s):
-    """The Euler operator x d/dx: each coefficient times its exponent."""
+    """The Euler operator x d/dx: each coefficient times its exponent, normalized."""
     return type(s)(s.vars, s.center, {i: c * i[0] for i, c in s.coeffs.items() if i[0]},
-                   s.grading, _clean=True)
+                   s.grading)
 
 
 def _solve_univariate(name: str, residual: Callable, indices: list[int]) -> dict:

@@ -324,6 +324,52 @@ def test_calibration_obstruction_exit_code(tmp_path, capsys):
     assert "ObstructionError" in err and "homogeneity obstruction" in err
 
 
+def _p1_with_exp_term(tmp_path, coeff, radical):
+    # the bundled p1 spec with its term e^{v2} written as coeff * sqrt(radical) e^{v2}
+    obj = json.loads(resources.files("frobwdvv").joinpath("specs/p1.json").read_text())
+    assert obj["potential"]["terms"][0]["exps"] == {"v2": "1"}
+    obj["potential"]["terms"][0].update(coeff=coeff, radical=radical)
+    path = tmp_path / "p1rad.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["wdvv-check"], ["calibrate", "--order", "3", "--dump"]])
+def test_spec_radical_reads_as_its_value(tmp_path, capsys, command):
+    # (1/2) sqrt(4) e^{v2} is e^{v2}: the same report as p1's, byte for byte
+    want = run(capsys, command[0], "p1", *command[1:])
+    assert run(capsys, command[0], _p1_with_exp_term(tmp_path, "1/2", 4), *command[1:]) == want
+
+
+@pytest.mark.parametrize("radical", [0, -1])
+def test_spec_radical_below_one_exit_code(tmp_path, capsys, radical):
+    # sqrt(-1) * sqrt(-1) came out +1, and sqrt(0) a nonzero term, so both passed
+    assert main(["calibrate", _p1_with_exp_term(tmp_path, "1", radical)]) == 2
+    err = capsys.readouterr().err
+    assert "SpecParseError" in err and "radical" in err
+
+
+_HUGE = "1000000000000000000000000000057"   # a radicand far past exact.SPLIT_MAX
+
+
+@pytest.mark.parametrize("argv", [
+    ["genus1-check", "twodim", "--param", "m=4", "--param", f"c={_HUGE}"],
+    ["legendre", "twodim", "--param", "m=3/2", "--param", "c=2", "--kappa", "2", "--order", "4",
+     "--center", f"0,{_HUGE}"],
+], ids=["genus1-check", "legendre"])
+def test_huge_radicands_end_without_factoring(argv):
+    # sqrt of 12 c (genus one) or of the centre (the series of v2^(3/2)) is not
+    # split: the hat constant raises NeedsFloatError, and the series take the
+    # complex path; trial division used to run for about 10^15 steps
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "frobwdvv.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode in (0, 1, 4), proc.stderr[-2000:]
+    if argv[0] == "genus1-check":
+        assert proc.returncode == 4
+        assert f"NeedsFloatError: m = 4, c = {_HUGE}" in proc.stderr
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     from frobwdvv import solver
 

@@ -14,7 +14,7 @@ from frobwdvv.closedform import (
     cf_mono, cf_var, equal_mod_quadratic, mono_exp_degree,
 )
 from frobwdvv.core import build_tensors
-from frobwdvv.exact import Exact, as_exact_scalar, normal_scalar
+from frobwdvv.exact import Exact, as_exact_scalar
 from frobwdvv.specs import load_spec
 
 from conftest import (
@@ -243,7 +243,7 @@ def test_derivative_matches_finite_difference(f):
 
 # -- the fused product kernel -------------------------------------------------
 
-radicals = st.sampled_from([Exact.sqrt(2), Exact.sqrt(3) + 1, Exact.rational(F(1, 3))])
+radicals = st.sampled_from([Exact.sqrt(2), Exact.sqrt(3) + 1, Exact({1: F(1, 3)})])
 
 
 @st.composite
@@ -449,7 +449,7 @@ def test_add_and_sub_match_dict_reference(f, g, data):
         for form, s in ((f, 1), (g, sign)):
             for m, c in form.terms.items():
                 out[m] = out.get(m, 0) + s * c
-        return {m: normal_scalar(c) for m, c in out.items() if c}
+        return {m: as_exact_scalar(c) for m, c in out.items() if c}
 
     for sign, op in ((1, ClosedForm.__add__), (-1, ClosedForm.__sub__)):
         # g takes over some of f's terms so that they cancel in f op g
@@ -705,7 +705,7 @@ rationals = st.one_of(st.integers(-3, 3), small_rats, st.sampled_from(HUGE))
 
 def fraction_terms(f):
     """The coefficients of f as Fraction or Exact, never int."""
-    return {m: as_exact_scalar(c) for m, c in f.terms.items()}
+    return {m: F(c) if type(c) is int else c for m, c in f.terms.items()}
 
 
 def _ref_acc(out, m, c):
@@ -849,3 +849,24 @@ def test_json_round_trip_keeps_values_and_normal_form(f):
     back = ClosedForm.from_json_obj(f.to_json_obj())
     assert back.terms == f.terms
     assert_same_types(back, f)
+
+
+def _json_term(coeff, radical):
+    return {"terms": [{"coeff": coeff, "radical": radical, "powers": {"v": "1"}}]}
+
+
+def test_json_radical_reads_as_its_value():
+    # coeff * sqrt(radical): a radical that is not square-free is split, so
+    # (1/2) sqrt(4) v - v is zero, and (1/3) sqrt(18) v is sqrt(2) v
+    v = cf_var("v")
+    assert (ClosedForm.from_json_obj(_json_term("1/2", 4)) - v).is_zero()
+    got = ClosedForm.from_json_obj(_json_term("1/3", 18))
+    assert got == v * Exact.sqrt(2)
+    assert_same_types(got, {Mono.make({"v": 1}): Exact({2: F(1)})})
+
+
+@pytest.mark.parametrize("radical", [0, -1, "2", 2.5])
+def test_json_radical_below_one_or_not_an_int_raises(radical):
+    # sqrt(-1) * sqrt(-1) came out +1, and sqrt(0) a nonzero 1*sqrt(0)
+    with pytest.raises(ValueError, match="radical"):
+        ClosedForm.from_json_obj(_json_term("1", radical))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobwdvv.exact import (
-    Exact, ExactZeroDivision, as_exact_scalar, nth_root_fraction, rational_power, sqrt_fraction,
+    EXACT_TYPES, SPLIT_MAX, Exact, ExactZeroDivision, as_exact_scalar, nth_root_fraction, ratio,
+    rational_power, sqrt_fraction,
 )
 
 
@@ -18,20 +19,20 @@ def test_sqrt_normalizes_square_free():
 def test_product_of_radicals():
     r2, r3 = Exact.sqrt(2), Exact.sqrt(3)
     assert r2 * r3 == Exact.sqrt(6)
-    assert r2 * r2 == Exact.rational(2)
-    assert (r2 + 1) * (r2 - 1) == Exact.rational(1)
+    assert r2 * r2 == Exact({1: Fraction(2)})
+    assert (r2 + 1) * (r2 - 1) == Exact({1: Fraction(1)})
 
 
 def test_inverse_single_radical():
     x = Exact({6: Fraction(1, 3)})  # sqrt(2/3)
-    assert x * x.inverse() == Exact.rational(1)
+    assert x * x.inverse() == Exact({1: Fraction(1)})
 
 
 def test_inverse_mixed_sum():
-    x = Exact.rational(1) + Exact.sqrt(2) + Exact.sqrt(3)
-    assert x * x.inverse() == Exact.rational(1)
+    x = Exact({1: Fraction(1)}) + Exact.sqrt(2) + Exact.sqrt(3)
+    assert x * x.inverse() == Exact({1: Fraction(1)})
     with pytest.raises(ExactZeroDivision):
-        Exact.zero().inverse()
+        Exact({}).inverse()
 
 
 def test_float_value():
@@ -39,8 +40,61 @@ def test_float_value():
 
 
 def test_as_exact_scalar_downgrades_rational():
-    assert as_exact_scalar(Exact.rational(Fraction(3, 4))) == Fraction(3, 4)
+    assert as_exact_scalar(Exact({1: Fraction(3, 4)})) == Fraction(3, 4)
     assert isinstance(as_exact_scalar(Exact.sqrt(5)), Exact)
+
+
+@given(st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=4)),
+       st.sampled_from([0, 1, 2, 6]), st.integers(1, 12))
+def test_normal_form_and_ratio(q, rad, d):
+    # an int exactly when integral, a Fraction when a proper rational, an Exact
+    # only while a radical is left; ratio(c, d) is c / d in that form
+    for x in (q, Fraction(q), Exact({1: Fraction(q)}), q * Exact.sqrt(rad)):
+        got = as_exact_scalar(x)
+        assert got == x and type(got) in EXACT_TYPES
+        assert type(got) is not Fraction or got.denominator != 1
+        assert type(got) is not Exact or not got.is_rational()
+        assert ratio(got * d, d) == got and type(ratio(got * d, d)) is type(got)
+    assert as_exact_scalar(1.5) == 1.5 and as_exact_scalar(2j) == 2j
+
+
+# -- square-free splits up to SPLIT_MAX, and radicals joined without factoring
+
+def square_free_part(sympy, n):
+    return (sympy.prod(p for p, e in sympy.factorint(n).items() if e % 2),
+            sympy.prod(p ** (e // 2) for p, e in sympy.factorint(n).items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, SPLIT_MAX),
+                 # a cofactor past the cube root: two large primes, or one squared
+                 st.tuples(st.integers(1, 30), st.sampled_from([99991, 100003, 31622743])).map(
+                     lambda t: t[0] * t[1] ** 2).filter(lambda n: n <= SPLIT_MAX),
+                 st.sampled_from([999999999999989, 99991 * 100003 * 97, 31622743 ** 2])))
+def test_sqrt_splits_like_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    m, s = square_free_part(sympy, n)
+    assert sqrt_fraction(Fraction(n)) == Exact({int(m): Fraction(int(s))})
+    assert sqrt_fraction(Fraction(1, n)) == Exact({int(m): Fraction(1, int(s) * int(m))})
+
+
+def test_sqrt_above_the_split_bound_is_not_taken():
+    with pytest.raises(ValueError, match="split bound"):
+        sqrt_fraction(Fraction(SPLIT_MAX + 1))
+    assert rational_power(Fraction(10 ** 28 + 57), Fraction(3, 2)) is None
+    assert rational_power(Fraction(4 * (SPLIT_MAX + 1)), Fraction(1, 2)) is None
+    # a perfect square needs no split, so it stays exact above the bound
+    assert rational_power(Fraction((10 ** 28 + 57) ** 2), Fraction(3, 2)) == (10 ** 28 + 57) ** 3
+
+
+def test_huge_radicands_multiply_and_invert_without_factoring():
+    # two primes near 10^15 and their product, far past the bound: gcds alone
+    p, q = 999999999999989, 999999999999947
+    rp, rq = Exact({p: Fraction(1)}), Exact({q: Fraction(1)})
+    assert rp * rq == Exact({p * q: Fraction(1)}) and rp * rp == p
+    assert (rp * rq) * Exact({p * q * 6: Fraction(1)}) == p * q * Exact.sqrt(6)
+    x = 1 + rp + rq + rp * rq
+    assert x * x.inverse() == 1 and type(x * x.inverse()) is Fraction
 
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -66,7 +120,7 @@ def test_ring_laws(a, b, c):
 @given(exacts())
 def test_field_inverse(a):
     if a:
-        assert a * a.inverse() == Exact.rational(1)
+        assert a * a.inverse() == Exact({1: Fraction(1)})
 
 
 def test_nth_root_of_huge_perfect_powers():
@@ -91,15 +145,21 @@ def test_nth_root_inverts_power(q, d):
 
 # -- mixed operands: Exact is the one scalar-dispatch layer --------------------
 
+def downgraded(x):
+    """x, with a rational Exact as its Fraction: the type rule of Exact's own operators,
+    which give a Fraction (never an int) whenever the value is rational."""
+    return x.as_fraction() if isinstance(x, Exact) and x.is_rational() else x
+
+
 def ladder(op, a, b):
     """The per-call scalar dispatch that the closed-form, series, linear
     algebra and Legendre modules each did by hand, kept as the reference."""
     if isinstance(a, (float, complex)) or isinstance(b, (float, complex)):
         return op(complex(a), complex(b))
     if isinstance(a, Exact) or isinstance(b, Exact):
-        ae = a if isinstance(a, Exact) else Exact.rational(a)
-        be = b if isinstance(b, Exact) else Exact.rational(b)
-        return as_exact_scalar(op(ae, be))
+        ae = a if isinstance(a, Exact) else Exact({1: Fraction(a)})
+        be = b if isinstance(b, Exact) else Exact({1: Fraction(b)})
+        return downgraded(op(ae, be))
     if op is operator.truediv:
         return Fraction(a) / Fraction(b)
     return op(a, b)
@@ -212,7 +272,7 @@ def test_rational_power_of_radicals(x, n, d):
     if not x:
         return
     got = rational_power(x, n)
-    assert got == as_exact_scalar(x) ** n and not rational_exact(got)
+    assert got == downgraded(x) ** n and not rational_exact(got)
     half = Fraction(2 * n + 1, 2 * d)
     if isinstance(as_exact_scalar(x), Exact):
         assert rational_power(x, half) is None

@@ -14,7 +14,7 @@ from frobwdvv.series import (
     TruncSeries, compose, invert_map, localize,
 )
 
-from conftest import cf_exp, cf_log
+from conftest import assert_normal_scalar, cf_exp, cf_log
 
 F = Fraction
 
@@ -237,13 +237,6 @@ def _typed(coeffs):
     return {i: (type(c), c) for i, c in coeffs.items()}
 
 
-def _assert_normal(s):
-    """An exact coefficient is a Fraction, or an Exact while a radical is left."""
-    for c in s.coeffs.values():
-        assert type(c) in (F, Exact, complex, float), type(c)
-        assert not (type(c) is Exact and c.is_rational()), c
-
-
 def _pairwise(terms, frame):
     """The sum of scale * c * b over (scale, [(idx, c)], series) terms, one pair
     at a time in plain scalar arithmetic and in the kernels' order: each term,
@@ -320,7 +313,9 @@ def test_product_matches_pairwise_reference(case):
     got = TruncSeries.sum_of_products(triples)
     assert _typed(got.coeffs) == _typed(_pairwise(
         [(s, f.coeffs.items(), h) for s, f, h in triples if s], a))
-    _assert_normal(got)
+    for c in got.coeffs.values():
+        if not isinstance(c, (float, complex)):
+            assert_normal_scalar(c)
     # terms cancelling across triples leave no zero coefficients behind, when
     # no product rounds: a complex one with a scale that a float cannot hold does
     if kind in ("fraction", "exact") or kind == "complex" and all(complex(x) == x for x in scales):
@@ -353,9 +348,9 @@ def test_integer_grading_floors_a_fractional_cutoff():
     # x^2 and x y (degree 2) stay, x^3 and x y^2 (degree 3 > 7/3) go
     assert (x ** 3 + x ** 2 + x * y + x * y * y).coeffs == {(2, 0): F(1), (1, 1): F(1)}
     # (sqrt2 x + y)(sqrt2 x - y) = 2 x^2 - y^2: the x y terms cancel, and
-    # sqrt2 * sqrt2 comes back as a Fraction
+    # sqrt2 * sqrt2 comes back as an int
     r2 = Exact.sqrt(2)
-    assert _typed(((x * r2 + y) * (x * r2 - y)).coeffs) == {(2, 0): (F, F(2)), (0, 2): (F, F(-1))}
+    assert _typed(((x * r2 + y) * (x * r2 - y)).coeffs) == {(2, 0): (int, 2), (0, 2): (int, -1)}
 
 
 # -- inversion and the per-map power table -----------------------------------
@@ -480,7 +475,7 @@ def _ref_invert_map(m):
     frame = m.components[0]
     gr, n = frame.grading, len(m.components)
     jac = m.jacobian()
-    if all(isinstance(x, Fraction) for row in jac for x in row):
+    if all(isinstance(x, (int, Fraction)) for row in jac for x in row):
         from frobwdvv.linalg import mat_inv
         jinv = mat_inv(jac)
     else:
@@ -587,7 +582,9 @@ def test_compose_matches_the_pairwise_reference(m, kind, data):
     want = _pairwise([(1, [(zero, c)], m.basis(idx)) for idx, c in f.coeffs.items()],
                      m.components[0])
     assert _typed(got.coeffs) == _typed(want)
-    _assert_normal(got)
+    for c in got.coeffs.values():
+        if not isinstance(c, (float, complex)):
+            assert_normal_scalar(c)
 
 
 @st.composite
@@ -615,8 +612,40 @@ def test_localize_matches_the_pairwise_reference(case):
     got = localize(f, ("x", "y"), centre, gr, memo)
     want = _pairwise([(1, [((0, 0), c)], memo[m]) for m, c in f.terms.items()], got)
     assert _typed(got.coeffs) == _typed(want)
-    _assert_normal(got)
+    for c in got.coeffs.values():
+        if not isinstance(c, (float, complex)):
+            assert_normal_scalar(c)
 
+
+@settings(max_examples=40, deadline=None)
+@given(series_pairs().filter(lambda case: case[2] in ("fraction", "exact")), invertible_maps(),
+       localize_cases(), st.data())
+def test_exact_series_coefficients_are_in_normal_form(case, m, loc, data):
+    # the normal form of closed forms: an int when integral, a Fraction only when
+    # a proper rational, an Exact only while a radical is left
+    ((a, _), (b, _)), scales, _ = case
+    f = _target_series(data.draw, m, data.draw(st.sampled_from(["fraction", "exact"])))
+    centre, form = loc
+    results = [a * b, a + b, a - b, -a, a * scales[0], a ** 2,
+               TruncSeries.sum_of_products([(s, a, b) for s in scales]),
+               TruncSeries.signed_sum([(s, a) for s in scales] + [(1, b)]),
+               a.diff(a.vars[0]), compose(f, m), *invert_map(m).components,
+               localize(form, ("x", "y"), centre, g(2, 5))]
+    for s in results:
+        for c in s.coeffs.values():
+            if not isinstance(c, (float, complex)):     # the complex log of a mixed series
+                assert_normal_scalar(c)
+
+
+def test_expansions_and_derivatives_are_in_normal_form():
+    # the Taylor coefficients of a factor, c * k of diff and of x d/dx can be
+    # integral Fractions; a one-term expansion is stored and copied as it is
+    from frobwdvv.solver import _theta
+    for f in (cf_var("x", 2), cf_log("x"), cf_exp("y"), cf_mono(F(1, 2), {"x": 2})):
+        s = localize(f, ("x", "y"), (F(1), F(0)), g(2, 3))
+        for t in (s, s.diff("x"), s.diff("y"), _theta(s.truncate(3))):
+            for c in t.coeffs.values():
+                assert_normal_scalar(c)
 
 def test_log_away_from_one_is_a_mixed_series():
     # log x at x = 2: a complex log 2 under the exact terms (-1)^(j+1) / (j 2^j)
@@ -708,10 +737,10 @@ def test_kernel_views_are_built_once(monkeypatch):
             built_in[where[0]] += 1
         return out
 
-    def summing(pairs, attr, keys, ratio):
+    def summing(pairs, attr, keys):
         where[0] = "sum"
         try:
-            return real_sum(pairs, attr, keys, ratio)
+            return real_sum(pairs, attr, keys)
         finally:
             where[0] = "product"
 
