@@ -8,9 +8,9 @@ applies and which each kernel output term gets from `exact.ratio`.  The ring is 
 under +, *, partial differentiation, and antidifferentiation for the shapes
 that occur here (power, power times log^k, polynomial times exponential).
 
-`evaluate` runs from a plan that each form builds once: its coefficients as complex, and its
-terms' factors as keys (kind, variable, exponent) into a table {key: value} that the forms
-evaluated at one point share, so each distinct factor is computed once per point.  A value has
+`ClosedForm.evaluator(forms)` plans forms evaluated together once: their distinct factor keys
+(kind, variable, exponent), and each form's terms as (complex coefficient, factor indices).  A
+point's coordinates are converted once, each distinct factor is computed once, and a value has
 the bits of the per-term loop: the same factors multiply in the same order, terms add in dict
 order, v^n (n > 0) at v = 0 sets the running product to 0j, and a branch point raises alike.
 """
@@ -182,12 +182,10 @@ class _Zero:
 _ZERO = _Zero()
 
 
-def _factor(key: tuple, point: dict):
-    """The value of the factor `key` at the point; raises BranchPointError at a branch point."""
+def _factor(key: tuple, z: complex):
+    """The power or log `key` where its variable is z; raises BranchPointError at a branch
+    point.  (`ClosedForm.evaluator` computes exponentials and nonzero integral powers itself.)"""
     kind, v, q = key
-    z = complex(point[v])
-    if kind == 2:
-        return cmath.exp(float(q) * z)
     if z == 0:
         if kind == 0 and q.denominator == 1 and q > 0:
             return _ZERO
@@ -200,7 +198,7 @@ def _factor(key: tuple, point: dict):
 class ClosedForm:
     """Immutable normal-form sum {monomial: coefficient}; zero coeffs dropped."""
 
-    __slots__ = ("terms", "_view", "_plan")
+    __slots__ = ("terms", "_view")
 
     def __init__(self, terms: dict[Mono, object] | None = None, _clean: bool = False):
         if _clean:
@@ -393,28 +391,36 @@ class ClosedForm:
         return ClosedForm({m: ratio(c, d0 * lam) for m, c in out.items() if c}, _clean=True)
 
     # -- evaluation -------------------------------------------------------
-    def evaluate(self, point: dict[str, complex], factors: dict | None = None) -> complex:
-        """Numeric evaluation, principal branches (cmath conventions), from the form's plan;
-        `factors` is the point's factor table, shared by the forms evaluated there."""
-        if (plan := getattr(self, "_plan", None)) is None:
-            firsts: dict = {}
-            terms = [(complex(c), tuple(firsts.setdefault((kind, v, e), len(firsts))
-                                        for kind, part in enumerate(m) for v, e in part))
-                     for m, c in self.terms.items()]
-            object.__setattr__(self, "_plan", plan := (tuple(firsts), terms))
-        order, terms = plan
-        factors = {} if factors is None else factors
-        vals = []
-        for key in order:
-            if (f := factors.get(key)) is None:
-                f = factors[key] = _factor(key, point)
-            vals.append(f)
-        total = 0j
-        for c, idx in terms:
-            for i in idx:
-                c *= vals[i]
-            total += c
-        return total
+    def evaluate(self, point: dict[str, complex]) -> complex:
+        """Numeric evaluation, principal branches (cmath conventions): `evaluator` of one form."""
+        return ClosedForm.evaluator((self,))(point)[0]
+
+    @staticmethod
+    def evaluator(forms: Iterable["ClosedForm"]) -> Callable[[dict], list]:
+        """point -> [value of each form], from one plan of the forms' distinct factors."""
+        firsts: dict = {}
+        plans = [[(complex(c), tuple(firsts.setdefault((kind, v, e), len(firsts))
+                                     for kind, part in enumerate(m) for v, e in part))
+                  for m, c in f.terms.items()] for f in forms]
+        names = list(dict.fromkeys(v for _, v, _ in firsts))
+        # (variable slot, how: 0 z ** q, 1 `_factor`, 2 exp(q z), q, key)
+        steps = [(names.index(v), 1 if kind == 0 and type(q) is not int else kind,
+                  float(q) if kind == 2 else q, (kind, v, q)) for kind, v, q in firsts]
+
+        def values(point: dict) -> list:
+            zs = [complex(point[v]) for v in names]
+            vals = [cmath.exp(q * zs[i]) if how == 2 else zs[i] ** q if how == 0 and zs[i]
+                    else _factor(key, zs[i]) for i, how, q, key in steps]
+            out = []
+            for terms in plans:
+                total = 0j
+                for c, idx in terms:
+                    for i in idx:
+                        c *= vals[i]
+                    total += c
+                out.append(total)
+            return out
+        return values
 
     def evaluate_exact(self, point: dict[str, Fraction]):
         """Exact evaluation; raises NeedsFloatError outside the radical field."""

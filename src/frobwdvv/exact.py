@@ -14,7 +14,7 @@ from operator import add, mul, sub, truediv
 
 __all__ = ["Exact", "ExactZeroDivision", "EXACT_TYPES", "SPLIT_MAX", "sqrt_fraction",
            "nth_root_fraction", "rational_power", "as_exact_scalar", "ratio", "times", "power",
-           "scalar_is_exact"]
+           "float_cast", "scalar_is_exact"]
 
 SPLIT_MAX = 10 ** 15    # the largest integer `sqrt_fraction` splits: trial division to 10^5
 
@@ -339,6 +339,11 @@ def power(base, n: int, one):
         if n := n >> 1:
             base = base * base
     return out
+
+
+def float_cast(z):
+    """The `fractions` fallback's cast of an exact operand that meets z, done without it."""
+    return type(z) if type(z) in (float, complex) else lambda x: x
 
 
 def scalar_is_exact(x) -> bool:

@@ -126,9 +126,9 @@ def check_constant_combo(combo: LogCombo) -> dict:
 
 
 def combo_value(combo: LogCombo, point: dict) -> complex:
-    total, factors = 0j, {}
-    for q, p in combo:
-        total += float(q) * cmath.log(p.evaluate(point, factors))
+    total = 0j
+    for (q, _), value in zip(combo, ClosedForm.evaluator(p for _, p in combo)(point)):
+        total += float(q) * cmath.log(value)
     return total
 
 

@@ -344,33 +344,27 @@ def verify_pointwise(spec: FrobeniusSpec, kappa: int, hat_potential: ClosedForm,
     hat_names = [f"h{i+1}" for i in range(n)]
     if set(hat_potential.variables()) - set(hat_names):
         raise ValueError("hat potential must use variables h1..hn")
-    # each symmetric Hessian entry is differentiated and evaluated once, a <= b
+    # each symmetric Hessian entry a <= b is differentiated once, and evaluated once per point
     upper = [(a, b) for a in range(n) for b in range(a, n)]
-    sec = {(a, b): spec.potential.diff(names[a]).diff(names[b]) for a, b in upper}
-    hat_sec = {(a, b): hat_potential.diff(hat_names[a]).diff(hat_names[b]) for a, b in upper}
+    sec = ClosedForm.evaluator(spec.potential.diff(names[a]).diff(names[b]) for a, b in upper)
+    hat_sec = ClosedForm.evaluator(hat_potential.diff(hat_names[a]).diff(hat_names[b])
+                                   for a, b in upper)
 
-    def values(forms, point):
+    def values(side, point):
         out = [[None] * n for _ in range(n)]
-        factors: dict = {}
-        for (a, b), f in forms.items():
-            out[a][b] = out[b][a] = f.evaluate(point, factors)
+        for (a, b), value in zip(upper, side(point)):
+            out[a][b] = out[b][a] = value
         return out
 
-    def check_point(pt):
+    worst, failures = 0.0, []
+    for pt in points:
         want = values(sec, dict(zip(names, [complex(x) for x in pt])))
         got = values(hat_sec, dict(zip(hat_names, raise_index(want[kappa - 1], t.eta_inv))))
-        worst_pt = 0.0
-        fails = []
         for a in range(n):
             for b in range(n):
                 err = abs(got[a][b] - want[a][b]) / max(1.0, abs(want[a][b]))
-                worst_pt = max(worst_pt, err)
+                worst = max(worst, err)
                 if err > tol:
-                    fails.append((pt, a + 1, b + 1, err))
-        return worst_pt, fails
-
-    results = [check_point(pt) for pt in points]
-    worst = max((w for w, _ in results), default=0.0)
-    failures = [f for _, fs in results for f in fs]
+                    failures.append((pt, a + 1, b + 1, err))
     return {"pass": not failures, "max_residual": worst, "failures": failures[:5],
             "points": len(points)}

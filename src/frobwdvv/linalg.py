@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import as_exact_scalar
+from .exact import as_exact_scalar, float_cast
 
 __all__ = ["mat_inv", "float_inv", "SingularMatrixError",
            "InconsistentSystemError", "kron", "raise_index"]
@@ -108,7 +108,8 @@ def kron(a, b):
 def raise_index(low: list, eta_inv) -> list:
     """Upper components eta^{ab} low_b of lowered ones (or, given eta, the
     lowered components of upper ones).  ClosedForm or TruncSeries entries are
-    summed by one `signed_sum` of their type per row; numbers one by one."""
+    summed by one `signed_sum` of their type per row; numbers one by one, a Fraction entry
+    of eta through `float_cast`."""
     if hasattr(type(low[0]), "signed_sum"):
         return [type(low[0]).signed_sum([(e, low[b]) for b, e in enumerate(row) if e])
                 for row in eta_inv]
@@ -117,6 +118,6 @@ def raise_index(low: list, eta_inv) -> list:
         s = low[0] * 0      # zero in the entries' own type
         for b, e in enumerate(row):
             if e:
-                s = s + low[b] * e
+                s = s + low[b] * (float_cast(low[b])(e) if type(e) is Fraction else e)
         out.append(s)
     return out

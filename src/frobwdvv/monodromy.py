@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import solve_calibration, theta_matrix_coefficients
+from .closedform import ClosedForm
 from .core import FrobeniusSpec, Tensors, build_tensors, hat_point, u_matrix
 from .linalg import kron
 
@@ -82,8 +83,7 @@ class MonodromyData:
 
 def _at_point(spec: FrobeniusSpec, mats, point) -> np.ndarray:
     pt = {v: complex(x) for v, x in zip(spec.varnames, point)}
-    factors: dict = {}
-    return np.array([[m.evaluate(pt, factors) for m in row] for row in mats])
+    return np.array(ClosedForm.evaluator(m for row in mats for m in row)(pt)).reshape(len(mats), -1)
 
 
 def semisimple_at(spec: FrobeniusSpec, point, tensors: Tensors | None = None,

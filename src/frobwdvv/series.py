@@ -19,7 +19,8 @@ from operator import mul, sub
 
 from . import kernel
 from .closedform import ClosedForm, Cutoff
-from .exact import EXACT_TYPES, as_exact_scalar, power, rational_power, scalar_is_exact
+from .exact import (EXACT_TYPES, as_exact_scalar, float_cast, power, rational_power,
+                    scalar_is_exact)
 from .linalg import SingularMatrixError, float_inv, mat_inv
 
 __all__ = [
@@ -413,9 +414,11 @@ def _expand_monomial(mono, vars, center, grading) -> TruncSeries:
         if cq is None:
             cq = cmath.exp(float(q) * cmath.log(complex(c)))
         inv, b = Fraction(1) / c, [Fraction(1)]
+        cast = float_cast(inv)
         for j in range(1, n + 1):
-            b.append(b[-1] * inv * (q - j + 1) / j)
-        factors.append(_offset_series(v, [cq * x for x in b], vars, center, grading))
+            b.append(cast(b[-1]) * inv * cast(q - j + 1) / j)
+        cast = float_cast(cq)
+        factors.append(_offset_series(v, [cq * cast(x) for x in b], vars, center, grading))
     for v, k in mono.logs:
         c = cmap[v]
         if abs(complex(c)) == 0:
@@ -431,7 +434,8 @@ def _expand_monomial(mono, vars, center, grading) -> TruncSeries:
         except OverflowError:
             raise SingularCenterError(f"e^({e}{v}) overflows a float at center {v}={c}") from None
         u, w = Fraction(e).as_integer_ratio()
-        coefs = [e0 * Fraction(u ** j, w ** j * math.factorial(j)) for j in range(n + 1)]
+        cast = float_cast(e0)
+        coefs = [e0 * cast(Fraction(u ** j, w ** j * math.factorial(j))) for j in range(n + 1)]
         factors.append(_offset_series(v, coefs, vars, center, grading))
     return reduce(mul, factors) if factors else \
         TruncSeries.constant(Fraction(1), vars, center, grading)

@@ -3,6 +3,7 @@ import numbers
 import struct
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -102,14 +103,24 @@ def evaluated_forms(draw):
           cf_var("x", 3) * cf_var("y", F(1, 2))], {"x": 0.0, "y": -0.0, "z": 1.0})
 @example([cf_mono(F(1, 3), {"x": 2, "y": 2, "z": 1}), cf_mono(2, {"x": 1, "y": 2})],
          {"x": 1e150, "y": 1e150, "z": 0.0})
+@example([cf_mono(F(1, 3), {"x": 2, "y": F(1, 2)}, {"z": 1}, {"x": F(-3, 2)})
+          + cf_mono(F(2, 7), {"y": 3, "z": -1}, None, {"y": 1}) + cf_mono(F(9, 2), {"y": 2})],
+         {"x": 0.7 + 0.31j, "y": -1.3 - 0.2j, "z": -2.5})    # the order of terms shows
+@example([cf_mono(3, {"x": -1, "y": 1})], {"x": 1e150, "y": 400.0, "z": 0.0})  # and of factors
 def test_evaluate_matches_the_per_term_loop_bit_for_bit(fs, point):
-    """Each value, alone and through a table that the forms before it filled, has
-    the bits of the per-term loop, or raises what it raises."""
+    """Each value, from `evaluate` and from one evaluator of all the forms (in either
+    order), has the bits of the per-term loop; where a form raises, the evaluator raises
+    what the first such form raises."""
     want = [outcome(lambda: evaluate_reference(f, point)) for f in fs]
     assert [outcome(lambda: ClosedForm(f.terms).evaluate(point)) for f in fs] == want
-    table: dict = {}
-    assert [outcome(lambda: f.evaluate(point, table)) for f in fs] == want
-    assert [outcome(lambda: f.evaluate(point, table)) for f in reversed(fs)] == want[::-1]
+    for forms, values in ((fs, want), (fs[::-1], want[::-1])):
+        errors = [w for w in values if type(w) is tuple]
+        run = ClosedForm.evaluator(forms)
+        try:
+            got = [bits(z) for z in run(point)]
+        except (ArithmeticError, ValueError) as exc:
+            got = [(type(exc), str(exc))]
+        assert got == (errors[:1] or values)
 
 
 def test_evaluate_raises_at_a_branch_point_on_both_routes():
@@ -118,38 +129,64 @@ def test_evaluate_raises_at_a_branch_point_on_both_routes():
         want = outcome(lambda: evaluate_reference(f, point))
         assert want[0] is BranchPointError
         assert outcome(lambda: f.evaluate(point)) == want
-        assert outcome(lambda: f.evaluate(point, {})) == want
+        # behind a form that shares the x^2 factor and raises nowhere
+        assert outcome(lambda: ClosedForm.evaluator([cf_var("x", 2), f])(point)[1]) == want
 
 
 def test_evaluate_converts_each_coefficient_once_and_each_factor_once_per_point(monkeypatch):
-    """Over 50 points, each form converts its coefficients on its first evaluation
-    only, and forms that share a point's table compute each distinct factor once."""
-    fs = [cf_mono(F(1, 3), {"x": 2}, None, {"y": -1}) + cf_mono(F(2, 7), {"x": F(1, 2)}),
+    """Over 50 points, one evaluator converts each coefficient once, reads each coordinate
+    once per point, and computes each distinct factor once per point: rational powers and
+    logs through `_factor` (cmath.log, and cmath.exp for a rational power), exponentials
+    through cmath.exp, and integral powers as z ** q, or through `_factor` where z = 0 (z is
+    0 at every point here)."""
+    fs = [cf_mono(F(1, 3), {"x": 2, "z": 1}, None, {"y": -1}) + cf_mono(F(2, 7), {"x": F(1, 2)}),
           cf_mono(F(5, 3), {"x": 2, "y": 1}) + cf_mono(F(-1, 6), {"x": F(1, 2)}, {"y": 1}),
-          cf_mono(F(3, 4), None, {"x": 1}, {"y": -1}) + cf_mono(F(1, 9), {"y": 3})]
-    distinct = {(kind, v, e) for f in fs for m in f.terms
-                for kind, part in enumerate(m) for v, e in part}
-    points = [{"x": 0.5 + 0.01 * i, "y": -1.0 - 0.02 * i} for i in range(50)]
+          cf_mono(F(3, 4), {"z": 3}, {"x": 1}, {"y": -1}) + cf_mono(F(1, 9), {"y": 3}, None,
+                                                                    {"z": 2})]
+    keys = {(kind, v, e) for f in fs for m in f.terms
+            for kind, part in enumerate(m) for v, e in part}
+    rational = {k for k in keys if k[0] == 0 and type(k[2]) is not int}
+    logs = {k for k in keys if k[0] == 1}
+    exps = {k for k in keys if k[0] == 2}
+    through_factor = rational | logs | {k for k in keys if k[0] == 0 and k[1] == "z"}
+    points = [{"x": 0.5 + 0.01 * i, "y": -1.0 - 0.02 * i, "z": 0.0} for i in range(50)]
     want = [[bits(evaluate_reference(f, point)) for f in fs] for point in points]
-    converted, computed = Counter(), Counter()
+    converted = Counter()
     real_complex, factor = numbers.Real.__complex__, closedform._factor
 
     def counting_complex(self):
         converted[self] += 1
         return real_complex(self)
 
-    def counting_factor(key, point):
-        computed[key, point["x"], point["y"]] += 1
-        return factor(key, point)
+    def counting_factor(key, z):
+        computed[key] += 1
+        return factor(key, z)
+
+    def counting(name):
+        def run(z):
+            calls[name] += 1
+            return getattr(cmath, name)(z)
+        return run
+
+    class Point(dict):
+        def __getitem__(self, v):
+            read[v] += 1
+            return dict.__getitem__(self, v)
 
     monkeypatch.setattr(numbers.Real, "__complex__", counting_complex)
     monkeypatch.setattr(closedform, "_factor", counting_factor)
+    monkeypatch.setattr(closedform, "cmath", SimpleNamespace(exp=counting("exp"),
+                                                             log=counting("log")))
+    run = ClosedForm.evaluator(fs)
+    coefficients = Counter(c for f in fs for c in f.terms.values())
+    assert converted == coefficients
     for point, values in zip(points, want):
-        table: dict = {}
-        assert [bits(f.evaluate(point, table)) for f in fs] == values
-    assert converted == Counter(c for f in fs for c in f.terms.values())
-    assert len(computed) == len(distinct) * len(points)
-    assert set(computed.values()) == {1}
+        computed, calls, read = Counter(), Counter(), Counter()
+        assert [bits(z) for z in run(Point(point))] == values
+        assert read == {"x": 1, "y": 1, "z": 1}
+        assert computed == Counter(through_factor)
+        assert calls == {"exp": len(exps | rational), "log": len(logs | rational)}
+    assert converted == coefficients
 
 
 def test_equal_mod_quadratic():

@@ -17,6 +17,7 @@ KEPT = {
                                  "waits to join the `legendre` report (ROADMAP item 12)",
     "evaluate_exact": "the benchmark's tracer wraps it by name; waits to move under tests/ "
                       "(ROADMAP item 12)",
+    "evaluate": "the benchmark's tracer wraps it by name",
     "frame_invariance_report": "a benchmark entry point (monodromy-sweep); waits for "
                                "`monodromy --kappa` (ROADMAP items 12 and 14)",
     "hamiltonians_and_closedness": "a benchmark entry point (monodromy-sweep); waits to join "

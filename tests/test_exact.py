@@ -1,12 +1,13 @@
 import operator
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobwdvv.exact import (
-    EXACT_TYPES, SPLIT_MAX, Exact, ExactZeroDivision, as_exact_scalar, nth_root_fraction, ratio,
-    rational_power, sqrt_fraction,
+    EXACT_TYPES, SPLIT_MAX, Exact, ExactZeroDivision, as_exact_scalar, float_cast,
+    nth_root_fraction, ratio, rational_power, sqrt_fraction,
 )
 
 
@@ -289,3 +290,22 @@ def test_rational_power_examples():
     assert rational_power(2, Fraction(1, 3)) is None
     assert rational_power(-2, Fraction(1, 2)) is None
     assert type(rational_power(3, -2)) is Fraction
+
+
+floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(floats, st.builds(complex, floats, floats)),
+       st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                 st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)))
+def test_float_cast_gives_the_bits_of_the_fraction_fallback(z, x):
+    """z * cast(x) and cast(x) * z have the type and bits of z * x and x * z, which
+    `fractions` computes through its operator fallbacks; an exact z leaves x alone."""
+    def value_bits(w):
+        return type(w), struct.pack("<dd", w.real, w.imag)
+
+    cast = float_cast(z)
+    assert value_bits(z * cast(x)) == value_bits(z * x)
+    assert value_bits(cast(x) * z) == value_bits(x * z)
+    assert float_cast(Fraction(1, 3))(x) is x and float_cast(2)(x) is x

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,7 +26,7 @@ from frobwdvv.solver import recursion_ck, recursion_wk, solve_ckl_and_a
 from frobwdvv.specs import ccc_potential, load_spec
 from frobwdvv.core import FrobeniusSpec
 
-from conftest import cf_exp, cf_log, series_equal_mod_quadratic
+from conftest import cf_exp, cf_log, evaluate_reference, series_equal_mod_quadratic
 
 F = Fraction
 
@@ -345,28 +346,110 @@ def test_pointwise_p1():
     assert rep["pass"], rep
 
 
-def test_pointwise_p2_s2(monkeypatch):
-    """The c_k candidate passes, and each point evaluates the n(n+1)/2 entries
-    a <= b of the straight and of the hat Hessian once: the hat point comes
-    from the straight kappa row."""
-    spec = load_spec("p2")
+def ck_candidate():
+    """The p2 hat potential in the (2,2) direction from the c_k table, to k = 6."""
     ck = recursion_ck(6).table()
     cand = cf_mono(F(1, 6), {"h2": 3}) + cf_mono(F(1), {"h1": 1, "h2": 1, "h3": 1})
     for k in range(0, 7):
         cand = cand + cf_mono(ck[k] / math.factorial(3 * k), {"h1": 3 * k},
                               None, {"h3": 1 - 2 * k})
-    calls = []
-    evaluate = ClosedForm.evaluate
+    return cand
 
-    def counted(self, point, factors=None):
-        calls.append(1)
-        return evaluate(self, point, factors)
 
-    monkeypatch.setattr(ClosedForm, "evaluate", counted)
+def a21_candidate():
+    """The p1xp1 hat potential in the (3,3) direction from the a21 table, to level 19."""
+    a = solve_ckl_and_a(max_ckl_level=2, max_a_level=19)["a"].table()
+    cand = (cf_mono(F(1, 2), {"h3": 2, "h2": 1}) + cf_mono(F(1), {"h1": 1, "h3": 1, "h4": 1})
+            + cf_mono(F(1), {"h1": 1, "h2": 1}, {"h1": 1}) - cf_mono(F(1), {"h1": 1, "h2": 1}))
+    for (m1, m2), v in a.items():
+        if v:
+            cand = cand + cf_mono(v, {"h1": F(3 - m1 - 2 * m2, 2), "h2": m1},
+                                  None, {"h4": m2})
+    return cand
+
+
+def test_pointwise_p2_s2(monkeypatch):
+    """The c_k candidate passes, and a call builds two evaluators, of the n(n+1)/2 entries
+    a <= b of the straight and of the hat Hessian, and runs each once per point, the
+    straight one first: the hat point comes from its kappa row."""
+    spec = load_spec("p2")
+    cand = ck_candidate()
+    plans, runs = [], []
+    evaluator = ClosedForm.evaluator
+
+    def counted(forms):
+        side, forms = len(plans), list(forms)
+        plans.append(len(forms))
+        run = evaluator(forms)
+        return lambda point: runs.append(side) or run(point)
+
+    monkeypatch.setattr(ClosedForm, "evaluator", staticmethod(counted))
     pts = [(0.4, 0.1, 0.2), (-0.3, -0.1, 0.15), (0.9, 0.25, 0.1)]
     rep = verify_pointwise(spec, 2, cand, pts, tol=1e-8)
     assert rep["pass"], rep
-    assert len(calls) == 12 * len(pts)
+    assert plans == [6, 6]
+    assert runs == [0, 1] * len(pts)
+
+
+def pointwise_reference(spec, kappa, cand, points, tol):
+    """`verify_pointwise`'s max_residual and failures, point by point on
+    `evaluate_reference`, the index raised as the sum of low_b * e."""
+    n, names = spec.n, spec.varnames
+    hat_names = [f"h{i + 1}" for i in range(n)]
+    eta_inv = build_tensors(spec).eta_inv
+
+    def hessian(f, vs):
+        return {(a, b): f.diff(vs[a]).diff(vs[b]) for a in range(n) for b in range(a, n)}
+
+    def at(entries, point, a, b):
+        return evaluate_reference(entries[min(a, b), max(a, b)], point)
+
+    sec, hat_sec = hessian(spec.potential, names), hessian(cand, hat_names)
+    worst, failures = 0.0, []
+    for pt in points:
+        point = dict(zip(names, [complex(x) for x in pt]))
+        low = [at(sec, point, kappa - 1, b) for b in range(n)]
+        hat_point = {}
+        for h, row in zip(hat_names, eta_inv):
+            s = low[0] * 0
+            for b, e in enumerate(row):
+                if e:
+                    s = s + low[b] * e
+            hat_point[h] = s
+        for a in range(n):
+            for b in range(n):
+                want = at(sec, point, a, b)
+                err = abs(at(hat_sec, hat_point, a, b) - want) / max(1.0, abs(want))
+                worst = max(worst, err)
+                if err > tol:
+                    failures.append((pt, a + 1, b + 1, err))
+    return worst, failures
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("name, kappa, points, tols", [
+    ("p2", 2, [(0.9, 0.25, 0.1)] + [
+        (-0.9 + 0.075 * i, -0.3 + 0.025 * i, 0.1 + 0.006 * i) for i in range(24)],
+     [1e-8, 1e-15]),
+    ("p1xp1", 3, [(-0.2 + 0.05 * i, -2.2 + 0.075 * i, -2.0 + 0.06 * i, 0.06 + 0.0075 * i)
+                  for i in range(9)], [1e-6, 1e-12]),
+])
+def test_pointwise_matches_the_per_point_reference_bit_for_bit(name, kappa, points, tols):
+    """max_residual has the reference's bits and failures are the reference's first five,
+    in its order, at a tolerance the candidate meets and at one it fails on purpose."""
+    spec = load_spec(name)
+    cand = ck_candidate() if name == "p2" else a21_candidate()
+    for tol, passes in zip(tols, (True, False)):
+        rep = verify_pointwise(spec, kappa, cand, points, tol=tol)
+        worst, failures = pointwise_reference(spec, kappa, cand, points, tol)
+        assert rep["pass"] is passes and bool(failures) is not passes
+        assert float_bits(rep["max_residual"]) == float_bits(worst)
+        assert [(p, a, b, float_bits(e)) for p, a, b, e in rep["failures"]] == \
+            [(p, a, b, float_bits(e)) for p, a, b, e in failures[:5]]
+        assert rep["points"] == len(points)
 
 
 def test_pointwise_ccc_s3():
@@ -390,14 +473,7 @@ def test_pointwise_ccc_s3():
 
 def test_pointwise_p1xp1_s21():
     spec = load_spec("p1xp1")
-    sols = solve_ckl_and_a(max_ckl_level=2, max_a_level=19)
-    a = sols["a"].table()
-    cand = (cf_mono(F(1, 2), {"h3": 2, "h2": 1}) + cf_mono(F(1), {"h1": 1, "h3": 1, "h4": 1})
-            + cf_mono(F(1), {"h1": 1, "h2": 1}, {"h1": 1}) - cf_mono(F(1), {"h1": 1, "h2": 1}))
-    for (m1, m2), v in a.items():
-        if v:
-            cand = cand + cf_mono(v, {"h1": F(3 - m1 - 2 * m2, 2), "h2": m1},
-                                  None, {"h4": m2})
+    cand = a21_candidate()
     pts = [(0.0, -1.6, -1.8, 0.1), (0.1, -2.0, -1.5, 0.08)]
     rep = verify_pointwise(spec, 3, cand, pts, tol=1e-6)
     assert rep["pass"], rep

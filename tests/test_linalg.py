@@ -1,13 +1,16 @@
 """The sparse exact elimination against sympy's reduced row echelon form, and
 the dense float inverse against numpy."""
 
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frobwdvv.exact import Exact
-from frobwdvv.linalg import InconsistentSystemError, SingularMatrixError, float_inv, mat_inv
+from frobwdvv.linalg import (
+    InconsistentSystemError, SingularMatrixError, float_inv, mat_inv, raise_index,
+)
 from slot_oracle import solve_affine
 
 F = Fraction
@@ -147,3 +150,35 @@ def test_float_inverse_of_a_zero_pivot_column_raises():
     # the second row is twice the first: elimination leaves an exact zero pivot
     with pytest.raises(SingularMatrixError):
         float_inv([[1 + 1j, 2.0], [2 + 2j, 4.0]])
+
+
+def value_bits(z):
+    """The type and bits of a float or complex value: signed zeros and NaNs compare as bits."""
+    return type(z), struct.pack("<dd", z.real, z.imag)
+
+
+floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats())
+float_entries = st.one_of(floats, st.builds(complex, floats, floats))
+eta_entries = st.one_of(
+    st.just(F(0)), st.just(0), st.just(F(1)), st.just(-1),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(lambda q: q * Exact.sqrt(2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(float_entries, min_size=n, max_size=n),
+    st.lists(st.lists(eta_entries, min_size=n, max_size=n), min_size=n, max_size=n))))
+def test_raise_index_on_numbers_matches_the_plain_products_bit_for_bit(case):
+    """Float and complex entries times exact eta entries give the bits and types of
+    low_b * e, which `fractions` computes through its operator fallbacks."""
+    low, eta_inv = case
+    want = []
+    for row in eta_inv:
+        s = low[0] * 0
+        for b, e in enumerate(row):
+            if e:
+                s = s + low[b] * e
+        want.append(s)
+    assert [value_bits(z) for z in raise_index(low, eta_inv)] == [value_bits(z) for z in want]
